@@ -13,8 +13,10 @@ bracketing grid.
 
 The Newton loop evaluates the free energy on a site list frozen at entry
 (with a safety margin on the rates) so that f is smooth; if the iterate
-leaves the margin the list is rebuilt and the loop continues.  Reported
-residuals always come from a fresh `moments` call at the returned parameters.
+leaves the margin the list is rebuilt and the loop continues.  f and its
+derivatives come from the per-site law kernel of `moments` in `gibbs`, whose
+exponent form stays finite at any fugacity.  Reported residuals always come
+from a fresh `moments` call at the returned parameters.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import expit
 
-from .gibbs import EnergyModel, GibbsParams, _site_arrays, log_partition, moments
-from .specialfn import ZETA2, ZETA3, c_of_ell, polylog
+from .gibbs import (EnergyModel, GibbsParams, _log_z, _site_arrays, _site_exponents,
+                    _site_laws, _site_sums, log_partition, moments)
+from .specialfn import ZETA2, _residue_core, c_of_ell
 from .tolerances import (
     CALIB_MAX_ITER,
     CALIB_RESIDUAL_TOL,
@@ -87,16 +89,9 @@ class CalibrationResult:
         )
 
 
-def _u_of_fugacity(lam: float) -> float:
-    """(zeta(3) - Li3(1-lam)) / zeta(2): the residue core of the rate relations."""
-    w = 1.0 - lam
-    core = ZETA3 - polylog(3.0, w) if w != 0.0 else ZETA3
-    return core / ZETA2
-
-
 def _rates_from_fugacity(lam: float, n1: int, n2: int) -> tuple[float, float]:
     # n1 = U/(b1^2 b2), n2 = U/(b1 b2^2)  =>  b1 = (U n2/n1^2)^(1/3), etc.
-    U = _u_of_fugacity(lam)
+    U = _residue_core(lam) / ZETA2
     beta1 = (U * n2 / n1**2) ** (1.0 / 3)
     beta2 = (U * n1 / n2**2) ** (1.0 / 3)
     return beta1, beta2
@@ -163,51 +158,30 @@ class FreeEnergy:
         )
         self._x1 = x1.astype(float)
         self._x2 = x2.astype(float)
+        self._target = np.array([target.n1, target.n2, target.k], dtype=float)
 
     def in_margin(self, v: np.ndarray) -> bool:
         return v[0] >= self.margin1 and v[1] >= self.margin2
 
-    def _laws(self, v: np.ndarray):
-        # Everything is expressed through a = g + E + log(1-rho), so that the
-        # occupation probability q = lam*rho/(1-rho+lam*rho) = 1/(1+e^a) stays
-        # finite for arbitrarily large fugacity (a -> -inf just saturates q=1).
-        en = v[0] * self._x1 + v[1] * self._x2
-        rho = np.exp(-en)
-        a = v[2] + en + np.log1p(-rho)
-        return rho, a
+    def _exponents(self, v: np.ndarray):
+        return _site_exponents(v[0] * self._x1 + v[1] * self._x2, v[2])
 
     def value(self, v: np.ndarray) -> float:
         t = self.target
-        _, a = self._laws(v)
-        logz = float(np.sum(np.logaddexp(0.0, -a)))  # sum log(1 + e^-a)
-        return v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k + logz
+        _, a = self._exponents(v)
+        return v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k + _log_z(a)
+
+    def _derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient, Hessian) from one kernel pass: the moment mismatch and
+        the covariance of (X1, X2, K)."""
+        means, cov = _site_sums(self._x1, self._x2, *_site_laws(*self._exponents(v)))
+        return self._target - means, cov
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
-        t = self.target
-        rho, a = self._laws(v)
-        q = expit(-a)  # stable 1/(1+e^a)
-        mean = q / (1.0 - rho)
-        return np.array([
-            t.n1 - float(np.sum(self._x1 * mean)),
-            t.n2 - float(np.sum(self._x2 * mean)),
-            t.k - float(np.sum(q)),
-        ])
+        return self._derivatives(v)[0]
 
     def hessian(self, v: np.ndarray) -> np.ndarray:
-        rho, a = self._laws(v)
-        q = expit(-a)
-        mean = q / (1.0 - rho)
-        var = q * (1.0 + rho) / (1.0 - rho) ** 2 - mean**2
-        ck = mean * (1.0 - q)
-        x1, x2 = self._x1, self._x2
-        H = np.empty((3, 3))
-        H[0, 0] = np.sum(x1 * x1 * var)
-        H[1, 1] = np.sum(x2 * x2 * var)
-        H[0, 1] = H[1, 0] = np.sum(x1 * x2 * var)
-        H[2, 2] = np.sum(q * (1.0 - q))
-        H[0, 2] = H[2, 0] = np.sum(x1 * ck)
-        H[1, 2] = H[2, 1] = np.sum(x2 * ck)
-        return H
+        return self._derivatives(v)[1]
 
 
 def _initializer(target: CalibrationTarget) -> tuple[float, float, float]:
@@ -220,6 +194,13 @@ def _initializer(target: CalibrationTarget) -> tuple[float, float, float]:
         return beta1, beta2, _LAM_HI
 
 
+def _free_energy(target: CalibrationTarget, params: GibbsParams) -> float:
+    """log Z + beta1*n1 + beta2*n2 - k*log(lambda) on the full site set."""
+    beta1, beta2 = params.energy.params
+    return (log_partition(params) + beta1 * target.n1 + beta2 * target.n2
+            - target.k * math.log(params.fugacity))
+
+
 def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
                truncation: float) -> CalibrationResult:
     beta1, beta2, lam = float(v[0]), float(v[1]), math.exp(-float(v[2]))
@@ -230,15 +211,13 @@ def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
         abs(rep.EX2 - target.n2) / target.n2,
         abs(rep.EK - target.k) / target.k,
     )
-    free = (beta1 * target.n1 + beta2 * target.n2
-            - math.log(lam) * target.k + log_partition(params))
     return CalibrationResult(
         beta1=beta1,
         beta2=beta2,
         fugacity=lam,
         residuals=residuals,
         iterations=iterations,
-        free_energy=free,
+        free_energy=_free_energy(target, params),
         converged=max(residuals) <= CALIB_RESIDUAL_TOL,
     )
 
@@ -261,10 +240,9 @@ def exact_calibrate(target: CalibrationTarget,
         fe = FreeEnergy(target, v[0], v[1], trunc)
         fval = fe.value(v)
         while total_iters < CALIB_MAX_ITER:
-            g = fe.gradient(v)
+            g, H = fe._derivatives(v)
             if np.max(np.abs(g) / scale) <= CALIB_TARGET_TOL:
                 return _result_at(target, v, total_iters, trunc)
-            H = fe.hessian(v)
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
@@ -316,9 +294,7 @@ def predicted_log_pnk(target: CalibrationTarget, result: CalibrationResult,
 
     The prefactor is the local-limit point mass at the calibrated center.
     """
-    params = result.params()
-    base = (log_partition(params) + result.beta1 * target.n1
-            + result.beta2 * target.n2 - target.k * math.log(result.fugacity))
+    base = _free_energy(target, result.params())
     if with_llt:
         base += math.log(
             (2.0 * math.pi) ** (-1.5) * math.sqrt(target.k) / (target.n1 * target.n2)

@@ -105,7 +105,7 @@ def _cmd_calibrate(args):
         payload = {"mode": "asymptotic", "beta1": b1, "beta2": b2,
                    "fugacity": lam}
     _emit(_json(payload), args.out)
-    return 0
+    return 0 if payload.get("converged", True) else 1
 
 
 def _cmd_sample_gibbs(args):

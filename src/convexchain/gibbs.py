@@ -7,7 +7,11 @@ occupancies are independent; each follows the biased geometric law
 
 whose normalizer is Z_x = 1 + lam*rho/(1-rho).  Expected endpoint, vertex
 count, the 3x3 covariance of (X1, X2, K), seeded sampling, and the
-parallel-endpoint probability all live here.  Energies come in three flavors:
+parallel-endpoint probability all live here.  One per-site law kernel serves
+`moments`, `log_partition`, the sampler and the calibration free energy.  It
+works in a = g + E + log(1-rho), g = -log(lam), where log Z_x = log(1 + e^-a)
+and P[omega(x) > 0] = expit(-a) stay finite at any fugacity (a -> -inf just
+saturates the occupation at 1).  Energies come in three flavors:
 linear beta.x, Euclidean beta*|x|_2, and the mixed norm
 beta*(|x|_1 + lam_ell*sqrt(2)*|x|_2).
 
@@ -23,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import expit
 
 from .lattice import MultiplicityDistribution
 from .specialfn import ZETA2, parallel_constant
@@ -52,23 +57,23 @@ class EnergyModel:
 
     @staticmethod
     def linear(beta1: float, beta2: float) -> "EnergyModel":
-        if beta1 <= 0 or beta2 <= 0:
-            raise ValueError("linear energy needs beta1, beta2 > 0")
+        if not (0 < beta1 < math.inf and 0 < beta2 < math.inf):
+            raise ValueError("linear energy needs finite beta1, beta2 > 0")
         return EnergyModel("linear", (float(beta1), float(beta2)))
 
     @staticmethod
     def euclidean(beta: float) -> "EnergyModel":
-        if beta <= 0:
-            raise ValueError("euclidean energy needs beta > 0")
+        if not 0 < beta < math.inf:
+            raise ValueError("euclidean energy needs finite beta > 0")
         return EnergyModel("euclidean", (float(beta),))
 
     @staticmethod
     def mixed(beta: float, lam_ell: float) -> "EnergyModel":
-        if beta <= 0:
-            raise ValueError("mixed energy needs beta > 0")
-        if lam_ell <= -1.0 / _SQRT2:
+        if not 0 < beta < math.inf:
+            raise ValueError("mixed energy needs finite beta > 0")
+        if not -1.0 / _SQRT2 < lam_ell < math.inf:
             raise ValueError(
-                f"mixed energy diverges for lam_ell <= -1/sqrt(2), got {lam_ell}"
+                f"mixed energy needs finite lam_ell > -1/sqrt(2), got {lam_ell}"
             )
         return EnergyModel("mixed", (float(beta), float(lam_ell)))
 
@@ -106,10 +111,10 @@ class GibbsParams:
     truncation: float = DEFAULT_TRUNCATION
 
     def __post_init__(self):
-        if self.fugacity <= 0:
-            raise ValueError("fugacity must be positive")
-        if self.truncation <= 0:
-            raise ValueError("truncation must be positive")
+        if not 0 < self.fugacity < math.inf:
+            raise ValueError("fugacity must be positive and finite")
+        if not 0 < self.truncation < math.inf:
+            raise ValueError("truncation must be positive and finite")
 
     def per_site_truncation_bound(self) -> float:
         """lam * e^-T / (1 - e^-T): the omitted mass of any single site."""
@@ -191,51 +196,68 @@ def truncation_bound(params: GibbsParams) -> float:
     return params.fugacity * tail / -math.expm1(-T)
 
 
+def _site_exponents(en: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, a) per site from energies E and g = -log(lam); the operation order
+    of a = g + E + log(1-rho) keeps calibration iterates reproducible."""
+    rho = np.exp(-en)
+    a = g + en + np.log1p(-rho)
+    return rho, a
+
+
+def _site_laws(rho: np.ndarray, a: np.ndarray):
+    """Per-site (q, mean, var) of the biased geometric law, q = P[omega > 0]."""
+    q = expit(-a)  # stable 1/(1+e^a)
+    mean = q / (1.0 - rho)
+    var = q * (1.0 + rho) / (1.0 - rho) ** 2 - mean**2
+    return q, mean, var
+
+
+def _log_z(a: np.ndarray) -> float:
+    """Sum over sites of log Z_x = log(1 + e^-a)."""
+    return float(np.sum(np.logaddexp(0.0, -a)))
+
+
+def _site_sums(x1, x2, q, mean, var) -> tuple[np.ndarray, np.ndarray]:
+    """(E[X1], E[X2], E[K]) and the covariance of (X1, X2, K); x1, x2 as floats."""
+    means = np.array([np.sum(x1 * mean), np.sum(x2 * mean), np.sum(q)])
+    ck = mean * (1.0 - q)  # Cov(omega, 1{omega>0}) per site
+    cov = np.empty((3, 3))
+    cov[0, 0] = np.sum(x1 * x1 * var)
+    cov[1, 1] = np.sum(x2 * x2 * var)
+    cov[0, 1] = cov[1, 0] = np.sum(x1 * x2 * var)
+    cov[2, 2] = np.sum(q * (1.0 - q))
+    cov[0, 2] = cov[2, 0] = np.sum(x1 * ck)
+    cov[1, 2] = cov[2, 1] = np.sum(x2 * ck)
+    return means, cov
+
+
 def log_partition(params: GibbsParams) -> float:
     """Sum over truncated sites of log(1 + lam*rho/(1-rho)), rho = e^-E."""
     _, _, en = _site_arrays(params.energy, params.truncation)
-    rho = np.exp(-en)
-    lam = params.fugacity
-    return float(np.sum(np.log1p(lam * rho / (1.0 - rho))))
+    _, a = _site_exponents(en, -math.log(params.fugacity))
+    return _log_z(a)
 
 
 @lru_cache(maxsize=2)
 def _per_site_laws(params: GibbsParams):
     # cached because sampling loops hit the same params thousands of times
     x1, x2, en = _site_arrays(params.energy, params.truncation)
-    rho = np.exp(-en)
-    lam = params.fugacity
-    denom = 1.0 - (1.0 - lam) * rho  # = (1-rho) * Z_x
-    mean = lam * rho / ((1.0 - rho) * denom)
-    second = lam * rho * (1.0 + rho) / ((1.0 - rho) ** 2 * denom)
-    var = second - mean**2
-    q = lam * rho / denom  # P[omega(x) > 0]
-    for a in (rho, mean, var, q):
-        a.setflags(write=False)
+    rho, a = _site_exponents(en, -math.log(params.fugacity))
+    q, mean, var = _site_laws(rho, a)
+    for arr in (rho, mean, var, q):
+        arr.setflags(write=False)
     return x1, x2, rho, mean, var, q
 
 
 def moments(params: GibbsParams) -> MomentReport:
     """Exact truncated sums of the per-site moments; covariance of (X1,X2,K)."""
     x1, x2, _, mean, var, q = _per_site_laws(params)
-    x1f = x1.astype(float)
-    x2f = x2.astype(float)
-    EX1 = float(np.sum(x1f * mean))
-    EX2 = float(np.sum(x2f * mean))
-    EK = float(np.sum(q))
-    cov_k_pos = mean * (1.0 - q)  # Cov(omega, 1{omega>0}) per site
-    gamma = np.empty((3, 3))
-    gamma[0, 0] = np.sum(x1f * x1f * var)
-    gamma[1, 1] = np.sum(x2f * x2f * var)
-    gamma[0, 1] = gamma[1, 0] = np.sum(x1f * x2f * var)
-    gamma[2, 2] = np.sum(q * (1.0 - q))
-    gamma[0, 2] = gamma[2, 0] = np.sum(x1f * cov_k_pos)
-    gamma[1, 2] = gamma[2, 1] = np.sum(x2f * cov_k_pos)
+    means, gamma = _site_sums(x1.astype(float), x2.astype(float), q, mean, var)
     gamma.setflags(write=False)
     return MomentReport(
-        EX1=EX1,
-        EX2=EX2,
-        EK=EK,
+        EX1=float(means[0]),
+        EX2=float(means[1]),
+        EK=float(means[2]),
         covariance=gamma,
         site_count=int(x1.size),
         truncation_bound=truncation_bound(params),

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .lattice import ConvexPolyline
+from .tolerances import CURVE_QUAD_TOL
 
 __all__ = [
     "CURVE_QUAD_TOL",
@@ -38,7 +39,6 @@ __all__ = [
     "overlay_svg",
 ]
 
-CURVE_QUAD_TOL = 1e-10
 _QUARTER_PI = math.pi / 4.0
 _MIXED_DOMAIN_EDGE = -1.0 / math.sqrt(2.0)
 

@@ -199,16 +199,20 @@ def ratio_li2(w: float) -> float:
     return polylog(2.0, w) / w
 
 
+def _residue_core(lam: float) -> float:
+    """zeta(3) - Li3(1-lam), the residue core of log Z; exact at lam = 1,
+    where Li3(0) = 0."""
+    return ZETA3 - polylog(3.0, 1.0 - lam)
+
+
 def c_of_ell(ell: float) -> float:
     """Coefficient of (n1*n2)^(1/3) in the typical vertex count, as a function
     of the fugacity ell; c(1) = (zeta(2)*zeta(3)^2)^(-1/3) ~ 0.749."""
     if not ell > 0:
         raise ValueError(f"c_of_ell requires ell > 0, got {ell}")
-    w = 1.0 - ell
-    # ell/(1-ell)*Li2(1-ell) == ell * (Li2(w)/w), finite and smooth through ell = 1
-    numerator = ell * ratio_li2(w)
-    core = ZETA3 - polylog(3.0, w) if w != 0.0 else ZETA3
-    return numerator / (ZETA2 ** (1.0 / 3) * core ** (2.0 / 3))
+    # ell/(1-ell)*Li2(1-ell) == ell * ratio_li2(1-ell): smooth through ell = 1
+    numerator = ell * ratio_li2(1.0 - ell)
+    return numerator / (ZETA2 ** (1.0 / 3) * _residue_core(ell) ** (2.0 / 3))
 
 
 def e_of_ell(ell: float) -> float:
@@ -216,9 +220,8 @@ def e_of_ell(ell: float) -> float:
     e(1) = 3*(zeta(3)/zeta(2))^(1/3) ~ 2.702, and ell = 1 is the maximum."""
     if not ell > 0:
         raise ValueError(f"e_of_ell requires ell > 0, got {ell}")
-    w = 1.0 - ell
-    core = ZETA3 - polylog(3.0, w) if w != 0.0 else ZETA3
-    return 3.0 * (core / ZETA2) ** (1.0 / 3) - math.log(ell) * c_of_ell(ell)
+    return (3.0 * (_residue_core(ell) / ZETA2) ** (1.0 / 3)
+            - math.log(ell) * c_of_ell(ell))
 
 
 def residue_logZ(beta1: float, beta2: float, lam: float) -> float:
@@ -226,9 +229,7 @@ def residue_logZ(beta1: float, beta2: float, lam: float) -> float:
     (zeta(3) - Li3(1-lam)) / (zeta(2) * beta1 * beta2)."""
     if beta1 <= 0 or beta2 <= 0 or lam <= 0:
         raise ValueError("residue_logZ requires positive beta1, beta2, lam")
-    w = 1.0 - lam
-    core = ZETA3 - polylog(3.0, w) if w != 0.0 else ZETA3
-    return core / (ZETA2 * beta1 * beta2)
+    return _residue_core(lam) / (ZETA2 * beta1 * beta2)
 
 
 def parallel_constant() -> float:

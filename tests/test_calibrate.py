@@ -19,7 +19,7 @@ from convexchain.calibrate import (
     llt_supported,
     predicted_log_pnk,
 )
-from convexchain.gibbs import moments
+from convexchain.gibbs import EnergyModel, GibbsParams, log_partition, moments
 
 # Exact log-counts, frozen from the big-integer table builder (independent
 # of everything in calibrate.py): log p(n, n; k).
@@ -102,6 +102,23 @@ def test_free_energy_hessian_matches_fd():
         fd_row = (fe.gradient(v + e) - fe.gradient(v - e)) / (2 * h)
         rel = np.abs(H[i] - fd_row) / np.maximum(np.abs(fd_row), 1e-12)
         assert rel.max() < 1e-3
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.4, 0.954444, 50.0])
+def test_free_energy_shares_the_moments_kernel(lam):
+    # Built at beta/MARGIN, the frozen site list is exactly the site set of
+    # moments at the margin rates, so the calibration derivatives and the
+    # Gibbs moments must be the same numbers, not merely close ones.
+    t = CalibrationTarget(300, 300, 34)
+    fe = FreeEnergy(t, 0.13343 / FreeEnergy.MARGIN, 0.11 / FreeEnergy.MARGIN)
+    v = np.array([fe.margin1, fe.margin2, -math.log(lam)])
+    params = GibbsParams(EnergyModel.linear(fe.margin1, fe.margin2), lam)
+    rep = moments(params)
+    expected = np.array([t.n1, t.n2, t.k]) - np.array([rep.EX1, rep.EX2, rep.EK])
+    np.testing.assert_array_equal(fe.gradient(v), expected)
+    np.testing.assert_array_equal(fe.hessian(v), rep.covariance)
+    logz = fe.value(v) - (v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k)
+    assert logz == pytest.approx(log_partition(params), rel=1e-12)
 
 
 def test_small_k_calibration(res5):

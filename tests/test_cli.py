@@ -113,6 +113,15 @@ def test_calibrate_infeasible_exits_one(capsys):
     assert "error" in json.loads(err)
 
 
+def test_calibrate_not_converged_exits_one(capsys):
+    # a truncation this small leaves no sites: the report is still printed,
+    # but the failed calibration is a failed check
+    rc, out, _ = run(capsys, ["calibrate", "--n1", "30", "--n2", "30",
+                              "--k", "4", "--exact", "--trunc", "1e-300"])
+    assert rc == 1
+    assert json.loads(out)["converged"] is False
+
+
 # ---------------------------------------------------------------------------
 # samplers
 
@@ -136,6 +145,17 @@ def test_sample_gibbs_jsonl_echo_and_determinism(capsys):
             {(x, y): m for x, y, m in rec["support"]})
         assert all(m >= 1 for m in omega.support.values())
     assert len(seeds) == 3
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta1", "nan", "--beta2", "0.1"],
+    ["--beta1", "0.1", "--beta2", "0.1", "--fugacity", "inf"],
+])
+def test_sample_gibbs_non_finite_is_usage_error(capsys, flags):
+    rc, out, err = run(capsys, ["sample-gibbs"] + flags)
+    assert rc == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_sample_gibbs_seed_changes_output(capsys):

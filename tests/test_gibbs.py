@@ -50,6 +50,22 @@ def test_energy_domain_errors():
     EnergyModel.mixed(1.0, -1.0 / math.sqrt(2) + 1e-6)  # just inside is fine
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda x: EnergyModel.linear(x, 0.1),
+    lambda x: EnergyModel.linear(0.1, x),
+    lambda x: EnergyModel.euclidean(x),
+    lambda x: EnergyModel.mixed(x, 0.5),
+    lambda x: EnergyModel.mixed(0.1, x),
+    lambda x: GibbsParams(EnergyModel.linear(0.1, 0.1), fugacity=x),
+    lambda x: GibbsParams(EnergyModel.linear(0.1, 0.1), truncation=x),
+], ids=["linear-beta1", "linear-beta2", "euclidean", "mixed-beta",
+        "mixed-lam_ell", "fugacity", "truncation"])
+def test_non_finite_parameters_rejected(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
+
+
 @given(
     st.integers(0, 50),
     st.integers(0, 50),
@@ -265,6 +281,7 @@ def test_sample_omega_is_valid_distribution():
         assert math.gcd(a, b) == 1 and m >= 1
 
 
+@pytest.mark.slow
 def test_sampler_matches_moments_monte_carlo():
     # empirical means over 10^4 seeds vs the exact sums, three-standard-error gate
     p = GibbsParams(EnergyModel.linear(0.12, 0.17), 0.9)
@@ -281,6 +298,7 @@ def test_sampler_matches_moments_monte_carlo():
     assert np.all(np.abs(emp - exact) <= 3 * se), (emp, exact, se)
 
 
+@pytest.mark.slow
 def test_sampler_mean_vertex_count_cold():
     # 10^3 draws at beta=(0.02,0.02), lam=1: mean K within 5% of the exact sum
     p = GibbsParams(EnergyModel.linear(0.02, 0.02), 1.0)
