@@ -12,7 +12,6 @@ from .lattice import (
 from .counting import (
     CountTable,
     brute_force_enum,
-    count_by_length,
     count_lines_k,
     erdos_lehner_ratio,
     line_length,

@@ -7,7 +7,7 @@ from flags or an optional ``--config`` file of ``key=value`` lines (explicit
 flags win); stochastic commands default to seed 0, never wall clock.
 
 Exit codes: 0 success / all checks pass, 1 check or assertion failure,
-2 usage or configuration error.
+2 usage, configuration or resource error (work over the up-front budget).
 """
 
 import argparse
@@ -438,7 +438,7 @@ def main(argv=None):
     except CalibrationError as exc:
         print(_json({"error": str(exc)}), end="", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ResourceWarning) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

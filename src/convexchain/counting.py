@@ -1,9 +1,24 @@
 """Exact enumeration of convex lattice lines.
 
-Everything here is integer-exact: the number p(n1,n2;k) of lines with endpoint
-(n1,n2) and k vertices grows like exp(c * n^(2/3)), so counts are kept as
-Python big ints end to end, and the DP refuses up front (never mid-run) when
-its estimated work exceeds a configured budget.
+Every count is integer-exact: the number p(n1,n2;k) of lines with endpoint
+(n1,n2) and k vertices grows like exp(c * n^(2/3)), so tables hold exact
+Python ints.  The counting DP runs as a numpy sweep over the primitive
+vectors (`_shifts`), never in big ints:
+
+- a float64 pass bounds every value: counts are nonnegative and only grow,
+  and a value's rounding history is at most N = (n1+1)(n2+1) - 1 additions
+  deep (one per shift m*v, and each nonzero point of the box is exactly one
+  m*v), so its relative error is at most N * 2^-52 and every exact value,
+  final or intermediate, is at most B = max * (1 + N * 2^-52);
+- if B <= 2^53 no value of the float pass was ever rounded, and it is the table;
+- otherwise a uint64 pass gives the counts modulo 2^64 by wraparound, and if
+  B >= 2^64, passes modulo odd primes below 2^32 follow until the moduli's
+  product exceeds B; Garner's CRT rebuilds each count.
+
+A rebuilt count must agree with the float pass to within its rounding bound,
+or the call raises `ArithmeticError`: a wrong count is never returned
+silently.  The DP refuses up front (never mid-run) when its estimated cell
+updates exceed a configured budget.
 """
 
 from __future__ import annotations
@@ -17,9 +32,7 @@ import numpy as np
 from .lattice import (
     ConvexPolyline,
     MultiplicityDistribution,
-    omega_to_polyline,
     primitive_vectors_in_box,
-    slope_sorted,
 )
 from .tolerances import COUNT_OP_BUDGET
 
@@ -29,11 +42,9 @@ __all__ = [
     "brute_force_enum",
     "max_vertices",
     "erdos_lehner_ratio",
-    "count_by_length",
 ]
 
 BRUTE_FORCE_CAP = 12
-LENGTH_CAP = 15.0
 
 
 @dataclass(frozen=True)
@@ -60,63 +71,121 @@ class CountTable:
             yield a, b, k, str(c)
 
 
-def _dp_cost_estimate(n1: int, n2: int, kmax: int) -> int:
-    """Exact number of big-int additions the layered DP will perform."""
-    ops = 0
+def _shifts(n1: int, n2: int):
+    """The sweep skeleton: each primitive vector v = (p, q) in slope order,
+    with every multiplicity m >= 1 whose shift m*v stays in the box, as
+    (v, m, (m*p, m*q)); m = 1 opens the vector's sweep."""
     for p, q in primitive_vectors_in_box(n1, n2):
         m = 1
         while m * p <= n1 and m * q <= n2:
-            ops += (n1 - m * p + 1) * (n2 - m * q + 1)
+            yield (p, q), m, (m * p, m * q)
             m += 1
-    return ops * kmax
+
+
+def _dp_cost_estimate(n1: int, n2: int, kmax: int) -> int:
+    """Exact number of cell updates one sweep over kmax layers performs, in
+    closed form: the shifts m*v of `_shifts` are the nonzero points (a, b) of
+    the box, each once, and a shift updates (n1-a+1)(n2-b+1) cells a layer."""
+    return kmax * ((n1 + 1) * (n1 + 2) * (n2 + 1) * (n2 + 2) // 4 - (n1 + 1) * (n2 + 1))
+
+
+def _check_budget(call: str, est: int, op_budget: int) -> None:
+    if est > op_budget:
+        raise ResourceWarning(
+            f"{call} needs ~{est:.2e} cell updates, over the budget {op_budget:.2e}"
+        )
+
+
+def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.ndarray:
+    """layer[j, a, b] = number of lines to (a, b) with j vertices, in dtype
+    arithmetic (reduced mod `modulus` once per vector when it is nonzero).
+
+    Each vector v adds, for every multiplicity m, the shift by m*v of a
+    snapshot of layers 0..kmax-1 taken before v, so v fills one support slot.
+    With values below a modulus under 2^32, the M_v additions of one vector
+    cannot overflow uint64.
+    """
+    lay = np.zeros((kmax + 1, n1 + 1, n2 + 1), dtype=dtype)
+    lay[0, 0, 0] = 1
+    touched = lay[1:]  # the cells the last vector added to
+    for (p, q), m, (dp, dq) in _shifts(n1, n2):
+        if m == 1:
+            if modulus:
+                np.remainder(touched, modulus, out=touched)
+            touched = lay[1:, p:, q:]
+            snap = lay[:-1, : n1 + 1 - p, : n2 + 1 - q].copy()
+        lay[1:, dp:, dq:] += snap[:, : n1 + 1 - dp, : n2 + 1 - dq]
+    if modulus:
+        np.remainder(touched, modulus, out=touched)
+    return lay
+
+
+def _odd_primes_below_2_32():
+    """Primes below 2^32 in decreasing order, by trial division."""
+    n = 2**32 - 1
+    while True:
+        if all(n % d for d in range(3, 2**16, 2)):
+            yield n
+        n -= 2
+
+
+def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
+    """The unique x in [0, prod(moduli)) with x = r_i mod m_i, elementwise
+    (mixed-radix CRT), as an object array of Python ints."""
+    x = residues[0].astype(object)
+    base = moduli[0]
+    for r, m in zip(residues[1:], moduli[1:]):
+        x = x + base * ((r.astype(object) - x) * pow(base, -1, m) % m)
+        base *= m
+    return x
+
+
+def _rebuild(n1: int, n2: int, kmax: int, flt: np.ndarray, bound: int) -> np.ndarray:
+    """Exact counts below `bound` from residues mod 2^64 and mod as many odd
+    primes below 2^32 as push the moduli's product past `bound` (Garner's
+    CRT), each checked against the float pass `flt`, whose relative error is
+    at most 2^-52 per rounded addition."""
+    moduli, residues = [2**64], [_count_sweep(n1, n2, kmax, np.uint64)]
+    primes = _odd_primes_below_2_32()
+    while math.prod(moduli) <= bound:
+        moduli.append(next(primes))
+        residues.append(_count_sweep(n1, n2, kmax, np.uint64, moduli[-1]))
+    exact = _garner(residues, moduli)
+    adds = (n1 + 1) * (n2 + 1) - 1
+    for x, f in zip(exact.ravel().tolist(), flt.ravel().tolist()):
+        if abs(x - int(f)) << 52 > x * adds:
+            raise ArithmeticError(
+                f"count_lines_k({n1},{n2},{kmax}): rebuilt count {x} "
+                f"disagrees with the float pass ({f!r})"
+            )
+    return exact
 
 
 def count_lines_k(n1: int, n2: int, kmax: int, op_budget: int = COUNT_OP_BUDGET) -> CountTable:
     """Exact p(a,b;j) for all a <= n1, b <= n2, j <= kmax.
 
-    Layered DP over primitive vectors in slope order: layer[j][a][b] counts the
-    multiplicity distributions using j of the vectors processed so far with
-    partial sum (a,b).  Each vector v is folded in by adding, for every
-    multiplicity m >= 1, the shift of layer[j-1] by m*v — reading layer[j-1]
-    before it is touched (j runs downward), so v contributes to exactly one
-    support slot.
+    Layered DP over primitive vectors in slope order (`_count_sweep`), run
+    first as a float64 pass that bounds every count.  When that bound is at
+    most 2^53 the float pass is exact and is the table; otherwise the counts
+    are rebuilt from residues mod 2^64 (uint64 wraparound) and, past 64 bits,
+    mod odd primes below 2^32 (`_rebuild`).  Every rebuilt count is checked
+    against the float pass within its rigorous error bound and a mismatch
+    raises `ArithmeticError`, so no count is ever silently wrong.  The table
+    holds exact Python ints.
     """
     if n1 < 1 or n2 < 1 or kmax < 1:
         raise ValueError("n1, n2, kmax must be >= 1")
-    est = _dp_cost_estimate(n1, n2, kmax)
-    if est > op_budget:
-        raise ResourceWarning(
-            f"count_lines_k({n1},{n2},{kmax}) needs ~{est:.2e} big-int adds, "
-            f"over the budget {op_budget:.2e}"
-        )
+    _check_budget(f"count_lines_k({n1},{n2},{kmax})", _dp_cost_estimate(n1, n2, kmax), op_budget)
 
-    width = n2 + 1
-    layers = [[[0] * width for _ in range(n1 + 1)] for _ in range(kmax + 1)]
-    layers[0][0][0] = 1
+    flt = _count_sweep(n1, n2, kmax, np.float64)
+    adds = (n1 + 1) * (n2 + 1) - 1  # rounded additions per cell: one per shift m*v
+    fmax = int(flt.max())
+    bound = fmax + (fmax * adds >> 52) + 1
+    exact = flt.astype(np.int64) if bound <= 2**53 else _rebuild(n1, n2, kmax, flt, bound)
 
-    for p, q in primitive_vectors_in_box(n1, n2):
-        for j in range(kmax, 0, -1):
-            src = layers[j - 1]
-            dst = layers[j]
-            m = 1
-            while m * p <= n1 and m * q <= n2:
-                dp, dq = m * p, m * q
-                w = width - dq
-                for a in range(dp, n1 + 1):
-                    row_d = dst[a]
-                    row_s = src[a - dp]
-                    row_d[dq:] = [x + y for x, y in zip(row_d[dq:], row_s[:w])]
-                m += 1
-
-    entries: dict[tuple[int, int, int], int] = {}
-    for j in range(1, kmax + 1):
-        lay = layers[j]
-        for a in range(n1 + 1):
-            row = lay[a]
-            for b in range(n2 + 1):
-                if row[b]:
-                    entries[(a, b, j)] = row[b]
-    return CountTable(n1, n2, kmax, entries)
+    j, a, b = np.nonzero(exact[1:])
+    keys = zip(a.tolist(), b.tolist(), (j + 1).tolist())
+    return CountTable(n1, n2, kmax, dict(zip(keys, exact[1:][j, a, b].tolist())))
 
 
 def brute_force_enum(n1: int, n2: int) -> list[MultiplicityDistribution]:
@@ -155,28 +224,24 @@ def brute_force_enum(n1: int, n2: int) -> list[MultiplicityDistribution]:
 def max_vertices(n1: int, n2: int, op_budget: int = COUNT_OP_BUDGET) -> int:
     """Exact max of K(omega) over lines with endpoint (n1,n2).
 
-    Same vector sweep as count_lines_k but the state is the best support size
-    reachable at each partial sum (-1 = unreachable), vectorized with numpy.
+    The count sweep's skeleton with (max, +1) in place of (+, shift): the
+    state is the best support size reachable at each partial sum.  Cells start
+    at -(n1+n2+1) ("unreachable"); each shift adds 1 and moves at least 1 in
+    a+b, so a cell (a,b) not yet reachable holds at most -(n1+n2+1) + a+b < 0
+    and never wins a maximum.  Real values are at most a+b, so every value
+    fits the smallest signed dtype holding -(n1+n2+1).
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("n1, n2 must be >= 1")
-    est = _dp_cost_estimate(n1, n2, 1)
-    if est > op_budget:
-        raise ResourceWarning(
-            f"max_vertices({n1},{n2}) needs ~{est:.2e} cell updates, "
-            f"over the budget {op_budget:.2e}"
-        )
-    best = np.full((n1 + 1, n2 + 1), -1, dtype=np.int64)
+    _check_budget(f"max_vertices({n1},{n2})", _dp_cost_estimate(n1, n2, 1), op_budget)
+    floor = -(n1 + n2 + 1)
+    best = np.full((n1 + 1, n2 + 1), floor, dtype=np.min_scalar_type(floor))
     best[0, 0] = 0
-    for p, q in primitive_vectors_in_box(n1, n2):
-        prev = best.copy()  # additions of this vector must read the pre-sweep state
-        m = 1
-        while m * p <= n1 and m * q <= n2:
-            dp, dq = m * p, m * q
-            src = prev[: n1 + 1 - dp, : n2 + 1 - dq]
-            dst = best[dp:, dq:]
-            np.maximum(dst, np.where(src >= 0, src + 1, -1), out=dst)
-            m += 1
+    for (p, q), m, (dp, dq) in _shifts(n1, n2):
+        if m == 1:  # every shift of v reads the state from before v
+            inc = best[: n1 + 1 - p, : n2 + 1 - q] + 1
+        dst = best[dp:, dq:]
+        np.maximum(dst, inc[: n1 + 1 - dp, : n2 + 1 - dq], out=dst)
     return int(best[n1, n2])
 
 
@@ -188,50 +253,6 @@ def erdos_lehner_ratio(n: int, k: int, table: CountTable | None = None) -> float
     if denom == 0:
         raise ValueError(f"C({n - 1},{k - 1}) vanishes")
     return float(Fraction(table.p(n, n, k) * math.factorial(k), denom))
-
-
-def count_by_length(Lmax: float, order: str = "slope") -> dict[tuple[int, int], int]:
-    """Counts of lines from the origin (any endpoint) with Euclidean length
-    < Lmax, bucketed by (floor(length), K).  Empty line excluded.
-
-    `order` picks the DFS vector ordering ("slope" or "length"); the buckets
-    must not depend on it, which the tests exercise as a cross-check.
-    """
-    if Lmax <= 0:
-        raise ValueError("Lmax must be positive")
-    if Lmax > LENGTH_CAP:
-        raise ValueError(f"enumeration capped at Lmax = {LENGTH_CAP}")
-    box = int(math.floor(Lmax))
-    vecs = [
-        (p, q)
-        for p, q in primitive_vectors_in_box(max(box, 1), max(box, 1))
-        if math.hypot(p, q) <= Lmax
-    ]
-    if order == "slope":
-        pass  # already slope-sorted
-    elif order == "length":
-        vecs = sorted(vecs, key=lambda v: (math.hypot(v[0], v[1]), v))
-    else:
-        raise ValueError(f"unknown order {order!r}")
-    norms = [math.hypot(p, q) for p, q in vecs]
-
-    buckets: dict[tuple[int, int], int] = {}
-
-    def rec(i: int, length: float, k: int):
-        if k > 0:
-            key = (int(math.floor(length)), k)
-            buckets[key] = buckets.get(key, 0) + 1
-        for j in range(i, len(vecs)):
-            step = norms[j]
-            if length + step > Lmax:
-                continue
-            m = 1
-            while length + m * step <= Lmax:
-                rec(j + 1, length + m * step, k + 1)
-                m += 1
-
-    rec(0, 0.0, 0)
-    return buckets
 
 
 def line_length(line: ConvexPolyline) -> float:

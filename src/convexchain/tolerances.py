@@ -13,7 +13,12 @@ CURVE_QUAD_TOL = 1e-10
 # Gibbs / counting
 PARALLEL_TRUNC_TOL = 1e-12    # truncation error target of the exact parallel sum
 DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets
-COUNT_OP_BUDGET = 2_000_000_000  # DP resource guard (estimated big-int adds)
+# DP resource guard, in cell updates of one sweep (`counting._dp_cost_estimate`):
+# one float64 count sweep runs ~3.4e8 cell updates/s on a 2-core x86 host, so
+# the budget refuses calls predicted to take over ~1 minute.  max_vertices'
+# int16 sweep runs ~1e9/s; counts past 2^53 add a uint64 pass, and past 2^64
+# one prime pass (about 2x a plain pass) per 32 bits.
+COUNT_OP_BUDGET = 20_000_000_000
 
 # calibration
 CALIB_RESIDUAL_TOL = 1e-6     # success contract: max relative moment residual

@@ -82,6 +82,19 @@ def test_maxvert(capsys):
     assert json.loads(out)["max_vertices"] == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--n1", "300", "--n2", "300", "--kmax", "20"],
+    ["maxvert", "--n1", "600", "--n2", "600"],
+])
+def test_over_budget_is_resource_error(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "over the budget" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # calibration
 

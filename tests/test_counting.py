@@ -1,15 +1,107 @@
+import hashlib
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexchain.counting import (
+    _count_sweep,
+    _dp_cost_estimate,
+    _rebuild,
+    _shifts,
     brute_force_enum,
-    count_by_length,
     count_lines_k,
     erdos_lehner_ratio,
     max_vertices,
 )
+from convexchain.lattice import primitive_vectors_in_box
+
+LENGTH_CAP = 15.0
+
+
+def bigint_count_entries(n1, n2, kmax):
+    """The pure-Python big-int fold the numpy sweep replaced, kept as the
+    exactness oracle: the same layered DP with every cell a Python int.
+
+    Each vector v is folded in by adding, for every multiplicity m >= 1, the
+    shift of layer[j-1] by m*v, reading layer[j-1] before it is touched (j
+    runs downward), so v contributes to exactly one support slot.
+    """
+    width = n2 + 1
+    layers = [[[0] * width for _ in range(n1 + 1)] for _ in range(kmax + 1)]
+    layers[0][0][0] = 1
+
+    for p, q in primitive_vectors_in_box(n1, n2):
+        for j in range(kmax, 0, -1):
+            src = layers[j - 1]
+            dst = layers[j]
+            m = 1
+            while m * p <= n1 and m * q <= n2:
+                dp, dq = m * p, m * q
+                w = width - dq
+                for a in range(dp, n1 + 1):
+                    row_d = dst[a]
+                    row_s = src[a - dp]
+                    row_d[dq:] = [x + y for x, y in zip(row_d[dq:], row_s[:w])]
+                m += 1
+
+    entries = {}
+    for j in range(1, kmax + 1):
+        lay = layers[j]
+        for a in range(n1 + 1):
+            row = lay[a]
+            for b in range(n2 + 1):
+                if row[b]:
+                    entries[(a, b, j)] = row[b]
+    return entries
+
+
+def count_by_length(Lmax, order="slope"):
+    """Counts of lines from the origin (any endpoint) with Euclidean length
+    < Lmax, bucketed by (floor(length), K).  Empty line excluded.
+
+    `order` picks the DFS vector ordering ("slope" or "length"); the buckets
+    must not depend on it, which the tests exercise as a cross-check.
+    """
+    if Lmax <= 0:
+        raise ValueError("Lmax must be positive")
+    if Lmax > LENGTH_CAP:
+        raise ValueError(f"enumeration capped at Lmax = {LENGTH_CAP}")
+    box = int(math.floor(Lmax))
+    vecs = [
+        (p, q)
+        for p, q in primitive_vectors_in_box(max(box, 1), max(box, 1))
+        if math.hypot(p, q) <= Lmax
+    ]
+    if order == "slope":
+        pass  # already slope-sorted
+    elif order == "length":
+        vecs = sorted(vecs, key=lambda v: (math.hypot(v[0], v[1]), v))
+    else:
+        raise ValueError(f"unknown order {order!r}")
+    norms = [math.hypot(p, q) for p, q in vecs]
+
+    buckets = {}
+
+    def rec(i, length, k):
+        if k > 0:
+            key = (int(math.floor(length)), k)
+            buckets[key] = buckets.get(key, 0) + 1
+        for j in range(i, len(vecs)):
+            step = norms[j]
+            if length + step > Lmax:
+                continue
+            m = 1
+            while length + m * step <= Lmax:
+                rec(j + 1, length + m * step, k + 1)
+                m += 1
+
+    rec(0, 0.0, 0)
+    return buckets
+
 
 # Exact values from the independent max-vertices DP, spot-checked by hand
 # (e.g. 12 distinct primitive directions already need coordinate sum >= 44,
@@ -146,3 +238,83 @@ def test_count_by_length_caps():
         count_by_length(20.0)
     with pytest.raises(ValueError):
         count_by_length(5.0, "sideways")
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 40), (40, 1), (17, 45), (30, 30)])
+def test_shifts_are_the_box_points_and_price_the_sweep(n1, n2):
+    # the float pass's error bound and the closed-form cost both rest on the
+    # shifts m*v being the nonzero points of the box, each exactly once
+    shifts = [s for _, _, s in _shifts(n1, n2)]
+    assert sorted(shifts) == [(a, b) for a in range(n1 + 1) for b in range(n2 + 1) if a or b]
+    cells = sum((n1 - a + 1) * (n2 - b + 1) for a, b in shifts)
+    assert _dp_cost_estimate(n1, n2, 3) == 3 * cells
+
+
+# One table per box shape covers every sub-box: square, both skinny
+# orientations and the one-row / one-column edge cases.
+ORACLE_BOXES = [(30, 30, 12), (45, 17, 8), (17, 45, 8), (1, 40, 3), (40, 1, 3)]
+
+
+@pytest.mark.parametrize("box", ORACLE_BOXES)
+def test_sweep_matches_bigint_oracle(box):
+    assert count_lines_k(*box).entries == bigint_count_entries(*box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 14), st.integers(1, 8))
+def test_sweep_matches_bigint_oracle_property(n1, n2, kmax):
+    assert count_lines_k(n1, n2, kmax).entries == bigint_count_entries(n1, n2, kmax)
+
+
+def _oracle_array(n1, n2, kmax):
+    want = np.zeros((kmax + 1, n1 + 1, n2 + 1), dtype=object)
+    want[0, 0, 0] = 1
+    for (a, b, j), c in bigint_count_entries(n1, n2, kmax).items():
+        want[j, a, b] = c
+    return want
+
+
+@pytest.mark.parametrize("modulus", [3, 65537, 4294967291])
+@pytest.mark.parametrize("box", [(30, 30, 12), (17, 45, 8)])
+def test_prime_residue_sweep_matches_oracle(box, modulus):
+    residues = _count_sweep(*box, np.uint64, modulus)
+    assert residues.max() < modulus
+    assert (residues.astype(object) == _oracle_array(*box) % modulus).all()
+
+
+def test_rebuild_past_64_bits_matches_oracle():
+    # a bound of 2^130 forces the residues mod 2^64 and three primes through
+    # Garner's CRT on a box small enough for the oracle
+    box = (30, 30, 12)
+    exact = _rebuild(*box, _count_sweep(*box, np.float64), 2**130)
+    assert (exact == _oracle_array(*box)).all()
+
+
+def test_rebuild_refuses_a_disagreeing_float_pass():
+    box = (17, 45, 8)
+    flt = _count_sweep(*box, np.float64)
+    flt[5, 17, 45] += 1
+    with pytest.raises(ArithmeticError, match="disagrees"):
+        _rebuild(*box, flt, 2**70)
+
+
+# sha256 of csv_rows() of the big-int oracle's table for (100, 100, 14),
+# whose largest counts need 71 bits: the uint64 + one-prime CRT path
+P100_DIGEST = "7bd16efadb7863d5158b6b327c6c9111bf8999de4d40a5fc4a75fa8d2d89d1f6"
+P100_K14 = 1342913338029167466334
+
+
+@pytest.mark.slow
+def test_counts_past_64_bits_match_frozen_oracle():
+    table = count_lines_k(100, 100, 14)
+    h = hashlib.sha256()
+    for row in table.csv_rows():
+        h.update((",".join(map(str, row)) + "\n").encode())
+    assert table.p(100, 100, 14) == P100_K14
+    assert max(table.entries.values()) >= 2**64
+    assert h.hexdigest() == P100_DIGEST
+
+
+def test_max_vertices_fits_the_budget_at_300():
+    # frozen from the previous int64 sweep run with its budget lifted
+    assert max_vertices(300, 300) == 63
