@@ -11,12 +11,16 @@ curve c in the fugacity (one-dimensional bracketed root) and applies the
 closed-form rate relations; a small-k closed form covers densities below the
 bracketing grid.
 
-The Newton loop evaluates the free energy on a site list frozen at entry
-(with a safety margin on the rates) so that f is smooth; if the iterate
-leaves the margin the list is rebuilt and the loop continues.  f and its
-derivatives come from the per-site law kernel of `moments` in `gibbs`, whose
-exponent form stays finite at any fugacity.  Reported residuals always come
-from a fresh `moments` call at the returned parameters.
+The Newton loop evaluates f with no site enumeration while lambda <= 2: log Z
+and its derivatives come from the closed-form Mobius kernel of the linear
+energy in `gibbs`, which sums over all primitive sites, so there the loop
+solves the untruncated moment equations.  Above lambda = 2 that series
+diverges and f comes from the per-site law kernel of `moments` on the
+truncated site set at the current rates.  A step may at most halve a rate,
+and once f can no longer resolve the predicted decrease the full Newton step
+is taken.  Reported residuals and the free energy always come from fresh
+`moments` and `log_partition` calls at the truncation, an independent check
+of the kernel.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .gibbs import (EnergyModel, GibbsParams, _log_z, _site_arrays, _site_exponents,
-                    _site_laws, _site_sums, log_partition, moments)
+from .gibbs import (EnergyModel, GibbsParams, _log_z, _mobius_log_z, _site_arrays,
+                    _site_exponents, _site_laws, _site_sums, log_partition, moments)
 from .specialfn import ZETA2, _residue_core, c_of_ell
 from .tolerances import (
     CALIB_MAX_ITER,
@@ -50,6 +54,12 @@ __all__ = [
 
 # fugacity grid for bracketing the c-inversion; c is evaluated lazily once
 _LAM_LO, _LAM_HI = 1e-8, 1e4
+# g = -log(lambda) at and above which the free energy uses the closed-form
+# kernel (lambda <= 2, where its series converges)
+_G_SERIES = -math.log(2.0)
+# relative change of f below which its value is rounding noise (a few ulps of
+# each of its terms and of log Z's sum)
+_F_RESOLUTION = 1e-14
 _GRID_POINTS = 289  # 24 per decade over 12 decades
 _c_grid_cache: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -138,43 +148,45 @@ def asymptotic_params(target: CalibrationTarget) -> tuple[float, float, float]:
 
 
 class FreeEnergy:
-    """f(v) = b1*n1 + b2*n2 + g*k + log Z on a frozen site list, v = (b1,b2,g).
+    """f(v) = b1*n1 + b2*n2 + g*k + log Z with its derivatives, v = (b1, b2, g).
 
-    The site list is every primitive vector whose linear energy at the margin
-    rates (a fraction of the entry rates) stays below the truncation, so f is
-    smooth as long as the iterate keeps b1, b2 above the margin.
+    For lam = e^-g <= 2, log Z is the closed-form Mobius kernel of the linear
+    energy (`gibbs._mobius_log_z`), summed over all primitive sites: there the
+    Newton loop solves the untruncated moment equations.  For lam > 2 its
+    series diverges and f is the per-site kernel on the truncated site set at
+    the current rates, the same numbers as `moments` and `log_partition`.
+    The reported residuals come from `moments` at the truncation, so a
+    truncation too small to hold the solution (a small --trunc) still shows
+    up as a non-converged result.
     """
 
-    MARGIN = 0.6
-
-    def __init__(self, target: CalibrationTarget, beta1: float, beta2: float,
+    def __init__(self, target: CalibrationTarget,
                  truncation: float = DEFAULT_TRUNCATION):
         self.target = target
         self.truncation = truncation
-        self.margin1 = self.MARGIN * beta1
-        self.margin2 = self.MARGIN * beta2
-        x1, x2, _ = _site_arrays(
-            EnergyModel.linear(self.margin1, self.margin2), truncation
-        )
-        self._x1 = x1.astype(float)
-        self._x2 = x2.astype(float)
         self._target = np.array([target.n1, target.n2, target.k], dtype=float)
 
-    def in_margin(self, v: np.ndarray) -> bool:
-        return v[0] >= self.margin1 and v[1] >= self.margin2
-
-    def _exponents(self, v: np.ndarray):
-        return _site_exponents(v[0] * self._x1 + v[1] * self._x2, v[2])
+    def _sites(self, v: np.ndarray):
+        x1, x2, en = _site_arrays(EnergyModel.linear(v[0], v[1]), self.truncation)
+        return x1, x2, _site_exponents(en, v[2])
 
     def value(self, v: np.ndarray) -> float:
         t = self.target
-        _, a = self._exponents(v)
-        return v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k + _log_z(a)
+        if v[2] >= _G_SERIES:
+            logz = _mobius_log_z(*v)[0]
+        else:
+            _, _, (_, a) = self._sites(v)
+            logz = _log_z(a)
+        return v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k + logz
 
     def _derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient, Hessian) from one kernel pass: the moment mismatch and
-        the covariance of (X1, X2, K)."""
-        means, cov = _site_sums(self._x1, self._x2, *_site_laws(*self._exponents(v)))
+        """(gradient, Hessian): the moment mismatch and the covariance of
+        (X1, X2, K)."""
+        if v[2] >= _G_SERIES:
+            _, grad, cov = _mobius_log_z(*v)
+            return self._target + grad, cov
+        x1, x2, exps = self._sites(v)
+        means, cov = _site_sums(x1.astype(float), x2.astype(float), *_site_laws(*exps))
         return self._target - means, cov
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
@@ -222,60 +234,71 @@ def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
     )
 
 
+def _unbounded(target: CalibrationTarget) -> CalibrationError:
+    # f is sinking along a recession direction: the moment system has no
+    # solution.  This happens when k exceeds the capacity
+    # ~3*pi^(-2/3)*(n1*n2)^(1/3) of lines with endpoint near (n1,n2).
+    return CalibrationError(
+        f"free energy unbounded below for {target}: vertex density "
+        f"{target.vertex_density():.4g} exceeds the feasible capacity "
+        f"(~{3.0 * math.pi ** (-2.0 / 3):.4g} at large n); "
+        "no calibrated parameters exist"
+    )
+
+
 def exact_calibrate(target: CalibrationTarget,
                     trunc: float = DEFAULT_TRUNCATION) -> CalibrationResult:
     """Damped Newton on the free energy down to machine-level moment residuals.
 
     Accepted steps strictly decrease f (convexity makes that always possible
-    for a short enough step); the loop aims for relative residuals near 1e-11
-    so symmetry properties survive, and the success contract is 1e-6.  A
-    numerically singular Hessian falls back to the small-k closed forms.
+    for a short enough step) until the predicted decrease falls below f's
+    rounding, after which full Newton steps are taken; the loop aims for
+    relative residuals near 1e-11 so symmetry properties survive, and the
+    success contract is 1e-6.  A numerically singular Hessian falls back to
+    the small-k closed forms, or, with every site saturated (lambda > 1),
+    raises `CalibrationError` like any other unbounded free energy.
     """
     b1, b2, lam = _initializer(target)
     v = np.array([b1, b2, -math.log(lam)])
     scale = np.array([target.n1, target.n2, target.k], dtype=float)
 
+    fe = FreeEnergy(target, trunc)
+    fval = fe.value(v)
     total_iters = 0
-    for _rebuild in range(4):
-        fe = FreeEnergy(target, v[0], v[1], trunc)
-        fval = fe.value(v)
-        while total_iters < CALIB_MAX_ITER:
-            g, H = fe._derivatives(v)
-            if np.max(np.abs(g) / scale) <= CALIB_TARGET_TOL:
-                return _result_at(target, v, total_iters, trunc)
-            try:
-                step = np.linalg.solve(H, -g)
-            except np.linalg.LinAlgError:
-                b1, b2, lam = _small_k_triple(target)
-                w = np.array([b1, b2, -math.log(lam)])
-                return _result_at(target, w, total_iters, trunc)
-            total_iters += 1
-            t = 1.0
-            while True:
-                cand = v + t * step
-                if cand[0] > 0 and cand[1] > 0:
-                    cval = fe.value(cand)
-                    if cval < fval:
-                        break
-                t *= 0.5
-                if t < 1e-12:
-                    # no descent available: already at numerical optimum
-                    return _result_at(target, v, total_iters, trunc)
-            v, fval = cand, cval
-            if v[2] < -700.0 or max(v[0], v[1]) > 1e8:
-                # f is sinking along a recession direction: the moment system
-                # has no solution.  This happens when k exceeds the capacity
-                # ~3*pi^(-2/3)*(n1*n2)^(1/3) of lines with endpoint near (n1,n2).
-                raise CalibrationError(
-                    f"free energy unbounded below for {target}: vertex density "
-                    f"{target.vertex_density():.4g} exceeds the feasible capacity "
-                    f"(~{3.0 * math.pi ** (-2.0 / 3):.4g} at large n); "
-                    "no calibrated parameters exist"
-                )
-            if not fe.in_margin(v):
-                break  # rates left the frozen site list's validity; rebuild
-        else:
+    while total_iters < CALIB_MAX_ITER:
+        g, H = fe._derivatives(v)
+        if np.max(np.abs(g) / scale) <= CALIB_TARGET_TOL:
             break
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            if v[2] < 0.0:
+                # every site saturated, so K has no variance: f sinks as
+                # lambda grows, the same recession as below
+                raise _unbounded(target) from None
+            b1, b2, lam = _small_k_triple(target)
+            w = np.array([b1, b2, -math.log(lam)])
+            return _result_at(target, w, total_iters, trunc)
+        total_iters += 1
+        # once the predicted decrease (half of -g.step) is below what f can
+        # resolve, the full Newton step is taken without comparing f values
+        resolved = -(g @ step) > _F_RESOLUTION * abs(fval)
+        t = 1.0
+        while True:
+            cand = v + t * step
+            # a step may at most halve a rate, which bounds the growth of the
+            # kernel's sum length (~1/min rate) and of the site set
+            if cand[0] > 0.5 * v[0] and cand[1] > 0.5 * v[1]:
+                cval = fe.value(cand)
+                if cval < fval or not resolved:
+                    break
+            t *= 0.5
+            if t < 1e-12:
+                # no descent available: already at numerical optimum
+                return _result_at(target, v, total_iters, trunc)
+        v, fval = cand, cval
+        if v[2] < -700.0 or max(v[0], v[1]) > 1e8:
+            raise _unbounded(target)
     return _result_at(target, v, total_iters, trunc)
 
 

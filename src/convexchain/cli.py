@@ -130,7 +130,10 @@ def _cmd_sample_valtr(args):
     lines = []
     for i in range(args.count):
         child = _child_seed(args.seed, i)
-        poly = sample_valtr(args.n, args.k, seed=child)
+        try:
+            poly = sample_valtr(args.n, args.k, seed=child)
+        except RuntimeError as exc:  # rejection budget exhausted
+            raise UsageError(str(exc)) from None
         lines.append(json.dumps({
             "seed": child,
             "n": args.n,
@@ -145,8 +148,11 @@ def _load_polyline(path):
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise UsageError(f"cannot read line file {path!r}: {exc}") from None
     return ConvexPolyline.from_json(text)
 
 

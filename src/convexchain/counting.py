@@ -98,25 +98,31 @@ def _check_budget(call: str, est: int, op_budget: int) -> None:
 
 def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.ndarray:
     """layer[j, a, b] = number of lines to (a, b) with j vertices, in dtype
-    arithmetic (reduced mod `modulus` once per vector when it is nonzero).
+    arithmetic (residues mod `modulus` when it is nonzero).
 
     Each vector v adds, for every multiplicity m, the shift by m*v of a
     snapshot of layers 0..kmax-1 taken before v, so v fills one support slot.
-    With values below a modulus under 2^32, the M_v additions of one vector
-    cannot overflow uint64.
+    With a modulus, every value stays at most `top`: the M_v additions of
+    vector v (one per multiplicity that fits the box) multiply that bound by
+    at most 1 + M_v, and the layers are reduced only when the next vector
+    could pass 2^64; with a modulus under 2^32 that leaves room for all of
+    one vector's additions.
     """
     lay = np.zeros((kmax + 1, n1 + 1, n2 + 1), dtype=dtype)
     lay[0, 0, 0] = 1
-    touched = lay[1:]  # the cells the last vector added to
+    top = 1
     for (p, q), m, (dp, dq) in _shifts(n1, n2):
         if m == 1:
             if modulus:
-                np.remainder(touched, modulus, out=touched)
-            touched = lay[1:, p:, q:]
+                grow = 1 + min(n1 // p if p else math.inf, n2 // q if q else math.inf)
+                top *= grow
+                if top >= 2**64:
+                    np.remainder(lay[1:], modulus, out=lay[1:])
+                    top = (modulus - 1) * grow
             snap = lay[:-1, : n1 + 1 - p, : n2 + 1 - q].copy()
         lay[1:, dp:, dq:] += snap[:, : n1 + 1 - dp, : n2 + 1 - dq]
     if modulus:
-        np.remainder(touched, modulus, out=touched)
+        np.remainder(lay[1:], modulus, out=lay[1:])
     return lay
 
 

@@ -7,11 +7,21 @@ occupancies are independent; each follows the biased geometric law
 
 whose normalizer is Z_x = 1 + lam*rho/(1-rho).  Expected endpoint, vertex
 count, the 3x3 covariance of (X1, X2, K), seeded sampling, and the
-parallel-endpoint probability all live here.  One per-site law kernel serves
-`moments`, `log_partition`, the sampler and the calibration free energy.  It
-works in a = g + E + log(1-rho), g = -log(lam), where log Z_x = log(1 + e^-a)
-and P[omega(x) > 0] = expit(-a) stay finite at any fugacity (a -> -inf just
-saturates the occupation at 1).  Energies come in three flavors:
+parallel-endpoint probability all live here.  Two kernels compute log Z and
+the moments:
+
+- the per-site law kernel serves `moments`, `log_partition`, the sampler and
+  the calibration free energy at lam > 2.  It works in
+  a = g + E + log(1-rho), g = -log(lam), where log Z_x = log(1 + e^-a) and
+  P[omega(x) > 0] = expit(-a) stay finite at any fugacity (a -> -inf just
+  saturates the occupation at 1);
+- the Mobius kernel `_mobius_log_z` serves the calibration free energy at
+  lam <= 2, linear energy only: log Z with its gradient and Hessian as an
+  O(N log N) sum over n <= N ~ 45/min(beta), without enumerating sites.  It
+  sums over all primitive sites, so its log Z differs from `log_partition`
+  by at most `truncation_bound`.
+
+Energies come in three flavors:
 linear beta.x, Euclidean beta*|x|_2, and the mixed norm
 beta*(|x|_1 + lam_ell*sqrt(2)*|x|_2).
 
@@ -31,7 +41,7 @@ from scipy.special import expit
 
 from .lattice import MultiplicityDistribution
 from .specialfn import ZETA2, parallel_constant
-from .tolerances import DEFAULT_TRUNCATION, PARALLEL_TRUNC_TOL
+from .tolerances import DEFAULT_TRUNCATION, PARALLEL_TRUNC_TOL, SITE_BUDGET
 
 __all__ = [
     "EnergyModel",
@@ -137,6 +147,8 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
 
     Chunked gcd grid; the enumeration order is part of the sampling contract.
+    A grid over SITE_BUDGET cells is refused with `ResourceWarning` before
+    any of it is built.
     """
     T = float(truncation)
 
@@ -157,6 +169,13 @@ def _site_arrays(energy: EnergyModel, truncation: float):
         return lo
 
     xmax, ymax = top(True), top(False)
+    cells = (xmax + 1) * (ymax + 1)
+    if cells > SITE_BUDGET:
+        raise ResourceWarning(
+            f"the site set of {energy.kind} energy {energy.params} at truncation "
+            f"{T:g} spans a {xmax + 1}x{ymax + 1} grid ({cells:.2e} cells), "
+            f"over the budget {SITE_BUDGET:.2e}"
+        )
     ys = np.arange(ymax + 1, dtype=np.int64)
     xs_parts, ys_parts, en_parts = [], [], []
     block = max(1, (1 << 22) // (ymax + 1))
@@ -229,6 +248,84 @@ def _site_sums(x1, x2, q, mean, var) -> tuple[np.ndarray, np.ndarray]:
     cov[0, 2] = cov[2, 0] = np.sum(x1 * ck)
     cov[1, 2] = cov[2, 1] = np.sum(x2 * ck)
     return means, cov
+
+
+# -- closed-form kernel for the linear energy, no site enumeration ------------
+
+# The Mobius sum stops at N >= _MOBIUS_TAIL/min(beta): past N every G(n) is
+# below 2.01*e^{-45}*e^{-(n-N)min(beta)} and every weight |a_n| below
+# 2*(1 + log n) (times n^2 for the Hessian), so what log Z and each
+# derivative omit is of order e^-45 times a power of N relative to their
+# value, far below rounding.
+_MOBIUS_TAIL = 45.0
+
+
+@lru_cache(maxsize=4)
+def _mobius_pairs(n_max: int):
+    """Zero-based (j-1, j*d-1, mu(d)) for every j*d <= n_max with mu(d) != 0:
+    the index pairs of the Dirichlet convolution a_n = sum_{jd=n} c_j mu(d)."""
+    mu = np.ones(n_max + 1, dtype=np.int64)
+    mu[0] = 0
+    prime = np.ones(n_max + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n_max) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    for p in np.flatnonzero(prime).tolist():
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+    d = np.flatnonzero(mu)
+    counts = n_max // d
+    dd = np.repeat(d, counts)
+    j = np.arange(dd.size) - np.repeat(np.cumsum(counts) - counts, counts)  # j - 1
+    pairs = (j, (j + 1) * dd - 1, mu[dd].astype(float))
+    for arr in pairs:
+        arr.setflags(write=False)
+    return pairs
+
+
+def _mobius_log_z(beta1: float, beta2: float, g: float):
+    """(log Z, gradient, Hessian) of the linear energy in v = (beta1, beta2, g),
+    g = -log(lam), summed over all primitive sites (untruncated); 0 < lam <= 2.
+
+    log(1 + lam*rho/(1-rho)) = sum_j c_j rho^j, c_j = (1 - (1-lam)^j)/j, which
+    converges for |1-lam| <= 1; the multiples m*x of the primitive sites x are
+    all nonzero quadrant points, so Mobius inversion gives
+    log Z = sum_n a_n G(n), a_n = sum_{jd=n} c_j mu(d), with
+    G(n) = 1/((1-u1)(1-u2)) - 1 = s1 + s2 + s1*s2, u_i = e^{-n*beta_i},
+    s_i = u_i/(1-u_i).  The beta-derivatives come from ds/dbeta = -n s(1+s),
+    the g-derivatives from dc_j/dg = -lam (1-lam)^(j-1).  The gradient is
+    -(E[X1], E[X2], E[K]) and the Hessian the covariance of (X1, X2, K).
+    """
+    n_max = 1 << max(0, math.ceil(math.log2(_MOBIUS_TAIL / min(beta1, beta2))))
+    j, n, mu = _mobius_pairs(n_max)
+    m = np.arange(1, n_max + 1)  # j for the c arrays, n for the G arrays
+    lam = math.exp(-g)
+    if g > 0:  # lam < 1: (1-lam)^j = exp(j*log1p(-lam)), exact for small lam
+        lw = math.log1p(-lam)
+        c = -np.expm1(m * lw) / m
+        w_pow = np.exp((m - 1) * lw)  # (1-lam)^(j-1)
+    else:
+        w = max(-math.expm1(-g), -1.0)
+        w_pow = np.power(w, m - 1)
+        c = (1.0 - w * w_pow) / m
+    dc = -lam * w_pow
+    d2c = lam * w_pow
+    d2c[1:] -= lam * lam * (m[1:] - 1) * w_pow[:-1]
+    a, da, d2a = (np.bincount(n, weights=mu * cc[j], minlength=n_max) for cc in (c, dc, d2c))
+
+    s1, s2 = (np.exp(-m * b) / -np.expm1(-m * b) for b in (beta1, beta2))
+    t1, t2 = s1 * (1.0 + s1), s2 * (1.0 + s2)  # -ds_i/dbeta_i / n
+    G = s1 + s2 + s1 * s2
+    G1, G2 = -m * t1 * (1.0 + s2), -m * t2 * (1.0 + s1)
+    m2 = m * m.astype(float)
+    G11, G22 = m2 * t1 * (1.0 + 2.0 * s1) * (1.0 + s2), m2 * t2 * (1.0 + 2.0 * s2) * (1.0 + s1)
+    G12 = m2 * t1 * t2
+    grad = np.array([a @ G1, a @ G2, da @ G])
+    hess = np.array([[a @ G11, a @ G12, da @ G1],
+                     [a @ G12, a @ G22, da @ G2],
+                     [da @ G1, da @ G2, d2a @ G]])
+    return float(a @ G), grad, hess
 
 
 def log_partition(params: GibbsParams) -> float:

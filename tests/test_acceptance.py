@@ -168,7 +168,7 @@ def test_criterion_05_calibration_and_free_energy_derivatives():
         checks[f"k={k2} residual<=1e-6"] = False
 
     res = results[typical]
-    fe = FreeEnergy(CalibrationTarget(300, 300, typical), res.beta1, res.beta2)
+    fe = FreeEnergy(CalibrationTarget(300, 300, typical))
     worst_g = 0.0
     worst_h = 0.0
     # probe just off the optimum (the gradient at the optimum itself is ~1e-13,

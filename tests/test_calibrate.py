@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexchain.calibrate import (
     CalibrationError,
@@ -19,7 +21,8 @@ from convexchain.calibrate import (
     llt_supported,
     predicted_log_pnk,
 )
-from convexchain.gibbs import EnergyModel, GibbsParams, log_partition, moments
+from convexchain.gibbs import (EnergyModel, GibbsParams, _mobius_log_z, log_partition,
+                              moments)
 
 # Exact log-counts, frozen from the big-integer table builder (independent
 # of everything in calibrate.py): log p(n, n; k).
@@ -76,7 +79,7 @@ def test_asymptotic_superdense_raises():
 
 
 def test_free_energy_gradient_matches_fd():
-    fe = FreeEnergy(CalibrationTarget(300, 300, 34), 0.13343, 0.13343)
+    fe = FreeEnergy(CalibrationTarget(300, 300, 34))
     h = 1e-6
     # Near the calibrated point the gradient is small (~6e-3) so FD noise
     # is at its worst; 1e-4 relative still holds.
@@ -91,7 +94,7 @@ def test_free_energy_gradient_matches_fd():
 
 
 def test_free_energy_hessian_matches_fd():
-    fe = FreeEnergy(CalibrationTarget(300, 300, 34), 0.13343, 0.13343)
+    fe = FreeEnergy(CalibrationTarget(300, 300, 34))
     v = np.array([0.13343, 0.13343, -math.log(0.954444)])
     H = fe.hessian(v)
     assert np.allclose(H, H.T)
@@ -104,21 +107,56 @@ def test_free_energy_hessian_matches_fd():
         assert rel.max() < 1e-3
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.4, 0.954444, 50.0])
-def test_free_energy_shares_the_moments_kernel(lam):
-    # Built at beta/MARGIN, the frozen site list is exactly the site set of
-    # moments at the margin rates, so the calibration derivatives and the
-    # Gibbs moments must be the same numbers, not merely close ones.
+def _check_free_energy_against_site_sums(b1, b2, lam):
+    """FreeEnergy's value, gradient and Hessian against `log_partition` and
+    `moments`: the closed-form kernel (lam <= 2) to 1e-12 relative, the
+    per-site kernel (lam > 2) exactly."""
     t = CalibrationTarget(300, 300, 34)
-    fe = FreeEnergy(t, 0.13343 / FreeEnergy.MARGIN, 0.11 / FreeEnergy.MARGIN)
-    v = np.array([fe.margin1, fe.margin2, -math.log(lam)])
-    params = GibbsParams(EnergyModel.linear(fe.margin1, fe.margin2), lam)
+    fe = FreeEnergy(t)
+    v = np.array([b1, b2, -math.log(lam)])
+    params = GibbsParams(EnergyModel.linear(b1, b2), lam)
     rep = moments(params)
-    expected = np.array([t.n1, t.n2, t.k]) - np.array([rep.EX1, rep.EX2, rep.EK])
-    np.testing.assert_array_equal(fe.gradient(v), expected)
-    np.testing.assert_array_equal(fe.hessian(v), rep.covariance)
-    logz = fe.value(v) - (v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k)
-    assert logz == pytest.approx(log_partition(params), rel=1e-12)
+    lin = v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k
+    lz = log_partition(params)
+    value = lin + lz
+    gradient = np.array([t.n1, t.n2, t.k]) - np.array([rep.EX1, rep.EX2, rep.EK])
+    if lam > 2.0:
+        assert fe.value(v) == value
+        np.testing.assert_array_equal(fe.gradient(v), gradient)
+        np.testing.assert_array_equal(fe.hessian(v), rep.covariance)
+        return
+    # the kernel terms on their own; f and its gradient add a target term,
+    # so those are compared relative to the larger of the two terms
+    logz, grad, _ = _mobius_log_z(b1, b2, v[2])
+    assert logz == pytest.approx(lz, rel=1e-12, abs=0)
+    np.testing.assert_allclose(-grad, [rep.EX1, rep.EX2, rep.EK], rtol=1e-12, atol=0)
+    assert abs(fe.value(v) - value) <= 1e-12 * max(abs(lin), logz)
+    scale = np.maximum([t.n1, t.n2, t.k], [rep.EX1, rep.EX2, rep.EK])
+    assert np.max(np.abs(fe.gradient(v) - gradient) / scale) <= 1e-12
+    np.testing.assert_allclose(fe.hessian(v), rep.covariance, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.0136, 0.3, 1.0, 1.5, 1.9, 2.0, 2.5, 50.0])
+@pytest.mark.parametrize("b1,b2", [(0.0166, 0.0166), (0.05, 0.01), (0.02, 0.03),
+                                   (0.13343, 0.11), (0.2, 0.05), (0.3, 0.7)])
+def test_free_energy_matches_site_sums(b1, b2, lam):
+    _check_free_energy_against_site_sums(b1, b2, lam)
+
+
+@given(b1=st.floats(0.05, 1.0), b2=st.floats(0.05, 1.0),
+       log_lam=st.floats(math.log(1e-3), math.log(2.0)))
+@settings(max_examples=40, deadline=None)
+def test_free_energy_kernel_property(b1, b2, log_lam):
+    _check_free_energy_against_site_sums(b1, b2, min(math.exp(log_lam), 2.0))
+
+
+def test_calibration_crosses_the_kernel_branches():
+    # Newton starts at lambda ~ 2.15 (site sums) and ends near 1.90 (the
+    # closed-form kernel), so f switches kernels along the path.
+    res = exact_calibrate(CalibrationTarget(306, 306, 39))
+    assert res.converged
+    assert max(res.residuals) <= 1e-6
+    assert 1.8 < res.fugacity < 2.0
 
 
 def test_small_k_calibration(res5):

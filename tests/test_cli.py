@@ -85,12 +85,26 @@ def test_maxvert(capsys):
 @pytest.mark.parametrize("argv", [
     ["count", "--n1", "300", "--n2", "300", "--kmax", "20"],
     ["maxvert", "--n1", "600", "--n2", "600"],
+    ["sample-gibbs", "--beta1", "1e-4", "--beta2", "1e-4"],
 ])
 def test_over_budget_is_resource_error(capsys, argv):
     rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "over the budget" in err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-valtr", "--n", "30", "--k", "25"],  # rejection budget exhausted
+    ["shape-distance", "--line", "/nonexistent/line.json"],
+])
+def test_library_failure_is_one_error_line(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
 

@@ -66,6 +66,14 @@ def test_non_finite_parameters_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("energy", [EnergyModel.linear(1e-4, 1e-4),
+                                    EnergyModel.euclidean(1e-3)])
+def test_oversized_site_set_refused_up_front(energy):
+    # grids of 1.6e11 and 1.6e9 cells: refused before any of it is built
+    with pytest.raises(ResourceWarning, match="over the budget"):
+        moments(GibbsParams(energy))
+
+
 @given(
     st.integers(0, 50),
     st.integers(0, 50),
