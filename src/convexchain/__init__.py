@@ -7,7 +7,6 @@ from .lattice import (
     omega_to_polyline,
     polyline_to_omega,
     primitive_vectors_in_box,
-    primitive_vectors_by_weight,
 )
 from .counting import (
     CountTable,

@@ -7,9 +7,9 @@ Newton iteration on the strictly convex free energy
 
 whose gradient is the moment mismatch and whose Hessian is the covariance
 matrix of (X1, X2, K).  The initializer inverts the limiting vertex-density
-curve c in the fugacity (one-dimensional bracketed root) and applies the
-closed-form rate relations; a small-k closed form covers densities below the
-bracketing grid.
+curve c in the fugacity (one bracketed root in log lambda, no tabulation)
+and applies the closed-form rate relations; a small-k closed form covers
+densities below the bracket.
 
 The Newton loop evaluates f with no site enumeration while lambda <= 2: log Z
 and its derivatives come from the closed-form Mobius kernel of the linear
@@ -52,7 +52,7 @@ __all__ = [
     "llt_supported",
 ]
 
-# fugacity grid for bracketing the c-inversion; c is evaluated lazily once
+# fugacity bracket of the c-inversion; c is strictly increasing on it
 _LAM_LO, _LAM_HI = 1e-8, 1e4
 # g = -log(lambda) at and above which the free energy uses the closed-form
 # kernel (lambda <= 2, where its series converges)
@@ -60,8 +60,6 @@ _G_SERIES = -math.log(2.0)
 # relative change of f below which its value is rounding noise (a few ulps of
 # each of its terms and of log Z's sum)
 _F_RESOLUTION = 1e-14
-_GRID_POINTS = 289  # 24 per decade over 12 decades
-_c_grid_cache: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class CalibrationError(RuntimeError):
@@ -107,15 +105,6 @@ def _rates_from_fugacity(lam: float, n1: int, n2: int) -> tuple[float, float]:
     return beta1, beta2
 
 
-def _c_grid() -> tuple[np.ndarray, np.ndarray]:
-    global _c_grid_cache
-    if _c_grid_cache is None:
-        lams = np.geomspace(_LAM_LO, _LAM_HI, _GRID_POINTS)
-        cs = np.array([c_of_ell(l) for l in lams])
-        _c_grid_cache = (lams, cs)
-    return _c_grid_cache
-
-
 def _small_k_triple(target: CalibrationTarget) -> tuple[float, float, float]:
     n1, n2, k = target.n1, target.n2, target.k
     return k / n1, k / n2, k**3 / (n1 * n2)
@@ -124,25 +113,24 @@ def _small_k_triple(target: CalibrationTarget) -> tuple[float, float, float]:
 def asymptotic_params(target: CalibrationTarget) -> tuple[float, float, float]:
     """Initializer triple (beta1, beta2, lambda) from the limiting relations.
 
-    The fugacity solves c(lambda) = k/(n1*n2)^(1/3) on a bracketed interval
-    of the geometric grid [1e-8, 1e4]; densities below the grid's reach use
-    the small-k closed forms instead.  Densities above the grid's reach are
-    an explicit failure (the limiting family tops out at 3*pi^(-2/3)).
+    The fugacity solves c(lambda) = k/(n1*n2)^(1/3) by one Brent root in
+    log lambda on [1e-8, 1e4], where c is strictly increasing; densities
+    below c(1e-8) use the small-k closed forms instead.  Densities above
+    c(1e4) are an explicit failure (the limiting family tops out at
+    3*pi^(-2/3)).
     """
     ell_t = target.vertex_density()
-    lams, cs = _c_grid()
-    if ell_t < cs[0]:
+    c_lo, c_hi = c_of_ell(_LAM_LO), c_of_ell(_LAM_HI)
+    if ell_t < c_lo:
         return _small_k_triple(target)
-    sign = cs - ell_t
-    idx = np.nonzero(sign[:-1] * sign[1:] <= 0)[0]
-    if idx.size == 0:
+    if ell_t > c_hi:
         raise CalibrationError(
             f"no bracketing interval for vertex density {ell_t:.6g}: "
-            f"c spans [{cs.min():.6g}, {cs.max():.6g}] over lambda in "
+            f"c spans [{c_lo:.6g}, {c_hi:.6g}] over lambda in "
             f"[{_LAM_LO:g}, {_LAM_HI:g}]"
         )
-    i = int(idx[0])
-    lam = brentq(lambda l: c_of_ell(l) - ell_t, lams[i], lams[i + 1], xtol=1e-14)
+    lam = math.exp(brentq(lambda s: c_of_ell(math.exp(s)) - ell_t,
+                          math.log(_LAM_LO), math.log(_LAM_HI), xtol=1e-14))
     beta1, beta2 = _rates_from_fugacity(lam, target.n1, target.n2)
     return beta1, beta2, lam
 
@@ -200,17 +188,10 @@ def _initializer(target: CalibrationTarget) -> tuple[float, float, float]:
     try:
         return asymptotic_params(target)
     except CalibrationError:
-        # density above the limiting family's reach: start from the grid top
+        # density above the limiting family's reach: start from the bracket top
         # (large fugacity, saturated small sites) and let Newton finish
         beta1, beta2 = _rates_from_fugacity(_LAM_HI, target.n1, target.n2)
         return beta1, beta2, _LAM_HI
-
-
-def _free_energy(target: CalibrationTarget, params: GibbsParams) -> float:
-    """log Z + beta1*n1 + beta2*n2 - k*log(lambda) on the full site set."""
-    beta1, beta2 = params.energy.params
-    return (log_partition(params) + beta1 * target.n1 + beta2 * target.n2
-            - target.k * math.log(params.fugacity))
 
 
 def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
@@ -229,7 +210,9 @@ def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
         fugacity=lam,
         residuals=residuals,
         iterations=iterations,
-        free_energy=_free_energy(target, params),
+        # log Z + beta1*n1 + beta2*n2 - k*log(lambda) on the truncated sites
+        free_energy=(log_partition(params) + beta1 * target.n1 + beta2 * target.n2
+                     - target.k * math.log(lam)),
         converged=max(residuals) <= CALIB_RESIDUAL_TOL,
     )
 
@@ -315,9 +298,10 @@ def predicted_log_pnk(target: CalibrationTarget, result: CalibrationResult,
         log Z + beta1*n1 + beta2*n2 - k*log(lambda)
               [+ log((2*pi)^(-3/2) * sqrt(k) / (n1*n2)) when with_llt]
 
-    The prefactor is the local-limit point mass at the calibrated center.
+    The first line is the calibrated `result.free_energy`; the prefactor is
+    the local-limit point mass at the calibrated center.
     """
-    base = _free_energy(target, result.params())
+    base = result.free_energy
     if with_llt:
         base += math.log(
             (2.0 * math.pi) ** (-1.5) * math.sqrt(target.k) / (target.n1 * target.n2)

@@ -7,13 +7,17 @@ from flags or an optional ``--config`` file of ``key=value`` lines (explicit
 flags win); stochastic commands default to seed 0, never wall clock.
 
 Exit codes: 0 success / all checks pass, 1 check or assertion failure,
-2 usage, configuration or resource error (work over the up-front budget).
+2 usage, configuration or resource error (work over the up-front budget, or
+a parameter the numerics cannot handle).
+A library warning is one ``warning:`` line on stderr, unless the command
+ends in its error message.
 """
 
 import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .counting import count_lines_k, max_vertices
 from .experiments import (
     SUITE_NAMES,
     _child_seed,
+    report_json,
     run_jarnik,
     run_suite,
     sample_valtr,
@@ -58,8 +63,9 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _json(payload):
-    return json.dumps(payload, indent=2) + "\n"
+def _at_least(flag, value, low):
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -70,8 +76,8 @@ def _cmd_count(args):
     table = count_lines_k(args.n1, args.n2, args.kmax)
     if args.format == "json":
         rows = [[a, b, k, c] for a, b, k, c in table.csv_rows()]
-        text = _json({"n1": args.n1, "n2": args.n2, "kmax": args.kmax,
-                      "rows": rows})
+        text = report_json({"n1": args.n1, "n2": args.n2, "kmax": args.kmax,
+                            "rows": rows})
     else:
         lines = ["n1,n2,k,count"]
         lines += [f"{a},{b},{k},{c}" for a, b, k, c in table.csv_rows()]
@@ -82,7 +88,7 @@ def _cmd_count(args):
 
 def _cmd_maxvert(args):
     m = max_vertices(args.n1, args.n2)
-    _emit(_json({"n1": args.n1, "n2": args.n2, "max_vertices": m}), args.out)
+    _emit(report_json({"n1": args.n1, "n2": args.n2, "max_vertices": m}), args.out)
     return 0
 
 
@@ -104,11 +110,12 @@ def _cmd_calibrate(args):
         b1, b2, lam = asymptotic_params(target)
         payload = {"mode": "asymptotic", "beta1": b1, "beta2": b2,
                    "fugacity": lam}
-    _emit(_json(payload), args.out)
+    _emit(report_json(payload), args.out)
     return 0 if payload.get("converged", True) else 1
 
 
 def _cmd_sample_gibbs(args):
+    _at_least("--count", args.count, 1)
     params = GibbsParams(EnergyModel.linear(args.beta1, args.beta2),
                          args.fugacity, args.trunc)
     echo = {"beta1": args.beta1, "beta2": args.beta2,
@@ -127,13 +134,11 @@ def _cmd_sample_gibbs(args):
 
 
 def _cmd_sample_valtr(args):
+    _at_least("--count", args.count, 1)
     lines = []
     for i in range(args.count):
         child = _child_seed(args.seed, i)
-        try:
-            poly = sample_valtr(args.n, args.k, seed=child)
-        except RuntimeError as exc:  # rejection budget exhausted
-            raise UsageError(str(exc)) from None
+        poly = sample_valtr(args.n, args.k, seed=child)
         lines.append(json.dumps({
             "seed": child,
             "n": args.n,
@@ -186,7 +191,7 @@ def _cmd_shape_distance(args):
     if args.format == "svg":
         _emit(overlay_svg(normalize(poly, scale), curve, args.mesh), args.out)
     else:
-        _emit(_json(payload), args.out)
+        _emit(report_json(payload), args.out)
     if args.assert_below is not None and d > args.assert_below:
         return 1
     return 0
@@ -209,7 +214,7 @@ def _parse_grid(spec):
 def _cmd_asymptotics_table(args):
     rows = [AsymptoticProfile.at(ell) for ell in _parse_grid(args.ell_grid)]
     if args.format == "json":
-        text = _json({"rows": [
+        text = report_json({"rows": [
             {"ell": r.ell, "c": r.c_value, "e": r.e_value} for r in rows]})
     else:
         lines = ["ell,c,e"]
@@ -224,7 +229,7 @@ def _cmd_jarnik(args):
     report = run_jarnik(args.beta, fugacity=args.fugacity,
                         samples=args.samples, seed=args.seed,
                         truncation=args.trunc, mesh=args.mesh)
-    _emit(_json(report), args.out)
+    _emit(report_json(report), args.out)
     return 0 if report["passed"] else 1
 
 
@@ -249,7 +254,7 @@ def _cmd_mixed_shapes(args):
         body.append("</svg>")
         text = "\n".join(body) + "\n"
     elif args.format == "json":
-        text = _json({"rows": [
+        text = report_json({"rows": [
             {"lambda_ell": ell, "length": mixed_length(ell)} for ell in grid]})
     else:
         lines = ["lambda_ell,length"]
@@ -272,9 +277,10 @@ def _cmd_curve(args):
 def _cmd_suite(args):
     config = {"seed": args.seed}
     if args.samples is not None:
+        _at_least("--samples", args.samples, 1)
         config["samples"] = args.samples
     report = run_suite(args.name, config)
-    _emit(_json(report), args.out)
+    _emit(report_json(report), args.out)
     return 0 if report["passed"] else 1
 
 
@@ -436,17 +442,26 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CalibrationError as exc:
-        print(_json({"error": str(exc)}), end="", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, ResourceWarning) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # library warnings become one line each when the command gets through,
+    # and are dropped when it ends in its error message
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.func(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except CalibrationError as exc:
+            print(report_json({"error": str(exc)}), end="", file=sys.stderr)
+            return 1
+        except (ValueError, KeyError, ResourceWarning, RuntimeError,
+                ArithmeticError) as exc:
+            # bad input, work over a budget, or numerics the input defeats
+            # (an exhausted rejection budget, a stalled quadrature, overflow)
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.stats import chi2
 
 from .calibrate import CalibrationTarget, exact_calibrate, predicted_log_pnk
 from .counting import brute_force_enum, count_lines_k, line_length
@@ -149,6 +148,8 @@ def valtr_uniformity_chisquare(n, k, samples, seed=0, bins=200):
     Returns a dict with the statistic, degrees of freedom and the 1-alpha
     quantiles for alpha in {0.05, 0.001}.
     """
+    from scipy.stats import chi2  # its only user; keeps it off the import path
+
     support = enumerate_ne_lines(n, k)
     if not support:
         raise ValueError(f"no strictly North-East lines for n={n}, k={k}")
@@ -249,7 +250,8 @@ def jarnik_greedy_vertex_count(length_budget):
     """Maximal vertex count of a line of total length <= budget, greedily.
 
     Uses each primitive direction at most once, closest first; ties broken
-    lexicographically so the count is deterministic.
+    lexicographically so the count is deterministic.  The direction box stops
+    at 4096 per side, below the primitive-vector grid budget.
     """
     if length_budget <= 0:
         raise ValueError("length budget must be positive")
@@ -267,7 +269,7 @@ def jarnik_greedy_vertex_count(length_budget):
             count += 1
         # ran out of directions before the budget: enlarge the catalogue
         box *= 2
-        if box > 1 << 14:
+        if box > 1 << 12:
             raise RuntimeError("length budget too large for the greedy sweep")
 
 
@@ -289,6 +291,8 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
     exact truncated moments, the median distance to the circle, and the
     greedy maximal-vertex count against (3/2) L^(2/3)/pi^(1/3).
     """
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     params = GibbsParams(EnergyModel.euclidean(beta), fugacity, truncation)
     rep = moments(params)
     lengths = np.empty(samples)
@@ -303,6 +307,10 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
         if e1 > 0 and e2 > 0:
             dists.append(
                 hausdorff_distance(normalize(poly, (e1, e2)), circle, mesh))
+    if not dists:
+        raise ValueError(
+            f"none of the {samples} lines sampled at beta={beta} leaves both "
+            "axes, so there is no length or shape to check; lower beta")
 
     rows = []
     mean_len = float(lengths.mean())
@@ -507,5 +515,5 @@ def run_suite(name, config=None):
 
 
 def report_json(report):
-    """Canonical JSON text for a suite or experiment report."""
+    """Canonical JSON text for a report; the CLI writes all its JSON with it."""
     return json.dumps(report, indent=2, sort_keys=False) + "\n"

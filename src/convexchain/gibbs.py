@@ -39,9 +39,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .lattice import MultiplicityDistribution
+from .lattice import MultiplicityDistribution, _primitive_grid
 from .specialfn import ZETA2, parallel_constant
-from .tolerances import DEFAULT_TRUNCATION, PARALLEL_TRUNC_TOL, SITE_BUDGET
+from .tolerances import DEFAULT_TRUNCATION, PARALLEL_TRUNC_TOL
 
 __all__ = [
     "EnergyModel",
@@ -50,7 +50,6 @@ __all__ = [
     "log_partition",
     "truncation_bound",
     "moments",
-    "biased_geometric",
     "sample_omega",
     "parallel_probability",
 ]
@@ -146,9 +145,10 @@ class MomentReport:
 def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
 
-    Chunked gcd grid; the enumeration order is part of the sampling contract.
-    A grid over SITE_BUDGET cells is refused with `ResourceWarning` before
-    any of it is built.
+    The `lattice._primitive_grid` rows of the box that holds E <= T, filtered
+    by energy; the row-major order is part of the sampling contract (site
+    rank).  A box over SITE_BUDGET cells is refused with `ResourceWarning`
+    before any of it is built.
     """
     T = float(truncation)
 
@@ -168,24 +168,8 @@ def _site_arrays(energy: EnergyModel, truncation: float):
                 hi = mid
         return lo
 
-    xmax, ymax = top(True), top(False)
-    cells = (xmax + 1) * (ymax + 1)
-    if cells > SITE_BUDGET:
-        raise ResourceWarning(
-            f"the site set of {energy.kind} energy {energy.params} at truncation "
-            f"{T:g} spans a {xmax + 1}x{ymax + 1} grid ({cells:.2e} cells), "
-            f"over the budget {SITE_BUDGET:.2e}"
-        )
-    ys = np.arange(ymax + 1, dtype=np.int64)
     xs_parts, ys_parts, en_parts = [], [], []
-    block = max(1, (1 << 22) // (ymax + 1))
-    for x0 in range(0, xmax + 1, block):
-        xs = np.arange(x0, min(x0 + block, xmax + 1), dtype=np.int64)
-        g = np.gcd(xs[:, None], ys[None, :])
-        mask = g == 1
-        bx, by = np.nonzero(mask)
-        x1 = xs[bx]
-        x2 = ys[by]
+    for x1, x2 in _primitive_grid(top(True), top(False)):
         en = np.asarray(energy(x1.astype(float), x2.astype(float)), dtype=float)
         keep = en <= T
         xs_parts.append(x1[keep])
@@ -361,22 +345,6 @@ def moments(params: GibbsParams) -> MomentReport:
     )
 
 
-def biased_geometric(rho: float, lam: float, rng: np.random.Generator) -> int:
-    """One draw of the biased geometric law: P[0] = 1/Z_x, and conditionally on
-    being positive the value is 1 + Geometric(1-rho)."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (0,1), got {rho}")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    u = rng.random()
-    p0 = (1.0 - rho) / (1.0 - (1.0 - lam) * rho)
-    if u < p0:
-        return 0
-    v = (u - p0) / (1.0 - p0)
-    v = min(v, 1.0 - 1e-16)
-    return 1 + int(math.log1p(-v) / math.log(rho))
-
-
 # -- counter-based per-site uniforms (SplitMix64 finalizer) ------------------
 
 _U64 = np.uint64
@@ -391,10 +359,10 @@ def _mix(z):
         return z ^ (z >> _U64(31))
 
 
-def _site_uniforms(seed: int, n: int, stream: int = 0) -> np.ndarray:
+def _site_uniforms(seed: int, n: int) -> np.ndarray:
     """Uniforms in [0,1) for site ranks 0..n-1, pure function of (seed, rank)."""
     ranks = np.arange(n, dtype=np.uint64)
-    base = _U64((seed & 0xFFFFFFFFFFFFFFFF) ^ (stream * 0x9E3779B97F4A7C15 & 0xFFFFFFFFFFFFFFFF))
+    base = _U64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
         z = _mix(base + _U64(0x9E3779B97F4A7C15)) + ranks * _U64(0x9E3779B97F4A7C15)
     return (_mix(z) >> _U64(11)).astype(float) * 2.0**-53

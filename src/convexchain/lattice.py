@@ -19,12 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tolerances import SITE_BUDGET
+
 __all__ = [
     "is_primitive",
     "slope_sorted",
     "primitive_vectors_in_box",
-    "count_primitive_in_box",
-    "primitive_vectors_by_weight",
     "MultiplicityDistribution",
     "ConvexPolyline",
     "omega_to_polyline",
@@ -54,85 +54,43 @@ def slope_sorted(vectors) -> list[Vec]:
     return sorted(vectors, key=functools.cmp_to_key(lambda u, v: -_cross(u, v)))
 
 
+def _primitive_grid(n1: int, n2: int):
+    """Yield the primitive vectors of the box [0, n1] x [0, n2] as int64
+    (x1, x2) array pairs, a block of rows at a time, row-major in x1.
+
+    This gcd-grid scan is the package's one primitive-vector enumerator.  A
+    grid over SITE_BUDGET cells is refused with `ResourceWarning` before any
+    row is built.
+    """
+    cells = (n1 + 1) * (n2 + 1)
+    if cells > SITE_BUDGET:
+        raise ResourceWarning(
+            f"a {n1 + 1}x{n2 + 1} primitive-vector grid ({cells:.2e} cells) "
+            f"is over the budget {SITE_BUDGET:.2e}"
+        )
+    ys = np.arange(n2 + 1, dtype=np.int64)
+    block = max(1, (1 << 22) // (n2 + 1))
+    for x0 in range(0, n1 + 1, block):
+        xs = np.arange(x0, min(x0 + block, n1 + 1), dtype=np.int64)
+        bx, by = np.nonzero(np.gcd(xs[:, None], ys[None, :]) == 1)
+        yield xs[bx], ys[by]
+
+
 def primitive_vectors_in_box(n1: int, n2: int) -> list[Vec]:
     """All primitive vectors with x1 <= n1, x2 <= n2, in increasing slope order.
 
-    Walks the Stern-Brocot tree of slopes strictly between 0 and infinity with
-    an explicit stack (in-order traversal), pruning a subtree as soon as its
-    mediant leaves the box: every deeper vector dominates the mediant
-    componentwise, so nothing in the box is missed.
+    Sorts the `_primitive_grid` rows by the float slope x2/x1 ((0,1) gets inf).
+    The key is exact: two slopes in the box differ by at least 1/(n1*n2)
+    relative, and the site budget keeps n1*n2 far below 2^51.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("box sides must be >= 1")
-    out: list[Vec] = [(1, 0)]
-    # frames: ("visit", lo, hi) expands the open slope interval; ("emit", v) appends
-    stack: list[tuple] = [("visit", (1, 0), (0, 1))]
-    while stack:
-        frame = stack.pop()
-        if frame[0] == "emit":
-            out.append(frame[1])
-            continue
-        _, lo, hi = frame
-        med = (lo[0] + hi[0], lo[1] + hi[1])
-        if med[0] > n1 or med[1] > n2:
-            continue
-        stack.append(("visit", med, hi))
-        stack.append(("emit", med))
-        stack.append(("visit", lo, med))
-    out.append((0, 1))
-    return out
-
-
-def count_primitive_in_box(n1: int, n2: int) -> int:
-    """|{x primitive : x1 <= n1, x2 <= n2}| via a vectorized gcd grid."""
-    if n1 < 1 or n2 < 1:
-        raise ValueError("box sides must be >= 1")
-    a = np.arange(n1 + 1, dtype=np.int64)[:, None]
-    b = np.arange(n2 + 1, dtype=np.int64)[None, :]
-    return int(np.count_nonzero(np.gcd(a, b) == 1))
-
-
-def primitive_vectors_by_weight(energy, cutoff: float):
-    """Yield every primitive x with energy(x) <= cutoff, exactly once.
-
-    `energy` must be strictly positive and coordinatewise nondecreasing on the
-    nonzero quadrant; that is what lets a column scan terminate.  Non-monotone
-    weights are rejected by spot checks on a small frontier.  Within each
-    column x1 = const the yield order is increasing x2, i.e. increasing slope;
-    the order across columns is deterministic (x1 ascending).
-    """
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    for a, b in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2)):
-        if energy(a, b) <= 0:
-            raise ValueError(f"energy must be strictly positive, got energy{(a, b)} <= 0")
-        if energy(a + 1, b) < energy(a, b) or energy(a, b + 1) < energy(a, b):
-            raise ValueError("energy must be coordinatewise nondecreasing")
-
-    # column x1 = 0 holds the single primitive (0,1)
-    if energy(0, 1) <= cutoff:
-        yield (0, 1)
-    x1 = 1
-    while energy(x1, 0) <= cutoff:
-        for x2 in range(0, _column_top(energy, x1, cutoff) + 1):
-            if math.gcd(x1, x2) == 1:
-                yield (x1, x2)
-        x1 += 1
-
-
-def _column_top(energy, x1: int, cutoff: float) -> int:
-    """Largest x2 with energy(x1,x2) <= cutoff, by doubling then bisection."""
-    hi = 1
-    while energy(x1, hi) <= cutoff:
-        hi *= 2
-    lo = hi // 2 if hi > 1 else 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if energy(x1, mid) <= cutoff:
-            lo = mid
-        else:
-            hi = mid
-    return lo if energy(x1, lo) <= cutoff else -1
+    rows = list(_primitive_grid(n1, n2))
+    x1 = np.concatenate([r[0] for r in rows])
+    x2 = np.concatenate([r[1] for r in rows])
+    with np.errstate(divide="ignore"):
+        order = np.argsort(x2 / x1, kind="stable")
+    return list(zip(x1[order].tolist(), x2[order].tolist()))
 
 
 @dataclass(frozen=True)

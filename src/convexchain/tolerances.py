@@ -19,13 +19,14 @@ DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets
 # int16 sweep runs ~1e9/s; counts past 2^53 add a uint64 pass, and past 2^64
 # one prime pass (about the cost of a plain pass) per 32 bits.
 COUNT_OP_BUDGET = 20_000_000_000
-# Gibbs site-set guard, in cells of the gcd grid (xmax+1)*(ymax+1) that
-# `gibbs._site_arrays` scans: the grid holds ~0.30 primitive sites per cell for
-# the linear energy and ~0.48 for the Euclidean one, and a site set with its
-# `moments` pass peaks at ~90 bytes per site (measured with ru_maxrss at 4.9M
-# and 7.6M sites), so ~42 bytes per cell; the budget refuses sets predicted to
-# need over ~2 GB.  The largest current caller is the Jarnik suite's bracket
-# at Euclidean beta 0.02/3, a 6001^2 = 3.6e7-cell grid.
+# Primitive-vector guard, in cells of the gcd grid (n1+1)*(n2+1) that
+# `lattice._primitive_grid` scans for a box or a Gibbs site set: a site set
+# holds ~0.30 primitive sites per cell for the linear energy and ~0.48 for
+# the Euclidean one, and a site set with its `moments` pass peaks at ~90
+# bytes per site (measured with ru_maxrss at 4.9M and 7.6M sites), so ~42
+# bytes per cell; the budget refuses sets predicted to need over ~2 GB.  The
+# largest current caller is the Jarnik suite's bracket at Euclidean beta
+# 0.02/3, a 6001^2 = 3.6e7-cell grid.
 SITE_BUDGET = 48_000_000
 
 # calibration

@@ -1,0 +1,47 @@
+"""Independent oracles shared by the test modules: slow, obviously correct
+reimplementations that the library's vectorized code is checked against."""
+
+import math
+
+
+def primitive_vectors_by_weight(energy, cutoff: float):
+    """Yield every primitive x with energy(x) <= cutoff, exactly once.
+
+    `energy` must be strictly positive and coordinatewise nondecreasing on the
+    nonzero quadrant; that is what lets a column scan terminate.  Non-monotone
+    weights are rejected by spot checks on a small frontier.  Within each
+    column x1 = const the yield order is increasing x2, i.e. increasing slope;
+    the order across columns is deterministic (x1 ascending).
+    """
+    if cutoff <= 0:
+        raise ValueError("cutoff must be positive")
+    for a, b in ((1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (3, 2)):
+        if energy(a, b) <= 0:
+            raise ValueError(f"energy must be strictly positive, got energy{(a, b)} <= 0")
+        if energy(a + 1, b) < energy(a, b) or energy(a, b + 1) < energy(a, b):
+            raise ValueError("energy must be coordinatewise nondecreasing")
+
+    # column x1 = 0 holds the single primitive (0,1)
+    if energy(0, 1) <= cutoff:
+        yield (0, 1)
+    x1 = 1
+    while energy(x1, 0) <= cutoff:
+        for x2 in range(0, _column_top(energy, x1, cutoff) + 1):
+            if math.gcd(x1, x2) == 1:
+                yield (x1, x2)
+        x1 += 1
+
+
+def _column_top(energy, x1: int, cutoff: float) -> int:
+    """Largest x2 with energy(x1,x2) <= cutoff, by doubling then bisection."""
+    hi = 1
+    while energy(x1, hi) <= cutoff:
+        hi *= 2
+    lo = hi // 2 if hi > 1 else 0
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if energy(x1, mid) <= cutoff:
+            lo = mid
+        else:
+            hi = mid
+    return lo if energy(x1, lo) <= cutoff else -1

@@ -23,6 +23,7 @@ from convexchain.calibrate import (
 )
 from convexchain.gibbs import (EnergyModel, GibbsParams, _mobius_log_z, log_partition,
                               moments)
+from convexchain.specialfn import c_of_ell
 
 # Exact log-counts, frozen from the big-integer table builder (independent
 # of everything in calibrate.py): log p(n, n; k).
@@ -54,7 +55,7 @@ def test_target_validation():
 
 
 def test_asymptotic_small_k_is_closed_form():
-    # Below the c-grid the closed-form triple applies verbatim.
+    # Below c(1e-8), the bracket's bottom, the closed-form triple applies verbatim.
     t = CalibrationTarget(10**6, 10**6, 20)
     b1, b2, lam = asymptotic_params(t)
     assert b1 == 20 / 10**6
@@ -70,6 +71,30 @@ def test_asymptotic_inverts_c_in_dilute_regime():
     assert abs(lam / 1e-6 - 1.0) < 0.20
     assert abs(b1 / 1e-4 - 1.0) < 0.01
     assert b1 == b2
+
+
+def test_cold_initializer_evaluates_c_few_times(monkeypatch):
+    # one bracketed root in log lambda, no tabulated c-grid
+    import convexchain.calibrate as cal
+
+    calls = []
+
+    def counted(ell):
+        calls.append(ell)
+        return c_of_ell(ell)
+
+    monkeypatch.setattr(cal, "c_of_ell", counted)
+    for k in (34, 5, 60):
+        calls.clear()
+        asymptotic_params(CalibrationTarget(300, 300, k))
+        assert 2 < len(calls) <= 60
+
+
+def test_c_strictly_increasing_on_the_bracket():
+    # what lets the two bracket ends stand in for a scan of c
+    lams = np.geomspace(1e-8, 1e4, 400)
+    cs = np.array([c_of_ell(lam) for lam in lams])
+    assert np.all(np.diff(cs) > 0)
 
 
 def test_asymptotic_superdense_raises():

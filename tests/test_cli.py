@@ -1,8 +1,16 @@
 """End-to-end tests of the command-line surface via main(argv)."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexchain.cli import main
 from convexchain.experiments import sample_valtr
@@ -107,6 +115,100 @@ def test_library_failure_is_one_error_line(capsys, argv):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "0"],
+    ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "-1"],
+    ["sample-valtr", "--n", "100", "--k", "3", "--count", "0"],
+    ["suite", "--name", "shapes", "--samples", "0"],
+    ["suite", "--name", "jarnik", "--samples", "1"],
+    ["jarnik", "--beta", "0.3", "--samples", "1"],  # no standard error
+    ["jarnik", "--beta", "5", "--samples", "2"],  # every sampled line empty
+    ["curve", "--curve", "mixed", "--lambda-ell", "inf"],  # stalled quadrature
+    ["mixed-shapes", "--grid", "1e300"],  # overflow
+])
+def test_input_contract_is_one_error_line(capsys, argv):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def _cli_subprocess(argv):
+    # pytest captures warnings in-process, so these runs need their own
+    # interpreter to show what a user sees on stderr
+    import convexchain
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))
+    return subprocess.run([sys.executable, "-m", "convexchain.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_library_warning_is_one_line_or_dropped():
+    ok = _cli_subprocess(["sample-valtr", "--n", "100", "--k", "5"])
+    assert ok.returncode == 0 and ok.stdout
+    assert ok.stderr.startswith("warning: k^3 = 125 >= n = 100")
+    assert len(ok.stderr.splitlines()) == 1
+    failed = _cli_subprocess(["sample-valtr", "--n", "30", "--k", "25"])
+    assert failed.returncode == 2 and failed.stdout == ""
+    assert failed.stderr.startswith("error: rejection budget")
+    assert len(failed.stderr.splitlines()) == 1
+
+
+_SMALL_INT = st.integers(-2, 6)
+_FLOATS = st.sampled_from(["0.3", "1", "5", "0", "-1", "-0.7071", "1e300", "nan", "inf",
+                           "x"])
+_ARGV = {
+    "count": st.tuples(st.just("--n1"), _SMALL_INT, st.just("--n2"), _SMALL_INT,
+                       st.just("--kmax"), _SMALL_INT),
+    "maxvert": st.tuples(st.just("--n1"), _SMALL_INT, st.just("--n2"),
+                         st.integers(-2, 40)),
+    "calibrate": st.tuples(st.just("--n1"), st.integers(-1, 60), st.just("--n2"),
+                           st.integers(-1, 60), st.just("--k"), _SMALL_INT,
+                           st.sampled_from(["--exact", "--format=json"])),
+    "sample-gibbs": st.tuples(st.just("--beta1"), _FLOATS, st.just("--beta2"), _FLOATS,
+                              st.just("--fugacity"), _FLOATS,
+                              st.just("--count"), _SMALL_INT),
+    "sample-valtr": st.tuples(st.just("--n"), st.integers(-1, 40), st.just("--k"),
+                              _SMALL_INT, st.just("--count"), _SMALL_INT),
+    "shape-distance": st.tuples(st.just("--line"),
+                                st.sampled_from(["/nonexistent/line.json", "-"]),
+                                st.just("--mesh"), st.integers(-1, 150)),
+    "asymptotics-table": st.tuples(
+        st.just("--ell-grid"),
+        st.sampled_from(["0.5:1:0.25", "1:0:1", "a:b:c", "0:1:0.5", "-1:1:1",
+                         "0.001:2:0.7", "1e300:1e300:1", "1:2"])),
+    "jarnik": st.tuples(st.just("--beta"), st.sampled_from(["0.3", "5", "0", "nan"]),
+                        st.just("--samples"), st.integers(-1, 3),
+                        st.just("--mesh"), st.sampled_from([50, 100])),
+    "mixed-shapes": st.tuples(st.just("--grid"),
+                              st.sampled_from(["0,1", "-0.5", "-0.7071", "-1", "1e300",
+                                               "x", "nan", ""]),
+                              st.just("--mesh"), st.integers(-1, 20), st.just("--format"),
+                              st.sampled_from(["csv", "json", "svg"])),
+    "curve": st.tuples(st.just("--curve"),
+                       st.sampled_from(["parabola", "circle", "mixed", "line"]),
+                       st.just("--ratio"), _FLOATS, st.just("--lambda-ell"), _FLOATS,
+                       st.just("--mesh"), st.integers(-1, 20)),
+    "suite": st.tuples(st.just("--name"), st.sampled_from(["shapes", "mixed", "nonsense"]),
+                       st.just("--samples"), _SMALL_INT),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARGV))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_any_small_argv_keeps_the_outcome_contract(command, data):
+    argv = [command, *map(str, data.draw(_ARGV[command]))]
+    out, err = io.StringIO(), io.StringIO()
+    # shape-distance reads "-" from stdin, so give it an empty one
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO("")):
+        rc = main(argv)
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------

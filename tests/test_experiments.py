@@ -2,6 +2,9 @@
 Euclidean-length model, and the suite runner."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,3 +159,14 @@ def test_sampled_length_agrees_with_polyline():
     poly = sample_valtr(500, 8, seed=2)
     total = sum(math.hypot(*d) for d in poly.edges())
     assert line_length(poly) == pytest.approx(total)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~0.5 s to import and only the chi-square check uses it
+    import convexchain
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))
+    probe = "import sys, convexchain; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr

@@ -8,15 +8,31 @@ from hypothesis import strategies as st
 from convexchain.gibbs import (
     EnergyModel,
     GibbsParams,
-    biased_geometric,
     log_partition,
     moments,
     parallel_probability,
     sample_omega,
     truncation_bound,
 )
-from convexchain.lattice import primitive_vectors_by_weight
 from convexchain.specialfn import ZETA2, ZETA3, residue_logZ
+from oracles import primitive_vectors_by_weight
+
+
+def biased_geometric(rho: float, lam: float, rng: np.random.Generator) -> int:
+    """Scalar oracle of the per-site law that `sample_omega` draws in bulk:
+    P[0] = 1/Z_x, and conditionally on being positive the value is
+    1 + Geometric(1-rho)."""
+    if not 0.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (0,1), got {rho}")
+    if lam <= 0:
+        raise ValueError(f"lam must be positive, got {lam}")
+    u = rng.random()
+    p0 = (1.0 - rho) / (1.0 - (1.0 - lam) * rho)
+    if u < p0:
+        return 0
+    v = (u - p0) / (1.0 - p0)
+    v = min(v, 1.0 - 1e-16)
+    return 1 + int(math.log1p(-v) / math.log(rho))
 
 
 def test_energy_models_evaluate():

@@ -9,14 +9,19 @@ from hypothesis import strategies as st
 from convexchain.lattice import (
     ConvexPolyline,
     MultiplicityDistribution,
-    count_primitive_in_box,
+    _primitive_grid,
     is_primitive,
     omega_to_polyline,
     polyline_to_omega,
-    primitive_vectors_by_weight,
     primitive_vectors_in_box,
     slope_sorted,
 )
+from convexchain.tolerances import SITE_BUDGET
+from oracles import primitive_vectors_by_weight
+
+
+def _grid_count(n1, n2):
+    return sum(x1.size for x1, _ in _primitive_grid(n1, n2))
 
 
 def test_box_small_examples():
@@ -26,7 +31,7 @@ def test_box_small_examples():
 
 def test_box_count_100():
     # 2*sum(phi(k), k<=100) - 1 interior coprime pairs, plus (1,0) and (0,1)
-    assert count_primitive_in_box(100, 100) == 6089
+    assert _grid_count(100, 100) == 6089
     assert len(primitive_vectors_in_box(100, 100)) == 6089
 
 
@@ -49,9 +54,41 @@ def test_slope_order_strict_cross_products():
         assert u[0] * v[1] - u[1] * v[0] > 0, (u, v)
 
 
+@pytest.mark.parametrize("n1, n2", [(200, 200), (1, 5000), (5000, 1), (523, 97)])
+def test_float_slope_key_orders_exactly(n1, n2):
+    # the float key x2/x1 against the exact integer cross product on every
+    # adjacent pair, in square, flat, tall and lopsided boxes
+    vecs = np.array(primitive_vectors_in_box(n1, n2), dtype=np.int64)
+    u, v = vecs[:-1], vecs[1:]
+    assert np.all(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0] > 0)
+    assert tuple(vecs[0]) == (1, 0) and tuple(vecs[-1]) == (0, 1)
+    assert len(vecs) == _grid_count(n1, n2)
+
+
+def test_grid_is_row_major_and_matches_gcd():
+    rows = list(_primitive_grid(37, 11))
+    x1 = np.concatenate([r[0] for r in rows])
+    x2 = np.concatenate([r[1] for r in rows])
+    expected = [(a, b) for a in range(38) for b in range(12) if math.gcd(a, b) == 1]
+    assert list(zip(x1.tolist(), x2.tolist())) == expected
+    # a tall box comes one row per block: rows 0..3 hold 1, all, the odd and
+    # the non-multiples of 3 among 0..n2
+    n2 = 2_100_000
+    rows = [(x1, x2) for x1, x2 in _primitive_grid(3, n2)]
+    assert [np.unique(x1).tolist() for x1, _ in rows] == [[0], [1], [2], [3]]
+    assert [x2.size for _, x2 in rows] == [1, n2 + 1, n2 // 2, n2 + 1 - (n2 // 3 + 1)]
+    assert all(np.all(np.diff(x2) > 0) for _, x2 in rows)
+
+
+def test_oversized_grid_refused_up_front():
+    side = math.isqrt(SITE_BUDGET)
+    with pytest.raises(ResourceWarning, match="over the budget"):
+        primitive_vectors_in_box(side, side)
+
+
 def test_density_towards_6_over_pi_squared():
     n = 2000
-    density = count_primitive_in_box(n, n) / n**2
+    density = _grid_count(n, n) / n**2
     target = 6 / np.pi**2
     assert abs(density - target) / target < 0.01
 
