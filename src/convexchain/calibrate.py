@@ -219,14 +219,14 @@ def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
 
 def _unbounded(target: CalibrationTarget) -> CalibrationError:
     # f is sinking along a recession direction: the moment system has no
-    # solution.  This happens when k exceeds the capacity
-    # ~3*pi^(-2/3)*(n1*n2)^(1/3) of lines with endpoint near (n1,n2).
+    # solution.  This happens when k exceeds what lines with endpoint near
+    # (n1,n2) can carry; that capacity's density k/(n1*n2)^(1/3) only tends
+    # to 3*pi^(-2/3) as n grows, and small boxes fail below it.
     return CalibrationError(
-        f"free energy unbounded below for {target}: vertex density "
-        f"{target.vertex_density():.4g} exceeds the feasible capacity "
-        f"(~{3.0 * math.pi ** (-2.0 / 3):.4g} at large n); "
-        "no calibrated parameters exist"
-    )
+        f"free energy unbounded below for {target}: lines ending near "
+        f"({target.n1}, {target.n2}) cannot carry k = {target.k} vertices (density "
+        f"{target.vertex_density():.4g}; the capacity density tends to "
+        f"{3.0 * math.pi ** (-2.0 / 3):.4g} only as n grows); no calibrated parameters exist")
 
 
 def exact_calibrate(target: CalibrationTarget,

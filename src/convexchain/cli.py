@@ -45,6 +45,7 @@ from .shapes import (
     mixed_length,
     normalize,
     overlay_svg,
+    polylines_svg,
 )
 from .specialfn import AsymptoticProfile
 
@@ -242,17 +243,8 @@ def _cmd_mixed_shapes(args):
             raise UsageError(f"non-numeric grid entry {piece!r}") from None
     if args.format == "svg":
         # all curves of the grid in one picture
-        body = ['<svg xmlns="http://www.w3.org/2000/svg" '
-                'viewBox="-0.05 -0.05 1.1 1.1" width="440" height="440">',
-                '<rect x="0" y="0" width="1" height="1" fill="none" '
-                'stroke="#cccccc" stroke-width="0.002"/>']
-        for ell in grid:
-            pts = ShapeCurve.mixed(ell).sample(args.mesh)
-            path = " ".join(f"{x:.6f},{1.0 - y:.6f}" for x, y in pts)
-            body.append(f'<polyline points="{path}" fill="none" '
-                        'stroke="#1f77b4" stroke-width="0.003"/>')
-        body.append("</svg>")
-        text = "\n".join(body) + "\n"
+        text = polylines_svg([(ShapeCurve.mixed(ell).sample(args.mesh), "#1f77b4", "0.003")
+                              for ell in grid])
     elif args.format == "json":
         text = report_json({"rows": [
             {"lambda_ell": ell, "length": mixed_length(ell)} for ell in grid]})

@@ -7,6 +7,11 @@ the suite runner that emits machine-readable {check, target, observed,
 tolerance, pass} rows.  Every stochastic routine takes an explicit integer
 seed (default 0, never wall clock), and reports are sorted by check name so
 byte-identical output only depends on the config.
+
+Each quantity is computed once, through one path: every limit-shape check
+runs the `_distances` loop (the curve sampled once, each line normalized
+and measured), the Jarnik suite takes only a median from its two extra
+betas, and E[L] is the exact per-site moment.
 """
 
 import hashlib
@@ -14,22 +19,17 @@ import json
 import math
 import warnings
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .calibrate import CalibrationTarget, exact_calibrate, predicted_log_pnk
 from .counting import brute_force_enum, count_lines_k, line_length
-from .gibbs import (
-    DEFAULT_TRUNCATION,
-    EnergyModel,
-    GibbsParams,
-    log_partition,
-    moments,
-    sample_omega,
-)
+from .gibbs import (DEFAULT_TRUNCATION, EnergyModel, GibbsParams, _site_arrays, _site_exponents,
+                    _site_laws, log_partition, moments, sample_omega)
 from .lattice import ConvexPolyline, omega_to_polyline, primitive_vectors_in_box
-from .shapes import ShapeCurve, hausdorff_distance, normalize
+from .shapes import ShapeCurve, hausdorff_distance, mixed_length, normalize
 from .specialfn import ZETA3, c_of_ell, e_of_ell
 
 __all__ = [
@@ -84,10 +84,10 @@ def sample_valtr(n, k, seed=0, rng=None, budget=VALTR_REJECTION_BUDGET):
         b = np.diff(np.concatenate([[0], v, [n]]))
         if (a < 1).any() or (b < 1).any():
             continue
-        pairs = list(zip(a.tolist(), b.tolist()))
-        if _has_parallel_pair(pairs):
+        pairs = sorted(zip(a.tolist(), b.tolist()), key=lambda d: Fraction(d[1], d[0]))
+        # sorted by exact slope, parallel increments are neighbours
+        if any(p[0] * q[1] == p[1] * q[0] for p, q in zip(pairs, pairs[1:])):
             continue
-        pairs.sort(key=lambda d: Fraction(d[1], d[0]))
         verts = [(0, 0)]
         for da, db in pairs:
             verts.append((verts[-1][0] + da, verts[-1][1] + db))
@@ -96,17 +96,6 @@ def sample_valtr(n, k, seed=0, rng=None, budget=VALTR_REJECTION_BUDGET):
         f"rejection budget ({budget}) exhausted at n={n}, k={k}: the "
         "few-vertex regime k^3 << n is strongly violated"
     )
-
-
-def _has_parallel_pair(pairs):
-    seen = set()
-    for a, b in pairs:
-        g = math.gcd(a, b)
-        d = (a // g, b // g)
-        if d in seen:
-            return True
-        seen.add(d)
-    return False
 
 
 def enumerate_ne_lines(n, k):
@@ -158,12 +147,8 @@ def valtr_uniformity_chisquare(n, k, samples, seed=0, bins=200):
         digest = hashlib.md5(repr(edge_tuple).encode()).digest()
         return int.from_bytes(digest[:8], "big") % bins
 
-    expected = np.zeros(bins)
-    index = {}
-    for line in support:
-        index[line] = cell(line)
-        expected[index[line]] += 1.0
-    expected *= samples / len(support)
+    index = {line: cell(line) for line in support}
+    expected = np.bincount(list(index.values()), minlength=bins) * (samples / len(support))
 
     observed = np.zeros(bins)
     rng = np.random.default_rng(seed)
@@ -197,6 +182,39 @@ def typical_vertex_count(n1, n2=None):
     return max(2, round(c_of_ell(1.0) * (n1 * n2) ** (1.0 / 3.0)))
 
 
+def _gibbs_lines(params, count, seed):
+    """The polylines of `count` Gibbs draws, draw i from `_child_seed(seed, i)`."""
+    return [omega_to_polyline(sample_omega(params, _child_seed(seed, i)))
+            for i in range(count)]
+
+
+def _distances(lines, curve, mesh, scale=None):
+    """Hausdorff distance of each line to `curve`, sampled once at `mesh`.
+
+    A line is normalized by `scale`, or by its own endpoint when scale is
+    None; lines that end on an axis have no shape and are skipped.
+    """
+    curve_pts = curve.sample(mesh)
+    dists = []
+    for poly in lines:
+        end = scale or poly.endpoint()
+        if end[0] > 0 and end[1] > 0:
+            dists.append(hausdorff_distance(normalize(poly, end), curve_pts, mesh))
+    if not dists:
+        raise ValueError(f"none of the {len(lines)} sampled lines leaves both axes, so "
+                         "there is no length or shape to check; lower beta")
+    return dists
+
+
+def _parabola_summary(n, k, lines, mesh, scale=None, q90=False):
+    arr = np.asarray(_distances(lines, ShapeCurve.parabola(), mesh, scale))
+    out = {"n": n, "k": k, "count": int(arr.size),
+           "median": float(np.median(arr)), "mean": float(arr.mean())}
+    if q90:
+        out["q90"] = float(np.quantile(arr, 0.9))
+    return out
+
+
 def gibbs_parabola_distances(n, count=200, seed=0, mesh=1000,
                              truncation=DEFAULT_TRUNCATION):
     """Hausdorff distances to the parabola for calibrated typical-k samples.
@@ -206,44 +224,15 @@ def gibbs_parabola_distances(n, count=200, seed=0, mesh=1000,
     parabola.  Returns summary statistics including the median.
     """
     k = typical_vertex_count(n)
-    res = exact_calibrate(CalibrationTarget(n, n, k), trunc=truncation)
-    params = res.params(truncation)
-    dists = []
-    for i in range(count):
-        poly = omega_to_polyline(sample_omega(params, _child_seed(seed, i)))
-        e1, e2 = poly.endpoint()
-        if e1 == 0 or e2 == 0:
-            continue
-        norm = normalize(poly, (e1, e2))
-        dists.append(hausdorff_distance(norm, ShapeCurve.parabola(), mesh))
-    arr = np.asarray(dists)
-    return {
-        "n": n,
-        "k": k,
-        "count": int(arr.size),
-        "median": float(np.median(arr)),
-        "mean": float(arr.mean()),
-        "q90": float(np.quantile(arr, 0.9)),
-    }
+    params = exact_calibrate(CalibrationTarget(n, n, k), trunc=truncation).params(truncation)
+    return _parabola_summary(n, k, _gibbs_lines(params, count, seed), mesh, q90=True)
 
 
 def valtr_parabola_distances(n, k, count=200, seed=0, mesh=1000):
     """Median parabola distance of uniform strictly North-East k-edge lines."""
     rng = np.random.default_rng(seed)
-    dists = []
-    for _ in range(count):
-        poly = sample_valtr(n, k, rng=rng)
-        dists.append(
-            hausdorff_distance(normalize(poly, (n, n)), ShapeCurve.parabola(),
-                               mesh))
-    arr = np.asarray(dists)
-    return {
-        "n": n,
-        "k": k,
-        "count": int(arr.size),
-        "median": float(np.median(arr)),
-        "mean": float(arr.mean()),
-    }
+    lines = [sample_valtr(n, k, rng=rng) for _ in range(count)]
+    return _parabola_summary(n, k, lines, mesh, (n, n))
 
 
 def jarnik_greedy_vertex_count(length_budget):
@@ -260,13 +249,10 @@ def jarnik_greedy_vertex_count(length_budget):
         prims = primitive_vectors_in_box(box, box)
         prims.sort(key=lambda p: (p[0] * p[0] + p[1] * p[1], p))
         total = 0.0
-        count = 0
-        for p, q in prims:
-            step = math.hypot(p, q)
-            if total + step > length_budget:
+        for count, (p, q) in enumerate(prims):
+            total += math.hypot(p, q)
+            if total > length_budget:
                 return count
-            total += step
-            count += 1
         # ran out of directions before the budget: enlarge the catalogue
         box *= 2
         if box > 1 << 12:
@@ -274,11 +260,10 @@ def jarnik_greedy_vertex_count(length_budget):
 
 
 def _expected_euclidean_length(beta, fugacity, truncation):
-    # -d/dbeta of the log partition function, by central difference
-    h = 1e-6 * beta
-    lo = GibbsParams(EnergyModel.euclidean(beta - h), fugacity, truncation)
-    hi = GibbsParams(EnergyModel.euclidean(beta + h), fugacity, truncation)
-    return (log_partition(lo) - log_partition(hi)) / (2.0 * h)
+    """E[L] = sum over sites of |x| * E[omega(x)], from the per-site kernel."""
+    x1, x2, en = _site_arrays(EnergyModel.euclidean(beta), truncation)
+    _, mean, _ = _site_laws(*_site_exponents(en, -math.log(fugacity)))
+    return float(np.sum(np.hypot(x1, x2) * mean))
 
 
 def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
@@ -295,25 +280,12 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     params = GibbsParams(EnergyModel.euclidean(beta), fugacity, truncation)
     rep = moments(params)
-    lengths = np.empty(samples)
-    ks = np.empty(samples)
-    circle = ShapeCurve.circle()
-    dists = []
-    for i in range(samples):
-        poly = omega_to_polyline(sample_omega(params, _child_seed(seed, i)))
-        lengths[i] = line_length(poly)
-        ks[i] = len(poly.vertices) - 1
-        e1, e2 = poly.endpoint()
-        if e1 > 0 and e2 > 0:
-            dists.append(
-                hausdorff_distance(normalize(poly, (e1, e2)), circle, mesh))
-    if not dists:
-        raise ValueError(
-            f"none of the {samples} lines sampled at beta={beta} leaves both "
-            "axes, so there is no length or shape to check; lower beta")
+    lines = _gibbs_lines(params, samples, seed)
+    dists = _distances(lines, ShapeCurve.circle(), mesh)
+    ks = np.array([len(poly.vertices) - 1 for poly in lines], dtype=float)
 
     rows = []
-    mean_len = float(lengths.mean())
+    mean_len = float(np.mean([line_length(poly) for poly in lines]))
     mean_k = float(ks.mean())
 
     ratio_target = (3.0 / (4.0 * math.pi * ZETA3**2)) ** (1.0 / 3.0)
@@ -326,9 +298,8 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
     bstar = brentq(
         lambda b: _expected_euclidean_length(b, fugacity, truncation) - mean_len,
         beta / 3.0, 3.0 * beta, xtol=1e-12)
-    legendre = log_partition(
-        GibbsParams(EnergyModel.euclidean(bstar), fugacity, truncation)
-    ) + bstar * mean_len
+    bstar_params = GibbsParams(EnergyModel.euclidean(bstar), fugacity, truncation)
+    legendre = log_partition(bstar_params) + bstar * mean_len
     slope = legendre / mean_len ** (2.0 / 3.0)
     rows.append(_row("count-growth slope", slope_target, slope, 0.05,
                      abs(slope / slope_target - 1.0) <= 0.05))
@@ -403,19 +374,20 @@ def _suite_counting(config):
 
 def _suite_calibration(config):
     rows = []
+    fit = lru_cache(maxsize=None)(exact_calibrate)  # each target is calibrated once
     for k in (5, 34):
-        res = exact_calibrate(CalibrationTarget(300, 300, k))
+        res = fit(CalibrationTarget(300, 300, k))
         worst = max(abs(r) for r in res.residuals)
         rows.append(_row(f"moment residuals at k={k}", 0.0, worst, 1e-6,
                          res.converged and worst <= 1e-6))
-    res5 = exact_calibrate(CalibrationTarget(300, 300, 5))
+    res5 = fit(CalibrationTarget(300, 300, 5))
     rows.append(_row("dilute beta1 near k/n1", 5.0 / 300.0, res5.beta1, 0.30,
                      abs(res5.beta1 / (5.0 / 300.0) - 1.0) <= 0.30))
     # count-growth consistency: log-count rate e(1) at the typical density
     n = int(config.get("n", 300))
     k = typical_vertex_count(n)
     t = CalibrationTarget(n, n, k)
-    pred = predicted_log_pnk(t, exact_calibrate(t), with_llt=False)
+    pred = predicted_log_pnk(t, fit(t), with_llt=False)
     rate = pred / n ** (2.0 / 3.0)
     target = e_of_ell(1.0)
     rows.append(_row("log-count rate near e(1)", target, rate, 0.10,
@@ -433,7 +405,6 @@ def _suite_shapes(config):
     rows.append(_row("parabola on-curve identity", 0.0, worst, 1e-12,
                      worst <= 1e-12))
 
-    from .shapes import mixed_length
     L0 = mixed_length(0.0)
     L0_target = 1.0 + math.log(1.0 + math.sqrt(2.0)) / math.sqrt(2.0)
     rows.append(_row("mixed length at 0", L0_target, L0, 1e-9,
@@ -454,21 +425,19 @@ def _suite_shapes(config):
 def _suite_jarnik(config):
     seed = int(config.get("seed", 0))
     samples = int(config.get("samples", 100))
-    report = run_jarnik(0.05, samples=samples, seed=seed)
-    rows = list(report["rows"])
-    d_coarse = run_jarnik(0.1, samples=samples, seed=seed)
-    d_fine = run_jarnik(0.02, samples=samples, seed=seed)
-    med_hi = next(r["observed"] for r in d_coarse["rows"]
-                  if r["check"] == "median circle distance")
-    med_lo = next(r["observed"] for r in d_fine["rows"]
-                  if r["check"] == "median circle distance")
+    rows = list(run_jarnik(0.05, samples=samples, seed=seed)["rows"])
+    # the coarse and fine runs only contribute their median circle distance
+    med_hi, med_lo = (
+        float(np.median(_distances(
+            _gibbs_lines(GibbsParams(EnergyModel.euclidean(beta)), samples, seed),
+            ShapeCurve.circle(), 1000)))
+        for beta in (0.1, 0.02))
     rows.append(_row("circle distance shrinks with beta", 1.0,
                      med_lo / med_hi, 0.0, med_lo < med_hi))
     return rows
 
 
 def _suite_mixed(config):
-    from .shapes import mixed_length
     rows = []
     grid = [0.0, 1.0, 10.0, 100.0]
     vals = [mixed_length(v) for v in grid]

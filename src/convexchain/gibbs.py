@@ -17,9 +17,9 @@ the moments:
   saturates the occupation at 1);
 - the Mobius kernel `_mobius_log_z` serves the calibration free energy at
   lam <= 2, linear energy only: log Z with its gradient and Hessian as an
-  O(N log N) sum over n <= N ~ 45/min(beta), without enumerating sites.  It
-  sums over all primitive sites, so its log Z differs from `log_partition`
-  by at most `truncation_bound`.
+  O(N log N) sum over n <= N ~ 45/min(beta), without enumerating sites (past
+  SITE_BUDGET index pairs it is refused).  It sums over all primitive sites,
+  so its log Z differs from `log_partition` by at most `truncation_bound`.
 
 Energies come in three flavors:
 linear beta.x, Euclidean beta*|x|_2, and the mixed norm
@@ -41,7 +41,7 @@ from scipy.special import expit
 
 from .lattice import MultiplicityDistribution, _primitive_grid
 from .specialfn import ZETA2, parallel_constant
-from .tolerances import DEFAULT_TRUNCATION, PARALLEL_TRUNC_TOL
+from .tolerances import DEFAULT_TRUNCATION, PARALLEL_TRUNC_TOL, SITE_BUDGET
 
 __all__ = [
     "EnergyModel",
@@ -141,14 +141,17 @@ class MomentReport:
     truncation_bound: float
 
 
-@lru_cache(maxsize=16)
+# Two entries: only the caller that just built a set reuses it (a sampling
+# loop, a Newton step).  16 had the same hits and kept stale sets (1.6 GB).
+@lru_cache(maxsize=2)
 def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
 
     The `lattice._primitive_grid` rows of the box that holds E <= T, filtered
     by energy; the row-major order is part of the sampling contract (site
     rank).  A box over SITE_BUDGET cells is refused with `ResourceWarning`
-    before any of it is built.
+    before any of it is built; a site whose exp(-E) rounds to 1 has no
+    geometric law, and its set is refused with `ValueError`.
     """
     T = float(truncation)
 
@@ -178,6 +181,10 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     x1 = np.concatenate(xs_parts)
     x2 = np.concatenate(ys_parts)
     en = np.concatenate(en_parts)
+    i = int(np.argmin(en)) if en.size else None
+    if i is not None and np.exp(-en[i]) == 1.0:
+        raise ValueError(f"site energy {en[i]:.3g} at ({x1[i]}, {x2[i]}) is below double "
+                         "resolution: exp(-E) rounds to 1 and leaves no law; raise the rates")
     for a in (x1, x2, en):
         a.setflags(write=False)
     return x1, x2, en
@@ -282,6 +289,10 @@ def _mobius_log_z(beta1: float, beta2: float, g: float):
     -(E[X1], E[X2], E[K]) and the Hessian the covariance of (X1, X2, K).
     """
     n_max = 1 << max(0, math.ceil(math.log2(_MOBIUS_TAIL / min(beta1, beta2))))
+    pairs = n_max * (1.0 + math.log(n_max))  # >= the (j, d) pairs, each about a site's cost
+    if pairs > SITE_BUDGET:
+        raise ResourceWarning(f"the Mobius sum to N = {n_max:.3g} (~{pairs:.2e} index pairs) "
+                              f"is over the budget {SITE_BUDGET:.2e}")
     j, n, mu = _mobius_pairs(n_max)
     m = np.arange(1, n_max + 1)  # j for the c arrays, n for the G arrays
     lam = math.exp(-g)

@@ -37,6 +37,7 @@ __all__ = [
     "hausdorff_distance",
     "curve_csv",
     "overlay_svg",
+    "polylines_svg",
 ]
 
 _QUARTER_PI = math.pi / 4.0
@@ -316,30 +317,29 @@ def curve_csv(curve, mesh=200):
     return "\n".join(lines) + "\n"
 
 
-def overlay_svg(line, curve, mesh=400):
-    """SVG of a normalized polyline overlaid on a limit curve.
+def polylines_svg(polylines):
+    """SVG of (points, stroke, width) polylines over the unit square.
 
     Unit-square viewBox with the y axis flipped to the usual mathematical
     orientation; output is deterministic for fixed inputs.
     """
+    rows = ['<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.05 -0.05 1.1 1.1" '
+            'width="440" height="440">',
+            '<rect x="0" y="0" width="1" height="1" fill="none" '
+            'stroke="#cccccc" stroke-width="0.002"/>']
+    for points, stroke, width in polylines:
+        path = " ".join(f"{x:.6f},{1.0 - y:.6f}" for x, y in points)
+        rows.append(f'<polyline points="{path}" fill="none" '
+                    f'stroke="{stroke}" stroke-width="{width}"/>')
+    return "\n".join([*rows, "</svg>"]) + "\n"
+
+
+def overlay_svg(line, curve, mesh=400):
+    """SVG of a normalized polyline (blue) overlaid on a limit curve (red)."""
     if isinstance(line, NormalizedPolyline):
         pts = line.vertices
     else:
         pts = np.atleast_2d(np.asarray(line, dtype=float))
     curve_pts = curve.sample(mesh) if isinstance(curve, ShapeCurve) else \
         np.atleast_2d(np.asarray(curve, dtype=float))
-
-    def path(points):
-        return " ".join(f"{x:.6f},{1.0 - y:.6f}" for x, y in points)
-
-    return (
-        '<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.05 -0.05 1.1 1.1" '
-        'width="440" height="440">\n'
-        '<rect x="0" y="0" width="1" height="1" fill="none" '
-        'stroke="#cccccc" stroke-width="0.002"/>\n'
-        f'<polyline points="{path(curve_pts)}" fill="none" '
-        'stroke="#d62728" stroke-width="0.004"/>\n'
-        f'<polyline points="{path(pts)}" fill="none" '
-        'stroke="#1f77b4" stroke-width="0.004"/>\n'
-        "</svg>\n"
-    )
+    return polylines_svg([(curve_pts, "#d62728", "0.004"), (pts, "#1f77b4", "0.004")])

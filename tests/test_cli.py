@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface via main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -94,6 +95,8 @@ def test_maxvert(capsys):
     ["count", "--n1", "300", "--n2", "300", "--kmax", "20"],
     ["maxvert", "--n1", "600", "--n2", "600"],
     ["sample-gibbs", "--beta1", "1e-4", "--beta2", "1e-4"],
+    # the small-k initializer's rate 1e-12 would size a 2e15-pair Mobius sum
+    ["calibrate", "--n1", "1000000000000", "--n2", "1", "--k", "1", "--exact"],
 ])
 def test_over_budget_is_resource_error(capsys, argv):
     rc, out, err = run(capsys, argv)
@@ -127,6 +130,8 @@ def test_library_failure_is_one_error_line(capsys, argv):
     ["jarnik", "--beta", "5", "--samples", "2"],  # every sampled line empty
     ["curve", "--curve", "mixed", "--lambda-ell", "inf"],  # stalled quadrature
     ["mixed-shapes", "--grid", "1e300"],  # overflow
+    # a site energy whose exp(-E) rounds to 1
+    ["sample-gibbs", "--beta1", "1e-300", "--beta2", "1", "--trunc", "1e-300"],
 ])
 def test_input_contract_is_one_error_line(capsys, argv):
     rc, out, err = run(capsys, argv)
@@ -134,6 +139,20 @@ def test_input_contract_is_one_error_line(capsys, argv):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_unbounded_calibration_quotes_the_capacity_as_a_limit(capsys):
+    # density 1.063 fails in a 60x3 box although the large-n capacity is 1.399
+    rc, out, err = run(capsys, ["calibrate", "--n1", "60", "--n2", "3",
+                                "--k", "6", "--exact"])
+    assert rc == 1
+    assert out == ""
+    assert "Traceback" not in err
+    message = json.loads(err)["error"]
+    assert len(message.splitlines()) == 1
+    assert "exceeds" not in message
+    assert "1.063" in message and "tends to 1.399" in message
 
 
 def _cli_subprocess(argv):
@@ -375,6 +394,15 @@ def test_mixed_shapes_svg(capsys):
                               "--format", "svg", "--mesh", "60"])
     assert rc == 0
     assert out.startswith("<svg") and out.count("<polyline") == 2
+
+
+def test_mixed_shapes_svg_bytes_are_frozen(capsys):
+    # the default five-curve picture, frozen as a digest: the shared SVG
+    # writer in `shapes` must reproduce it byte for byte
+    rc, out, _ = run(capsys, ["mixed-shapes", "--format", "svg"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ab280e6c314b1aaad98abc876d451bce43484c75b4f183bfefba96685867695b")
 
 
 def test_mixed_shapes_bad_grid_is_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Tests for the experiment drivers: few-vertex sampling, the
 Euclidean-length model, and the suite runner."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from convexchain.counting import brute_force_enum, line_length
 from convexchain.experiments import (
     SUITE_NAMES,
+    _expected_euclidean_length,
     enumerate_ne_lines,
     gibbs_parabola_distances,
     jarnik_greedy_vertex_count,
@@ -23,6 +25,7 @@ from convexchain.experiments import (
     valtr_parabola_distances,
     valtr_uniformity_chisquare,
 )
+from convexchain.gibbs import DEFAULT_TRUNCATION, EnergyModel, GibbsParams, log_partition
 
 
 def test_valtr_replay_and_validity():
@@ -36,6 +39,14 @@ def test_valtr_replay_and_validity():
     # distinct seeds give distinct lines (overwhelmingly)
     c = sample_valtr(200, 5, seed=12)
     assert c.vertices != a.vertices
+
+
+def test_valtr_edges_pairwise_non_parallel():
+    # at n = 100 about one raw draw in a hundred repeats a direction and is redrawn
+    for seed in range(200):
+        edges = sample_valtr(100, 4, seed=seed).edges()
+        directions = {(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in edges}
+        assert len(directions) == len(edges)
 
 
 def test_valtr_two_edges():
@@ -114,6 +125,24 @@ def test_run_jarnik_report():
     # exact replay
     again = run_jarnik(0.05, samples=40, seed=0)
     assert report_json(rep) == report_json(again)
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1])
+def test_expected_length_matches_log_partition_difference(beta):
+    # oracle: E[L] = -d/dbeta log Z by central difference of two site sets
+    h = 1e-6 * beta
+    lo, hi = (GibbsParams(EnergyModel.euclidean(b)) for b in (beta - h, beta + h))
+    oracle = (log_partition(lo) - log_partition(hi)) / (2.0 * h)
+    exact = _expected_euclidean_length(beta, 1.0, DEFAULT_TRUNCATION)
+    assert exact == pytest.approx(oracle, rel=1e-6)
+
+
+def test_jarnik_suite_report_is_frozen():
+    # the whole report at 10 samples, frozen as a digest: the suite computes
+    # each row once and must keep every byte
+    text = report_json(run_suite("jarnik", {"samples": 10}))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5b504a278647342bbb39e973d8124fa817b2aaee02c0b66b9b2a65c0034a659d")
 
 
 def test_gibbs_parabola_distance_summary():

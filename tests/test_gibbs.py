@@ -90,6 +90,15 @@ def test_oversized_site_set_refused_up_front(energy):
         moments(GibbsParams(energy))
 
 
+@pytest.mark.parametrize("call", [log_partition, moments,
+                                  lambda p: sample_omega(p, 0)])
+def test_sub_resolution_site_energy_refused(call):
+    # exp(-1e-300) rounds to 1: no geometric law at (1, 0)
+    params = GibbsParams(EnergyModel.linear(1e-300, 1.0), truncation=1e-300)
+    with pytest.raises(ValueError, match=r"site energy 1e-300 at \(1, 0\)"):
+        call(params)
+
+
 @given(
     st.integers(0, 50),
     st.integers(0, 50),
