@@ -224,9 +224,11 @@ def _unbounded(target: CalibrationTarget) -> CalibrationError:
     # to 3*pi^(-2/3) as n grows, and small boxes fail below it.
     return CalibrationError(
         f"free energy unbounded below for {target}: lines ending near "
-        f"({target.n1}, {target.n2}) cannot carry k = {target.k} vertices (density "
-        f"{target.vertex_density():.4g}; the capacity density tends to "
-        f"{3.0 * math.pi ** (-2.0 / 3):.4g} only as n grows); no calibrated parameters exist")
+        f"({target.n1}, {target.n2}) cannot carry k = {target.k} vertices "
+        f"(density {target.vertex_density():.4g}; the capacity density tends "
+        f"to {3.0 * math.pi ** (-2.0 / 3):.4g} only as n grows); "
+        "no calibrated parameters exist"
+    )
 
 
 def exact_calibrate(target: CalibrationTarget,

@@ -26,8 +26,15 @@ from scipy.optimize import brentq
 
 from .calibrate import CalibrationTarget, exact_calibrate, predicted_log_pnk
 from .counting import brute_force_enum, count_lines_k, line_length
-from .gibbs import (DEFAULT_TRUNCATION, EnergyModel, GibbsParams, _site_arrays, _site_exponents,
-                    _site_laws, log_partition, moments, sample_omega)
+from .gibbs import (
+    DEFAULT_TRUNCATION,
+    EnergyModel,
+    GibbsParams,
+    _mean_euclidean_length,
+    log_partition,
+    moments,
+    sample_omega,
+)
 from .lattice import ConvexPolyline, omega_to_polyline, primitive_vectors_in_box
 from .shapes import ShapeCurve, hausdorff_distance, mixed_length, normalize
 from .specialfn import ZETA3, c_of_ell, e_of_ell
@@ -147,8 +154,12 @@ def valtr_uniformity_chisquare(n, k, samples, seed=0, bins=200):
         digest = hashlib.md5(repr(edge_tuple).encode()).digest()
         return int.from_bytes(digest[:8], "big") % bins
 
-    index = {line: cell(line) for line in support}
-    expected = np.bincount(list(index.values()), minlength=bins) * (samples / len(support))
+    expected = np.zeros(bins)
+    index = {}
+    for line in support:
+        index[line] = cell(line)
+        expected[index[line]] += 1.0
+    expected *= samples / len(support)
 
     observed = np.zeros(bins)
     rng = np.random.default_rng(seed)
@@ -188,16 +199,16 @@ def _gibbs_lines(params, count, seed):
             for i in range(count)]
 
 
-def _distances(lines, curve, mesh, scale=None):
+def _distances(lines, curve, mesh):
     """Hausdorff distance of each line to `curve`, sampled once at `mesh`.
 
-    A line is normalized by `scale`, or by its own endpoint when scale is
-    None; lines that end on an axis have no shape and are skipped.
+    A line is normalized by its own endpoint; lines that end on an axis have
+    no shape and are skipped.
     """
     curve_pts = curve.sample(mesh)
     dists = []
     for poly in lines:
-        end = scale or poly.endpoint()
+        end = poly.endpoint()
         if end[0] > 0 and end[1] > 0:
             dists.append(hausdorff_distance(normalize(poly, end), curve_pts, mesh))
     if not dists:
@@ -206,8 +217,8 @@ def _distances(lines, curve, mesh, scale=None):
     return dists
 
 
-def _parabola_summary(n, k, lines, mesh, scale=None, q90=False):
-    arr = np.asarray(_distances(lines, ShapeCurve.parabola(), mesh, scale))
+def _parabola_summary(n, k, lines, mesh, q90=False):
+    arr = np.asarray(_distances(lines, ShapeCurve.parabola(), mesh))
     out = {"n": n, "k": k, "count": int(arr.size),
            "median": float(np.median(arr)), "mean": float(arr.mean())}
     if q90:
@@ -224,15 +235,19 @@ def gibbs_parabola_distances(n, count=200, seed=0, mesh=1000,
     parabola.  Returns summary statistics including the median.
     """
     k = typical_vertex_count(n)
-    params = exact_calibrate(CalibrationTarget(n, n, k), trunc=truncation).params(truncation)
+    res = exact_calibrate(CalibrationTarget(n, n, k), trunc=truncation)
+    params = res.params(truncation)
     return _parabola_summary(n, k, _gibbs_lines(params, count, seed), mesh, q90=True)
 
 
 def valtr_parabola_distances(n, k, count=200, seed=0, mesh=1000):
-    """Median parabola distance of uniform strictly North-East k-edge lines."""
+    """Median parabola distance of uniform strictly North-East k-edge lines.
+
+    Every line ends at (n, n), so its own endpoint is the normalization.
+    """
     rng = np.random.default_rng(seed)
     lines = [sample_valtr(n, k, rng=rng) for _ in range(count)]
-    return _parabola_summary(n, k, lines, mesh, (n, n))
+    return _parabola_summary(n, k, lines, mesh)
 
 
 def jarnik_greedy_vertex_count(length_budget):
@@ -249,21 +264,17 @@ def jarnik_greedy_vertex_count(length_budget):
         prims = primitive_vectors_in_box(box, box)
         prims.sort(key=lambda p: (p[0] * p[0] + p[1] * p[1], p))
         total = 0.0
-        for count, (p, q) in enumerate(prims):
-            total += math.hypot(p, q)
-            if total > length_budget:
+        count = 0
+        for p, q in prims:
+            step = math.hypot(p, q)
+            if total + step > length_budget:
                 return count
+            total += step
+            count += 1
         # ran out of directions before the budget: enlarge the catalogue
         box *= 2
         if box > 1 << 12:
             raise RuntimeError("length budget too large for the greedy sweep")
-
-
-def _expected_euclidean_length(beta, fugacity, truncation):
-    """E[L] = sum over sites of |x| * E[omega(x)], from the per-site kernel."""
-    x1, x2, en = _site_arrays(EnergyModel.euclidean(beta), truncation)
-    _, mean, _ = _site_laws(*_site_exponents(en, -math.log(fugacity)))
-    return float(np.sum(np.hypot(x1, x2) * mean))
 
 
 def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
@@ -296,10 +307,12 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
     slope_target = 3.0 ** (4.0 / 3.0) * ZETA3 ** (1.0 / 3.0) / (
         4.0 * math.pi) ** (1.0 / 3.0)
     bstar = brentq(
-        lambda b: _expected_euclidean_length(b, fugacity, truncation) - mean_len,
+        lambda b: _mean_euclidean_length(
+            GibbsParams(EnergyModel.euclidean(b), fugacity, truncation)) - mean_len,
         beta / 3.0, 3.0 * beta, xtol=1e-12)
-    bstar_params = GibbsParams(EnergyModel.euclidean(bstar), fugacity, truncation)
-    legendre = log_partition(bstar_params) + bstar * mean_len
+    legendre = log_partition(
+        GibbsParams(EnergyModel.euclidean(bstar), fugacity, truncation)
+    ) + bstar * mean_len
     slope = legendre / mean_len ** (2.0 / 3.0)
     rows.append(_row("count-growth slope", slope_target, slope, 0.05,
                      abs(slope / slope_target - 1.0) <= 0.05))

@@ -330,6 +330,13 @@ def log_partition(params: GibbsParams) -> float:
     return _log_z(a)
 
 
+def _mean_euclidean_length(params: GibbsParams) -> float:
+    """E[L] = sum over truncated sites of |x|_2 * E[omega(x)] (-d log Z/d beta)."""
+    x1, x2, en = _site_arrays(params.energy, params.truncation)
+    _, mean, _ = _site_laws(*_site_exponents(en, -math.log(params.fugacity)))
+    return float(np.sum(np.hypot(x1, x2) * mean))
+
+
 @lru_cache(maxsize=2)
 def _per_site_laws(params: GibbsParams):
     # cached because sampling loops hit the same params thousands of times

@@ -99,24 +99,24 @@ ZETA3 = zeta(3.0)
 EULER_GAMMA = float(np.euler_gamma)
 
 
-def _polylog_series(s: float, z: float, over_z: bool = False) -> float:
-    """Li_s(z) by its series, or with over_z the series of Li_s(z)/z,
-    sum z^(j-1)/j^s, which is 1 at z = 0 and free of the 0/0 there."""
-    if abs(z) >= 1:
-        raise ValueError("series route needs |z| < 1")
-    if z == 0.0:
-        return float(over_z)
-    # tail bound: sum_{j>N} |z|^j / j^s <= |z|^(N+1) / ((N+1)^s (1-|z|)),
-    # relative to |z| for the quotient
-    az = abs(z)
-    tol = POLYLOG_SERIES_TOL * az if over_z else POLYLOG_SERIES_TOL
+def _series_terms(az: float, s: float, tol: float) -> np.ndarray:
+    """j = 1..N for a series in az^j / j^s, N doubled from 16 until the tail
+    bound sum_{j>N} az^j / j^s <= az^(N+1) / ((N+1)^s (1-az)) is below tol."""
     N = 16
     while az ** (N + 1) / ((N + 1) ** s * (1 - az)) > tol:
         N *= 2
         if N > 1_000_000:  # unreachable for az <= 0.98
             raise RuntimeError("series will not meet its tail bound")
-    j = np.arange(1, N + 1, dtype=float)
-    return float(np.sum(z ** (j - 1 if over_z else j) / j**s))
+    return np.arange(1, N + 1, dtype=float)
+
+
+def _polylog_series(s: float, z: float) -> float:
+    if abs(z) >= 1:
+        raise ValueError("series route needs |z| < 1")
+    if z == 0.0:
+        return 0.0
+    j = _series_terms(abs(z), s, POLYLOG_SERIES_TOL)
+    return float(np.sum(z**j / j**s))
 
 
 def _polylog_integral(s: float, z: float) -> float:
@@ -191,8 +191,12 @@ def polylog(s: float, z: float, method: str = "auto") -> float:
 
 def ratio_li2(w: float) -> float:
     """Li2(w)/w extended continuously by 1 at w = 0 (series sum w^(j-1)/j^2)."""
+    if w == 0.0:
+        return 1.0
     if abs(w) <= 0.98:
-        return _polylog_series(2.0, w, over_z=True)
+        # the tail is bounded relative to |w|, the size of Li2(w)
+        j = _series_terms(abs(w), 2.0, POLYLOG_SERIES_TOL * abs(w))
+        return float(np.sum(w ** (j - 1) / j**2))
     return polylog(2.0, w) / w
 
 

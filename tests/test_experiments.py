@@ -13,7 +13,6 @@ import pytest
 from convexchain.counting import brute_force_enum, line_length
 from convexchain.experiments import (
     SUITE_NAMES,
-    _expected_euclidean_length,
     enumerate_ne_lines,
     gibbs_parabola_distances,
     jarnik_greedy_vertex_count,
@@ -25,7 +24,7 @@ from convexchain.experiments import (
     valtr_parabola_distances,
     valtr_uniformity_chisquare,
 )
-from convexchain.gibbs import DEFAULT_TRUNCATION, EnergyModel, GibbsParams, log_partition
+from convexchain.gibbs import EnergyModel, GibbsParams, _mean_euclidean_length, log_partition
 
 
 def test_valtr_replay_and_validity():
@@ -133,7 +132,7 @@ def test_expected_length_matches_log_partition_difference(beta):
     h = 1e-6 * beta
     lo, hi = (GibbsParams(EnergyModel.euclidean(b)) for b in (beta - h, beta + h))
     oracle = (log_partition(lo) - log_partition(hi)) / (2.0 * h)
-    exact = _expected_euclidean_length(beta, 1.0, DEFAULT_TRUNCATION)
+    exact = _mean_euclidean_length(GibbsParams(EnergyModel.euclidean(beta)))
     assert exact == pytest.approx(oracle, rel=1e-6)
 
 
