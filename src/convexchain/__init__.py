@@ -17,7 +17,6 @@ from .counting import (
     max_vertices,
 )
 from .specialfn import (
-    AsymptoticProfile,
     ZETA2,
     ZETA3,
     c_of_ell,
@@ -44,7 +43,6 @@ from .calibrate import (
     predicted_log_pnk,
 )
 from .shapes import (
-    NormalizedPolyline,
     ShapeCurve,
     hausdorff_distance,
     mixed_curve,

@@ -11,16 +11,12 @@ curve c in the fugacity (one bracketed root in log lambda, no tabulation)
 and applies the closed-form rate relations; a small-k closed form covers
 densities below the bracket.
 
-The Newton loop evaluates f with no site enumeration while lambda <= 2: log Z
-and its derivatives come from the closed-form Mobius kernel of the linear
-energy in `gibbs`, which sums over all primitive sites, so there the loop
-solves the untruncated moment equations.  Above lambda = 2 that series
-diverges and f comes from the per-site law kernel of `moments` on the
-truncated site set at the current rates.  A step may at most halve a rate,
-and once f can no longer resolve the predicted decrease the full Newton step
-is taken.  Reported residuals and the free energy always come from fresh
-`moments` and `log_partition` calls at the truncation, an independent check
-of the kernel.
+log Z and its derivatives come from `gibbs._linear_log_z`, which chooses the
+kernel (no site enumeration while lambda <= 2).  A step may at most halve a
+rate, and once f can no longer resolve the predicted decrease the full
+Newton step is taken.  Reported residuals and the free energy always come
+from fresh `moments` and `log_partition` calls at the truncation, an
+independent check of the kernel.
 """
 
 from __future__ import annotations
@@ -31,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .gibbs import (EnergyModel, GibbsParams, _log_z, _mobius_log_z, _site_arrays,
-                    _site_exponents, _site_laws, _site_sums, log_partition, moments)
+from .gibbs import EnergyModel, GibbsParams, _linear_log_z, log_partition, moments
 from .specialfn import ZETA2, _residue_core, c_of_ell
 from .tolerances import (
     CALIB_MAX_ITER,
@@ -54,9 +49,6 @@ __all__ = [
 
 # fugacity bracket of the c-inversion; c is strictly increasing on it
 _LAM_LO, _LAM_HI = 1e-8, 1e4
-# g = -log(lambda) at and above which the free energy uses the closed-form
-# kernel (lambda <= 2, where its series converges)
-_G_SERIES = -math.log(2.0)
 # relative change of f below which its value is rounding noise (a few ulps of
 # each of its terms and of log Z's sum)
 _F_RESOLUTION = 1e-14
@@ -138,14 +130,9 @@ def asymptotic_params(target: CalibrationTarget) -> tuple[float, float, float]:
 class FreeEnergy:
     """f(v) = b1*n1 + b2*n2 + g*k + log Z with its derivatives, v = (b1, b2, g).
 
-    For lam = e^-g <= 2, log Z is the closed-form Mobius kernel of the linear
-    energy (`gibbs._mobius_log_z`), summed over all primitive sites: there the
-    Newton loop solves the untruncated moment equations.  For lam > 2 its
-    series diverges and f is the per-site kernel on the truncated site set at
-    the current rates, the same numbers as `moments` and `log_partition`.
-    The reported residuals come from `moments` at the truncation, so a
-    truncation too small to hold the solution (a small --trunc) still shows
-    up as a non-converged result.
+    log Z is `gibbs._linear_log_z` at the truncation.  The reported residuals
+    come from `moments` at the truncation, so a truncation too small to hold
+    the solution (a small --trunc) still shows up as a non-converged result.
     """
 
     def __init__(self, target: CalibrationTarget,
@@ -154,28 +141,16 @@ class FreeEnergy:
         self.truncation = truncation
         self._target = np.array([target.n1, target.n2, target.k], dtype=float)
 
-    def _sites(self, v: np.ndarray):
-        x1, x2, en = _site_arrays(EnergyModel.linear(v[0], v[1]), self.truncation)
-        return x1, x2, _site_exponents(en, v[2])
-
     def value(self, v: np.ndarray) -> float:
         t = self.target
-        if v[2] >= _G_SERIES:
-            logz = _mobius_log_z(*v)[0]
-        else:
-            _, _, (_, a) = self._sites(v)
-            logz = _log_z(a)
+        logz = _linear_log_z(*v, self.truncation)[0]
         return v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k + logz
 
     def _derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradient, Hessian): the moment mismatch and the covariance of
         (X1, X2, K)."""
-        if v[2] >= _G_SERIES:
-            _, grad, cov = _mobius_log_z(*v)
-            return self._target + grad, cov
-        x1, x2, exps = self._sites(v)
-        means, cov = _site_sums(x1.astype(float), x2.astype(float), *_site_laws(*exps))
-        return self._target - means, cov
+        _, grad, cov = _linear_log_z(*v, self.truncation)
+        return self._target + grad, cov
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         return self._derivatives(v)[0]

@@ -47,7 +47,7 @@ from .shapes import (
     overlay_svg,
     polylines_svg,
 )
-from .specialfn import AsymptoticProfile
+from .specialfn import c_of_ell, e_of_ell
 
 __all__ = ["main", "build_parser"]
 
@@ -213,14 +213,13 @@ def _parse_grid(spec):
 
 
 def _cmd_asymptotics_table(args):
-    rows = [AsymptoticProfile.at(ell) for ell in _parse_grid(args.ell_grid)]
+    rows = [(ell, c_of_ell(ell), e_of_ell(ell)) for ell in _parse_grid(args.ell_grid)]
     if args.format == "json":
         text = report_json({"rows": [
-            {"ell": r.ell, "c": r.c_value, "e": r.e_value} for r in rows]})
+            {"ell": ell, "c": c, "e": e} for ell, c, e in rows]})
     else:
         lines = ["ell,c,e"]
-        lines += [f"{r.ell:.12g},{r.c_value:.12g},{r.e_value:.12g}"
-                  for r in rows]
+        lines += [f"{ell:.12g},{c:.12g},{e:.12g}" for ell, c, e in rows]
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0
@@ -443,7 +442,7 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except CalibrationError as exc:
-            print(report_json({"error": str(exc)}), end="", file=sys.stderr)
+            print(f"error: {exc}", file=sys.stderr)
             return 1
         except (ValueError, KeyError, ResourceWarning, RuntimeError,
                 ArithmeticError) as exc:

@@ -18,7 +18,7 @@ vectors (`_shifts`), never in big ints:
 A rebuilt count must agree with the float pass to within its rounding bound,
 or the call raises `ArithmeticError`: a wrong count is never returned
 silently.  The DP refuses up front (never mid-run) when its estimated cell
-updates exceed a configured budget.
+updates exceed COUNT_OP_BUDGET.
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ class CountTable:
     def p(self, a: int, b: int, k: int) -> int:
         return self.entries.get((a, b, k), 0)
 
-    def total(self, a: int, b: int) -> int:
-        return sum(self.p(a, b, k) for k in range(1, self.kmax + 1))
-
     def csv_rows(self):
         for (a, b, k), c in sorted(self.entries.items()):
             yield a, b, k, str(c)
@@ -89,10 +86,10 @@ def _dp_cost_estimate(n1: int, n2: int, kmax: int) -> int:
     return kmax * ((n1 + 1) * (n1 + 2) * (n2 + 1) * (n2 + 2) // 4 - (n1 + 1) * (n2 + 1))
 
 
-def _check_budget(call: str, est: int, op_budget: int) -> None:
-    if est > op_budget:
+def _check_budget(call: str, est: int) -> None:
+    if est > COUNT_OP_BUDGET:
         raise ResourceWarning(
-            f"{call} needs ~{est:.2e} cell updates, over the budget {op_budget:.2e}"
+            f"{call} needs ~{est:.2e} cell updates, over the budget {COUNT_OP_BUDGET:.2e}"
         )
 
 
@@ -167,7 +164,7 @@ def _rebuild(n1: int, n2: int, kmax: int, flt: np.ndarray, bound: int) -> np.nda
     return exact
 
 
-def count_lines_k(n1: int, n2: int, kmax: int, op_budget: int = COUNT_OP_BUDGET) -> CountTable:
+def count_lines_k(n1: int, n2: int, kmax: int) -> CountTable:
     """Exact p(a,b;j) for all a <= n1, b <= n2, j <= kmax.
 
     Layered DP over primitive vectors in slope order (`_count_sweep`), run
@@ -181,7 +178,7 @@ def count_lines_k(n1: int, n2: int, kmax: int, op_budget: int = COUNT_OP_BUDGET)
     """
     if n1 < 1 or n2 < 1 or kmax < 1:
         raise ValueError("n1, n2, kmax must be >= 1")
-    _check_budget(f"count_lines_k({n1},{n2},{kmax})", _dp_cost_estimate(n1, n2, kmax), op_budget)
+    _check_budget(f"count_lines_k({n1},{n2},{kmax})", _dp_cost_estimate(n1, n2, kmax))
 
     flt = _count_sweep(n1, n2, kmax, np.float64)
     adds = (n1 + 1) * (n2 + 1) - 1  # rounded additions per cell: one per shift m*v
@@ -227,7 +224,7 @@ def brute_force_enum(n1: int, n2: int) -> list[MultiplicityDistribution]:
     return out
 
 
-def max_vertices(n1: int, n2: int, op_budget: int = COUNT_OP_BUDGET) -> int:
+def max_vertices(n1: int, n2: int) -> int:
     """Exact max of K(omega) over lines with endpoint (n1,n2).
 
     The count sweep's skeleton with (max, +1) in place of (+, shift): the
@@ -239,7 +236,7 @@ def max_vertices(n1: int, n2: int, op_budget: int = COUNT_OP_BUDGET) -> int:
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("n1, n2 must be >= 1")
-    _check_budget(f"max_vertices({n1},{n2})", _dp_cost_estimate(n1, n2, 1), op_budget)
+    _check_budget(f"max_vertices({n1},{n2})", _dp_cost_estimate(n1, n2, 1))
     floor = -(n1 + n2 + 1)
     best = np.full((n1 + 1, n2 + 1), floor, dtype=np.min_scalar_type(floor))
     best[0, 0] = 0

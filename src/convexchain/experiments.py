@@ -60,7 +60,7 @@ def _child_seed(seed, index):
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
 
 
-def sample_valtr(n, k, seed=0, rng=None, budget=VALTR_REJECTION_BUDGET):
+def sample_valtr(n, k, seed=0, rng=None):
     """One uniform strictly North-East convex line to (n, n) with k edges.
 
     Construction: k-1 sorted uniforms on each axis give an increasing
@@ -84,7 +84,7 @@ def sample_valtr(n, k, seed=0, rng=None, budget=VALTR_REJECTION_BUDGET):
         )
     if rng is None:
         rng = np.random.default_rng(seed)
-    for _ in range(budget):
+    for _ in range(VALTR_REJECTION_BUDGET):
         u = np.ceil(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
         v = np.floor(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
         a = np.diff(np.concatenate([[0], u, [n]]))
@@ -100,7 +100,7 @@ def sample_valtr(n, k, seed=0, rng=None, budget=VALTR_REJECTION_BUDGET):
             verts.append((verts[-1][0] + da, verts[-1][1] + db))
         return ConvexPolyline(tuple(verts))
     raise RuntimeError(
-        f"rejection budget ({budget}) exhausted at n={n}, k={k}: the "
+        f"rejection budget ({VALTR_REJECTION_BUDGET}) exhausted at n={n}, k={k}: the "
         "few-vertex regime k^3 << n is strongly violated"
     )
 
@@ -135,7 +135,7 @@ def enumerate_ne_lines(n, k):
     return out
 
 
-def valtr_uniformity_chisquare(n, k, samples, seed=0, bins=200):
+def valtr_uniformity_chisquare(n, k, samples, seed=0):
     """Chi-square statistic of the sampler against the exact uniform law.
 
     The reference set is enumerated exactly, hashed into `bins` cells (md5
@@ -146,6 +146,7 @@ def valtr_uniformity_chisquare(n, k, samples, seed=0, bins=200):
     """
     from scipy.stats import chi2  # its only user; keeps it off the import path
 
+    bins = 200
     support = enumerate_ne_lines(n, k)
     if not support:
         raise ValueError(f"no strictly North-East lines for n={n}, k={k}")

@@ -10,16 +10,20 @@ count, the 3x3 covariance of (X1, X2, K), seeded sampling, and the
 parallel-endpoint probability all live here.  Two kernels compute log Z and
 the moments:
 
-- the per-site law kernel serves `moments`, `log_partition`, the sampler and
-  the calibration free energy at lam > 2.  It works in
-  a = g + E + log(1-rho), g = -log(lam), where log Z_x = log(1 + e^-a) and
-  P[omega(x) > 0] = expit(-a) stay finite at any fugacity (a -> -inf just
-  saturates the occupation at 1);
-- the Mobius kernel `_mobius_log_z` serves the calibration free energy at
-  lam <= 2, linear energy only: log Z with its gradient and Hessian as an
-  O(N log N) sum over n <= N ~ 45/min(beta), without enumerating sites (past
-  SITE_BUDGET index pairs it is refused).  It sums over all primitive sites,
-  so its log Z differs from `log_partition` by at most `truncation_bound`.
+- the per-site law kernel `_site_laws` serves `moments`, `log_partition`
+  and the sampler.  It works in a = g + E + log(1-rho), g = -log(lam), where
+  log Z_x = log(1 + e^-a) and P[omega(x) > 0] = expit(-a) stay finite at any
+  fugacity (a -> -inf just saturates the occupation at 1);
+- the Mobius kernel `_mobius_log_z`, linear energy only, gives log Z with
+  its gradient and Hessian as an O(N log N) sum over n <= N ~ 45/min(beta),
+  without enumerating sites (past SITE_BUDGET index pairs it is refused).
+  It sums over all primitive sites, so its log Z differs from
+  `log_partition` by at most `truncation_bound`; its series converges for
+  lam <= 2 only.
+
+`_linear_log_z` is the one place that chooses between them: the calibration
+free energy takes the Mobius kernel for lam <= 2 and the per-site kernel on
+the truncated site set above.
 
 Energies come in three flavors:
 linear beta.x, Euclidean beta*|x|_2, and the mixed norm
@@ -125,11 +129,6 @@ class GibbsParams:
         if not 0 < self.truncation < math.inf:
             raise ValueError("truncation must be positive and finite")
 
-    def per_site_truncation_bound(self) -> float:
-        """lam * e^-T / (1 - e^-T): the omitted mass of any single site."""
-        t = self.truncation
-        return self.fugacity * math.exp(-t) / -math.expm1(-t)
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -149,30 +148,20 @@ def _site_arrays(energy: EnergyModel, truncation: float):
 
     The `lattice._primitive_grid` rows of the box that holds E <= T, filtered
     by energy; the row-major order is part of the sampling contract (site
-    rank).  A box over SITE_BUDGET cells is refused with `ResourceWarning`
-    before any of it is built; a site whose exp(-E) rounds to 1 has no
-    geometric law, and its set is refused with `ValueError`.
+    rank).  Every family has E(v, 0) = v*E(1, 0), E(0, v) = v*E(0, 1) and
+    grows along each axis, so side i of the box is floor(T/E(e_i)), plus one
+    when that quotient rounded down past an axis point with E <= T.  A box
+    over SITE_BUDGET cells is refused with `ResourceWarning` before any of it
+    is built; a site whose exp(-E) rounds to 1 has no geometric law, and its
+    set is refused with `ValueError`.
     """
     T = float(truncation)
-
-    def top(along_x1: bool) -> int:
-        hi = 1
-        f = (lambda v: float(energy(v, 0))) if along_x1 else (lambda v: float(energy(0, v)))
-        while f(hi) <= T:
-            hi *= 2
-            if hi > 1 << 26:
-                raise ValueError("energy grows too slowly; site set unbounded")
-        lo = hi // 2
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            if f(mid) <= T:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
+    with np.errstate(divide="ignore"):  # E(e_i) = 0 is an unbounded side
+        span = T / np.array([energy(1, 0), energy(0, 1)], dtype=float)
+    n1, n2 = np.floor(np.minimum(span, SITE_BUDGET)).astype(np.int64).tolist()
+    n1, n2 = n1 + int(energy(n1 + 1, 0) <= T), n2 + int(energy(0, n2 + 1) <= T)
     xs_parts, ys_parts, en_parts = [], [], []
-    for x1, x2 in _primitive_grid(top(True), top(False)):
+    for x1, x2 in _primitive_grid(n1, n2):
         en = np.asarray(energy(x1.astype(float), x2.astype(float)), dtype=float)
         keep = en <= T
         xs_parts.append(x1[keep])
@@ -206,29 +195,37 @@ def truncation_bound(params: GibbsParams) -> float:
     return params.fugacity * tail / -math.expm1(-T)
 
 
-def _site_exponents(en: np.ndarray, g: float) -> tuple[np.ndarray, np.ndarray]:
-    """(rho, a) per site from energies E and g = -log(lam); the operation order
-    of a = g + E + log(1-rho) keeps calibration iterates reproducible."""
+# cached because sampling loops and Newton steps hit the same parameters
+# again and again
+@lru_cache(maxsize=2)
+def _site_laws(energy: EnergyModel, g: float, truncation: float):
+    """(x1, x2, rho, q, mean, var) per truncated site: the biased geometric law
+    at g = -log(lam), with q = P[omega > 0].
+
+    The operation order of a = g + E + log(1-rho) keeps calibration iterates
+    reproducible; `_log_z` repeats it.
+    """
+    x1, x2, en = _site_arrays(energy, truncation)
     rho = np.exp(-en)
-    a = g + en + np.log1p(-rho)
-    return rho, a
-
-
-def _site_laws(rho: np.ndarray, a: np.ndarray):
-    """Per-site (q, mean, var) of the biased geometric law, q = P[omega > 0]."""
-    q = expit(-a)  # stable 1/(1+e^a)
+    q = expit(-(g + en + np.log1p(-rho)))  # stable 1/(1+e^a)
     mean = q / (1.0 - rho)
     var = q * (1.0 + rho) / (1.0 - rho) ** 2 - mean**2
-    return q, mean, var
+    for arr in (rho, q, mean, var):
+        arr.setflags(write=False)
+    return x1, x2, rho, q, mean, var
 
 
-def _log_z(a: np.ndarray) -> float:
-    """Sum over sites of log Z_x = log(1 + e^-a)."""
-    return float(np.sum(np.logaddexp(0.0, -a)))
+def _log_z(energy: EnergyModel, g: float, truncation: float) -> float:
+    """Sum over truncated sites of log Z_x = log(1 + e^-a)."""
+    en = _site_arrays(energy, truncation)[2]
+    return float(np.sum(np.logaddexp(0.0, -(g + en + np.log1p(-np.exp(-en))))))
 
 
-def _site_sums(x1, x2, q, mean, var) -> tuple[np.ndarray, np.ndarray]:
-    """(E[X1], E[X2], E[K]) and the covariance of (X1, X2, K); x1, x2 as floats."""
+def _site_sums(energy: EnergyModel, g: float, truncation: float):
+    """(E[X1], E[X2], E[K]) and the covariance of (X1, X2, K) over the
+    truncated sites."""
+    x1, x2, _, q, mean, var = _site_laws(energy, g, truncation)
+    x1, x2 = x1.astype(float), x2.astype(float)
     means = np.array([np.sum(x1 * mean), np.sum(x2 * mean), np.sum(q)])
     ck = mean * (1.0 - q)  # Cov(omega, 1{omega>0}) per site
     cov = np.empty((3, 3))
@@ -323,42 +320,55 @@ def _mobius_log_z(beta1: float, beta2: float, g: float):
     return float(a @ G), grad, hess
 
 
+# g = -log(lam) at and above which `_linear_log_z` takes the Mobius kernel
+# (lam <= 2, where its series converges)
+_G_SERIES = -math.log(2.0)
+
+
+def _linear_log_z(beta1: float, beta2: float, g: float, truncation: float):
+    """(log Z, gradient, Hessian) of the linear energy in v = (beta1, beta2, g),
+    g = -log(lam); the gradient is -(E[X1], E[X2], E[K]) and the Hessian the
+    covariance of (X1, X2, K).
+
+    This is where the kernel is chosen: for lam <= 2 the Mobius kernel sums
+    over all primitive sites (the untruncated measure); above, its series
+    diverges and the per-site law kernel sums over the sites with energy at
+    most `truncation`, the same numbers as `moments` and `log_partition`.
+    """
+    if g >= _G_SERIES:
+        return _mobius_log_z(beta1, beta2, g)
+    energy = EnergyModel.linear(beta1, beta2)
+    means, cov = _site_sums(energy, g, truncation)
+    return _log_z(energy, g, truncation), -means, cov
+
+
+def _law_key(params: GibbsParams):
+    """(energy, g = -log(lam), truncation): the arguments of the law kernel."""
+    return params.energy, -math.log(params.fugacity), params.truncation
+
+
 def log_partition(params: GibbsParams) -> float:
     """Sum over truncated sites of log(1 + lam*rho/(1-rho)), rho = e^-E."""
-    _, _, en = _site_arrays(params.energy, params.truncation)
-    _, a = _site_exponents(en, -math.log(params.fugacity))
-    return _log_z(a)
+    return _log_z(*_law_key(params))
 
 
 def _mean_euclidean_length(params: GibbsParams) -> float:
     """E[L] = sum over truncated sites of |x|_2 * E[omega(x)] (-d log Z/d beta)."""
-    x1, x2, en = _site_arrays(params.energy, params.truncation)
-    _, mean, _ = _site_laws(*_site_exponents(en, -math.log(params.fugacity)))
+    x1, x2, _, _, mean, _ = _site_laws(*_law_key(params))
     return float(np.sum(np.hypot(x1, x2) * mean))
-
-
-@lru_cache(maxsize=2)
-def _per_site_laws(params: GibbsParams):
-    # cached because sampling loops hit the same params thousands of times
-    x1, x2, en = _site_arrays(params.energy, params.truncation)
-    rho, a = _site_exponents(en, -math.log(params.fugacity))
-    q, mean, var = _site_laws(rho, a)
-    for arr in (rho, mean, var, q):
-        arr.setflags(write=False)
-    return x1, x2, rho, mean, var, q
 
 
 def moments(params: GibbsParams) -> MomentReport:
     """Exact truncated sums of the per-site moments; covariance of (X1,X2,K)."""
-    x1, x2, _, mean, var, q = _per_site_laws(params)
-    means, gamma = _site_sums(x1.astype(float), x2.astype(float), q, mean, var)
+    key = _law_key(params)
+    means, gamma = _site_sums(*key)
     gamma.setflags(write=False)
     return MomentReport(
         EX1=float(means[0]),
         EX2=float(means[1]),
         EK=float(means[2]),
         covariance=gamma,
-        site_count=int(x1.size),
+        site_count=int(_site_laws(*key)[0].size),
         truncation_bound=truncation_bound(params),
     )
 
@@ -388,7 +398,7 @@ def _site_uniforms(seed: int, n: int) -> np.ndarray:
 
 def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     """Independent biased-geometric draw at every truncated site."""
-    x1, x2, rho, _, _, q = _per_site_laws(params)
+    x1, x2, rho, q, _, _ = _site_laws(*_law_key(params))
     u = _site_uniforms(seed, rho.size)
     hit = u >= 1.0 - q  # occupied iff the uniform lands in the top q-slice
     if not np.any(hit):

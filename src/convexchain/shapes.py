@@ -17,7 +17,7 @@ raised rather than patched.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +29,6 @@ from .tolerances import CURVE_QUAD_TOL
 __all__ = [
     "CURVE_QUAD_TOL",
     "ShapeCurve",
-    "NormalizedPolyline",
     "parabola_point",
     "mixed_curve",
     "mixed_length",
@@ -228,39 +227,23 @@ class ShapeCurve:
         return out
 
 
-@dataclass(frozen=True)
-class NormalizedPolyline:
-    """A lattice line mapped into the unit square by its source scale."""
-
-    vertices: np.ndarray
-    scale: tuple = field(default=(1.0, 1.0))
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.vertices, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-            raise ValueError("normalized polyline needs an (m, 2) point array")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "vertices", pts)
-        object.__setattr__(
-            self, "scale", (float(self.scale[0]), float(self.scale[1])))
-
-
 def normalize(line, scale):
     """Divide a lattice line's vertices componentwise by scale = (n1, n2).
 
-    Accepts a ConvexPolyline or any (m, 2) array of points.  A line with the
-    exact endpoint (n1, n2) lands on (1,1); an empty-support line collapses
-    to the single point (0,0).
+    Accepts a ConvexPolyline or any (m, 2) array of points and returns a
+    read-only (m, 2) float array.  A line with the exact endpoint (n1, n2)
+    lands on (1,1); an empty-support line collapses to the single point (0,0).
     """
     n1, n2 = float(scale[0]), float(scale[1])
     if n1 <= 0.0 or n2 <= 0.0:
         raise ValueError(f"scale must be positive, got {scale!r}")
     if isinstance(line, ConvexPolyline):
-        pts = np.asarray(line.vertices, dtype=float)
-    else:
-        pts = np.atleast_2d(np.asarray(line, dtype=float))
-    return NormalizedPolyline(pts / np.array([n1, n2]), (n1, n2))
+        line = line.vertices
+    pts = np.atleast_2d(np.asarray(line, dtype=float)) / np.array([n1, n2])
+    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
+        raise ValueError("normalize needs an (m, 2) point array")
+    pts.setflags(write=False)
+    return pts
 
 
 def _densify(pts, mesh):
@@ -289,10 +272,7 @@ def hausdorff_distance(line, curve, mesh=1000):
     """
     if mesh < 100:
         raise ValueError(f"mesh must be at least 100, got {mesh!r}")
-    if isinstance(line, NormalizedPolyline):
-        pts = line.vertices
-    else:
-        pts = np.atleast_2d(np.asarray(line, dtype=float))
+    pts = np.atleast_2d(np.asarray(line, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("degenerate polyline: need at least one point")
     if isinstance(curve, ShapeCurve):
@@ -336,10 +316,7 @@ def polylines_svg(polylines):
 
 def overlay_svg(line, curve, mesh=400):
     """SVG of a normalized polyline (blue) overlaid on a limit curve (red)."""
-    if isinstance(line, NormalizedPolyline):
-        pts = line.vertices
-    else:
-        pts = np.atleast_2d(np.asarray(line, dtype=float))
+    pts = np.atleast_2d(np.asarray(line, dtype=float))
     curve_pts = curve.sample(mesh) if isinstance(curve, ShapeCurve) else \
         np.atleast_2d(np.asarray(curve, dtype=float))
     return polylines_svg([(curve_pts, "#d62728", "0.004"), (pts, "#1f77b4", "0.004")])

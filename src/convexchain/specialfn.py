@@ -22,7 +22,6 @@ kept as genuinely independent implementations and must agree on the overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -42,7 +41,6 @@ __all__ = [
     "e_of_ell",
     "residue_logZ",
     "parallel_constant",
-    "AsymptoticProfile",
     "ZETA2",
     "ZETA3",
     "EULER_GAMMA",
@@ -77,18 +75,18 @@ def zeta(s: float) -> float:
     return total
 
 
-def zeta_prime(s: float, n_terms: int = 200_000) -> float:
-    """d/ds zeta(s) for real s > 1: partial sum of -log(n)/n^s plus the
-    integral tail (log N + 1/(s-1)) * N^(1-s)/(s-1) and midpoint term.
+def zeta_prime(s: float) -> float:
+    """d/ds zeta(s) for real s > 1: partial sum of -log(n)/n^s to N = 200,000
+    plus the integral tail (log N + 1/(s-1)) * N^(1-s)/(s-1) and midpoint term.
 
-    Absolute error ~ s*log(N)/N^(s+1), i.e. far below 1e-12 at the default N
-    for every s >= 2 (only s = 2 is used downstream).
+    Absolute error ~ s*log(N)/N^(s+1), i.e. far below 1e-12 for every s >= 2
+    (only s = 2 is used downstream).
     """
     if not s > 1:
         raise ValueError(f"zeta_prime requires s > 1, got {s}")
-    n = np.arange(1, n_terms + 1, dtype=float)
+    N = 200_000.0
+    n = np.arange(1.0, N + 1.0)
     partial = -float(np.sum(np.log(n) * n**-s))
-    N = float(n_terms)
     tail = -(math.log(N) / (s - 1.0) + 1.0 / (s - 1.0) ** 2) * N ** (1.0 - s)
     midpoint = 0.5 * math.log(N) * N**-s
     return partial + tail + midpoint
@@ -165,23 +163,14 @@ def _polylog_integral(s: float, z: float) -> float:
     return val / gamma_s
 
 
-def polylog(s: float, z: float, method: str = "auto") -> float:
-    """Li_s(z) for real z < 1 and s > 0.
-
-    method picks the route explicitly ("series" / "integral") for the
-    dual-route agreement checks; "auto" uses the series for |z| <= 0.98 and
-    the integral elsewhere.  s = 1 short-circuits to -log(1-z).
+def polylog(s: float, z: float) -> float:
+    """Li_s(z) for real z < 1 and s > 0: the series for |z| <= 0.98 and the
+    integral elsewhere.  s = 1 short-circuits to -log(1-z).
     """
     if not s > 0:
         raise ValueError(f"polylog requires s > 0, got {s}")
     if not z < 1:
         raise ValueError(f"polylog requires z < 1, got {z}")
-    if method == "series":
-        return _polylog_series(s, z)
-    if method == "integral":
-        return _polylog_integral(s, z)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
     if s == 1.0:
         return -math.log1p(-z)
     if abs(z) <= 0.98:
@@ -246,15 +235,3 @@ def parallel_constant() -> float:
     """
     return (2.0 * ZETA2 - 1.0 - EULER_GAMMA + zeta_prime(2.0) / ZETA2) / ZETA2
 
-
-@dataclass(frozen=True)
-class AsymptoticProfile:
-    """(ell, c(ell), e(ell)) bundle for table emission."""
-
-    ell: float
-    c_value: float
-    e_value: float
-
-    @classmethod
-    def at(cls, ell: float) -> "AsymptoticProfile":
-        return cls(ell=ell, c_value=c_of_ell(ell), e_value=e_of_ell(ell))

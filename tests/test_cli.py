@@ -149,20 +149,35 @@ def test_unbounded_calibration_quotes_the_capacity_as_a_limit(capsys):
     assert rc == 1
     assert out == ""
     assert "Traceback" not in err
-    message = json.loads(err)["error"]
-    assert len(message.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    message = err[len("error: "):]
     assert "exceeds" not in message
     assert "1.063" in message and "tends to 1.399" in message
+
+
+def _python(*args):
+    # a fresh interpreter on the package under test
+    import convexchain
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))
+    return subprocess.run([sys.executable, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def _cli_subprocess(argv):
     # pytest captures warnings in-process, so these runs need their own
     # interpreter to show what a user sees on stderr
-    import convexchain
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))
-    return subprocess.run([sys.executable, "-m", "convexchain.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return _python("-m", "convexchain.cli", *argv)
+
+
+def test_readme_quick_start_runs():
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("```python\n", 1)[1].split("```", 1)[0]
+    done = _python("-c", block)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 3
 
 
 def test_library_warning_is_one_line_or_dropped():
@@ -258,7 +273,32 @@ def test_calibrate_infeasible_exits_one(capsys):
     rc, _, err = run(capsys, ["calibrate", "--n1", "300", "--n2", "300",
                               "--k", "68", "--exact"])
     assert rc == 1
-    assert "error" in json.loads(err)
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
+# sha256 of the stdout bytes, frozen before `gibbs._linear_log_z` took over
+# the kernel choice: (306, 306, 39) crosses lambda = 2 on its way down,
+# (40, 40, 14) ends at lambda ~ 22.8 on the per-site kernel, and
+# (300, 300, 5) stays on the Mobius kernel
+@pytest.mark.parametrize("argv,digest", [
+    (["calibrate", "--n1", "306", "--n2", "306", "--k", "39", "--exact"],
+     "61b9097cdaeda7b97514061d431e92136c51e64006098307ff5f2cdc669bb680"),
+    (["calibrate", "--n1", "40", "--n2", "40", "--k", "14", "--exact"],
+     "312978adaadbcc7e35c830fbe810a8d7d15a333d3f843683b5ec68ffb44de5fb"),
+    (["calibrate", "--n1", "300", "--n2", "300", "--k", "5", "--exact"],
+     "406415bd3c5cc16559bd6eb53e91e04801883099940251607b46b920878869c3"),
+    (["sample-gibbs", "--beta1", "0.1", "--beta2", "0.2", "--fugacity", "3",
+      "--count", "5"],
+     "6f66def68c9f03bc757ea1c93dd305122bf3d52b435c09ebcf84f2437a6aff4f"),
+    (["sample-gibbs", "--beta1", "0.03", "--beta2", "0.01", "--fugacity", "0.5",
+      "--trunc", "25", "--count", "3"],
+     "8879807d7e49cd7d5a0d00e51e374730a9642de07fc84f09556f33cefc17d819"),
+])
+def test_kernel_outputs_are_frozen(capsys, argv, digest):
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_calibrate_not_converged_exits_one(capsys):

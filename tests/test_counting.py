@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexchain import counting
 from convexchain.counting import (
     _count_sweep,
     _dp_cost_estimate,
@@ -157,7 +158,8 @@ def test_symmetry(table8):
 
 def test_totals_match_sum_over_k(table8):
     for n1, n2 in [(3, 3), (6, 4), (8, 8)]:
-        assert table8.total(n1, n2) == len(brute_force_enum(n1, n2))
+        total = sum(table8.p(n1, n2, k) for k in range(1, table8.kmax + 1))
+        assert total == len(brute_force_enum(n1, n2))
 
 
 def test_support_window(table8):
@@ -179,11 +181,12 @@ def test_max_vertices_matches_brute_force():
         assert max_vertices(n1, n2) == best
 
 
-def test_resource_guard():
+def test_resource_guard(monkeypatch):
+    monkeypatch.setattr(counting, "COUNT_OP_BUDGET", 1000)
     with pytest.raises(ResourceWarning, match="budget"):
-        count_lines_k(60, 60, 8, op_budget=1000)
+        count_lines_k(60, 60, 8)
     with pytest.raises(ResourceWarning):
-        max_vertices(500, 500, op_budget=1000)
+        max_vertices(500, 500)
 
 
 def test_erdos_lehner_trivial():

@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from convexchain import experiments
 from convexchain.counting import brute_force_enum, line_length
 from convexchain.experiments import (
     SUITE_NAMES,
@@ -63,13 +64,14 @@ def test_valtr_argument_errors():
         sample_valtr(60, 4, seed=0)
 
 
-def test_valtr_budget_exhaustion():
+def test_valtr_budget_exhaustion(monkeypatch):
     # five pairwise non-parallel strictly NE edges cannot sum to (6,6):
     # four unit abscissas force slopes 1..4 whose ordinates already exceed 6
     assert enumerate_ne_lines(6, 5) == []
+    monkeypatch.setattr(experiments, "VALTR_REJECTION_BUDGET", 100)
     with pytest.warns(UserWarning):
-        with pytest.raises(RuntimeError, match="budget"):
-            sample_valtr(6, 5, seed=0, budget=100)
+        with pytest.raises(RuntimeError, match=r"budget \(100\)"):
+            sample_valtr(6, 5, seed=0)
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (8, 3), (6, 2)])

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convexchain import gibbs
 from convexchain.gibbs import (
     EnergyModel,
     GibbsParams,
@@ -99,6 +100,30 @@ def test_sub_resolution_site_energy_refused(call):
         call(params)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["linear", "euclidean", "mixed"]),
+    st.floats(0.2, 5.0),
+    st.floats(0.2, 5.0),
+    st.floats(-0.6, 5.0),
+    st.floats(0.1, 12.0),
+)
+@example("linear", 5.0, 0.2, 0.0, 12.0)  # rates far apart, both ways round
+@example("linear", 0.2, 5.0, 0.0, 12.0)
+def test_site_arrays_match_a_wider_grid(kind, b1, b2, lam_ell, T):
+    # the site set is the energy filter of any grid that holds it, in
+    # row-major order; this grid is twice the box that holds E <= T on the axes
+    energy = {"linear": EnergyModel.linear(b1, b2),
+              "euclidean": EnergyModel.euclidean(b1),
+              "mixed": EnergyModel.mixed(b1, lam_ell)}[kind]
+    n1, n2 = (2 * (math.floor(T / float(energy(*e))) + 1) for e in ((1, 0), (0, 1)))
+    xs, ys = np.nonzero(np.gcd.outer(np.arange(n1 + 1), np.arange(n2 + 1)) == 1)
+    en = energy(xs.astype(float), ys.astype(float))
+    keep = en <= T
+    for got, want in zip(gibbs._site_arrays(energy, T), (xs[keep], ys[keep], en[keep])):
+        np.testing.assert_array_equal(got, want)
+
+
 @given(
     st.integers(0, 50),
     st.integers(0, 50),
@@ -124,10 +149,6 @@ def test_gibbs_params_validation():
         GibbsParams(em, fugacity=0.0)
     with pytest.raises(ValueError):
         GibbsParams(em, fugacity=1.0, truncation=-3.0)
-    p = GibbsParams(em, 2.0, truncation=30.0)
-    assert p.per_site_truncation_bound() == pytest.approx(
-        2.0 * math.exp(-30.0) / (1 - math.exp(-30.0))
-    )
 
 
 def test_log_partition_identity_at_unit_fugacity():

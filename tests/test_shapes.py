@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from convexchain.lattice import ConvexPolyline
 from convexchain.shapes import (
-    NormalizedPolyline,
     ShapeCurve,
     curve_csv,
     hausdorff_distance,
@@ -123,17 +122,16 @@ def test_mixed_length_decreases_toward_circle():
 def test_normalize_lattice_line():
     line = ConvexPolyline(((0, 0), (3, 1), (5, 4), (6, 8)))
     norm = normalize(line, (6, 8))
-    assert isinstance(norm, NormalizedPolyline)
-    assert norm.vertices[0] == pytest.approx((0.0, 0.0))
-    assert norm.vertices[-1] == pytest.approx((1.0, 1.0))
-    assert norm.scale == (6.0, 8.0)
+    assert norm.shape == (4, 2) and not norm.flags.writeable
+    assert norm[0] == pytest.approx((0.0, 0.0))
+    assert norm[-1] == pytest.approx((1.0, 1.0))
     with pytest.raises(ValueError):
         normalize(line, (0, 8))
 
 
 def test_normalize_degenerate_line():
     norm = normalize(ConvexPolyline(((0, 0),)), (10, 10))
-    assert norm.vertices.shape == (1, 2)
+    assert norm.shape == (1, 2)
     # the distance from the lone origin point to a unit curve is the curve's
     # farthest point from the origin, which is (1,1) for both named curves
     d = hausdorff_distance(norm, ShapeCurve.circle(), mesh=500)
