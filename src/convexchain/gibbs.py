@@ -29,9 +29,14 @@ Energies come in three flavors:
 linear beta.x, Euclidean beta*|x|_2, and the mixed norm
 beta*(|x|_1 + lam_ell*sqrt(2)*|x|_2).
 
-Determinism contract: sampling derives one uniform per site from a counter
-hash of (seed, site rank), so results are bit-identical for a given seed no
-matter how the site loop is scheduled.
+Determinism contract: the sampler groups the sites of a parameter set into
+blocks b = floor(-log2 q), q = P[omega(x) > 0], with b capped at 63; within
+a block, sites keep the row-major (x1, x2) order of `_site_arrays`.  Every
+uniform is a SplitMix64 hash of (seed, counter word), and the word of block
+b is b*2^40 + 2j for the j-th geometric gap of the block and b*2^40 + 2j + 1
+for the acceptance of the candidate that gap lands on.  A draw is therefore
+bit-identical for a given seed however the sites were enumerated or the
+blocks visited.
 """
 
 from __future__ import annotations
@@ -147,13 +152,13 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
 
     The `lattice._primitive_grid` rows of the box that holds E <= T, filtered
-    by energy; the row-major order is part of the sampling contract (site
-    rank).  Every family has E(v, 0) = v*E(1, 0), E(0, v) = v*E(0, 1) and
-    grows along each axis, so side i of the box is floor(T/E(e_i)), plus one
-    when that quotient rounded down past an axis point with E <= T.  A box
-    over SITE_BUDGET cells is refused with `ResourceWarning` before any of it
-    is built; a site whose exp(-E) rounds to 1 has no geometric law, and its
-    set is refused with `ValueError`.
+    by energy; the row-major order is part of the sampling contract (the
+    order within a sampler block).  Every family has E(v, 0) = v*E(1, 0),
+    E(0, v) = v*E(0, 1) and grows along each axis, so side i of the box is
+    floor(T/E(e_i)), plus one when that quotient rounded down past an axis
+    point with E <= T.  A box over SITE_BUDGET cells is refused with
+    `ResourceWarning` before any of it is built; a site whose exp(-E) rounds
+    to 1 has no geometric law, and its set is refused with `ValueError`.
     """
     T = float(truncation)
     with np.errstate(divide="ignore"):  # E(e_i) = 0 is an unbounded side
@@ -373,10 +378,12 @@ def moments(params: GibbsParams) -> MomentReport:
     )
 
 
-# -- counter-based per-site uniforms (SplitMix64 finalizer) ------------------
+# -- sampler: geometric skipping over blocks of nearly equal q ----------------
 
 _U64 = np.uint64
-_MASK = _U64(0xFFFFFFFFFFFFFFFF)
+_GOLDEN = _U64(0x9E3779B97F4A7C15)
+_LAST_BLOCK = 63  # blocks b = floor(-log2 q), capped here
+_BLOCK_SHIFT = 40  # counter word of a uniform: block << 40 | 2*index + stream
 
 
 def _mix(z):
@@ -387,31 +394,96 @@ def _mix(z):
         return z ^ (z >> _U64(31))
 
 
-def _site_uniforms(seed: int, n: int) -> np.ndarray:
-    """Uniforms in [0,1) for site ranks 0..n-1, pure function of (seed, rank)."""
-    ranks = np.arange(n, dtype=np.uint64)
+def _uniforms(seed: int, words: np.ndarray) -> np.ndarray:
+    """Uniforms in [0,1), a pure function of (seed, counter word)."""
     base = _U64(seed & 0xFFFFFFFFFFFFFFFF)
     with np.errstate(over="ignore"):
-        z = _mix(base + _U64(0x9E3779B97F4A7C15)) + ranks * _U64(0x9E3779B97F4A7C15)
+        z = _mix(base + _GOLDEN) + words.astype(np.uint64) * _GOLDEN
     return (_mix(z) >> _U64(11)).astype(float) * 2.0**-53
 
 
+@lru_cache(maxsize=2)
+def _sampler_index(energy: EnergyModel, g: float, truncation: float):
+    """The `_site_laws` sites grouped by block b = floor(-log2 q), b <= 63:
+    (order, start, size, block, q_max, log(1 - q_max)) with one entry per
+    block that can be occupied.
+
+    `order[start:start+size]` are the block's site indices in `_site_arrays`
+    order, row-major in (x1, x2).  The laws themselves keep that order, so
+    the sums of `moments` and `log_partition` do not move.
+    """
+    q = _site_laws(energy, g, truncation)[3]
+    with np.errstate(divide="ignore"):  # q = 0 goes to the last block
+        label = np.minimum(np.floor(-np.log2(q)), _LAST_BLOCK).astype(np.int8)
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label, minlength=_LAST_BLOCK + 1)
+    block = np.flatnonzero(size)
+    start = (np.cumsum(size) - size)[block]
+    q_max = np.maximum.reduceat(q[order], start)
+    keep = q_max > 0.0
+    with np.errstate(divide="ignore"):  # q_max = 1: log 0 = -inf, every gap is 0
+        log_miss = np.log1p(-q_max[keep])
+    index = (order, start[keep], size[block][keep], block[keep], q_max[keep], log_miss)
+    for arr in index:
+        arr.setflags(write=False)
+    return index
+
+
 def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
-    """Independent biased-geometric draw at every truncated site."""
-    x1, x2, rho, q, _, _ = _site_laws(*_law_key(params))
-    u = _site_uniforms(seed, rho.size)
-    hit = u >= 1.0 - q  # occupied iff the uniform lands in the top q-slice
-    if not np.any(hit):
+    """Independent biased-geometric draw at every truncated site, in
+    O(K + #blocks) work.
+
+    In each block the candidates are a Bernoulli(q_max) subset of its
+    positions, reached by geometric gaps; a candidate at site x is kept with
+    probability q(x)/q_max, so it is occupied with probability q(x), and the
+    conditional uniform of that acceptance drives the inverse-CDF
+    multiplicity draw.
+    """
+    key = _law_key(params)
+    x1, x2, rho, q, _, _ = _site_laws(*key)
+    order, start, size, block, q_max, log_miss = _sampler_index(*key)
+    if not block.size:
         return MultiplicityDistribution({})
-    # conditional uniform within the occupied slice drives the tail draw
-    v = (u[hit] - (1.0 - q[hit])) / q[hit]
-    v = np.minimum(v, 1.0 - 1e-16)
-    mult = 1 + np.floor(np.log1p(-v) / np.log(rho[hit])).astype(np.int64)
-    support = {
-        (int(a), int(b)): int(m)
-        for a, b, m in zip(x1[hit], x2[hit], mult)
-    }
-    return MultiplicityDistribution(support)
+    # gaps in batches of about 4 standard deviations over the mean candidate
+    # count; a block still short of its end gets a doubled batch
+    expected = size * q_max
+    batch = np.ceil(expected + 4.0 * np.sqrt(expected) + 4.0).astype(np.int64)
+    pos = np.full(block.size, -1, dtype=np.int64)  # last position reached
+    used = np.zeros(block.size, dtype=np.int64)  # gap uniforms drawn so far
+    live = np.arange(block.size)
+    hit_block, hit_pos, hit_index = [], [], []
+    while live.size:
+        n = np.minimum(batch[live], size[live] - 1 - pos[live])
+        ends = np.cumsum(n)
+        first = ends - n
+        b = np.repeat(live, n)
+        j = np.arange(ends[-1]) - np.repeat(first - used[live], n)  # gap index
+        u = _uniforms(seed, (block[b] << _BLOCK_SHIFT) | (2 * j))
+        with np.errstate(over="ignore"):  # log_miss -> 0 overflows to inf
+            gap = np.floor(np.log1p(-u) / log_miss[b])
+        step = np.minimum(gap, size[b]).astype(np.int64) + 1  # clamped: no cast overflow
+        c = np.cumsum(step)
+        p = c - np.repeat(c[first] - step[first] - pos[live], n)  # position in block
+        hit = p < size[b]
+        hit_block.append(b[hit])
+        hit_pos.append(p[hit])
+        hit_index.append(j[hit])
+        pos[live] = p[ends - 1]
+        used[live] += n
+        live = live[pos[live] < size[live] - 1]
+        batch *= 2
+    b, p, j = (np.concatenate(parts) for parts in (hit_block, hit_pos, hit_index))
+    site = order[start[b] + p]
+    ratio = q[site] / q_max[b]
+    u = _uniforms(seed, (block[b] << _BLOCK_SHIFT) | (2 * j + 1))
+    acc = u < ratio
+    site = site[acc]
+    v = np.minimum(u[acc] / ratio[acc], 1.0 - 1e-16)  # conditional uniform
+    mult = 1 + np.floor(np.log1p(-v) / np.log(rho[site])).astype(np.int64)
+    rank = np.argsort(site)  # support in row-major order
+    site, mult = site[rank], mult[rank]
+    return MultiplicityDistribution(dict(zip(zip(x1[site].tolist(), x2[site].tolist()),
+                                             mult.tolist())))
 
 
 def parallel_probability(beta: float, mode: str) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -54,6 +55,28 @@ def slope_sorted(vectors) -> list[Vec]:
     return sorted(vectors, key=functools.cmp_to_key(lambda u, v: -_cross(u, v)))
 
 
+def _float_slope_order(vecs) -> list[Vec] | None:
+    """`vecs` sorted by the float slope x2/x1, or None unless the exact
+    integer cross product confirms every adjacent pair.
+
+    Coordinates must stay below 2^31, so that the products fit in int64.
+    Slopes of distinct primitive vectors never tie, so a confirmed order is
+    the order of `slope_sorted`.
+    """
+    try:
+        xy = np.fromiter(chain.from_iterable(vecs), np.int64, 2 * len(vecs)).reshape(-1, 2)
+    except OverflowError:
+        return None
+    if xy.size and xy.max() >= 1 << 31:
+        return None
+    with np.errstate(divide="ignore"):  # (0, 1) gets slope inf
+        xy = xy[np.argsort(xy[:, 1] / xy[:, 0], kind="stable")]
+    u, v = xy[:-1], xy[1:]
+    if not np.all(u[:, 0] * v[:, 1] > u[:, 1] * v[:, 0]):
+        return None
+    return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
+
+
 def _primitive_grid(n1: int, n2: int):
     """Yield the primitive vectors of the box [0, n1] x [0, n2] as int64
     (x1, x2) array pairs, a block of rows at a time, row-major in x1.
@@ -69,10 +92,11 @@ def _primitive_grid(n1: int, n2: int):
             f"is over the budget {SITE_BUDGET:.2e}"
         )
     ys = np.arange(n2 + 1, dtype=np.int64)
+    ys32 = ys.astype(np.int32)  # the budget keeps both sides below 2^31
     block = max(1, (1 << 22) // (n2 + 1))
     for x0 in range(0, n1 + 1, block):
         xs = np.arange(x0, min(x0 + block, n1 + 1), dtype=np.int64)
-        bx, by = np.nonzero(np.gcd(xs[:, None], ys[None, :]) == 1)
+        bx, by = np.nonzero(np.gcd(xs.astype(np.int32)[:, None], ys32[None, :]) == 1)
         yield xs[bx], ys[by]
 
 
@@ -123,7 +147,11 @@ class MultiplicityDistribution:
         return (e1, e2)
 
     def items_slope_sorted(self) -> list[tuple[Vec, int]]:
-        return [(x, self.support[x]) for x in slope_sorted(self.support)]
+        vecs = list(self.support)
+        ordered = _float_slope_order(vecs)
+        if ordered is None:
+            ordered = slope_sorted(vecs)
+        return [(x, self.support[x]) for x in ordered]
 
     def to_json(self) -> str:
         rows = [[x[0], x[1], m] for x, m in self.items_slope_sorted()]

@@ -196,22 +196,28 @@ class ShapeCurve:
         return mixed_curve(self.lambda_ell, 0.5 * math.pi * t)
 
     def sample(self, mesh):
-        """Points at t = i/mesh, i = 0..mesh, as a (mesh+1, 2) float array."""
+        """Points at t = i/mesh, i = 0..mesh, as a read-only (mesh+1, 2)
+        float array, computed once per (curve, mesh)."""
         if mesh < 1:
             raise ValueError(f"mesh must be a positive integer, got {mesh!r}")
-        t = np.linspace(0.0, 1.0, mesh + 1)
-        if self.kind == "parabola":
-            th = np.empty_like(t)
-            th[:-1] = t[:-1] / (1.0 - t[:-1])
-            out = np.empty((mesh + 1, 2))
-            d = (th[:-1] + self.ratio) ** 2
-            out[:-1, 0] = th[:-1] * (th[:-1] + 2.0 * self.ratio) / d
-            out[:-1, 1] = th[:-1] ** 2 / d
-            out[-1] = (1.0, 1.0)
-            return out
-        if self.kind == "circle":
-            a = 0.5 * math.pi * t
-            return np.column_stack([np.sin(a), 1.0 - np.cos(a)])
+        return _curve_mesh(self, mesh)
+
+
+@lru_cache(maxsize=16)
+def _curve_mesh(curve, mesh):
+    t = np.linspace(0.0, 1.0, mesh + 1)
+    if curve.kind == "parabola":
+        th = np.empty_like(t)
+        th[:-1] = t[:-1] / (1.0 - t[:-1])
+        out = np.empty((mesh + 1, 2))
+        d = (th[:-1] + curve.ratio) ** 2
+        out[:-1, 0] = th[:-1] * (th[:-1] + 2.0 * curve.ratio) / d
+        out[:-1, 1] = th[:-1] ** 2 / d
+        out[-1] = (1.0, 1.0)
+    elif curve.kind == "circle":
+        a = 0.5 * math.pi * t
+        out = np.column_stack([np.sin(a), 1.0 - np.cos(a)])
+    else:
         # mixed: one cumulative pass, one short quadrature per mesh cell
         angles = 0.5 * math.pi * t
         tol = max(1e-14, CURVE_QUAD_TOL / mesh)
@@ -219,12 +225,13 @@ class ShapeCurve:
         x = y = 0.0
         for i in range(mesh):
             dx, dy = _mixed_increment(
-                self.lambda_ell, angles[i], angles[i + 1], tol)
+                curve.lambda_ell, angles[i], angles[i + 1], tol)
             x += dx
             y += dy
             out[i + 1] = (x, y)
-        out *= math.sqrt(2.0) / _mixed_denominator(self.lambda_ell)
-        return out
+        out *= math.sqrt(2.0) / _mixed_denominator(curve.lambda_ell)
+    out.setflags(write=False)
+    return out
 
 
 def normalize(line, scale):

@@ -280,7 +280,8 @@ def test_calibrate_infeasible_exits_one(capsys):
 # sha256 of the stdout bytes, frozen before `gibbs._linear_log_z` took over
 # the kernel choice: (306, 306, 39) crosses lambda = 2 on its way down,
 # (40, 40, 14) ends at lambda ~ 22.8 on the per-site kernel, and
-# (300, 300, 5) stays on the Mobius kernel
+# (300, 300, 5) stays on the Mobius kernel; the two sample-gibbs digests
+# were frozen again when the sampler moved to its block stream
 @pytest.mark.parametrize("argv,digest", [
     (["calibrate", "--n1", "306", "--n2", "306", "--k", "39", "--exact"],
      "61b9097cdaeda7b97514061d431e92136c51e64006098307ff5f2cdc669bb680"),
@@ -290,10 +291,10 @@ def test_calibrate_infeasible_exits_one(capsys):
      "406415bd3c5cc16559bd6eb53e91e04801883099940251607b46b920878869c3"),
     (["sample-gibbs", "--beta1", "0.1", "--beta2", "0.2", "--fugacity", "3",
       "--count", "5"],
-     "6f66def68c9f03bc757ea1c93dd305122bf3d52b435c09ebcf84f2437a6aff4f"),
+     "f8c8f37011f00c9a54dcd19c01dfbdd0923d1c5ab5ef28c1497c045a7d26e11e"),
     (["sample-gibbs", "--beta1", "0.03", "--beta2", "0.01", "--fugacity", "0.5",
       "--trunc", "25", "--count", "3"],
-     "8879807d7e49cd7d5a0d00e51e374730a9642de07fc84f09556f33cefc17d819"),
+     "d0f41ac697fbde4d8ad1f9fd8093dc04f07877e8e7cebbed7cb134e6cc0ad5cf"),
 ])
 def test_kernel_outputs_are_frozen(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)

@@ -143,7 +143,7 @@ def test_jarnik_suite_report_is_frozen():
     # each row once and must keep every byte
     text = report_json(run_suite("jarnik", {"samples": 10}))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5b504a278647342bbb39e973d8124fa817b2aaee02c0b66b9b2a65c0034a659d")
+        "efe75aa9e7006a6c089cd24a1c331ad67c6a41af1f63343786af07d22f4d932c")
 
 
 def test_gibbs_parabola_distance_summary():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -405,3 +406,88 @@ def test_sample_omega_seed_stability(seed):
     a = sample_omega(p, seed)
     b = sample_omega(p, seed)
     assert a == b and a.to_json() == b.to_json()
+
+
+def _candidates_and_blocks(params):
+    """Expected candidates per draw, sum of size*q_max, and the block count."""
+    _, _, size, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(params))
+    return float(np.sum(size * q_max)), block.size
+
+
+def _fourth_central_moment(rho, q, n_max=400):
+    """E[(omega - E omega)^4] per site, summed over the biased geometric pmf
+    P[omega = j] = q (1-rho) rho^(j-1), j >= 1, and P[omega = 0] = 1 - q."""
+    j = np.arange(1, n_max + 1, dtype=float)
+    pmf = q[:, None] * (1.0 - rho[:, None]) * rho[:, None] ** (j - 1.0)
+    mean = pmf @ j
+    return np.sum(pmf * (j[None, :] - mean[:, None]) ** 4, axis=1) + (1.0 - q) * mean**4
+
+
+@pytest.mark.slow
+def test_sampler_occupation_and_multiplicity_match_the_laws():
+    # per-site occupation and mean multiplicity over 10^4 seeds against the
+    # exact laws: each chi^2/dof must lie within five standard deviations of
+    # 1, with the exact Var(Z^2) = 2 + kappa_4/(n sigma^4) of each site
+    p = GibbsParams(EnergyModel.linear(0.3, 0.5), 2.5)
+    x1, x2, rho, q, mean, var = gibbs._site_laws(*gibbs._law_key(p))
+    assert rho.max() ** 400 < 1e-50  # the pmf sum below is complete
+    rank = {xy: i for i, xy in enumerate(zip(x1.tolist(), x2.tolist()))}
+    n = 10_000
+    occupied = np.zeros(q.size)
+    total = np.zeros(q.size)
+    for s in range(n):
+        for xy, m in sample_omega(p, s).support.items():
+            occupied[rank[xy]] += 1
+            total[rank[xy]] += m
+    sel = q > 1e-4
+    q, mean, var, rho = q[sel], mean[sel], var[sel], rho[sel]
+    occ_var = q * (1.0 - q)
+    for observed, mu, sigma2, mu4 in [
+            (occupied[sel], q, occ_var, occ_var * (1.0 - 3.0 * occ_var)),
+            (total[sel], mean, var, _fourth_central_moment(rho, q))]:
+        z2 = (observed - n * mu) ** 2 / (n * sigma2)
+        var_z2 = 2.0 + (mu4 - 3.0 * sigma2**2) / (n * sigma2**2)
+        dof = z2.size
+        assert abs(z2.sum() / dof - 1.0) <= 5.0 * math.sqrt(var_z2.sum()) / dof, (
+            z2.sum() / dof, dof)
+    # the geometric skips touch at most 2 E[K] + #blocks candidates per draw
+    cand, blocks = _candidates_and_blocks(p)
+    assert cand <= 2.0 * moments(p).EK + blocks
+
+
+def test_sampler_blocks_keep_row_major_order():
+    p = GibbsParams(EnergyModel.euclidean(0.4), 2.0)
+    x1, x2, _, q, _, _ = gibbs._site_laws(*gibbs._law_key(p))
+    order, start, size, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(p))
+    assert sorted(order.tolist()) == list(range(q.size))
+    for a, m, b, top in zip(start, size, block, q_max):
+        sites = order[a:a + m]
+        assert np.all(np.diff(sites) > 0)  # row-major, as `_site_arrays` lists them
+        assert np.all(np.floor(-np.log2(q[sites])) == b) and q[sites].max() == top
+
+
+@pytest.mark.parametrize("params,occupied", [
+    # q rounds to 1 at every site: each one is occupied
+    (GibbsParams(EnergyModel.linear(1e-6, 1e-6), 1e12, truncation=5e-5), "all"),
+    # q <= 3e-12, and the capped last block holds q_max < 2^-63
+    (GibbsParams(EnergyModel.linear(0.3, 0.3), 1e-12), "none"),
+    # the largest bench set: its last blocks skip gaps of order 2^57
+    (GibbsParams(EnergyModel.linear(0.02, 0.02), 1.0), "some"),
+])
+def test_sampler_edge_laws_raise_no_warnings(params, occupied):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x1, x2, _, q, _, _ = gibbs._site_laws(*gibbs._law_key(params))
+        draws = [sample_omega(params, s) for s in range(5)]
+    _, _, _, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(params))
+    if occupied == "all":
+        assert np.all(q == 1.0)
+        everywhere = set(zip(x1.tolist(), x2.tolist()))
+        assert all(set(om.support) == everywhere for om in draws)
+    elif occupied == "none":
+        assert block[-1] == 63 and q_max[-1] < 2.0**-63
+        assert all(not om.support for om in draws)
+    else:
+        assert all(om.support for om in draws)
+    cand, blocks = _candidates_and_blocks(params)
+    assert cand <= 2.0 * float(np.sum(q)) + blocks

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from convexchain import lattice
 from convexchain.lattice import (
     ConvexPolyline,
     MultiplicityDistribution,
@@ -230,3 +231,36 @@ def test_slope_sorted_randomized_against_float_slopes():
     for _ in range(20):
         perm = [vecs[i] for i in rng.permutation(len(vecs))]
         assert slope_sorted(perm) == vecs
+
+
+_NEAR_2_30 = [(2**30 + 1, 2**30 + 2), (2**30, 2**30 + 1)]  # float slopes tie
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.sampled_from([60, 2**31 - 1, 2**33]).flatmap(
+    lambda n: st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=40)))
+@example([])
+@example(_NEAR_2_30)
+@example(_NEAR_2_30[::-1] + [(1, 0), (0, 1)])
+@example([(2**31, 1), (1, 2**31), (3, 2)])
+@example([(2**70, 1), (1, 1)])
+def test_items_slope_sorted_matches_exact_order(pairs):
+    vecs = [tuple(x) for x in dict.fromkeys(pairs) if is_primitive(*x)]
+    om = MultiplicityDistribution({x: i + 1 for i, x in enumerate(vecs)})
+    items = om.items_slope_sorted()
+    assert [x for x, _ in items] == slope_sorted(vecs)
+    assert all(m == om.support[x] for x, m in items)
+
+
+@pytest.mark.parametrize("vecs", [_NEAR_2_30[::-1], [(2**31, 1), (1, 1)]])
+def test_items_slope_sorted_falls_back_to_the_exact_sort(monkeypatch, vecs):
+    calls = []
+
+    def spy(v):
+        calls.append(len(v))
+        return slope_sorted(v)
+
+    monkeypatch.setattr(lattice, "slope_sorted", spy)
+    om = MultiplicityDistribution({x: 1 for x in vecs})
+    assert [x for x, _ in om.items_slope_sorted()] == slope_sorted(vecs)
+    assert calls == [len(vecs)]

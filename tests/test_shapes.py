@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convexchain import shapes
 from convexchain.lattice import ConvexPolyline
 from convexchain.shapes import (
     ShapeCurve,
@@ -184,3 +185,14 @@ def test_svg_emitter_deterministic():
     assert a == b
     assert a.startswith("<svg ")
     assert a.count("<polyline") == 2
+
+
+@pytest.mark.parametrize("curve", [ShapeCurve.parabola(2.0), ShapeCurve.circle(),
+                                   ShapeCurve.mixed(1.0)])
+def test_sample_is_cached_read_only_and_exact(curve):
+    pts = curve.sample(300)
+    assert not pts.flags.writeable
+    assert curve.sample(300) is pts
+    assert pts.tobytes() == shapes._curve_mesh.__wrapped__(curve, 300).tobytes()
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
