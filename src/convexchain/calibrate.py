@@ -14,9 +14,12 @@ densities below the bracket.
 log Z and its derivatives come from `gibbs._linear_log_z`, which chooses the
 kernel (no site enumeration while lambda <= 2).  A step may at most halve a
 rate, and once f can no longer resolve the predicted decrease the full
-Newton step is taken.  Reported residuals and the free energy always come
-from fresh `moments` and `log_partition` calls at the truncation, an
-independent check of the kernel.
+Newton step is taken.  The report comes from one more `_linear_log_z` call at
+the final iterate.  Each residual is the moment mismatch plus that call's gap
+to the truncated site sums: for lambda <= 2 a bound on the omitted tail and on
+rounding, above it zero (the sums are those of `moments`).  So a reported
+residual bounds that of the truncated measure `CalibrationResult.params`
+describes, and no site set is built for lambda <= 2.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .gibbs import EnergyModel, GibbsParams, _linear_log_z, log_partition, moments
+from .gibbs import EnergyModel, GibbsParams, _linear_log_z
 from .specialfn import ZETA2, _residue_core, c_of_ell
 from .tolerances import (
     CALIB_MAX_ITER,
@@ -131,8 +134,9 @@ class FreeEnergy:
     """f(v) = b1*n1 + b2*n2 + g*k + log Z with its derivatives, v = (b1, b2, g).
 
     log Z is `gibbs._linear_log_z` at the truncation.  The reported residuals
-    come from `moments` at the truncation, so a truncation too small to hold
-    the solution (a small --trunc) still shows up as a non-converged result.
+    add that call's gap to the truncated sums, so a truncation too small to
+    hold the solution (a small --trunc) still shows up as a non-converged
+    result.
     """
 
     def __init__(self, target: CalibrationTarget,
@@ -149,7 +153,7 @@ class FreeEnergy:
     def _derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(gradient, Hessian): the moment mismatch and the covariance of
         (X1, X2, K)."""
-        _, grad, cov = _linear_log_z(*v, self.truncation)
+        _, grad, cov, _ = _linear_log_z(*v, self.truncation)
         return self._target + grad, cov
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
@@ -172,21 +176,18 @@ def _initializer(target: CalibrationTarget) -> tuple[float, float, float]:
 def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
                truncation: float) -> CalibrationResult:
     beta1, beta2, lam = float(v[0]), float(v[1]), math.exp(-float(v[2]))
-    params = GibbsParams(EnergyModel.linear(beta1, beta2), lam, truncation)
-    rep = moments(params)
-    residuals = (
-        abs(rep.EX1 - target.n1) / target.n1,
-        abs(rep.EX2 - target.n2) / target.n2,
-        abs(rep.EK - target.k) / target.k,
-    )
+    # g from the reported fugacity, as `moments(result.params())` takes it
+    logz, grad, _, gap = _linear_log_z(beta1, beta2, -math.log(lam), truncation)
+    goal = np.array([target.n1, target.n2, target.k], dtype=float)
+    residuals = tuple(((np.abs(-grad - goal) + gap[1:]) / goal).tolist())
     return CalibrationResult(
         beta1=beta1,
         beta2=beta2,
         fugacity=lam,
         residuals=residuals,
         iterations=iterations,
-        # log Z + beta1*n1 + beta2*n2 - k*log(lambda) on the truncated sites
-        free_energy=(log_partition(params) + beta1 * target.n1 + beta2 * target.n2
+        # log Z + beta1*n1 + beta2*n2 - k*log(lambda), log Z from the kernel
+        free_energy=(logz + beta1 * target.n1 + beta2 * target.n2
                      - target.k * math.log(lam)),
         converged=max(residuals) <= CALIB_RESIDUAL_TOL,
     )

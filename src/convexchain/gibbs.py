@@ -17,12 +17,14 @@ the moments:
 - the Mobius kernel `_mobius_log_z`, linear energy only, gives log Z with
   its gradient and Hessian as an O(N log N) sum over n <= N ~ 45/min(beta),
   without enumerating sites (past SITE_BUDGET index pairs it is refused).
-  It sums over all primitive sites, so its log Z differs from
-  `log_partition` by at most `truncation_bound`; its series converges for
-  lam <= 2 only.
+  It sums over all primitive sites; what the truncation omits from its
+  log Z and moments is bounded by the column sums of `_linear_tail`, which
+  `truncation_bound` returns for linear energies.  Its series converges
+  for lam <= 2 only.
 
 `_linear_log_z` is the one place that chooses between them: the calibration
-free energy takes the Mobius kernel for lam <= 2 and the per-site kernel on
+free energy and its report take the Mobius kernel for lam <= 2, with that
+tail bound as their gap to the truncated sums, and the per-site kernel on
 the truncated site set above.
 
 Energies come in three flavors:
@@ -50,7 +52,8 @@ from scipy.special import expit
 
 from .lattice import MultiplicityDistribution, _primitive_grid
 from .specialfn import ZETA2, parallel_constant
-from .tolerances import DEFAULT_TRUNCATION, PARALLEL_TRUNC_TOL, SITE_BUDGET
+from .tolerances import (DEFAULT_TRUNCATION, KERNEL_ROUNDING, PARALLEL_TRUNC_TOL,
+                         SITE_BUDGET)
 
 __all__ = [
     "EnergyModel",
@@ -184,13 +187,49 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     return x1, x2, en
 
 
+def _linear_tail(beta1: float, beta2: float, lam: float, truncation: float) -> np.ndarray:
+    """Rigorous upper bounds on what the sites with beta.x > T add to
+    (log Z, E[X1], E[X2], E[K]) of the linear energy.
+
+    An omitted site has rho = e^{-beta.x} <= rho_max = e^{-max(T, min beta)},
+    so log Z_x and P[omega > 0] are at most lam*rho/(1-rho_max) and E[omega]
+    at most lam*rho/(1-rho_max)^2.  The sums of rho, x1*rho and x2*rho over
+    the nonzero quadrant points with beta.x > T go by columns x1: a column
+    x1 <= X = floor(T/beta1) starts at some x2 = m >= y+ = max(T - beta1*x1,
+    0)/beta2, so its sum of rho is at most e^-T/(1-r2), r_i = e^-beta_i, and
+    its sum of x2*rho at most e^-T*((y+ + 1)/(1-r2) + r2/(1-r2)^2), with
+    sum_x1 y+ <= (T + T^2/(2 beta1))/beta2; the columns past X are summed
+    whole.  For rho alone this gives at most
+    e^-T*((T/beta1 + 1) + 1/(1-r1))/(1-r2).
+    """
+    # a smaller T omits more sites, so the bound at min(T, 700) holds at T,
+    # and e^-T stays a normal double
+    T = min(truncation, 700.0)
+    X = math.floor(T / beta1)
+    A = X + 1.0  # columns 0..X
+    d1, d2 = -math.expm1(-beta1), -math.expm1(-beta2)  # 1 - r_i
+    r1, r2 = math.exp(-beta1), math.exp(-beta2)
+    eT, rA = math.exp(-T), math.exp(-beta1 * A)
+    s0 = (A * eT + rA / d1) / d2
+    s1 = (X * A / 2.0 * eT + rA * (A * d1 + r1) / d1**2) / d2
+    y = (T + T * T / (2.0 * beta1)) / beta2
+    s2 = eT * ((y + A) / d2 + A * r2 / d2**2) + rA / d1 * r2 / d2**2
+    c = -math.expm1(-max(T, min(beta1, beta2)))  # 1 - rho_max
+    return lam * np.array([s0 / c, s1 / c**2, s2 / c**2, s0 / c])
+
+
 def truncation_bound(params: GibbsParams) -> float:
     """Rigorous upper bound on the log-partition mass lost to truncation.
 
-    Omitted sites satisfy |x|_1 >= s0 = T/alpha_hi, and log(1+lam*rho/(1-rho))
-    <= lam*rho/(1-e^-T); summing lam*e^{-alpha_lo*s}*(s+1) over s >= s0 (there
-    are at most s+1 lattice points on each diagonal) gives the bound.
+    For the linear energy it is the column sum of `_linear_tail`.  Otherwise
+    omitted sites satisfy |x|_1 >= s0 = T/alpha_hi, and
+    log(1+lam*rho/(1-rho)) <= lam*rho/(1-e^-T); summing
+    lam*e^{-alpha_lo*s}*(s+1) over s >= s0 (there are at most s+1 lattice
+    points on each diagonal) gives the bound with the L1 rates.
     """
+    if params.energy.kind == "linear":
+        return float(_linear_tail(*params.energy.params, params.fugacity,
+                                  params.truncation)[0])
     alpha_lo, alpha_hi = params.energy.l1_rate_bounds()
     T = params.truncation
     s0 = max(1, math.floor(T / alpha_hi))
@@ -331,20 +370,26 @@ _G_SERIES = -math.log(2.0)
 
 
 def _linear_log_z(beta1: float, beta2: float, g: float, truncation: float):
-    """(log Z, gradient, Hessian) of the linear energy in v = (beta1, beta2, g),
-    g = -log(lam); the gradient is -(E[X1], E[X2], E[K]) and the Hessian the
-    covariance of (X1, X2, K).
+    """(log Z, gradient, Hessian, gap) of the linear energy in
+    v = (beta1, beta2, g), g = -log(lam); the gradient is -(E[X1], E[X2], E[K])
+    and the Hessian the covariance of (X1, X2, K).  gap bounds how far log Z
+    and the three moments may lie from their sums over the sites with energy
+    at most `truncation`.
 
     This is where the kernel is chosen: for lam <= 2 the Mobius kernel sums
-    over all primitive sites (the untruncated measure); above, its series
-    diverges and the per-site law kernel sums over the sites with energy at
-    most `truncation`, the same numbers as `moments` and `log_partition`.
+    over all primitive sites (the untruncated measure), and gap is the
+    `_linear_tail` bound plus KERNEL_ROUNDING of each value; above, its series
+    diverges and the per-site law kernel sums over the truncated sites, the
+    same numbers as `moments` and `log_partition`, with gap zero.
     """
     if g >= _G_SERIES:
-        return _mobius_log_z(beta1, beta2, g)
+        logz, grad, hess = _mobius_log_z(beta1, beta2, g)
+        gap = (_linear_tail(beta1, beta2, math.exp(-g), truncation)
+               + KERNEL_ROUNDING * np.abs([logz, *grad]))
+        return logz, grad, hess, gap
     energy = EnergyModel.linear(beta1, beta2)
     means, cov = _site_sums(energy, g, truncation)
-    return _log_z(energy, g, truncation), -means, cov
+    return _log_z(energy, g, truncation), -means, cov, np.zeros(4)
 
 
 def _law_key(params: GibbsParams):

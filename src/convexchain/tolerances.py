@@ -28,6 +28,10 @@ COUNT_OP_BUDGET = 20_000_000_000
 # largest current caller is the Jarnik suite's bracket at Euclidean beta
 # 0.02/3, a 6001^2 = 3.6e7-cell grid.
 SITE_BUDGET = 48_000_000
+# relative rounding allowance of a Mobius-kernel log Z or moment against the
+# same sum over the sites: 64 ulps, where at most 12 were measured (linear
+# rates 0.015-0.7, fugacity 1e-3-2, site sums at T = 60)
+KERNEL_ROUNDING = 2.0**-46
 
 # calibration
 CALIB_RESIDUAL_TOL = 1e-6     # success contract: max relative moment residual

@@ -21,9 +21,10 @@ from convexchain.calibrate import (
     llt_supported,
     predicted_log_pnk,
 )
-from convexchain.gibbs import (EnergyModel, GibbsParams, _mobius_log_z, log_partition,
-                              moments)
+from convexchain.gibbs import (EnergyModel, GibbsParams, _mobius_log_z, _site_arrays,
+                              log_partition, moments, truncation_bound)
 from convexchain.specialfn import c_of_ell
+from convexchain.tolerances import KERNEL_ROUNDING
 
 # Exact log-counts, frozen from the big-integer table builder (independent
 # of everything in calibrate.py): log p(n, n; k).
@@ -280,3 +281,58 @@ def test_result_is_plain_record(res5):
     assert isinstance(res5, CalibrationResult)
     assert res5.iterations >= 1
     assert np.isfinite(res5.free_energy)
+
+
+# the bench's seven calibration targets: dilute, typical and anisotropic
+# densities, all ending at lambda <= 2 on the Mobius kernel
+BENCH_TARGETS = [(300, 300, 34), (1000, 1000, 75), (3000, 3000, 156), (600, 600, 20),
+                 (2000, 500, 40), (300, 300, 8), (300, 300, 5)]
+
+
+def _site_report(target, res):
+    """Residuals and free energy of the truncated measure at the result,
+    from the site sums."""
+    params = res.params()
+    rep = moments(params)
+    residuals = [abs(m - t) / t for m, t in zip((rep.EX1, rep.EX2, rep.EK), target)]
+    n1, n2, k = target
+    free_energy = (log_partition(params) + res.beta1 * n1 + res.beta2 * n2
+                   - k * math.log(res.fugacity))
+    return residuals, free_energy, params
+
+
+# targets where the kernel's E[K] lies a few ulps below the site sum's by
+# rounding alone, more than the tail bound: only KERNEL_ROUNDING covers it
+ROUNDING_TARGETS = [(200, 300, 6), (500, 500, 4)]
+
+
+@pytest.mark.parametrize("target", BENCH_TARGETS + ROUNDING_TARGETS)
+def test_report_bounds_the_site_sums(target):
+    res = exact_calibrate(CalibrationTarget(*target))
+    assert res.fugacity <= 2.0 and res.converged
+    residuals, free_energy, params = _site_report(target, res)
+    for reported, true in zip(res.residuals, residuals):
+        assert true <= reported <= 1e-9
+    # the kernel and the site sums round differently, hence the allowance
+    gap = truncation_bound(params) + KERNEL_ROUNDING * abs(free_energy)
+    assert abs(res.free_energy - free_energy) <= gap
+    # plain Python numbers, so that the CLI's JSON encoder takes them
+    assert all(type(x) is float for x in (*res.residuals, res.free_energy))
+    assert type(res.converged) is bool
+
+
+def test_report_above_lambda_two_is_the_site_sums():
+    target = (40, 40, 14)
+    res = exact_calibrate(CalibrationTarget(*target))
+    assert res.fugacity > 2.0
+    residuals, free_energy, _ = _site_report(target, res)
+    assert list(res.residuals) == residuals
+    assert res.free_energy == free_energy
+
+
+@pytest.mark.parametrize("target", [(300, 300, 5), (2000, 500, 40)])
+def test_calibration_below_lambda_two_builds_no_sites(target):
+    _site_arrays.cache_clear()
+    res = exact_calibrate(CalibrationTarget(*target))
+    assert res.converged
+    assert _site_arrays.cache_info().misses == 0

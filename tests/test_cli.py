@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from convexchain.cli import main
 from convexchain.experiments import sample_valtr
+from convexchain.gibbs import EnergyModel, GibbsParams, moments
 from convexchain.lattice import MultiplicityDistribution
 
 
@@ -281,14 +282,16 @@ def test_calibrate_infeasible_exits_one(capsys):
 # the kernel choice: (306, 306, 39) crosses lambda = 2 on its way down,
 # (40, 40, 14) ends at lambda ~ 22.8 on the per-site kernel, and
 # (300, 300, 5) stays on the Mobius kernel; the two sample-gibbs digests
-# were frozen again when the sampler moved to its block stream
+# were frozen again when the sampler moved to its block stream, and the two
+# calibrations ending at lambda <= 2 when their report moved to the kernel
+# (residuals with the tail bound; the parameters are pinned below)
 @pytest.mark.parametrize("argv,digest", [
     (["calibrate", "--n1", "306", "--n2", "306", "--k", "39", "--exact"],
-     "61b9097cdaeda7b97514061d431e92136c51e64006098307ff5f2cdc669bb680"),
+     "7b3b2b9997bc2129e8477af65bb5dff34b608bbfb10c6d53fc1fe9a93196da51"),
     (["calibrate", "--n1", "40", "--n2", "40", "--k", "14", "--exact"],
      "312978adaadbcc7e35c830fbe810a8d7d15a333d3f843683b5ec68ffb44de5fb"),
     (["calibrate", "--n1", "300", "--n2", "300", "--k", "5", "--exact"],
-     "406415bd3c5cc16559bd6eb53e91e04801883099940251607b46b920878869c3"),
+     "fd9edd1ebca9632aaac8d40eef4fd9b8f709f336e66e9e6ff6efdeb51586afa7"),
     (["sample-gibbs", "--beta1", "0.1", "--beta2", "0.2", "--fugacity", "3",
       "--count", "5"],
      "f8c8f37011f00c9a54dcd19c01dfbdd0923d1c5ab5ef28c1497c045a7d26e11e"),
@@ -300,6 +303,43 @@ def test_kernel_outputs_are_frozen(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# beta1, beta2, fugacity and iterations of the two lambda <= 2 payloads above,
+# frozen from the report built on the site sums: the kernel report moved only
+# the residuals and the free energy
+@pytest.mark.parametrize("n,k,beta,fugacity", [
+    (306, 39, "0x1.46dca185ca256p-3", "0x1.e6cc3823609e5p+0"),
+    (300, 5, "0x1.0f7a3e3f394b1p-6", "0x1.63c48d0305a55p-10"),
+])
+def test_kernel_report_keeps_the_parameters(capsys, n, k, beta, fugacity):
+    rc, out, _ = run(capsys, ["calibrate", "--n1", str(n), "--n2", str(n),
+                              "--k", str(k), "--exact"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert float.hex(payload["beta1"]) == float.hex(payload["beta2"]) == beta
+    assert float.hex(payload["fugacity"]) == fugacity
+    assert payload["iterations"] == 3
+
+
+def test_calibrate_tail_bound_alone_fails_a_short_truncation(capsys):
+    # the kernel solves the untruncated measure, so the parameters are those
+    # of the default truncation; at T = 15 the truncated E[K] misses k by
+    # 2.7e-6, and only the tail bound in the residual shows it
+    argv = ["calibrate", "--n1", "30", "--n2", "30", "--k", "4", "--exact"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    full = json.loads(out)
+    rc, out, _ = run(capsys, argv + ["--trunc", "15"])
+    assert rc == 1
+    short = json.loads(out)
+    assert short["converged"] is False
+    assert [short[key] for key in ("beta1", "beta2", "fugacity")] == \
+        [full[key] for key in ("beta1", "beta2", "fugacity")]
+    rep = moments(GibbsParams(EnergyModel.linear(short["beta1"], short["beta2"]),
+                              short["fugacity"], 15.0))
+    assert abs(rep.EK - 4) / 4 > 1e-6
+    assert short["residuals"][2] >= abs(rep.EK - 4) / 4
 
 
 def test_calibrate_not_converged_exits_one(capsys):

@@ -189,13 +189,46 @@ def test_residue_law_three_point_convergence():
 
 
 def test_truncation_bound_controls_tail():
-    # enlarging T changes log Z by less than the reported bound at the small T
-    em = EnergyModel.linear(0.8, 0.8)
-    small = GibbsParams(em, 1.3, truncation=25.0)
-    large = GibbsParams(em, 1.3, truncation=50.0)
-    gap = abs(log_partition(large) - log_partition(small))
-    assert gap <= truncation_bound(small)
-    assert truncation_bound(large) < truncation_bound(small)
+    # enlarging T changes log Z by less than the reported bound at the small T:
+    # the linear energy's column sums (isotropic and both anisotropic ways)
+    # and the L1 bound of the other families
+    for em in (EnergyModel.linear(0.8, 0.8), EnergyModel.linear(0.01, 0.4),
+               EnergyModel.linear(0.3, 0.05), EnergyModel.euclidean(0.5),
+               EnergyModel.mixed(0.4, 0.5)):
+        small = GibbsParams(em, 1.3, truncation=25.0)
+        large = GibbsParams(em, 1.3, truncation=50.0)
+        gap = abs(log_partition(large) - log_partition(small))
+        assert gap <= truncation_bound(small)
+        assert truncation_bound(large) < truncation_bound(small)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 2.0])
+@pytest.mark.parametrize("b1,b2", [(0.01, 0.4), (0.3, 0.05), (0.8, 0.8)])
+@pytest.mark.parametrize("T", [5.0, 10.0])
+def test_linear_tail_bounds_the_omitted_sums(b1, b2, lam, T):
+    # what the sites with T < E <= T + 60 add to log Z, E[X1], E[X2] and E[K],
+    # from the per-site laws written out here, against `_linear_tail` at T
+    x1, x2, en = gibbs._site_arrays(EnergyModel.linear(b1, b2), T + 60.0)
+    out = en > T
+    x1, x2, rho = x1[out].astype(float), x2[out].astype(float), np.exp(-en[out])
+    w = lam * rho / (1.0 - rho)  # Z_x - 1
+    q = w / (1.0 + w)
+    mean = q / (1.0 - rho)
+    omitted = np.array([np.sum(np.log1p(w)), np.sum(x1 * mean), np.sum(x2 * mean),
+                        np.sum(q)])
+    bound = gibbs._linear_tail(b1, b2, lam, T)
+    assert np.all(omitted <= bound)
+    # and tight: the primitive share 6/pi^2 and the partial columns leave a
+    # factor of about 2
+    assert np.all(bound <= 4.0 * omitted)
+    assert bound[0] == truncation_bound(GibbsParams(EnergyModel.linear(b1, b2), lam, T))
+
+
+def test_linear_truncation_bound_at_an_anisotropic_calibration():
+    # the calibrated 2000x500 k=40 parameters, where the L1 rates gave 0.104
+    params = GibbsParams(EnergyModel.linear(0.02062969371784949, 0.08380534406323226),
+                         0.07609902606378532)
+    assert truncation_bound(params) <= 1e-12
 
 
 def test_moments_geometric_marginals_at_unit_fugacity():
