@@ -5,14 +5,12 @@ from .lattice import (
     ConvexPolyline,
     MultiplicityDistribution,
     omega_to_polyline,
-    polyline_to_omega,
     primitive_vectors_in_box,
 )
 from .counting import (
     CountTable,
     brute_force_enum,
     count_lines_k,
-    erdos_lehner_ratio,
     line_length,
     max_vertices,
 )
@@ -30,7 +28,6 @@ from .gibbs import (
     MomentReport,
     log_partition,
     moments,
-    parallel_probability,
     sample_omega,
 )
 from .calibrate import (
@@ -39,7 +36,6 @@ from .calibrate import (
     CalibrationTarget,
     asymptotic_params,
     exact_calibrate,
-    llt_supported,
     predicted_log_pnk,
 )
 from .shapes import (
@@ -53,15 +49,11 @@ from .shapes import (
 )
 from .experiments import (
     SUITE_NAMES,
-    enumerate_ne_lines,
-    gibbs_parabola_distances,
     jarnik_greedy_vertex_count,
     run_jarnik,
     run_suite,
     sample_valtr,
     typical_vertex_count,
-    valtr_parabola_distances,
-    valtr_uniformity_chisquare,
 )
 
 __version__ = "0.1.0"

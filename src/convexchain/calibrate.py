@@ -12,14 +12,17 @@ and applies the closed-form rate relations; a small-k closed form covers
 densities below the bracket.
 
 log Z and its derivatives come from `gibbs._linear_log_z`, which chooses the
-kernel (no site enumeration while lambda <= 2).  A step may at most halve a
-rate, and once f can no longer resolve the predicted decrease the full
-Newton step is taken.  The report comes from one more `_linear_log_z` call at
-the final iterate.  Each residual is the moment mismatch plus that call's gap
-to the truncated site sums: for lambda <= 2 a bound on the omitted tail and on
-rounding, above it zero (the sums are those of `moments`).  So a reported
-residual bounds that of the truncated measure `CalibrationResult.params`
-describes, and no site set is built for lambda <= 2.
+kernel (no site enumeration while lambda <= 2); the Newton loop makes one
+call per point and keeps f, the gradient and the Hessian of the accepted
+iterate.  A step may at most halve a rate, and once f can no longer resolve
+the predicted decrease the full Newton step is taken.  The report reuses the
+final iterate's call when the fugacity round trip e^-g gives back the same
+g, and otherwise makes its own.  Each residual is the moment mismatch plus
+that call's gap to the truncated site sums: for lambda <= 2 a bound on the
+omitted tail and on rounding, above it zero (the sums are those of
+`moments`).  So a reported residual bounds that of the truncated measure
+`CalibrationResult.params` describes, and no site set is built for
+lambda <= 2.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ __all__ = [
     "CalibrationResult",
     "asymptotic_params",
     "exact_calibrate",
-    "FreeEnergy",
     "predicted_log_pnk",
-    "llt_supported",
 ]
 
 # fugacity bracket of the c-inversion; c is strictly increasing on it
@@ -130,39 +131,6 @@ def asymptotic_params(target: CalibrationTarget) -> tuple[float, float, float]:
     return beta1, beta2, lam
 
 
-class FreeEnergy:
-    """f(v) = b1*n1 + b2*n2 + g*k + log Z with its derivatives, v = (b1, b2, g).
-
-    log Z is `gibbs._linear_log_z` at the truncation.  The reported residuals
-    add that call's gap to the truncated sums, so a truncation too small to
-    hold the solution (a small --trunc) still shows up as a non-converged
-    result.
-    """
-
-    def __init__(self, target: CalibrationTarget,
-                 truncation: float = DEFAULT_TRUNCATION):
-        self.target = target
-        self.truncation = truncation
-        self._target = np.array([target.n1, target.n2, target.k], dtype=float)
-
-    def value(self, v: np.ndarray) -> float:
-        t = self.target
-        logz = _linear_log_z(*v, self.truncation)[0]
-        return v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k + logz
-
-    def _derivatives(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(gradient, Hessian): the moment mismatch and the covariance of
-        (X1, X2, K)."""
-        _, grad, cov, _ = _linear_log_z(*v, self.truncation)
-        return self._target + grad, cov
-
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        return self._derivatives(v)[0]
-
-    def hessian(self, v: np.ndarray) -> np.ndarray:
-        return self._derivatives(v)[1]
-
-
 def _initializer(target: CalibrationTarget) -> tuple[float, float, float]:
     try:
         return asymptotic_params(target)
@@ -174,10 +142,15 @@ def _initializer(target: CalibrationTarget) -> tuple[float, float, float]:
 
 
 def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
-               truncation: float) -> CalibrationResult:
+               truncation: float, kernel=None) -> CalibrationResult:
+    """The report at v; `kernel` is the `_linear_log_z` tuple at v, if the
+    caller has it."""
     beta1, beta2, lam = float(v[0]), float(v[1]), math.exp(-float(v[2]))
     # g from the reported fugacity, as `moments(result.params())` takes it
-    logz, grad, _, gap = _linear_log_z(beta1, beta2, -math.log(lam), truncation)
+    g = -math.log(lam)
+    if kernel is None or g != v[2]:
+        kernel = _linear_log_z(beta1, beta2, g, truncation)
+    logz, grad, _, gap = kernel
     goal = np.array([target.n1, target.n2, target.k], dtype=float)
     residuals = tuple(((np.abs(-grad - goal) + gap[1:]) / goal).tolist())
     return CalibrationResult(
@@ -217,17 +190,27 @@ def exact_calibrate(target: CalibrationTarget,
     relative residuals near 1e-11 so symmetry properties survive, and the
     success contract is 1e-6.  A numerically singular Hessian falls back to
     the small-k closed forms, or, with every site saturated (lambda > 1),
-    raises `CalibrationError` like any other unbounded free energy.
+    raises `CalibrationError` like any other unbounded free energy.  The
+    truncation `trunc` must be positive and finite, as in `GibbsParams`.
     """
-    b1, b2, lam = _initializer(target)
-    v = np.array([b1, b2, -math.log(lam)])
+    if not 0 < trunc < math.inf:
+        raise ValueError(f"trunc must be positive and finite, got {trunc}")
     scale = np.array([target.n1, target.n2, target.k], dtype=float)
 
-    fe = FreeEnergy(target, trunc)
-    fval = fe.value(v)
+    def evaluate(v):
+        """f(v) = b1*n1 + b2*n2 + g*k + log Z, its gradient (the moment
+        mismatch), its Hessian (the covariance of (X1, X2, K)) and the
+        `_linear_log_z` tuple they come from."""
+        kernel = _linear_log_z(*v, trunc)
+        logz, grad, hess, _ = kernel
+        fval = v[0] * target.n1 + v[1] * target.n2 + v[2] * target.k + logz
+        return fval, scale + grad, hess, kernel
+
+    b1, b2, lam = _initializer(target)
+    v = np.array([b1, b2, -math.log(lam)])
+    fval, g, H, kernel = evaluate(v)
     total_iters = 0
     while total_iters < CALIB_MAX_ITER:
-        g, H = fe._derivatives(v)
         if np.max(np.abs(g) / scale) <= CALIB_TARGET_TOL:
             break
         try:
@@ -250,23 +233,17 @@ def exact_calibrate(target: CalibrationTarget,
             # a step may at most halve a rate, which bounds the growth of the
             # kernel's sum length (~1/min rate) and of the site set
             if cand[0] > 0.5 * v[0] and cand[1] > 0.5 * v[1]:
-                cval = fe.value(cand)
-                if cval < fval or not resolved:
+                at_cand = evaluate(cand)
+                if at_cand[0] < fval or not resolved:
                     break
             t *= 0.5
             if t < 1e-12:
                 # no descent available: already at numerical optimum
-                return _result_at(target, v, total_iters, trunc)
-        v, fval = cand, cval
+                return _result_at(target, v, total_iters, trunc, kernel)
+        v, (fval, g, H, kernel) = cand, at_cand
         if v[2] < -700.0 or max(v[0], v[1]) > 1e8:
             raise _unbounded(target)
-    return _result_at(target, v, total_iters, trunc)
-
-
-def llt_supported(target: CalibrationTarget) -> bool:
-    """Whether the local-limit prefactor is meaningful for this target
-    (vertex count must grow with n; tiny k voids the Gaussian regime)."""
-    return target.k > math.log(max(target.n1, target.n2))
+    return _result_at(target, v, total_iters, trunc, kernel)
 
 
 def predicted_log_pnk(target: CalibrationTarget, result: CalibrationResult,

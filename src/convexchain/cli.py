@@ -171,6 +171,8 @@ def _make_curve(args):
 
 
 def _cmd_shape_distance(args):
+    if args.assert_below is not None and not math.isfinite(args.assert_below):
+        raise UsageError(f"--assert-below must be finite, got {args.assert_below}")
     poly = _load_polyline(args.line)
     if args.scale == "auto":
         scale = poly.endpoint()
@@ -206,6 +208,8 @@ def _parse_grid(spec):
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise UsageError(f"non-numeric --ell-grid component in {spec!r}") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise UsageError(f"--ell-grid needs finite components, got {spec!r}")
     if step <= 0 or b < a:
         raise UsageError(f"--ell-grid needs stop >= start and step > 0, got {spec!r}")
     n = int(math.floor((b - a) / step + 1e-9)) + 1

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -41,7 +40,6 @@ __all__ = [
     "count_lines_k",
     "brute_force_enum",
     "max_vertices",
-    "erdos_lehner_ratio",
 ]
 
 BRUTE_FORCE_CAP = 12
@@ -246,16 +244,6 @@ def max_vertices(n1: int, n2: int) -> int:
         dst = best[dp:, dq:]
         np.maximum(dst, inc[: n1 + 1 - dp, : n2 + 1 - dq], out=dst)
     return int(best[n1, n2])
-
-
-def erdos_lehner_ratio(n: int, k: int, table: CountTable | None = None) -> float:
-    """p(n,n;k) * k! / C(n-1,k-1)^2 as an exact rational, returned as float."""
-    if table is None or table.n1 < n or table.n2 < n or table.kmax < k:
-        table = count_lines_k(n, n, k)
-    denom = math.comb(n - 1, k - 1) ** 2
-    if denom == 0:
-        raise ValueError(f"C({n - 1},{k - 1}) vanishes")
-    return float(Fraction(table.p(n, n, k) * math.factorial(k), denom))
 
 
 def line_length(line: ConvexPolyline) -> float:

@@ -2,11 +2,11 @@
 
 Everything here orchestrates the library modules into named, seeded,
 deterministic checks: the few-vertex sampler built on sorted uniform
-increments, the Euclidean-length model runs, shape-convergence sweeps, and
-the suite runner that emits machine-readable {check, target, observed,
-tolerance, pass} rows.  Every stochastic routine takes an explicit integer
-seed (default 0, never wall clock), and reports are sorted by check name so
-byte-identical output only depends on the config.
+increments, the Euclidean-length model runs, and the suite runner that
+emits machine-readable {check, target, observed, tolerance, pass} rows.
+Every stochastic routine takes an explicit integer seed (default 0, never
+wall clock), and reports are sorted by check name so byte-identical output
+only depends on the config.
 
 Each quantity is computed once, through one path: every limit-shape check
 runs the `_distances` loop (the curve sampled once, each line normalized
@@ -14,7 +14,6 @@ and measured), the Jarnik suite takes only a median from its two extra
 betas, and E[L] is the exact per-site moment.
 """
 
-import hashlib
 import json
 import math
 import warnings
@@ -41,11 +40,7 @@ from .specialfn import ZETA3, c_of_ell, e_of_ell
 
 __all__ = [
     "sample_valtr",
-    "enumerate_ne_lines",
-    "valtr_uniformity_chisquare",
     "typical_vertex_count",
-    "gibbs_parabola_distances",
-    "valtr_parabola_distances",
     "jarnik_greedy_vertex_count",
     "run_jarnik",
     "run_suite",
@@ -105,88 +100,6 @@ def sample_valtr(n, k, seed=0, rng=None):
     )
 
 
-def enumerate_ne_lines(n, k):
-    """All strictly North-East convex lines (0,0) -> (n,n) with k edges.
-
-    Every edge has both coordinates >= 1 and slopes strictly increase.
-    Returns the lines as tuples of edge vectors in slope order.  Intended
-    for small k (the recursion visits ~n^(2(k-1)) candidates).
-    """
-    if k < 1 or n < k:
-        return []
-    out = []
-    edges = []
-
-    def rec(r1, r2, left, prev):
-        if left == 1:
-            if r1 >= 1 and r2 >= 1 and (
-                    prev is None or prev[0] * r2 - prev[1] * r1 > 0):
-                out.append((*edges, (r1, r2)))
-            return
-        for a in range(1, r1 - (left - 1) + 1):
-            for b in range(1, r2 - (left - 1) + 1):
-                if prev is not None and prev[0] * b - prev[1] * a <= 0:
-                    continue
-                edges.append((a, b))
-                rec(r1 - a, r2 - b, left - 1, (a, b))
-                edges.pop()
-
-    rec(n, n, k, None)
-    return out
-
-
-def valtr_uniformity_chisquare(n, k, samples, seed=0):
-    """Chi-square statistic of the sampler against the exact uniform law.
-
-    The reference set is enumerated exactly, hashed into `bins` cells (md5
-    of the edge tuples, so the binning is stable across runs and platforms),
-    and compared with the empirical cell counts of `samples` accepted draws.
-    Returns a dict with the statistic, degrees of freedom and the 1-alpha
-    quantiles for alpha in {0.05, 0.001}.
-    """
-    from scipy.stats import chi2  # its only user; keeps it off the import path
-
-    bins = 200
-    support = enumerate_ne_lines(n, k)
-    if not support:
-        raise ValueError(f"no strictly North-East lines for n={n}, k={k}")
-
-    def cell(edge_tuple):
-        digest = hashlib.md5(repr(edge_tuple).encode()).digest()
-        return int.from_bytes(digest[:8], "big") % bins
-
-    expected = np.zeros(bins)
-    index = {}
-    for line in support:
-        index[line] = cell(line)
-        expected[index[line]] += 1.0
-    expected *= samples / len(support)
-
-    observed = np.zeros(bins)
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        poly = sample_valtr(n, k, rng=rng)
-        line = tuple(poly.edges())
-        try:
-            observed[index[line]] += 1.0
-        except KeyError:
-            raise AssertionError(
-                f"sampler produced a line outside the enumerated support: {line}"
-            ) from None
-
-    live = expected > 0
-    stat = float(np.sum((observed[live] - expected[live]) ** 2 / expected[live]))
-    dof = int(live.sum()) - 1
-    return {
-        "statistic": stat,
-        "dof": dof,
-        "support_size": len(support),
-        "samples": samples,
-        "quantile_05": float(chi2.ppf(0.95, dof)),
-        "quantile_001": float(chi2.ppf(0.999, dof)),
-    }
-
-
 def typical_vertex_count(n1, n2=None):
     """Most likely vertex count of a uniform line to (n1, n2): c(1)(n1 n2)^(1/3)."""
     if n2 is None:
@@ -216,39 +129,6 @@ def _distances(lines, curve, mesh):
         raise ValueError(f"none of the {len(lines)} sampled lines leaves both axes, so "
                          "there is no length or shape to check; lower beta")
     return dists
-
-
-def _parabola_summary(n, k, lines, mesh, q90=False):
-    arr = np.asarray(_distances(lines, ShapeCurve.parabola(), mesh))
-    out = {"n": n, "k": k, "count": int(arr.size),
-           "median": float(np.median(arr)), "mean": float(arr.mean())}
-    if q90:
-        out["q90"] = float(np.quantile(arr, 0.9))
-    return out
-
-
-def gibbs_parabola_distances(n, count=200, seed=0, mesh=1000,
-                             truncation=DEFAULT_TRUNCATION):
-    """Hausdorff distances to the parabola for calibrated typical-k samples.
-
-    Each sampled line is normalized by its own endpoint (the free-endpoint
-    measure fluctuates around (n, n)), then compared with the unit-ratio
-    parabola.  Returns summary statistics including the median.
-    """
-    k = typical_vertex_count(n)
-    res = exact_calibrate(CalibrationTarget(n, n, k), trunc=truncation)
-    params = res.params(truncation)
-    return _parabola_summary(n, k, _gibbs_lines(params, count, seed), mesh, q90=True)
-
-
-def valtr_parabola_distances(n, k, count=200, seed=0, mesh=1000):
-    """Median parabola distance of uniform strictly North-East k-edge lines.
-
-    Every line ends at (n, n), so its own endpoint is the normalization.
-    """
-    rng = np.random.default_rng(seed)
-    lines = [sample_valtr(n, k, rng=rng) for _ in range(count)]
-    return _parabola_summary(n, k, lines, mesh)
 
 
 def jarnik_greedy_vertex_count(length_budget):

@@ -6,9 +6,8 @@ occupancies are independent; each follows the biased geometric law
     P[omega(x) = j]  propto  rho^j * lam^{1{j>0}},     rho = exp(-E(x)),
 
 whose normalizer is Z_x = 1 + lam*rho/(1-rho).  Expected endpoint, vertex
-count, the 3x3 covariance of (X1, X2, K), seeded sampling, and the
-parallel-endpoint probability all live here.  Two kernels compute log Z and
-the moments:
+count, the 3x3 covariance of (X1, X2, K) and seeded sampling live here.
+Two kernels compute log Z and the moments:
 
 - the per-site law kernel `_site_laws` serves `moments`, `log_partition`
   and the sampler.  It works in a = g + E + log(1-rho), g = -log(lam), where
@@ -51,9 +50,7 @@ import numpy as np
 from scipy.special import expit
 
 from .lattice import MultiplicityDistribution, _primitive_grid
-from .specialfn import ZETA2, parallel_constant
-from .tolerances import (DEFAULT_TRUNCATION, KERNEL_ROUNDING, PARALLEL_TRUNC_TOL,
-                         SITE_BUDGET)
+from .tolerances import DEFAULT_TRUNCATION, KERNEL_ROUNDING, SITE_BUDGET
 
 __all__ = [
     "EnergyModel",
@@ -63,7 +60,6 @@ __all__ = [
     "truncation_bound",
     "moments",
     "sample_omega",
-    "parallel_probability",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -530,38 +526,3 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     return MultiplicityDistribution(dict(zip(zip(x1[site].tolist(), x2[site].tolist()),
                                              mult.tolist())))
 
-
-def parallel_probability(beta: float, mode: str) -> float:
-    """Probability that two independent one-step endpoint draws are parallel.
-
-    exact_sum: (1-e^-beta)^4 * sum_{s>=2} phi(s) * (e^{-beta*s}/(1-e^{-beta*s}))^2
-    over the strictly positive primitive directions grouped by coordinate sum s
-    (there are phi(s) of them on each diagonal), truncated with error below
-    PARALLEL_TRUNC_TOL.  asymptotic: beta^2*(log(1/beta)/zeta(2) - C) with C
-    from parallel_constant().
-    """
-    if not 0.0 < beta <= 0.2:
-        raise ValueError(f"beta must lie in (0, 0.2], got {beta}")
-    if mode == "asymptotic":
-        return beta**2 * (math.log(1.0 / beta) / ZETA2 - parallel_constant())
-    if mode != "exact_sum":
-        raise ValueError(f"unknown mode {mode!r}")
-    if beta < 1e-4:
-        raise ValueError("exact_sum refuses beta < 1e-4 (sieve length ~ 1/beta)")
-    # tail: sum_{s>S} s*g(s)^2 <= sum s*e^{-2 beta s} analytically; S = 40/beta
-    # leaves less than e^{-80}/beta^2-ish, far under the tolerance
-    S = int(40.0 / beta) + 2
-    phi = np.arange(S + 1, dtype=np.int64)
-    for p in range(2, S + 1):
-        if phi[p] == p:  # p prime
-            phi[p::p] -= phi[p::p] // p
-    s = np.arange(2, S + 1, dtype=float)
-    g = np.exp(-beta * s) / -np.expm1(-beta * s)
-    total = float(np.sum(phi[2:].astype(float) * g * g))
-    # tail: phi(s) <= s and g(s)^2 <= e^{-2 beta s}/(1-e^{-2 beta})^2, so the
-    # dropped part is under sum_{s>S} s r^s / (1-r)^2 with r = e^{-2 beta}
-    r = math.exp(-2.0 * beta)
-    tail = ((S + 2) * r ** (S + 1)) / (1 - r) ** 4
-    if tail > PARALLEL_TRUNC_TOL * total:
-        raise RuntimeError("parallel sum truncation bound violated")
-    return (-math.expm1(-beta)) ** 4 * total

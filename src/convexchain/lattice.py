@@ -29,7 +29,6 @@ __all__ = [
     "MultiplicityDistribution",
     "ConvexPolyline",
     "omega_to_polyline",
-    "polyline_to_omega",
 ]
 
 Vec = tuple[int, int]
@@ -220,12 +219,3 @@ def omega_to_polyline(omega: MultiplicityDistribution) -> ConvexPolyline:
         pts.append((a, b))
     return ConvexPolyline(tuple(pts))
 
-
-def polyline_to_omega(line: ConvexPolyline) -> MultiplicityDistribution:
-    """Inverse of omega_to_polyline: each edge (d1,d2) contributes the primitive
-    direction (d1/g, d2/g) with multiplicity g = gcd(d1,d2)."""
-    support: dict[Vec, int] = {}
-    for d in line.edges():
-        g = math.gcd(d[0], d[1])
-        support[(d[0] // g, d[1] // g)] = g
-    return MultiplicityDistribution(support)

@@ -73,14 +73,18 @@ def _simpson_split(f, a, b, fa, fm, fb, whole, tol, depth):
         _simpson_split(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
 
 
+def _check_ratio(ratio):
+    if not 0.0 < ratio < math.inf:
+        raise ValueError(f"aspect ratio must be positive and finite, got {ratio!r}")
+
+
 def parabola_point(theta, ratio=1.0):
     """Point of the limit parabola at slope parameter theta in [0, inf].
 
     With r = ratio the point is (th(th+2r)/(th+r)^2, th^2/(th+r)^2); at r=1
     the traced curve is sqrt(y) + sqrt(1-x) = 1.
     """
-    if ratio <= 0.0:
-        raise ValueError(f"aspect ratio must be positive, got {ratio!r}")
+    _check_ratio(ratio)
     if theta == math.inf:
         return (1.0, 1.0)
     if theta < 0.0:
@@ -90,10 +94,10 @@ def parabola_point(theta, ratio=1.0):
 
 
 def _check_mixed_domain(lambda_ell):
-    if not lambda_ell > _MIXED_DOMAIN_EDGE:
+    if not _MIXED_DOMAIN_EDGE < lambda_ell < math.inf:
         raise ValueError(
-            f"mixed-curve denominator is singular at lambda_ell={lambda_ell!r}; "
-            "the evaluable branch needs lambda_ell > -1/sqrt(2)"
+            f"mixed curve is not evaluable at lambda_ell={lambda_ell!r}: "
+            "it needs a finite lambda_ell > -1/sqrt(2)"
         )
 
 
@@ -162,8 +166,7 @@ class ShapeCurve:
 
     @classmethod
     def parabola(cls, ratio=1.0):
-        if ratio <= 0.0:
-            raise ValueError(f"aspect ratio must be positive, got {ratio!r}")
+        _check_ratio(ratio)
         return cls(kind="parabola", ratio=float(ratio))
 
     @classmethod
@@ -242,8 +245,8 @@ def normalize(line, scale):
     lands on (1,1); an empty-support line collapses to the single point (0,0).
     """
     n1, n2 = float(scale[0]), float(scale[1])
-    if n1 <= 0.0 or n2 <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
+    if not (0.0 < n1 < math.inf and 0.0 < n2 < math.inf):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if isinstance(line, ConvexPolyline):
         line = line.vertices
     pts = np.atleast_2d(np.asarray(line, dtype=float)) / np.array([n1, n2])

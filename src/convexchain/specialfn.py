@@ -17,6 +17,10 @@ comfortably (|z| <= 0.98) and by the integral representation
 
 elsewhere (mandatory for z <= -1, where the series diverges).  Both routes are
 kept as genuinely independent implementations and must agree on the overlap.
+
+The observables that only the tests build on these functions (zeta'(2),
+the parallel constant, the trilogarithm residue of log Z) live in
+`tests/paper.py`.
 """
 
 from __future__ import annotations
@@ -26,24 +30,16 @@ import math
 import numpy as np
 from scipy import integrate
 
-from .tolerances import (
-    POLYLOG_QUAD_TOL,
-    POLYLOG_SERIES_TOL,
-    ZETA_ABS_TOL,
-)
+from .tolerances import POLYLOG_QUAD_TOL, POLYLOG_SERIES_TOL
 
 __all__ = [
     "zeta",
-    "zeta_prime",
     "polylog",
     "ratio_li2",
     "c_of_ell",
     "e_of_ell",
-    "residue_logZ",
-    "parallel_constant",
     "ZETA2",
     "ZETA3",
-    "EULER_GAMMA",
 ]
 
 # Bernoulli numbers B_2, B_4, B_6, B_8 for the Euler-Maclaurin tail
@@ -51,14 +47,14 @@ _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30)
 
 
 def zeta(s: float) -> float:
-    """Riemann zeta for real s > 1, Euler-Maclaurin accelerated.
+    """Riemann zeta for real finite s > 1, Euler-Maclaurin accelerated.
 
     With N = 50 terms and four Bernoulli corrections the truncation error is
-    below ZETA_ABS_TOL for every s > 1 (the first dropped term is of order
+    below 1e-12 for every s > 1 (the first dropped term is of order
     |B_10|/10! * s..(s+8) * N^(-s-9) < 1e-17 already at s -> 1+).
     """
-    if not s > 1:
-        raise ValueError(f"zeta requires s > 1, got {s}")
+    if not 1 < s < math.inf:
+        raise ValueError(f"zeta requires finite s > 1, got {s}")
     N = 50
     n = np.arange(1, N, dtype=float)
     total = float(np.sum(n**-s))
@@ -75,26 +71,8 @@ def zeta(s: float) -> float:
     return total
 
 
-def zeta_prime(s: float) -> float:
-    """d/ds zeta(s) for real s > 1: partial sum of -log(n)/n^s to N = 200,000
-    plus the integral tail (log N + 1/(s-1)) * N^(1-s)/(s-1) and midpoint term.
-
-    Absolute error ~ s*log(N)/N^(s+1), i.e. far below 1e-12 for every s >= 2
-    (only s = 2 is used downstream).
-    """
-    if not s > 1:
-        raise ValueError(f"zeta_prime requires s > 1, got {s}")
-    N = 200_000.0
-    n = np.arange(1.0, N + 1.0)
-    partial = -float(np.sum(np.log(n) * n**-s))
-    tail = -(math.log(N) / (s - 1.0) + 1.0 / (s - 1.0) ** 2) * N ** (1.0 - s)
-    midpoint = 0.5 * math.log(N) * N**-s
-    return partial + tail + midpoint
-
-
 ZETA2 = zeta(2.0)
 ZETA3 = zeta(3.0)
-EULER_GAMMA = float(np.euler_gamma)
 
 
 def _series_terms(az: float, s: float, tol: float) -> np.ndarray:
@@ -164,13 +142,13 @@ def _polylog_integral(s: float, z: float) -> float:
 
 
 def polylog(s: float, z: float) -> float:
-    """Li_s(z) for real z < 1 and s > 0: the series for |z| <= 0.98 and the
-    integral elsewhere.  s = 1 short-circuits to -log(1-z).
+    """Li_s(z) for real finite z < 1 and s > 0: the series for |z| <= 0.98
+    and the integral elsewhere.  s = 1 short-circuits to -log(1-z).
     """
     if not s > 0:
         raise ValueError(f"polylog requires s > 0, got {s}")
-    if not z < 1:
-        raise ValueError(f"polylog requires z < 1, got {z}")
+    if not -math.inf < z < 1:
+        raise ValueError(f"polylog requires finite z < 1, got {z}")
     if s == 1.0:
         return -math.log1p(-z)
     if abs(z) <= 0.98:
@@ -198,8 +176,8 @@ def _residue_core(lam: float) -> float:
 def c_of_ell(ell: float) -> float:
     """Coefficient of (n1*n2)^(1/3) in the typical vertex count, as a function
     of the fugacity ell; c(1) = (zeta(2)*zeta(3)^2)^(-1/3) ~ 0.749."""
-    if not ell > 0:
-        raise ValueError(f"c_of_ell requires ell > 0, got {ell}")
+    if not 0 < ell < math.inf:
+        raise ValueError(f"c_of_ell requires finite ell > 0, got {ell}")
     # ell/(1-ell)*Li2(1-ell) == ell * ratio_li2(1-ell): smooth through ell = 1
     numerator = ell * ratio_li2(1.0 - ell)
     return numerator / (ZETA2 ** (1.0 / 3) * _residue_core(ell) ** (2.0 / 3))
@@ -208,30 +186,8 @@ def c_of_ell(ell: float) -> float:
 def e_of_ell(ell: float) -> float:
     """Coefficient of (n1*n2)^(1/3) in log p(n;k) along the calibrated family;
     e(1) = 3*(zeta(3)/zeta(2))^(1/3) ~ 2.702, and ell = 1 is the maximum."""
-    if not ell > 0:
-        raise ValueError(f"e_of_ell requires ell > 0, got {ell}")
+    if not 0 < ell < math.inf:
+        raise ValueError(f"e_of_ell requires finite ell > 0, got {ell}")
     return (3.0 * (_residue_core(ell) / ZETA2) ** (1.0 / 3)
             - math.log(ell) * c_of_ell(ell))
-
-
-def residue_logZ(beta1: float, beta2: float, lam: float) -> float:
-    """Leading term of the log partition function for the linear-energy model:
-    (zeta(3) - Li3(1-lam)) / (zeta(2) * beta1 * beta2)."""
-    if beta1 <= 0 or beta2 <= 0 or lam <= 0:
-        raise ValueError("residue_logZ requires positive beta1, beta2, lam")
-    return _residue_core(lam) / (ZETA2 * beta1 * beta2)
-
-
-def parallel_constant() -> float:
-    """The constant C in the two-term law beta^2*(log(1/beta)/zeta(2) - C) for
-    the probability that two independent endpoint draws are parallel.
-
-    From the Laurent expansion at s = 2 of Gamma(s)*(zeta(s-1)-zeta(s))^2 /
-    zeta(s) (double pole: zeta(s-1) ~ 1/(s-2) + gamma):
-
-        C = (2*zeta(2) - 1 - euler_gamma + zeta'(2)/zeta(2)) / zeta(2)
-
-    computed from the zeta values at runtime, never from a frozen decimal.
-    """
-    return (2.0 * ZETA2 - 1.0 - EULER_GAMMA + zeta_prime(2.0) / ZETA2) / ZETA2
 

@@ -1,17 +1,13 @@
 """Named numerical tolerances, in one place so tests and library agree."""
 
 # special functions
-ZETA_ABS_TOL = 1e-12          # Euler-Maclaurin tail target for zeta(s)
 POLYLOG_SERIES_TOL = 1e-13    # series tail bound for Li_s
 POLYLOG_QUAD_TOL = 1e-13      # quadrature epsabs for the integral route
-POLYLOG_DUAL_TOL = 1e-9       # series vs integral must agree to this on overlap
-CE_CONTINUITY_TOL = 1e-8      # two-sided evaluation of c, e across ell = 1
 
 # quadrature for the limit-shape curve family
 CURVE_QUAD_TOL = 1e-10
 
 # Gibbs / counting
-PARALLEL_TRUNC_TOL = 1e-12    # truncation error target of the exact parallel sum
 DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets
 # DP resource guard, in cell updates of one sweep (`counting._dp_cost_estimate`):
 # one float64 count sweep runs ~3.4e8 cell updates/s on a 2-core x86 host, so
@@ -37,10 +33,3 @@ KERNEL_ROUNDING = 2.0**-46
 CALIB_RESIDUAL_TOL = 1e-6     # success contract: max relative moment residual
 CALIB_TARGET_TOL = 1e-11      # Newton keeps polishing down to this when it can
 CALIB_MAX_ITER = 60
-
-# acceptance-test brackets that are shared with the CLI suites
-EL_RATIO_LOW, EL_RATIO_HIGH = 0.8, 1.1
-PREDICTION_REL_TOL = 0.25
-RESIDUE_REL_TOL = 0.03
-PARALLEL_REL_TOL = 0.05
-SHAPE_MEDIAN_BOUND = 0.05

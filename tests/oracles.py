@@ -3,6 +3,8 @@ reimplementations that the library's vectorized code is checked against."""
 
 import math
 
+from convexchain.lattice import ConvexPolyline, MultiplicityDistribution
+
 
 def primitive_vectors_by_weight(energy, cutoff: float):
     """Yield every primitive x with energy(x) <= cutoff, exactly once.
@@ -45,3 +47,13 @@ def _column_top(energy, x1: int, cutoff: float) -> int:
         else:
             hi = mid
     return lo if energy(x1, lo) <= cutoff else -1
+
+
+def polyline_to_omega(line: ConvexPolyline) -> MultiplicityDistribution:
+    """Inverse of `omega_to_polyline`: each edge (d1,d2) contributes the
+    primitive direction (d1/g, d2/g) with multiplicity g = gcd(d1,d2)."""
+    support = {}
+    for d in line.edges():
+        g = math.gcd(d[0], d[1])
+        support[(d[0] // g, d[1] // g)] = g
+    return MultiplicityDistribution(support)

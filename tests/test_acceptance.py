@@ -22,41 +22,27 @@ from collections import Counter
 import numpy as np
 import pytest
 from conftest import record_criterion
+from paper import (
+    erdos_lehner_ratio,
+    free_energy,
+    gibbs_parabola_distances,
+    parallel_constant,
+    parallel_probability,
+    valtr_parabola_distances,
+    valtr_uniformity_chisquare,
+)
 
 from convexchain.calibrate import (
     CalibrationError,
     CalibrationTarget,
-    FreeEnergy,
     exact_calibrate,
     predicted_log_pnk,
 )
-from convexchain.counting import (
-    brute_force_enum,
-    count_lines_k,
-    erdos_lehner_ratio,
-    max_vertices,
-)
-from convexchain.experiments import (
-    gibbs_parabola_distances,
-    typical_vertex_count,
-    valtr_parabola_distances,
-    valtr_uniformity_chisquare,
-)
-from convexchain.gibbs import (
-    EnergyModel,
-    GibbsParams,
-    log_partition,
-    parallel_probability,
-)
+from convexchain.counting import brute_force_enum, count_lines_k, max_vertices
+from convexchain.experiments import typical_vertex_count
+from convexchain.gibbs import EnergyModel, GibbsParams, log_partition
 from convexchain.shapes import ShapeCurve, mixed_length
-from convexchain.specialfn import (
-    ZETA2,
-    ZETA3,
-    c_of_ell,
-    e_of_ell,
-    parallel_constant,
-    polylog,
-)
+from convexchain.specialfn import ZETA2, ZETA3, c_of_ell, e_of_ell, polylog
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +154,7 @@ def test_criterion_05_calibration_and_free_energy_derivatives():
         checks[f"k={k2} residual<=1e-6"] = False
 
     res = results[typical]
-    fe = FreeEnergy(CalibrationTarget(300, 300, typical))
+    target = CalibrationTarget(300, 300, typical)
     worst_g = 0.0
     worst_h = 0.0
     # probe just off the optimum (the gradient at the optimum itself is ~1e-13,
@@ -176,18 +162,18 @@ def test_criterion_05_calibration_and_free_energy_derivatives():
     v_opt = np.array([res.beta1, res.beta2, -math.log(res.fugacity)])
     v_near = v_opt + np.array([1e-4, -1e-4, 1e-4])
     for v in (v_near, np.array([0.09, 0.15, 0.4])):
-        g = fe.gradient(v)
+        g = free_energy(target, v)[1]
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1e-6
-            fd = (fe.value(v + e) - fe.value(v - e)) / 2e-6
+            fd = (free_energy(target, v + e)[0] - free_energy(target, v - e)[0]) / 2e-6
             worst_g = max(worst_g, abs(g[i] - fd) / max(abs(fd), 1e-30))
     v = v_near
-    H = fe.hessian(v)
+    H = free_energy(target, v)[2]
     for i in range(3):
         e = np.zeros(3)
         e[i] = 2e-4
-        fd_row = (fe.gradient(v + e) - fe.gradient(v - e)) / 4e-4
+        fd_row = (free_energy(target, v + e)[1] - free_energy(target, v - e)[1]) / 4e-4
         rel = np.abs(H[i] - fd_row) / np.maximum(np.abs(fd_row), 1e-12)
         worst_h = max(worst_h, float(rel.max()))
     checks["gradient FD<=1e-4"] = worst_g <= 1e-4

@@ -15,16 +15,15 @@ from convexchain.calibrate import (
     CalibrationError,
     CalibrationResult,
     CalibrationTarget,
-    FreeEnergy,
     asymptotic_params,
     exact_calibrate,
-    llt_supported,
     predicted_log_pnk,
 )
-from convexchain.gibbs import (EnergyModel, GibbsParams, _mobius_log_z, _site_arrays,
-                              log_partition, moments, truncation_bound)
+from convexchain.gibbs import (EnergyModel, GibbsParams, _linear_log_z, _mobius_log_z,
+                              _site_arrays, log_partition, moments, truncation_bound)
 from convexchain.specialfn import c_of_ell
 from convexchain.tolerances import KERNEL_ROUNDING
+from paper import free_energy
 
 # Exact log-counts, frozen from the big-integer table builder (independent
 # of everything in calibrate.py): log p(n, n; k).
@@ -105,41 +104,41 @@ def test_asymptotic_superdense_raises():
 
 
 def test_free_energy_gradient_matches_fd():
-    fe = FreeEnergy(CalibrationTarget(300, 300, 34))
+    t = CalibrationTarget(300, 300, 34)
     h = 1e-6
     # Near the calibrated point the gradient is small (~6e-3) so FD noise
     # is at its worst; 1e-4 relative still holds.
     for v in (np.array([0.13343, 0.13343, -math.log(0.954444)]),
               np.array([0.09, 0.15, 0.4])):
-        g = fe.gradient(v)
+        g = free_energy(t, v)[1]
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            fd = (fe.value(v + e) - fe.value(v - e)) / (2 * h)
+            fd = (free_energy(t, v + e)[0] - free_energy(t, v - e)[0]) / (2 * h)
             assert abs(g[i] - fd) / max(abs(fd), 1e-30) < 1e-4
 
 
 def test_free_energy_hessian_matches_fd():
-    fe = FreeEnergy(CalibrationTarget(300, 300, 34))
+    t = CalibrationTarget(300, 300, 34)
     v = np.array([0.13343, 0.13343, -math.log(0.954444)])
-    H = fe.hessian(v)
+    H = free_energy(t, v)[2]
     assert np.allclose(H, H.T)
     h = 2e-4
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        fd_row = (fe.gradient(v + e) - fe.gradient(v - e)) / (2 * h)
+        fd_row = (free_energy(t, v + e)[1] - free_energy(t, v - e)[1]) / (2 * h)
         rel = np.abs(H[i] - fd_row) / np.maximum(np.abs(fd_row), 1e-12)
         assert rel.max() < 1e-3
 
 
 def _check_free_energy_against_site_sums(b1, b2, lam):
-    """FreeEnergy's value, gradient and Hessian against `log_partition` and
-    `moments`: the closed-form kernel (lam <= 2) to 1e-12 relative, the
+    """The free energy's value, gradient and Hessian against `log_partition`
+    and `moments`: the closed-form kernel (lam <= 2) to 1e-12 relative, the
     per-site kernel (lam > 2) exactly."""
     t = CalibrationTarget(300, 300, 34)
-    fe = FreeEnergy(t)
     v = np.array([b1, b2, -math.log(lam)])
+    f, grad_f, hess_f = free_energy(t, v)
     params = GibbsParams(EnergyModel.linear(b1, b2), lam)
     rep = moments(params)
     lin = v[0] * t.n1 + v[1] * t.n2 + v[2] * t.k
@@ -147,19 +146,19 @@ def _check_free_energy_against_site_sums(b1, b2, lam):
     value = lin + lz
     gradient = np.array([t.n1, t.n2, t.k]) - np.array([rep.EX1, rep.EX2, rep.EK])
     if lam > 2.0:
-        assert fe.value(v) == value
-        np.testing.assert_array_equal(fe.gradient(v), gradient)
-        np.testing.assert_array_equal(fe.hessian(v), rep.covariance)
+        assert f == value
+        np.testing.assert_array_equal(grad_f, gradient)
+        np.testing.assert_array_equal(hess_f, rep.covariance)
         return
     # the kernel terms on their own; f and its gradient add a target term,
     # so those are compared relative to the larger of the two terms
     logz, grad, _ = _mobius_log_z(b1, b2, v[2])
     assert logz == pytest.approx(lz, rel=1e-12, abs=0)
     np.testing.assert_allclose(-grad, [rep.EX1, rep.EX2, rep.EK], rtol=1e-12, atol=0)
-    assert abs(fe.value(v) - value) <= 1e-12 * max(abs(lin), logz)
+    assert abs(f - value) <= 1e-12 * max(abs(lin), logz)
     scale = np.maximum([t.n1, t.n2, t.k], [rep.EX1, rep.EX2, rep.EK])
-    assert np.max(np.abs(fe.gradient(v) - gradient) / scale) <= 1e-12
-    np.testing.assert_allclose(fe.hessian(v), rep.covariance, rtol=1e-12, atol=0)
+    assert np.max(np.abs(grad_f - gradient) / scale) <= 1e-12
+    np.testing.assert_allclose(hess_f, rep.covariance, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("lam", [1e-3, 0.0136, 0.3, 1.0, 1.5, 1.9, 2.0, 2.5, 50.0])
@@ -236,13 +235,6 @@ def test_fugacity_increases_with_k(res5, res34):
     for k in (48, 58):
         lams.append(exact_calibrate(CalibrationTarget(300, 300, k)).fugacity)
     assert all(a < b for a, b in zip(lams, lams[1:]))
-
-
-def test_llt_supported_threshold():
-    assert llt_supported(CalibrationTarget(300, 300, 15))
-    assert not llt_supported(CalibrationTarget(300, 300, 5))
-    assert llt_supported(CalibrationTarget(30, 30, 4))
-    assert not llt_supported(CalibrationTarget(60, 60, 4))
 
 
 def test_predicted_counts_match_exact_tables():
@@ -336,3 +328,23 @@ def test_calibration_below_lambda_two_builds_no_sites(target):
     res = exact_calibrate(CalibrationTarget(*target))
     assert res.converged
     assert _site_arrays.cache_info().misses == 0
+
+
+def test_newton_evaluates_each_point_once(monkeypatch):
+    # one `_linear_log_z` call per point: the accepted candidate's call also
+    # serves the next step, and the report reuses the final one
+    import convexchain.calibrate as cal
+
+    calls = []
+
+    def recorded(*args):
+        calls.append(tuple(map(float, args)))
+        return _linear_log_z(*args)
+
+    monkeypatch.setattr(cal, "_linear_log_z", recorded)
+    for target in BENCH_TARGETS:
+        calls.clear()
+        exact_calibrate(CalibrationTarget(*target))
+        assert len(set(calls)) == len(calls), target
+        assert len(calls) <= 5, target
+

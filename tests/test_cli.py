@@ -129,7 +129,7 @@ def test_library_failure_is_one_error_line(capsys, argv):
     ["suite", "--name", "jarnik", "--samples", "1"],
     ["jarnik", "--beta", "0.3", "--samples", "1"],  # no standard error
     ["jarnik", "--beta", "5", "--samples", "2"],  # every sampled line empty
-    ["curve", "--curve", "mixed", "--lambda-ell", "inf"],  # stalled quadrature
+    ["curve", "--curve", "mixed", "--lambda-ell", "inf"],  # non-finite lambda_ell
     ["mixed-shapes", "--grid", "1e300"],  # overflow
     # a site energy whose exp(-E) rounds to 1
     ["sample-gibbs", "--beta1", "1e-300", "--beta2", "1", "--trunc", "1e-300"],
@@ -141,6 +141,34 @@ def test_input_contract_is_one_error_line(capsys, argv):
     assert err.startswith("error: ")
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+_EXACT = ["calibrate", "--n1", "300", "--n2", "300", "--k", "34", "--exact"]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["shape-distance", "--assert-below", "nan"], "--assert-below"),
+    (["shape-distance", "--assert-below", "inf"], "--assert-below"),
+    (["shape-distance", "--scale", "inf,1"], "scale"),
+    (["shape-distance", "--scale", "nan,1"], "scale"),
+    (["shape-distance", "--ratio", "nan"], "ratio"),
+    (["shape-distance", "--curve", "mixed", "--lambda-ell", "inf"], "lambda_ell"),
+    (["curve", "--ratio", "inf"], "ratio"),
+    ([*_EXACT, "--trunc", "nan"], "trunc"),
+    ([*_EXACT, "--trunc", "inf"], "trunc"),
+    ([*_EXACT, "--trunc", "0"], "trunc"),
+    ([*_EXACT, "--trunc", "-1"], "trunc"),
+    (["asymptotics-table", "--ell-grid", "nan:1:0.1"], "--ell-grid"),
+    (["asymptotics-table", "--ell-grid", "0.5:inf:1"], "--ell-grid"),
+])
+def test_non_finite_input_is_usage_error(line_file, capsys, argv, name):
+    if argv[0] == "shape-distance":
+        argv = [*argv, "--line", str(line_file)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and name in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unbounded_calibration_quotes_the_capacity_as_a_limit(capsys):

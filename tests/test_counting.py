@@ -15,10 +15,10 @@ from convexchain.counting import (
     _shifts,
     brute_force_enum,
     count_lines_k,
-    erdos_lehner_ratio,
     max_vertices,
 )
 from convexchain.lattice import primitive_vectors_in_box
+from paper import erdos_lehner_ratio
 
 LENGTH_CAP = 15.0
 

@@ -14,18 +14,20 @@ from convexchain import experiments
 from convexchain.counting import brute_force_enum, line_length
 from convexchain.experiments import (
     SUITE_NAMES,
-    enumerate_ne_lines,
-    gibbs_parabola_distances,
     jarnik_greedy_vertex_count,
     report_json,
     run_jarnik,
     run_suite,
     sample_valtr,
     typical_vertex_count,
+)
+from convexchain.gibbs import EnergyModel, GibbsParams, _mean_euclidean_length, log_partition
+from paper import (
+    enumerate_ne_lines,
+    gibbs_parabola_distances,
     valtr_parabola_distances,
     valtr_uniformity_chisquare,
 )
-from convexchain.gibbs import EnergyModel, GibbsParams, _mean_euclidean_length, log_partition
 
 
 def test_valtr_replay_and_validity():
@@ -192,7 +194,7 @@ def test_sampled_length_agrees_with_polyline():
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs ~0.5 s to import and only the chi-square check uses it
+    # scipy.stats costs ~0.5 s to import and only the tests' chi-square check uses it
     import convexchain
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))

@@ -12,12 +12,12 @@ from convexchain.gibbs import (
     GibbsParams,
     log_partition,
     moments,
-    parallel_probability,
     sample_omega,
     truncation_bound,
 )
-from convexchain.specialfn import ZETA2, ZETA3, residue_logZ
+from convexchain.specialfn import ZETA2, ZETA3
 from oracles import primitive_vectors_by_weight
+from paper import parallel_probability, residue_logZ
 
 
 def biased_geometric(rho: float, lam: float, rng: np.random.Generator) -> int:

@@ -13,12 +13,11 @@ from convexchain.lattice import (
     _primitive_grid,
     is_primitive,
     omega_to_polyline,
-    polyline_to_omega,
     primitive_vectors_in_box,
     slope_sorted,
 )
 from convexchain.tolerances import SITE_BUDGET
-from oracles import primitive_vectors_by_weight
+from oracles import polyline_to_omega, primitive_vectors_by_weight
 
 
 def _grid_count(n1, n2):

@@ -48,6 +48,11 @@ def test_parabola_rejects_bad_args():
         parabola_point(1.0, ratio=0.0)
     with pytest.raises(ValueError):
         ShapeCurve.parabola(-2.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="ratio"):
+            parabola_point(1.0, ratio=bad)
+        with pytest.raises(ValueError, match="ratio"):
+            ShapeCurve.parabola(bad)
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.1, 10.0))
@@ -98,7 +103,7 @@ def test_mixed_point_matches_sample():
 
 
 def test_mixed_domain_edge_rejected():
-    for bad in (-1.0 / SQRT2, -0.75, -5.0):
+    for bad in (-1.0 / SQRT2, -0.75, -5.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="lambda_ell"):
             ShapeCurve.mixed(bad)
         with pytest.raises(ValueError, match="lambda_ell"):
@@ -126,8 +131,9 @@ def test_normalize_lattice_line():
     assert norm.shape == (4, 2) and not norm.flags.writeable
     assert norm[0] == pytest.approx((0.0, 0.0))
     assert norm[-1] == pytest.approx((1.0, 1.0))
-    with pytest.raises(ValueError):
-        normalize(line, (0, 8))
+    for bad in ((0, 8), (math.inf, 8), (6, math.nan)):
+        with pytest.raises(ValueError, match="scale"):
+            normalize(line, bad)
 
 
 def test_normalize_degenerate_line():

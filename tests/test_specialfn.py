@@ -4,16 +4,8 @@ import numpy as np
 import pytest
 
 from convexchain import specialfn as sf
-from convexchain.specialfn import (
-    c_of_ell,
-    e_of_ell,
-    parallel_constant,
-    polylog,
-    ratio_li2,
-    residue_logZ,
-    zeta,
-    zeta_prime,
-)
+from convexchain.specialfn import c_of_ell, e_of_ell, polylog, ratio_li2, zeta
+from paper import EULER_GAMMA, parallel_constant, residue_logZ, zeta_prime
 
 # Reference decimals frozen from a 25-digit mpmath session (test-side oracle).
 MPMATH_REFERENCE = {
@@ -37,7 +29,7 @@ def test_zeta_classical_values():
 def test_zeta_near_pole_and_domain():
     # Euler-Maclaurin keeps full accuracy even just above the pole
     assert abs(zeta(1.001) - 1000.5772884760117) < 1e-9  # 1/(s-1)+gamma+O(s-1)
-    for s in (1.0, 0.5, -2.0):
+    for s in (1.0, 0.5, -2.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             zeta(s)
 
@@ -81,7 +73,7 @@ def test_polylog_large_negative_asymptotics():
 
 
 def test_polylog_domain():
-    for z in (1.0, 1.5, 2.0):
+    for z in (1.0, 1.5, 2.0, -math.inf, math.nan):
         with pytest.raises(ValueError):
             polylog(2.0, z)
     with pytest.raises(ValueError):
@@ -151,7 +143,7 @@ def test_e_maximal_at_one_and_decay():
 
 
 def test_c_e_domain():
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             c_of_ell(bad)
         with pytest.raises(ValueError):
@@ -182,5 +174,5 @@ def test_parallel_constant():
     C = parallel_constant()
     assert abs(C - 0.6946731171358) < 1e-9
     # recomputed from its pieces, not a stored decimal
-    expect = (2 * sf.ZETA2 - 1 - sf.EULER_GAMMA + zeta_prime(2.0) / sf.ZETA2) / sf.ZETA2
+    expect = (2 * sf.ZETA2 - 1 - EULER_GAMMA + zeta_prime(2.0) / sf.ZETA2) / sf.ZETA2
     assert C == expect
