@@ -48,6 +48,7 @@ from .shapes import (
     polylines_svg,
 )
 from .specialfn import c_of_ell, e_of_ell
+from .tolerances import TABLE_ROW_BUDGET
 
 __all__ = ["main", "build_parser"]
 
@@ -180,10 +181,7 @@ def _cmd_shape_distance(args):
             raise UsageError("cannot auto-scale a line with a zero endpoint "
                              "coordinate; pass --scale n1,n2")
     else:
-        parts = args.scale.split(",")
-        if len(parts) != 2:
-            raise UsageError(f"--scale expects 'n1,n2', got {args.scale!r}")
-        scale = (float(parts[0]), float(parts[1]))
+        scale = tuple(_numbers("--scale", args.scale, ",", "n1,n2"))
     curve = _make_curve(args)
     d = hausdorff_distance(normalize(poly, scale), curve, args.mesh)
     payload = {"curve": args.curve, "mesh": args.mesh,
@@ -200,20 +198,32 @@ def _cmd_shape_distance(args):
     return 0
 
 
+def _numbers(flag, spec, sep, form=None):
+    """`spec` split at `sep` into numbers, as many as `form` has; bad input names `flag`."""
+    pieces = spec.split(sep)
+    if form is not None and len(pieces) != len(form.split(sep)):
+        raise UsageError(f"{flag} expects {form!r}, got {spec!r}")
+    values = []
+    for piece in pieces:
+        try:
+            values.append(float(piece))
+        except ValueError:
+            raise UsageError(f"non-numeric {flag} component {piece!r} in {spec!r}") from None
+    return values
+
+
 def _parse_grid(spec):
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"--ell-grid expects 'start:stop:step', got {spec!r}")
-    try:
-        a, b, step = (float(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"non-numeric --ell-grid component in {spec!r}") from None
+    a, b, step = _numbers("--ell-grid", spec, ":", "start:stop:step")
     if not all(map(math.isfinite, (a, b, step))):
         raise UsageError(f"--ell-grid needs finite components, got {spec!r}")
     if step <= 0 or b < a:
         raise UsageError(f"--ell-grid needs stop >= start and step > 0, got {spec!r}")
-    n = int(math.floor((b - a) / step + 1e-9)) + 1
-    return [a + i * step for i in range(n)]
+    span = (b - a) / step + 1e-9  # overflows to inf for a tiny step
+    rows = math.floor(span) + 1 if math.isfinite(span) else math.inf
+    if rows > TABLE_ROW_BUDGET:  # counted before any row is built
+        raise UsageError(f"--ell-grid {spec!r} has {rows:,} rows, over the budget "
+                         f"{TABLE_ROW_BUDGET:,}")
+    return [a + i * step for i in range(rows)]
 
 
 def _cmd_asymptotics_table(args):
@@ -238,12 +248,7 @@ def _cmd_jarnik(args):
 
 
 def _cmd_mixed_shapes(args):
-    grid = []
-    for piece in args.grid.split(","):
-        try:
-            grid.append(float(piece))
-        except ValueError:
-            raise UsageError(f"non-numeric grid entry {piece!r}") from None
+    grid = _numbers("--grid", args.grid, ",")
     if args.format == "svg":
         # all curves of the grid in one picture
         text = polylines_svg([(ShapeCurve.mixed(ell).sample(args.mesh), "#1f77b4", "0.003")

@@ -17,7 +17,6 @@ betas, and E[L] is the exact per-site moment.
 import json
 import math
 import warnings
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +33,7 @@ from .gibbs import (
     moments,
     sample_omega,
 )
-from .lattice import ConvexPolyline, omega_to_polyline, primitive_vectors_in_box
+from .lattice import _polyline, _slope_order, _turns, omega_to_polyline, primitive_vectors_in_box
 from .shapes import ShapeCurve, hausdorff_distance, mixed_length, normalize
 from .specialfn import ZETA3, c_of_ell, e_of_ell
 
@@ -82,18 +81,11 @@ def sample_valtr(n, k, seed=0, rng=None):
     for _ in range(VALTR_REJECTION_BUDGET):
         u = np.ceil(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
         v = np.floor(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
-        a = np.diff(np.concatenate([[0], u, [n]]))
-        b = np.diff(np.concatenate([[0], v, [n]]))
-        if (a < 1).any() or (b < 1).any():
-            continue
-        pairs = sorted(zip(a.tolist(), b.tolist()), key=lambda d: Fraction(d[1], d[0]))
-        # sorted by exact slope, parallel increments are neighbours
-        if any(p[0] * q[1] == p[1] * q[0] for p, q in zip(pairs, pairs[1:])):
-            continue
-        verts = [(0, 0)]
-        for da, db in pairs:
-            verts.append((verts[-1][0] + da, verts[-1][1] + db))
-        return ConvexPolyline(tuple(verts))
+        d = np.diff(np.vstack([(0, 0), np.column_stack([u, v]), (n, n)]), axis=0)
+        if (d > 0).all():
+            d = d[_slope_order(d)]
+            if np.all(_turns(d) > 0):  # parallel increments are slope-order neighbours
+                return _polyline(d)
     raise RuntimeError(
         f"rejection budget ({VALTR_REJECTION_BUDGET}) exhausted at n={n}, k={k}: the "
         "few-vertex regime k^3 << n is strongly violated"

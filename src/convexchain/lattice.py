@@ -6,13 +6,16 @@ are nonnegative lattice vectors with strictly increasing edge slopes.  Such a
 line is the same thing as a finitely supported map omega from the set of
 primitive vectors (coprime coordinates, first quadrant) to positive integers:
 each primitive direction x used by the line appears with multiplicity
-omega(x), and sorting directions by slope rebuilds the line.  The number of
-vertices K is the support size, so a line with K = k has k+1 lattice points
-counting both endpoints.
+omega(x), and sorting directions by slope (`_slope_order`, the package's one
+exact slope order) rebuilds the line.  The number of vertices K is the
+support size, so a line with K = k has k+1 lattice points counting both
+endpoints.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,41 +42,51 @@ def is_primitive(x1: int, x2: int) -> bool:
     return x1 >= 0 and x2 >= 0 and math.gcd(x1, x2) == 1
 
 
-def _cross(u: Vec, v: Vec) -> int:
-    return u[0] * v[1] - u[1] * v[0]
+def _int_rows(pairs) -> np.ndarray:
+    """The integer pairs as an exact (n, 2) array: int64 while each column's
+    absolute sum is below 2^62, so that every difference and partial sum of
+    rows fits, and Python ints (dtype object) past that."""
+    pairs = tuple(pairs)
+    with contextlib.suppress(OverflowError, ValueError):  # past int64, or not all pairs
+        xy = np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2)
+        if len(xy) == len(pairs) and np.abs(xy, dtype=float).sum(axis=0).max() < 2.0**62:
+            return xy
+    return np.array([(int(p[0]), int(p[1])) for p in pairs], dtype=object).reshape(-1, 2)
+
+
+def _turns(d: np.ndarray) -> np.ndarray:
+    """u.x1*v.x2 - u.x2*v.x1 for each pair of neighbouring rows u, v of `d`,
+    positive where the slope strictly increases (convexity): exact, in int64
+    while every coordinate is below 2^31 in magnitude, Python ints past it."""
+    if d.dtype != object and d.size and (d.max() >= 1 << 31 or d.min() <= -(1 << 31)):
+        d = d.astype(object)
+    u, v = d[:-1], d[1:]
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+
+def _slope_order(xy: np.ndarray) -> np.ndarray:
+    """Indices that put the rows of `xy`, nonzero vectors of the closed first
+    quadrant, in increasing slope order: (1,0) first, (0,1) last.
+
+    A stable argsort on the float key x2/x1 proposes the order and `_turns`
+    confirms it; an exact comparison sort runs only when a pair is out of
+    order, or at once on an object array.  Equal slopes end up adjacent.
+    """
+    if xy.dtype != object:
+        with np.errstate(divide="ignore", invalid="ignore"):  # (0, 1) gets slope inf
+            order = np.argsort(xy[:, 1] / xy[:, 0], kind="stable")
+        if np.all(_turns(xy[order]) >= 0):
+            return order
+    rows = xy.tolist()
+    return np.array(sorted(range(len(rows)), key=functools.cmp_to_key(
+        lambda i, j: rows[i][1] * rows[j][0] - rows[i][0] * rows[j][1])), dtype=np.intp)
 
 
 def slope_sorted(vectors) -> list[Vec]:
-    """Sort primitive vectors by slope, (1,0) first, (0,1) last.
-
-    Comparison is the exact integer cross product u.x1*v.x2 - u.x2*v.x1 > 0,
-    never floating division; distinct primitive vectors cannot tie.
-    """
-    import functools
-
-    return sorted(vectors, key=functools.cmp_to_key(lambda u, v: -_cross(u, v)))
-
-
-def _float_slope_order(vecs) -> list[Vec] | None:
-    """`vecs` sorted by the float slope x2/x1, or None unless the exact
-    integer cross product confirms every adjacent pair.
-
-    Coordinates must stay below 2^31, so that the products fit in int64.
-    Slopes of distinct primitive vectors never tie, so a confirmed order is
-    the order of `slope_sorted`.
-    """
-    try:
-        xy = np.fromiter(chain.from_iterable(vecs), np.int64, 2 * len(vecs)).reshape(-1, 2)
-    except OverflowError:
-        return None
-    if xy.size and xy.max() >= 1 << 31:
-        return None
-    with np.errstate(divide="ignore"):  # (0, 1) gets slope inf
-        xy = xy[np.argsort(xy[:, 1] / xy[:, 0], kind="stable")]
-    u, v = xy[:-1], xy[1:]
-    if not np.all(u[:, 0] * v[:, 1] > u[:, 1] * v[:, 0]):
-        return None
-    return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
+    """Sort primitive vectors by slope, (1,0) first, (0,1) last, exactly
+    (`_slope_order`); distinct primitive vectors cannot tie."""
+    vectors = tuple(vectors)
+    return [vectors[i] for i in _slope_order(_int_rows(vectors)).tolist()]
 
 
 def _primitive_grid(n1: int, n2: int):
@@ -100,20 +113,13 @@ def _primitive_grid(n1: int, n2: int):
 
 
 def primitive_vectors_in_box(n1: int, n2: int) -> list[Vec]:
-    """All primitive vectors with x1 <= n1, x2 <= n2, in increasing slope order.
-
-    Sorts the `_primitive_grid` rows by the float slope x2/x1 ((0,1) gets inf).
-    The key is exact: two slopes in the box differ by at least 1/(n1*n2)
-    relative, and the site budget keeps n1*n2 far below 2^51.
-    """
+    """All primitive vectors with x1 <= n1, x2 <= n2, in increasing slope order:
+    the `_primitive_grid` rows put in `_slope_order`."""
     if n1 < 1 or n2 < 1:
         raise ValueError("box sides must be >= 1")
-    rows = list(_primitive_grid(n1, n2))
-    x1 = np.concatenate([r[0] for r in rows])
-    x2 = np.concatenate([r[1] for r in rows])
-    with np.errstate(divide="ignore"):
-        order = np.argsort(x2 / x1, kind="stable")
-    return list(zip(x1[order].tolist(), x2[order].tolist()))
+    xy = np.concatenate([np.column_stack(r) for r in _primitive_grid(n1, n2)])
+    xy = xy[_slope_order(xy)]
+    return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
 
 
 @dataclass(frozen=True)
@@ -146,11 +152,7 @@ class MultiplicityDistribution:
         return (e1, e2)
 
     def items_slope_sorted(self) -> list[tuple[Vec, int]]:
-        vecs = list(self.support)
-        ordered = _float_slope_order(vecs)
-        if ordered is None:
-            ordered = slope_sorted(vecs)
-        return [(x, self.support[x]) for x in ordered]
+        return [(x, self.support[x]) for x in slope_sorted(self.support)]
 
     def to_json(self) -> str:
         rows = [[x[0], x[1], m] for x, m in self.items_slope_sorted()]
@@ -160,11 +162,6 @@ class MultiplicityDistribution:
     def from_json(cls, text: str) -> "MultiplicityDistribution":
         data = json.loads(text)
         return cls({(int(r[0]), int(r[1])): int(r[2]) for r in data["support"]})
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiplicityDistribution):
-            return NotImplemented
-        return self.support == other.support
 
     def __hash__(self):
         return hash(tuple(sorted(self.support.items())))
@@ -178,20 +175,22 @@ class ConvexPolyline:
     vertices: tuple[Vec, ...]
 
     def __post_init__(self):
-        verts = tuple((int(p[0]), int(p[1])) for p in self.vertices)
+        xy = _int_rows(self.vertices)
+        verts = tuple(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
         object.__setattr__(self, "vertices", verts)
         if not verts:
             raise ValueError("polyline needs at least the origin vertex")
         if verts[0] != (0, 0):
             raise ValueError("polyline must start at (0,0)")
-        prev_edge = None
-        for i in range(1, len(verts)):
-            d = (verts[i][0] - verts[i - 1][0], verts[i][1] - verts[i - 1][1])
-            if d == (0, 0) or d[0] < 0 or d[1] < 0:
-                raise ValueError(f"edge {i - 1} is not a nonzero quadrant step: {d}")
-            if prev_edge is not None and _cross(prev_edge, d) <= 0:
-                raise ValueError(f"edge {i - 1} does not increase the slope")
-            prev_edge = d
+        d = np.diff(xy, axis=0)
+        off_quadrant = (d < 0).any(axis=1) | (d == 0).all(axis=1)
+        bad = off_quadrant | np.append(False, _turns(d) <= 0)
+        if bad.any():  # the first bad edge, its quadrant step checked first
+            i = int(np.argmax(bad))
+            if off_quadrant[i]:
+                step = tuple(d[i].tolist())
+                raise ValueError(f"edge {i} is not a nonzero quadrant step: {step}")
+            raise ValueError(f"edge {i} does not increase the slope")
 
     def endpoint(self) -> Vec:
         return self.vertices[-1]
@@ -209,13 +208,13 @@ class ConvexPolyline:
         return cls(tuple((int(p[0]), int(p[1])) for p in data["vertices"]))
 
 
+def _polyline(steps: np.ndarray) -> ConvexPolyline:
+    """The polyline through the partial sums of `steps` from (0,0); they must fit its dtype."""
+    pts = np.cumsum(steps, axis=0)
+    return ConvexPolyline(((0, 0), *zip(pts[:, 0].tolist(), pts[:, 1].tolist())))
+
+
 def omega_to_polyline(omega: MultiplicityDistribution) -> ConvexPolyline:
     """Partial sums of m*x in slope order; K+1 vertices, endpoint preserved."""
-    pts = [(0, 0)]
-    a = b = 0
-    for x, m in omega.items_slope_sorted():
-        a += m * x[0]
-        b += m * x[1]
-        pts.append((a, b))
-    return ConvexPolyline(tuple(pts))
-
+    steps = _int_rows((m * a, m * b) for (a, b), m in omega.support.items())
+    return _polyline(steps[_slope_order(steps)])

@@ -2,8 +2,35 @@
 reimplementations that the library's vectorized code is checked against."""
 
 import math
+from functools import cmp_to_key
 
 from convexchain.lattice import ConvexPolyline, MultiplicityDistribution
+
+
+def slope_sorted_exact(vectors):
+    """Vectors of the closed first quadrant in increasing slope order, by a
+    comparison sort on the exact integer cross product u.x1*v.x2 - u.x2*v.x1."""
+    return sorted(vectors, key=cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
+
+
+def check_polyline(vertices):
+    """`ConvexPolyline`'s validation one edge at a time in Python ints: the
+    vertices as a tuple of int pairs, or the ValueError of the first bad
+    edge, its quadrant step checked before its slope."""
+    verts = tuple((int(p[0]), int(p[1])) for p in vertices)
+    if not verts:
+        raise ValueError("polyline needs at least the origin vertex")
+    if verts[0] != (0, 0):
+        raise ValueError("polyline must start at (0,0)")
+    prev = None
+    for i in range(1, len(verts)):
+        d = (verts[i][0] - verts[i - 1][0], verts[i][1] - verts[i - 1][1])
+        if d == (0, 0) or d[0] < 0 or d[1] < 0:
+            raise ValueError(f"edge {i - 1} is not a nonzero quadrant step: {d}")
+        if prev is not None and prev[0] * d[1] - prev[1] * d[0] <= 0:
+            raise ValueError(f"edge {i - 1} does not increase the slope")
+        prev = d
+    return verts
 
 
 def primitive_vectors_by_weight(energy, cutoff: float):

@@ -1,12 +1,17 @@
 """The benchmark reaches into the library by name: `bench/round.py` wraps the
 callables in its TRACED table, and `bench/workloads.py` calls `cc.<name>` on
 the package.  A library move that drops one of those names would break a
-benchmark round; these tests make it fail here first."""
+benchmark round, and a library change that breaks one of a workload's
+result checks would fail its operations; these tests make both fail here
+first."""
 
 import importlib
 import importlib.util
+import json
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +50,13 @@ def test_workload_names_resolve():
         except AttributeError:
             missing.append(name)
     assert not missing, f"bench/workloads.py calls names the package lacks: {missing}"
+
+
+@pytest.mark.parametrize("workload", ["count", "calibrate", "sample"])
+def test_one_bench_round_has_no_failed_operation(workload):
+    proc = subprocess.run([sys.executable, str(BENCH / "round.py"), workload, "0", "full"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["failed"] == 0, result["failures"]

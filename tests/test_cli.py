@@ -160,6 +160,13 @@ _EXACT = ["calibrate", "--n1", "300", "--n2", "300", "--k", "34", "--exact"]
     ([*_EXACT, "--trunc", "-1"], "trunc"),
     (["asymptotics-table", "--ell-grid", "nan:1:0.1"], "--ell-grid"),
     (["asymptotics-table", "--ell-grid", "0.5:inf:1"], "--ell-grid"),
+    # and inputs refused before any work: a grid over the row budget, counted
+    # before it is built, and a scale component that is not a number
+    (["asymptotics-table", "--ell-grid", "0.5:1:1e-6"], "--ell-grid '0.5:1:1e-6' has 500,001"),
+    (["asymptotics-table", "--ell-grid", "0:1e9:1e-9"],
+     "--ell-grid '0:1e9:1e-9' has 1,000,000,000,000,000,001"),
+    (["shape-distance", "--scale", "a,1"], "--scale component 'a'"),
+    (["shape-distance", "--scale", "1,b"], "--scale component 'b'"),
 ])
 def test_non_finite_input_is_usage_error(line_file, capsys, argv, name):
     if argv[0] == "shape-distance":
@@ -312,7 +319,9 @@ def test_calibrate_infeasible_exits_one(capsys):
 # (300, 300, 5) stays on the Mobius kernel; the two sample-gibbs digests
 # were frozen again when the sampler moved to its block stream, and the two
 # calibrations ending at lambda <= 2 when their report moved to the kernel
-# (residuals with the tail bound; the parameters are pinned below)
+# (residuals with the tail bound; the parameters are pinned below); the two
+# sample-valtr digests were frozen before the Valtr sampler took the shared
+# slope order, and the n = 100 run rejects one draw for a parallel pair
 @pytest.mark.parametrize("argv,digest", [
     (["calibrate", "--n1", "306", "--n2", "306", "--k", "39", "--exact"],
      "7b3b2b9997bc2129e8477af65bb5dff34b608bbfb10c6d53fc1fe9a93196da51"),
@@ -326,6 +335,10 @@ def test_calibrate_infeasible_exits_one(capsys):
     (["sample-gibbs", "--beta1", "0.03", "--beta2", "0.01", "--fugacity", "0.5",
       "--trunc", "25", "--count", "3"],
      "d0f41ac697fbde4d8ad1f9fd8093dc04f07877e8e7cebbed7cb134e6cc0ad5cf"),
+    (["sample-valtr", "--n", "10000", "--k", "20", "--count", "20", "--seed", "3"],
+     "fc26c62f452e4acd27c4948c32e617d1d263e34ea73e7add9f51ffdf7b572cb1"),
+    (["sample-valtr", "--n", "100", "--k", "4", "--count", "200", "--seed", "1"],
+     "829b37a451aef9a8247e3b332017474cdc96f046e08ddde2881c7f82593046a9"),
 ])
 def test_kernel_outputs_are_frozen(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)

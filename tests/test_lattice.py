@@ -17,7 +17,12 @@ from convexchain.lattice import (
     slope_sorted,
 )
 from convexchain.tolerances import SITE_BUDGET
-from oracles import polyline_to_omega, primitive_vectors_by_weight
+from oracles import (
+    check_polyline,
+    polyline_to_omega,
+    primitive_vectors_by_weight,
+    slope_sorted_exact,
+)
 
 
 def _grid_count(n1, n2):
@@ -150,6 +155,13 @@ def test_omega_to_polyline_examples():
     assert omega_to_polyline(
         MultiplicityDistribution({(2, 1): 1, (1, 2): 3})
     ).vertices == ((0, 0), (2, 1), (5, 7))
+    # partial sums past int64, and directions past it
+    assert omega_to_polyline(
+        MultiplicityDistribution({(1, 1): 2**62, (1, 0): 2**62})
+    ).vertices == ((0, 0), (2**62, 0), (2**63, 2**62))
+    assert omega_to_polyline(
+        MultiplicityDistribution({(1, 1): 2, (2**70, 1): 1})
+    ).vertices == ((0, 0), (2**70, 1), (2**70 + 2, 3))
 
 
 def test_polyline_to_omega_examples():
@@ -159,6 +171,56 @@ def test_polyline_to_omega_examples():
     assert polyline_to_omega(ConvexPolyline(((0, 0), (1, 0), (1, 1)))) == (
         MultiplicityDistribution({(1, 0): 1, (0, 1): 1})
     )
+
+
+_COORD = st.sampled_from([2**4, 2**31, 2**40, 2**64]).flatmap(lambda n: st.integers(0, n))
+
+
+@st.composite
+def _vertex_lists(draw):
+    """Vertices of a convex polyline with steps on both sides of 2^31 and
+    sums past 2^63, or of one broken first, in the middle or last."""
+    steps = slope_sorted_exact(draw(st.lists(st.tuples(_COORD, _COORD), max_size=8)))
+    if steps:
+        i = draw(st.sampled_from([0, len(steps) // 2, len(steps) - 1]))
+        flaw = draw(st.sampled_from(["none", "zero", "negative", "parallel", "swap"]))
+        if flaw == "zero":
+            steps[i] = (0, 0)
+        elif flaw == "negative":
+            steps[i] = (steps[i][0], -1 - steps[i][1])
+        elif flaw == "parallel" and i:
+            steps[i] = (2 * steps[i - 1][0], 2 * steps[i - 1][1])
+        elif flaw == "swap" and i:
+            steps[i - 1], steps[i] = steps[i], steps[i - 1]
+    verts = [(0, 0)]
+    for a, b in steps:
+        verts.append((verts[-1][0] + a, verts[-1][1] + b))
+    if draw(st.integers(0, 9)) == 0:
+        verts[0] = (1, 0)
+    return verts
+
+
+@settings(deadline=None, max_examples=300)
+@given(_vertex_lists())
+@example([])
+@example([(1, 0), (2, 1)])
+@example([(0, 0), (1, 1), (3, 0)])  # a quadrant and a slope error on edge 1
+@example([(0, 0), (2**31, 1), (2**32, 2)])  # parallel past 2^31
+@example([(0, 0), (2**64, 1), (2**64, 2**64)])
+@example([(0, 0), (3 * 2**61, 1), (-(2**62), 2)])  # a step of -5 * 2^61
+@example([(0, 0, 5), (1, 1, 9)])  # only the first two coordinates count
+def test_polyline_validation_matches_the_oracle(verts):
+    try:
+        want = check_polyline(verts)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            ConvexPolyline(verts)
+        assert str(got.value) == str(exc)
+    else:
+        line = ConvexPolyline(verts)
+        assert line.vertices == want
+        assert all(type(c) is int for p in line.vertices for c in p)
+        assert ConvexPolyline.from_json(line.to_json()) == line
 
 
 def test_polyline_validation_names_bad_edge():
@@ -233,33 +295,48 @@ def test_slope_sorted_randomized_against_float_slopes():
 
 
 _NEAR_2_30 = [(2**30 + 1, 2**30 + 2), (2**30, 2**30 + 1)]  # float slopes tie
+_NEAR_2_40 = [(2**40 + 1, 2**40 + 2), (2**40, 2**40 + 1)]  # and past 2^31
 
 
 @settings(deadline=None, max_examples=200)
-@given(st.sampled_from([60, 2**31 - 1, 2**33]).flatmap(
+@given(st.sampled_from([60, 2**31 - 1, 2**33, 2**64]).flatmap(
     lambda n: st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=40)))
 @example([])
 @example(_NEAR_2_30)
 @example(_NEAR_2_30[::-1] + [(1, 0), (0, 1)])
 @example([(2**31, 1), (1, 2**31), (3, 2)])
 @example([(2**70, 1), (1, 1)])
+@example(_NEAR_2_40[::-1] + [(2**70, 3)])
 def test_items_slope_sorted_matches_exact_order(pairs):
     vecs = [tuple(x) for x in dict.fromkeys(pairs) if is_primitive(*x)]
     om = MultiplicityDistribution({x: i + 1 for i, x in enumerate(vecs)})
     items = om.items_slope_sorted()
-    assert [x for x, _ in items] == slope_sorted(vecs)
+    assert [x for x, _ in items] == slope_sorted_exact(vecs)
     assert all(m == om.support[x] for x, m in items)
 
 
-@pytest.mark.parametrize("vecs", [_NEAR_2_30[::-1], [(2**31, 1), (1, 1)]])
+@pytest.mark.parametrize("vecs", [_NEAR_2_30[::-1], [(2**31, 1), (1, 1)], _NEAR_2_40[::-1]])
 def test_items_slope_sorted_falls_back_to_the_exact_sort(monkeypatch, vecs):
-    calls = []
+    # the exact sort runs where the float key x2/x1 puts a pair out of order
+    # (the stable order of a float tie), and the neighbour check that finds
+    # it runs in Python ints once a coordinate reaches 2^31
+    want = slope_sorted_exact(vecs)
+    float_order = sorted(vecs, key=lambda v: v[1] / v[0])
+    sorts, checks = [], []
+    cmp_to_key, turns = lattice.functools.cmp_to_key, lattice._turns
 
-    def spy(v):
-        calls.append(len(v))
-        return slope_sorted(v)
+    def sort_spy(cmp):
+        sorts.append(cmp)
+        return cmp_to_key(cmp)
 
-    monkeypatch.setattr(lattice, "slope_sorted", spy)
+    def check_spy(d):
+        result = turns(d)
+        checks.append(result.dtype)
+        return result
+
+    monkeypatch.setattr(lattice.functools, "cmp_to_key", sort_spy)
+    monkeypatch.setattr(lattice, "_turns", check_spy)
     om = MultiplicityDistribution({x: 1 for x in vecs})
-    assert [x for x, _ in om.items_slope_sorted()] == slope_sorted(vecs)
-    assert calls == [len(vecs)]
+    assert [x for x, _ in om.items_slope_sorted()] == want
+    assert len(sorts) == (float_order != want)
+    assert checks == [object if max(map(max, vecs)) >= 2**31 else np.int64]
