@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .gibbs import EnergyModel, GibbsParams, _linear_log_z
 from .specialfn import ZETA2, _residue_core, c_of_ell
@@ -93,6 +92,43 @@ class CalibrationResult:
         )
 
 
+def _root(f, lo: float, hi: float, xtol: float) -> float:
+    """A root of f in [lo, hi] by the Illinois method (Dowell & Jarratt,
+    BIT 11, 1971): regula falsi that halves the kept end's f when the same
+    end is kept twice running, so both ends close in superlinearly.
+
+    Stops when the bracket is at most xtol wide, or when the secant point
+    falls on an end (the bracket is down to adjacent doubles), and returns
+    the last secant point (the end with the smaller |f| if there was none).
+    f(lo) and f(hi) must differ in sign.
+    """
+    flo, fhi = f(lo), f(hi)
+    if not (flo <= 0.0 <= fhi or fhi <= 0.0 <= flo):
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: f = {flo!r}, {fhi!r}")
+    x = lo if abs(flo) < abs(fhi) else hi
+    if flo == 0.0 or fhi == 0.0:
+        return x
+    kept = 0  # -1: lo kept by the last step, +1: hi kept
+    while hi - lo > xtol:
+        secant = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < secant < hi:
+            break
+        x, fx = secant, f(secant)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fhi > 0.0):
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        else:
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
+    return x
+
+
 def _rates_from_fugacity(lam: float, n1: int, n2: int) -> tuple[float, float]:
     # n1 = U/(b1^2 b2), n2 = U/(b1 b2^2)  =>  b1 = (U n2/n1^2)^(1/3), etc.
     U = _residue_core(lam) / ZETA2
@@ -109,7 +145,7 @@ def _small_k_triple(target: CalibrationTarget) -> tuple[float, float, float]:
 def asymptotic_params(target: CalibrationTarget) -> tuple[float, float, float]:
     """Initializer triple (beta1, beta2, lambda) from the limiting relations.
 
-    The fugacity solves c(lambda) = k/(n1*n2)^(1/3) by one Brent root in
+    The fugacity solves c(lambda) = k/(n1*n2)^(1/3) by one `_root` in
     log lambda on [1e-8, 1e4], where c is strictly increasing; densities
     below c(1e-8) use the small-k closed forms instead.  Densities above
     c(1e4) are an explicit failure (the limiting family tops out at
@@ -125,8 +161,8 @@ def asymptotic_params(target: CalibrationTarget) -> tuple[float, float, float]:
             f"c spans [{c_lo:.6g}, {c_hi:.6g}] over lambda in "
             f"[{_LAM_LO:g}, {_LAM_HI:g}]"
         )
-    lam = math.exp(brentq(lambda s: c_of_ell(math.exp(s)) - ell_t,
-                          math.log(_LAM_LO), math.log(_LAM_HI), xtol=1e-14))
+    lam = math.exp(_root(lambda s: c_of_ell(math.exp(s)) - ell_t,
+                         math.log(_LAM_LO), math.log(_LAM_HI), 1e-14))
     beta1, beta2 = _rates_from_fugacity(lam, target.n1, target.n2)
     return beta1, beta2, lam
 

@@ -20,9 +20,8 @@ import warnings
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .calibrate import CalibrationTarget, exact_calibrate, predicted_log_pnk
+from .calibrate import CalibrationTarget, _root, exact_calibrate, predicted_log_pnk
 from .counting import brute_force_enum, count_lines_k, line_length
 from .gibbs import (
     DEFAULT_TRUNCATION,
@@ -179,10 +178,12 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
 
     slope_target = 3.0 ** (4.0 / 3.0) * ZETA3 ** (1.0 / 3.0) / (
         4.0 * math.pi) ** (1.0 / 3.0)
-    bstar = brentq(
-        lambda b: _mean_euclidean_length(
-            GibbsParams(EnergyModel.euclidean(b), fugacity, truncation)) - mean_len,
-        beta / 3.0, 3.0 * beta, xtol=1e-12)
+    # E[L] ~ 1/beta^3 is so convex that regula falsi creeps along it; its
+    # log is close to linear in beta
+    bstar = _root(
+        lambda b: math.log(_mean_euclidean_length(
+            GibbsParams(EnergyModel.euclidean(b), fugacity, truncation)) / mean_len),
+        beta / 3.0, 3.0 * beta, 1e-12)
     legendre = log_partition(
         GibbsParams(EnergyModel.euclidean(bstar), fugacity, truncation)
     ) + bstar * mean_len

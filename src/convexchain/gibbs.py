@@ -11,8 +11,9 @@ Two kernels compute log Z and the moments:
 
 - the per-site law kernel `_site_laws` serves `moments`, `log_partition`
   and the sampler.  It works in a = g + E + log(1-rho), g = -log(lam), where
-  log Z_x = log(1 + e^-a) and P[omega(x) > 0] = expit(-a) stay finite at any
-  fugacity (a -> -inf just saturates the occupation at 1);
+  log Z_x = log(1 + e^-a) and P[omega(x) > 0] = 1/(1 + e^a) stay finite at
+  any fugacity (a -> -inf just saturates the occupation at 1, and an e^a
+  that overflows leaves it 0);
 - the Mobius kernel `_mobius_log_z`, linear energy only, gives log Z with
   its gradient and Hessian as an O(N log N) sum over n <= N ~ 45/min(beta),
   without enumerating sites (past SITE_BUDGET index pairs it is refused).
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .lattice import MultiplicityDistribution, _primitive_grid
 from .tolerances import DEFAULT_TRUNCATION, KERNEL_ROUNDING, SITE_BUDGET
@@ -247,7 +247,8 @@ def _site_laws(energy: EnergyModel, g: float, truncation: float):
     """
     x1, x2, en = _site_arrays(energy, truncation)
     rho = np.exp(-en)
-    q = expit(-(g + en + np.log1p(-rho)))  # stable 1/(1+e^a)
+    with np.errstate(over="ignore"):
+        q = 1.0 / (1.0 + np.exp(g + en + np.log1p(-rho)))
     mean = q / (1.0 - rho)
     var = q * (1.0 + rho) / (1.0 - rho) ** 2 - mean**2
     for arr in (rho, q, mean, var):

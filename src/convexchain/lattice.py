@@ -204,8 +204,15 @@ class ConvexPolyline:
 
     @classmethod
     def from_json(cls, text: str) -> "ConvexPolyline":
+        """The line of a `{"vertices": [[x, y], ...]}` object with integer x
+        and y; anything else raises ValueError."""
         data = json.loads(text)
-        return cls(tuple((int(p[0]), int(p[1])) for p in data["vertices"]))
+        rows = data.get("vertices") if isinstance(data, dict) else None
+        if not (isinstance(rows, list) and all(
+                isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)
+                for r in rows)):
+            raise ValueError('a line must be {"vertices": [[x, y], ...]} with integer x and y')
+        return cls(tuple((r[0], r[1]) for r in rows))
 
 
 def _polyline(steps: np.ndarray) -> ConvexPolyline:

@@ -14,6 +14,15 @@ CURVE_QUAD_TOL.  The parametrization is transcribed literally, and each
 constructed mixed curve verifies eval(1) = (1,1) numerically — if that check
 ever fires, the formulas were transcribed inconsistently and the error is
 raised rather than patched.
+
+The Hausdorff distance needs, for every point of one side, its nearest point
+on the other.  Each side is sorted once by s = x + y, and since
+|s_p - s_q| <= sqrt(2)*|p - q|, a point nearer to q than q's neighbours in
+s order lies in one window of that order; on a side monotone in x and y (a
+lattice chain or a catalogue curve) the window narrows to x and y within
+the same distance.  The windows are exact, not heuristic: every point that
+could be nearer is compared, with the same dx*dx + dy*dy as an all-pairs
+search, so the distance is that search's to the bit.
 """
 
 import math
@@ -21,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .lattice import ConvexPolyline
 from .tolerances import CURVE_QUAD_TOL
@@ -40,6 +48,10 @@ __all__ = [
 ]
 
 _QUARTER_PI = math.pi / 4.0
+_SQRT2 = math.sqrt(2.0)
+# pairs of points that `_max_nearest_sq` compares at once, which bounds its
+# memory (a few MB) for any point sets
+_PAIR_BLOCK = 1 << 17
 _MIXED_DOMAIN_EDGE = -1.0 / math.sqrt(2.0)
 
 
@@ -272,29 +284,92 @@ def _densify(pts, mesh):
     return np.vstack([pts, dense])
 
 
+def _point_array(points, what):
+    """`points` as a finite (m, 2) float array with m >= 1."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"{what} points must form an (m, 2) array, got shape {pts.shape}")
+    if pts.shape[0] < 1:
+        raise ValueError(f"degenerate {what}: need at least one point")
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{what} points must be finite")
+    return pts
+
+
+def _by_s(pts):
+    """The points sorted by s = x + y, as (x, y, s, monotone) with x and y
+    separate columns; monotone says whether x and y are nondecreasing in
+    that order too (a chain, or a curve of the catalogue)."""
+    order = np.argsort(pts[:, 0] + pts[:, 1], kind="stable")
+    x, y = pts[order, 0], pts[order, 1]
+    return x, y, x + y, bool((np.diff(x) >= 0.0).all() and (np.diff(y) >= 0.0).all())
+
+
+def _max_nearest_sq(query, points):
+    """Max over the query points of the squared distance to the nearest of
+    `points` (both `_by_s` tuples), bit for bit the all-pairs value of
+    dx*dx + dy*dy, by the windows of the module docstring.
+
+    d0 is the distance from q to its neighbours in s order; the window holds
+    s within sqrt(2)*d0 of s_q and, on monotone points, x and y within d0,
+    each bound padded for the rounding of the sums it compares.  The
+    windows' pairs are compared _PAIR_BLOCK at a time.
+    """
+    qx, qy, qs, _ = query
+    px, py, ps, monotone = points
+    k = np.searchsorted(ps, qs)
+    best = np.minimum(_sq_dist(qx, qy, px, py, np.maximum(k - 1, 0)),
+                      _sq_dist(qx, qy, px, py, np.minimum(k, len(ps) - 1)))
+    top = max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max())
+    r = np.sqrt(best) * (1.0 + 1e-12) + 8.0 * np.finfo(float).eps * top
+    lo = np.searchsorted(ps, qs - _SQRT2 * r, "left")
+    hi = np.searchsorted(ps, qs + _SQRT2 * r, "right")
+    if monotone:
+        lo = np.maximum(lo, np.maximum(np.searchsorted(px, qx - r, "left"),
+                                       np.searchsorted(py, qy - r, "left")))
+        hi = np.minimum(hi, np.minimum(np.searchsorted(px, qx + r, "right"),
+                                       np.searchsorted(py, qy + r, "right")))
+    size = np.maximum(hi - lo, 0)
+    end = np.cumsum(size)
+    for c0 in range(0, int(end[-1]), _PAIR_BLOCK):
+        c1 = min(c0 + _PAIR_BLOCK, int(end[-1]))
+        # the queries whose pairs meet [c0, c1), each clipped to it
+        i0 = int(np.searchsorted(end, c0, "right"))
+        i1 = int(np.searchsorted(end, c1, "left")) + 1
+        start = end[i0:i1] - size[i0:i1]
+        n = np.minimum(end[i0:i1], c1) - np.maximum(start, c0)
+        j = np.arange(c0, c1) + np.repeat(lo[i0:i1] - start, n)
+        d2 = _sq_dist(np.repeat(qx[i0:i1], n), np.repeat(qy[i0:i1], n), px, py, j)
+        met = n > 0
+        seg = np.minimum.reduceat(d2, (np.cumsum(n) - n)[met])
+        idx = np.arange(i0, i1)[met]
+        best[idx] = np.minimum(best[idx], seg)
+    return best.max()
+
+
+def _sq_dist(qx, qy, px, py, j):
+    dx = qx - px[j]
+    dy = qy - py[j]
+    return dx * dx + dy * dy
+
+
 def hausdorff_distance(line, curve, mesh=1000):
     """Symmetric Hausdorff distance between a polyline and a curve.
 
     Both objects are discretized with ~mesh points (the polyline evenly in
     arc length plus its own vertices, the curve at mesh+1 parameter values),
     so the result converges from below with discretization error on the
-    order of arc-length/mesh.
+    order of arc-length/mesh.  The nearest points are found exactly by
+    `_max_nearest_sq`.  Either side must be a finite (m, 2) point array.
     """
     if mesh < 100:
         raise ValueError(f"mesh must be at least 100, got {mesh!r}")
-    pts = np.atleast_2d(np.asarray(line, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValueError("degenerate polyline: need at least one point")
-    if isinstance(curve, ShapeCurve):
-        curve_pts = curve.sample(mesh)
-    else:
-        curve_pts = np.atleast_2d(np.asarray(curve, dtype=float))
-        if curve_pts.shape[0] < 1:
-            raise ValueError("degenerate curve: need at least one point")
-    dense = _densify(pts, mesh)
-    d_line = cKDTree(curve_pts).query(dense)[0].max()
-    d_curve = cKDTree(dense).query(curve_pts)[0].max()
-    return float(max(d_line, d_curve))
+    pts = _point_array(line, "polyline")
+    curve_pts = curve.sample(mesh) if isinstance(curve, ShapeCurve) else \
+        _point_array(curve, "curve")
+    dense, sampled = _by_s(_densify(pts, mesh)), _by_s(curve_pts)
+    return float(np.sqrt(max(_max_nearest_sq(dense, sampled),
+                             _max_nearest_sq(sampled, dense))))
 
 
 def curve_csv(curve, mesh=200):

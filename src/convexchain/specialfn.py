@@ -11,12 +11,21 @@ w = 1 - ell through the ratio series sum w^(j-1)/j^2, which is
 cancellation-free for every ell > 0, so no switchover branch is needed.
 
 Li_s(z) for real z < 1 is computed by the defining series where it converges
-comfortably (|z| <= 0.98) and by the integral representation
+comfortably (|z| <= 0.98).  Outside that disk c and e need only Li2 and Li3,
+which are continued in closed form (Lewin, Polylogarithms and Associated
+Functions, 1981):
 
-    Li_s(z) = (1/Gamma(s)) * int_0^inf z t^(s-1) / (e^t - z) dt
+    z < -1:          inversion  Li2(z) = -zeta(2) - log(-z)^2/2 - Li2(1/z),
+                                Li3(z) = Li3(1/z) - zeta(2) log(-z) - log(-z)^3/6
+    -1 <= z < -0.98: duplication  Li_s(z) = 2^(1-s) Li_s(z^2) - Li_s(-z)
+    0.98 < z < 1:    the log series in mu = log z,
+                     Li_s(e^mu) = mu^(s-1)/(s-1)! (H_(s-1) - log(-mu))
+                                  + sum_(k != s-1) zeta(s-k) mu^k/k!,
+                     with zeta(-n) = -B_(n+1)/(n+1) from Bernoulli numbers.
 
-elsewhere (mandatory for z <= -1, where the series diverges).  Both routes are
-kept as genuinely independent implementations and must agree on the overlap.
+Each route ends in the series or the log series, so no quadrature is left;
+other orders outside the disk are refused.  The tests check the routes
+against the integral representation, an independent oracle.
 
 The observables that only the tests build on these functions (zeta'(2),
 the parallel constant, the trilogarithm residue of log Z) live in
@@ -28,9 +37,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
-from .tolerances import POLYLOG_QUAD_TOL, POLYLOG_SERIES_TOL
+from .tolerances import POLYLOG_SERIES_TOL
 
 __all__ = [
     "zeta",
@@ -95,65 +103,57 @@ def _polylog_series(s: float, z: float) -> float:
     return float(np.sum(z**j / j**s))
 
 
-def _polylog_integral(s: float, z: float) -> float:
-    """(1/Gamma(s)) int_0^inf z t^(s-1)/(e^t - z) dt, valid for all real z < 1.
+def _log_series(s: int, z: float) -> float:
+    """Li_s(z) for s = 2 or 3 and 0.98 < z <= 1, by the log series in
+    mu = log z.  |mu| < 0.0203, so the first term left out,
+    zeta(-9) mu^(s+9)/(s+9)!, is below 1e-26."""
+    mu = math.log(z)
+    if mu == 0.0:
+        return ZETA2 if s == 2 else ZETA3
+    # zeta(s-k) for k = 0..s+8, with the log term's H_(s-1) - log(-mu) in
+    # the k = s-1 slot; then zeta(0) = -1/2 and zeta(1-2j) = -B_2j/(2j),
+    # zeta(-2j) = 0
+    low = [ZETA2] if s == 2 else [ZETA3, ZETA2]
+    coef = low + [(1.0 if s == 2 else 1.5) - math.log(-mu), -0.5]
+    for j, b in enumerate(_BERNOULLI, start=1):
+        coef += [-b / (2 * j), 0.0]
+    terms, power = [], 1.0
+    for k, c in enumerate(coef):
+        terms.append(c * power)
+        power *= mu / (k + 1)
+    return math.fsum(terms)
 
-    For z < 0 the integrand is rewritten as -t^(s-1)/(e^t/|z| + 1) so that huge
-    |z| never overflows; the upper limit log|z| + 45 leaves a tail below
-    e^-45 * polynomial.  For s < 1 the t^(s-1) endpoint singularity is removed
-    by substituting t = u^(1/s) on [0,1].
-    """
-    if z >= 1:
-        raise ValueError("polylog needs z < 1")
-    if z == 0.0:
-        return 0.0
-    gamma_s = math.gamma(s)
-    if z < 0:
-        L = math.log(-z)
 
-        def smooth(t):  # integrand = t^(s-1) * smooth(t)
-            return -1.0 / (math.exp(min(t - L, 700.0)) + 1.0)
-
-    else:
-
-        def smooth(t):
-            return z / (math.exp(min(t, 700.0)) - z)
-
-    def f(t):
-        return t ** (s - 1.0) * smooth(t)
-
-    upper = max(math.log(abs(z)) if abs(z) > 1 else 0.0, 0.0) + 45.0
-    # breakpoints catch the z->1 boundary layer near t = 0 and the shoulder
-    # at t ~ log|z| for large negative z
-    pts = sorted({1e-6, 1e-3, 0.1, 1.0, min(upper - 1.0, max(1.0, upper - 45.0) + 1.0)})
-    if s >= 1:
-        val, _ = integrate.quad(f, 0.0, upper, epsabs=POLYLOG_QUAD_TOL,
-                                epsrel=1e-12, limit=300, points=pts)
-    else:
-        # t = u^(1/s) on [0,1]: t^(s-1) dt = du/s exactly, so the endpoint
-        # singularity cancels instead of being chased adaptively
-        g = lambda u: smooth(u ** (1.0 / s)) / s
-        head, _ = integrate.quad(g, 0.0, 1.0, epsabs=POLYLOG_QUAD_TOL,
-                                 epsrel=1e-12, limit=300)
-        body, _ = integrate.quad(f, 1.0, upper, epsabs=POLYLOG_QUAD_TOL,
-                                 epsrel=1e-12, limit=300)
-        val = head + body
-    return val / gamma_s
+def _li23(s: int, z: float) -> float:
+    """Li_s(z) for s = 2 or 3 and real z <= 1, by the routes of the module
+    docstring; each inversion or duplication lands in |z| <= 1."""
+    if abs(z) <= 0.98:
+        return _polylog_series(s, z)
+    if z > 0.0:
+        return _log_series(s, z)
+    if z >= -1.0:
+        return 2.0 ** (1 - s) * _li23(s, z * z) - _li23(s, -z)
+    L = math.log(-z)
+    if s == 2:
+        return -ZETA2 - 0.5 * L * L - _li23(2, 1.0 / z)
+    return _li23(3, 1.0 / z) - ZETA2 * L - L**3 / 6.0
 
 
 def polylog(s: float, z: float) -> float:
-    """Li_s(z) for real finite z < 1 and s > 0: the series for |z| <= 0.98
-    and the integral elsewhere.  s = 1 short-circuits to -log(1-z).
-    """
+    """Li_s(z) for real finite z < 1 and s > 0: the series for |z| <= 0.98;
+    outside that disk s = 1 is -log(1-z) and s = 2 or 3 the closed forms,
+    and any other order raises ValueError."""
     if not s > 0:
         raise ValueError(f"polylog requires s > 0, got {s}")
     if not -math.inf < z < 1:
         raise ValueError(f"polylog requires finite z < 1, got {z}")
     if s == 1.0:
         return -math.log1p(-z)
+    if s in (2.0, 3.0):
+        return _li23(int(s), z)
     if abs(z) <= 0.98:
         return _polylog_series(s, z)
-    return _polylog_integral(s, z)
+    raise ValueError(f"polylog of order {s} is only available for |z| <= 0.98, got z = {z}")
 
 
 def ratio_li2(w: float) -> float:

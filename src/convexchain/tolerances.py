@@ -2,7 +2,6 @@
 
 # special functions
 POLYLOG_SERIES_TOL = 1e-13    # series tail bound for Li_s
-POLYLOG_QUAD_TOL = 1e-13      # quadrature epsabs for the integral route
 
 # quadrature for the limit-shape curve family
 CURVE_QUAD_TOL = 1e-10
@@ -15,9 +14,11 @@ DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets
 # int16 sweep runs ~1e9/s; counts past 2^53 add a uint64 pass, and past 2^64
 # one prime pass (about the cost of a plain pass) per 32 bits.
 COUNT_OP_BUDGET = 20_000_000_000
-# `asymptotics-table` guard, in --ell-grid rows: one c and one e take 0.55-0.85
-# ms on the integral route (ell = 1e-3, 2.5, 100), so the same ~1 minute rule.
-TABLE_ROW_BUDGET = 70_000
+# `asymptotics-table` guard, in --ell-grid rows: one c and one e take 0.02-0.10
+# ms on a 2-core x86 host (ell = 1e-3, 100, 2.5), and a whole row with its
+# output takes 0.15-0.18 ms where rows are slowest (ell in [2, 3]), so the
+# same ~1 minute rule; a --format json row holds ~1.1 kB, ~0.35 GB at the cap.
+TABLE_ROW_BUDGET = 300_000
 # Primitive-vector guard, in cells of the gcd grid (n1+1)*(n2+1) that
 # `lattice._primitive_grid` scans for a box or a Gibbs site set: a site set
 # holds ~0.30 primitive sites per cell for the linear energy and ~0.48 for

@@ -4,7 +4,13 @@ reimplementations that the library's vectorized code is checked against."""
 import math
 from functools import cmp_to_key
 
+import numpy as np
+from scipy import integrate
+
 from convexchain.lattice import ConvexPolyline, MultiplicityDistribution
+
+# quadrature epsabs of the polylog integral oracle
+POLYLOG_QUAD_TOL = 1e-13
 
 
 def slope_sorted_exact(vectors):
@@ -84,3 +90,59 @@ def polyline_to_omega(line: ConvexPolyline) -> MultiplicityDistribution:
         g = math.gcd(d[0], d[1])
         support[(d[0] // g, d[1] // g)] = g
     return MultiplicityDistribution(support)
+
+
+def polylog_integral(s: float, z: float) -> float:
+    """(1/Gamma(s)) int_0^inf z t^(s-1)/(e^t - z) dt, valid for all real z < 1.
+
+    For z < 0 the integrand is rewritten as -t^(s-1)/(e^t/|z| + 1) so that huge
+    |z| never overflows; the upper limit log|z| + 45 leaves a tail below
+    e^-45 * polynomial.  For s < 1 the t^(s-1) endpoint singularity is removed
+    by substituting t = u^(1/s) on [0,1].
+    """
+    if z >= 1:
+        raise ValueError("polylog needs z < 1")
+    if z == 0.0:
+        return 0.0
+    gamma_s = math.gamma(s)
+    if z < 0:
+        L = math.log(-z)
+
+        def smooth(t):  # integrand = t^(s-1) * smooth(t)
+            return -1.0 / (math.exp(min(t - L, 700.0)) + 1.0)
+
+    else:
+
+        def smooth(t):
+            return z / (math.exp(min(t, 700.0)) - z)
+
+    def f(t):
+        return t ** (s - 1.0) * smooth(t)
+
+    upper = max(math.log(abs(z)) if abs(z) > 1 else 0.0, 0.0) + 45.0
+    # breakpoints catch the z->1 boundary layer near t = 0 and the shoulder
+    # at t ~ log|z| for large negative z
+    pts = sorted({1e-6, 1e-3, 0.1, 1.0, min(upper - 1.0, max(1.0, upper - 45.0) + 1.0)})
+    if s >= 1:
+        val, _ = integrate.quad(f, 0.0, upper, epsabs=POLYLOG_QUAD_TOL,
+                                epsrel=1e-12, limit=300, points=pts)
+    else:
+        # t = u^(1/s) on [0,1]: t^(s-1) dt = du/s exactly, so the endpoint
+        # singularity cancels instead of being chased adaptively
+        g = lambda u: smooth(u ** (1.0 / s)) / s
+        head, _ = integrate.quad(g, 0.0, 1.0, epsabs=POLYLOG_QUAD_TOL,
+                                 epsrel=1e-12, limit=300)
+        body, _ = integrate.quad(f, 1.0, upper, epsabs=POLYLOG_QUAD_TOL,
+                                 epsrel=1e-12, limit=300)
+        val = head + body
+    return val / gamma_s
+
+
+def hausdorff_brute(a, b):
+    """Symmetric Hausdorff distance between two point arrays by all pairs,
+    with the library's squared distance dx*dx + dy*dy."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    d2 = dx * dx + dy * dy
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))

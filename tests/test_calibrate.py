@@ -15,6 +15,7 @@ from convexchain.calibrate import (
     CalibrationError,
     CalibrationResult,
     CalibrationTarget,
+    _root,
     asymptotic_params,
     exact_calibrate,
     predicted_log_pnk,
@@ -88,6 +89,34 @@ def test_cold_initializer_evaluates_c_few_times(monkeypatch):
         calls.clear()
         asymptotic_params(CalibrationTarget(300, 300, k))
         assert 2 < len(calls) <= 60
+
+
+@pytest.mark.parametrize("f,lo,hi,root", [
+    (lambda x: x * x - 2.0, 0.0, 2.0, math.sqrt(2.0)),
+    # steep on one side of the root and flat on the other, where plain
+    # regula falsi keeps one end for ever
+    (lambda x: math.exp(8.0 * x) - 3.0, -5.0, 1.0, math.log(3.0) / 8.0),
+    (lambda x: 1.0 - x**3, 0.0, 3.0, 1.0),
+])
+@pytest.mark.parametrize("xtol", [1e-6, 1e-12, 1e-14])
+def test_root_meets_xtol(f, lo, hi, root, xtol):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    assert abs(_root(counted, lo, hi, xtol) - root) <= xtol
+    assert all(lo <= x <= hi for x in calls) and len(calls) < 60
+
+
+def test_root_needs_a_sign_change():
+    with pytest.raises(ValueError, match="no sign change"):
+        _root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="no sign change"):
+        _root(lambda x: math.nan, 0.0, 1.0, 1e-12)
+    # a zero at an end is a root
+    assert _root(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0
 
 
 def test_c_strictly_increasing_on_the_bracket():

@@ -2,6 +2,7 @@
 Euclidean-length model, and the suite runner."""
 
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -193,12 +194,67 @@ def test_sampled_length_agrees_with_polyline():
     assert line_length(poly) == pytest.approx(total)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs ~0.5 s to import and only the tests' chi-square check uses it
+# one run of each command, in one fresh interpreter; after the import and
+# after each run the probe lists the scipy modules loaded so far
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import convexchain
+from convexchain import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+seen = [["import", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    seen.append([argv[0], rc, scipy_modules()])
+print(json.dumps(seen))
+"""
+
+
+def test_runs_leave_scipy_unloaded(tmp_path):
+    # scipy is only a test dependency: the library, each CLI route through
+    # the special functions, the root, the logistic and the Hausdorff search
+    # included, must run on numpy alone
     import convexchain
+    line = tmp_path / "line.json"
+    line.write_text('{"vertices": [[0, 0], [3, 1], [5, 4], [6, 7]]}')
+    runs = [
+        ["count", "--n1", "6", "--n2", "6", "--kmax", "4"],
+        ["calibrate", "--n1", "300", "--n2", "300", "--k", "34", "--exact"],
+        ["sample-gibbs", "--beta1", "0.1", "--beta2", "0.1", "--count", "3"],
+        ["shape-distance", "--line", str(line)],
+        # 1 - ell = 0.99 takes the log series, -1.01 the inversion and then
+        # the duplication, -1.51 the inversion
+        ["asymptotics-table", "--ell-grid", "0.01:2.99:0.5"],
+        ["jarnik", "--beta", "0.1", "--samples", "4"],
+    ]
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))
-    probe = "import sys, convexchain; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, env=env, timeout=120)
-    assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(runs)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    seen = json.loads(out.stdout)
+    assert [name for name, _, _ in seen] == ["import"] + [argv[0] for argv in runs]
+    for name, rc, modules in seen:
+        assert rc == 0 and modules == [], (name, rc, modules)
+
+
+def test_jarnik_root_builds_as_few_site_sets_as_brentq(monkeypatch):
+    # a spy on the site-set builder: one set for the sampled beta, then one
+    # per root evaluation of E[L] = mean length, which for beta = 0.05 is
+    # 11, as many as scipy's brentq took on the same bracket and xtol
+    from convexchain import gibbs
+    builds = []
+    grid = gibbs._primitive_grid
+
+    def spy(n1, n2):
+        builds.append((n1, n2))
+        return grid(n1, n2)
+
+    gibbs._site_laws.cache_clear()
+    gibbs._site_arrays.cache_clear()
+    monkeypatch.setattr(gibbs, "_primitive_grid", spy)
+    run_jarnik(0.05, samples=2, seed=0)
+    assert len(builds) == 1 + 11

@@ -2,6 +2,7 @@
 curve length, normalization, and Hausdorff distance."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from convexchain.shapes import (
     overlay_svg,
     parabola_point,
 )
+from oracles import hausdorff_brute
 
 SQRT2 = math.sqrt(2.0)
 
@@ -172,6 +174,46 @@ def test_hausdorff_input_validation():
         hausdorff_distance(line, ShapeCurve.circle(), mesh=50)
     with pytest.raises(ValueError):
         hausdorff_distance(np.empty((0, 2)), ShapeCurve.circle(), mesh=500)
+    with pytest.raises(ValueError, match="at least one point"):
+        hausdorff_distance(line, np.empty((0, 2)), mesh=500)
+    for bad in ([[0.0, 0.0], [math.nan, 1.0]], [[0.0, math.inf]], [[-math.inf, 0.0]]):
+        with pytest.raises(ValueError, match="finite"):
+            hausdorff_distance(bad, line, mesh=500)
+        with pytest.raises(ValueError, match="finite"):
+            hausdorff_distance(line, bad, mesh=500)
+    for bad in (np.zeros((3, 3)), np.zeros((2, 2, 2)), [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            hausdorff_distance(bad, line, mesh=500)
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            hausdorff_distance(line, bad, mesh=500)
+
+
+_coord = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+# a small pool makes duplicate points likely
+_points = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=8).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25))
+
+
+@given(_points, _points, st.booleans(), st.booleans(),
+       st.sampled_from([0.0, 1e6, -3e7]), st.sampled_from([0.0, 0.1, 1e6 + 0.5, -3e7]))
+@settings(max_examples=300, deadline=None)
+def test_hausdorff_matches_brute_force(line, curve, chain, monotone_curve, apart, offset):
+    # exact float equality with all pairs, on sets in any order, with
+    # duplicates, single points and sets far apart; `chain` and
+    # `monotone_curve` sort a side's columns into a monotone set, which
+    # takes the narrowed windows, and `offset` moves both sides far out,
+    # where x + y rounds coarsely
+    line, curve = np.array(line) + offset, np.array(curve) + apart + offset
+    if chain:
+        line = np.sort(line, axis=0)
+    if monotone_curve:
+        curve = np.sort(curve, axis=0)
+    expect = hausdorff_brute(shapes._densify(line, 100), curve)
+    assert hausdorff_distance(line, curve, mesh=100) == expect
+    # pair blocks of 3 split windows across blocks
+    with mock.patch.object(shapes, "_PAIR_BLOCK", 3):
+        assert hausdorff_distance(line, curve, mesh=100) == expect
 
 
 def test_csv_emitter_shape():

@@ -5,6 +5,7 @@ import pytest
 
 from convexchain import specialfn as sf
 from convexchain.specialfn import c_of_ell, e_of_ell, polylog, ratio_li2, zeta
+from oracles import polylog_integral
 from paper import EULER_GAMMA, parallel_constant, residue_logZ, zeta_prime
 
 # Reference decimals frozen from a 25-digit mpmath session (test-side oracle).
@@ -47,19 +48,30 @@ def test_polylog_identities():
 
 
 def test_polylog_against_frozen_oracle():
+    # the library wherever it is defined (orders 2 and 3, and any order in
+    # |z| <= 0.98); the integral oracle at every reference, s = 2.5 and 0.5
+    # included
     for key, ref in MPMATH_REFERENCE.items():
         if key[0] != "Li":
             continue
         _, s, z = key
-        assert abs(polylog(s, z) - ref) <= 1e-11 * max(1.0, abs(ref)), key
+        tol = 1e-11 * max(1.0, abs(ref))
+        if s in (2.0, 3.0) or abs(z) <= 0.98:
+            assert abs(polylog(s, z) - ref) <= tol, key
+        assert abs(polylog_integral(s, z) - ref) <= tol, key
 
 
 def test_polylog_dual_route_agreement():
-    for z in np.linspace(-0.97, -0.5, 25):
+    # every closed-form route against the integral oracle: inversion out to
+    # z = -1e8, duplication on both sides of z = -1, the log series up to
+    # z = 1 - 1e-12, and the series on either side of each switch
+    grid = np.concatenate([-np.logspace(8, math.log10(0.98), 60),
+                           np.linspace(-1.05, -0.95, 41),
+                           1.0 - np.logspace(math.log10(0.03), -12, 60)])
+    for z in grid:
         for s in (2.0, 3.0):
-            a = sf._polylog_series(s, float(z))
-            b = sf._polylog_integral(s, float(z))
-            assert abs(a - b) <= 1e-9, (s, z)
+            a, b = polylog(s, float(z)), polylog_integral(s, float(z))
+            assert abs(a - b) <= 1e-12 * abs(b), (s, z)
 
 
 def test_polylog_large_negative_asymptotics():
@@ -78,6 +90,10 @@ def test_polylog_domain():
             polylog(2.0, z)
     with pytest.raises(ValueError):
         polylog(0.0, 0.5)
+    # outside the series disk only orders 1, 2 and 3 have a route
+    for s, z in ((2.5, -5.0), (0.5, 0.99), (4.0, -1.0)):
+        with pytest.raises(ValueError, match="only available"):
+            polylog(s, z)
 
 
 def test_ratio_li2():
