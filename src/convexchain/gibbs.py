@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import MultiplicityDistribution, _primitive_grid
+from .lattice import MultiplicityDistribution, _primes, _primitive_grid
 from .tolerances import DEFAULT_TRUNCATION, KERNEL_ROUNDING, SITE_BUDGET
 
 __all__ = [
@@ -104,23 +104,6 @@ class EnergyModel:
         b, le = self.params
         return b * ((x1 + x2) + le * _SQRT2 * np.hypot(x1, x2))
 
-    def l1_rate_bounds(self) -> tuple[float, float]:
-        """(alpha_lo, alpha_hi) with alpha_lo*|x|_1 <= E(x) <= alpha_hi*|x|_1.
-
-        Uses |x|_1/sqrt(2) <= |x|_2 <= |x|_1 on the quadrant; for the mixed
-        model the sqrt(2)*|x|_2 term therefore contributes between le*|x|_1
-        and le*sqrt(2)*|x|_1 (order depending on the sign of le).
-        """
-        if self.kind == "linear":
-            b1, b2 = self.params
-            return min(b1, b2), max(b1, b2)
-        if self.kind == "euclidean":
-            (b,) = self.params
-            return b / _SQRT2, b
-        b, le = self.params
-        return b * (1.0 + min(le, le * _SQRT2)), b * (1.0 + max(le, le * _SQRT2))
-
-
 @dataclass(frozen=True)
 class GibbsParams:
     energy: EnergyModel
@@ -150,8 +133,9 @@ class MomentReport:
 def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
 
-    The `lattice._primitive_grid` rows of the box that holds E <= T, filtered
-    by energy; the row-major order is part of the sampling contract (the
+    The `lattice._primitive_grid` rows of the box that holds E <= T, each
+    block clipped to the columns its first row holds, filtered by energy;
+    the row-major order is part of the sampling contract (the
     order within a sampler block).  Every family has E(v, 0) = v*E(1, 0),
     E(0, v) = v*E(0, 1) and grows along each axis, so side i of the box is
     floor(T/E(e_i)), plus one when that quotient rounded down past an axis
@@ -164,8 +148,15 @@ def _site_arrays(energy: EnergyModel, truncation: float):
         span = T / np.array([energy(1, 0), energy(0, 1)], dtype=float)
     n1, n2 = np.floor(np.minimum(span, SITE_BUDGET)).astype(np.int64).tolist()
     n1, n2 = n1 + int(energy(n1 + 1, 0) <= T), n2 + int(energy(0, n2 + 1) <= T)
+
+    def width(x0):
+        # E grows along both axes: the sites of row x0 are a prefix of its
+        # columns and bound those of every later row.  Counting them keeps
+        # one column past the last, against rounding at the boundary.
+        return int(np.count_nonzero(energy(float(x0), np.arange(n2 + 1.0)) <= T)) + 1
+
     xs_parts, ys_parts, en_parts = [], [], []
-    for x1, x2 in _primitive_grid(n1, n2):
+    for x1, x2 in _primitive_grid(n1, n2, width):
         en = np.asarray(energy(x1.astype(float), x2.astype(float)), dtype=float)
         keep = en <= T
         xs_parts.append(x1[keep])
@@ -214,25 +205,51 @@ def _linear_tail(beta1: float, beta2: float, lam: float, truncation: float) -> n
     return lam * np.array([s0 / c, s1 / c**2, s2 / c**2, s0 / c])
 
 
-def truncation_bound(params: GibbsParams) -> float:
-    """Rigorous upper bound on the log-partition mass lost to truncation.
+# right-endpoint panels of the quarter-turn integral in `_radial_tail`
+_RADIAL_PANELS = 256
 
-    For the linear energy it is the column sum of `_linear_tail`.  Otherwise
-    omitted sites satisfy |x|_1 >= s0 = T/alpha_hi, and
-    log(1+lam*rho/(1-rho)) <= lam*rho/(1-e^-T); summing
-    lam*e^{-alpha_lo*s}*(s+1) over s >= s0 (there are at most s+1 lattice
-    points on each diagonal) gives the bound with the L1 rates.
+
+def _radial_tail(energy: EnergyModel, lam: float, truncation: float) -> float:
+    """Rigorous upper bound on what the sites with E(x) > T add to log Z of
+    the Euclidean or mixed energy.
+
+    Both are E = beta*N, N(y) = c1*|y|_1 + c2*|y|_2 with (c1, c2) = (0, 1) or
+    (1, sqrt(2)*lam_ell), c2 > -1: positive, homogeneous and increasing in
+    each coordinate on the quadrant (a norm for c2 >= 0).  Across a unit
+    square x + [0,1]^2 of the quadrant E grows by at most
+    D = beta*(2*c1 + sqrt(2)*max(c2, 0)), so the squares of the C(R) lattice
+    points with E <= R cover {E <= R} and lie in {E <= R + D}:
+    a*R^2 <= C(R) <= a*(R + D)^2, a the quadrant area of {E <= 1}.  The sum
+    of e^-E over the points with E > T, int_T^inf e^-R (C(R) - C(T)) dR, is
+    then at most a*e^-T*(2T(D+1) + (D+1)^2 + 1), and log Z_x is at most
+    lam*rho/(1-e^-T) at each of them.  In polar coordinates about the
+    diagonal, a = beta^-2 * int_0^{pi/4} (sqrt(2)*c1*cos(phi) + c2)^-2 dphi,
+    whose integrand increases with phi: a right-endpoint sum bounds it.
     """
+    # a smaller T omits more sites, so the bound at min(T, 700) holds at T
+    T = min(truncation, 700.0)
+    if energy.kind == "euclidean":
+        (b,) = energy.params
+        c1, c2 = 0.0, 1.0
+    else:
+        b, le = energy.params
+        c1, c2 = 1.0, _SQRT2 * le
+    h = math.pi / 4.0 / _RADIAL_PANELS
+    phi = h * np.arange(1, _RADIAL_PANELS + 1)
+    a = h * float(np.sum((_SQRT2 * c1 * np.cos(phi) + c2) ** -2.0)) / (b * b)
+    D = b * (2.0 * c1 + _SQRT2 * max(c2, 0.0))
+    shells = a * math.exp(-T) * (2.0 * T * (D + 1.0) + (D + 1.0) ** 2 + 1.0)
+    return lam * shells / -math.expm1(-T)
+
+
+def truncation_bound(params: GibbsParams) -> float:
+    """Rigorous upper bound on the log-partition mass lost to truncation:
+    the column sum of `_linear_tail` for the linear energy, the shell sum of
+    `_radial_tail` for the Euclidean and mixed ones."""
     if params.energy.kind == "linear":
         return float(_linear_tail(*params.energy.params, params.fugacity,
                                   params.truncation)[0])
-    alpha_lo, alpha_hi = params.energy.l1_rate_bounds()
-    T = params.truncation
-    s0 = max(1, math.floor(T / alpha_hi))
-    q = math.exp(-alpha_lo)
-    # sum_{s >= s0} (s+1) q^s = q^s0 * ((s0+1)(1-q) + q) / (1-q)^2
-    tail = q**s0 * ((s0 + 1) * (1 - q) + q) / (1 - q) ** 2
-    return params.fugacity * tail / -math.expm1(-T)
+    return _radial_tail(params.energy, params.fugacity, params.truncation)
 
 
 # cached because sampling loops and Newton steps hit the same parameters
@@ -295,12 +312,7 @@ def _mobius_pairs(n_max: int):
     the index pairs of the Dirichlet convolution a_n = sum_{jd=n} c_j mu(d)."""
     mu = np.ones(n_max + 1, dtype=np.int64)
     mu[0] = 0
-    prime = np.ones(n_max + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, math.isqrt(n_max) + 1):
-        if prime[p]:
-            prime[p * p :: p] = False
-    for p in np.flatnonzero(prime).tolist():
+    for p in _primes(n_max).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     d = np.flatnonzero(mu)

@@ -45,7 +45,12 @@ def is_primitive(x1: int, x2: int) -> bool:
 def _int_rows(pairs) -> np.ndarray:
     """The integer pairs as an exact (n, 2) array: int64 while each column's
     absolute sum is below 2^62, so that every difference and partial sum of
-    rows fits, and Python ints (dtype object) past that."""
+    rows fits, and Python ints (dtype object) past that.  An (n, 2) int64
+    array that passes that test is returned as it is."""
+    if isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape[1:] == (2,):
+        if np.abs(pairs, dtype=float).sum(axis=0).max() < 2.0**62:
+            return pairs
+        return pairs.astype(object)
     pairs = tuple(pairs)
     with contextlib.suppress(OverflowError, ValueError):  # past int64, or not all pairs
         xy = np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2)
@@ -89,13 +94,34 @@ def slope_sorted(vectors) -> list[Vec]:
     return [vectors[i] for i in _slope_order(_int_rows(vectors)).tolist()]
 
 
-def _primitive_grid(n1: int, n2: int):
+def _primes(n: int) -> np.ndarray:
+    """The primes up to n, ascending, by the sieve of Eratosthenes."""
+    prime = np.ones(n + 1, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if prime[p]:
+            prime[p * p :: p] = False
+    return np.flatnonzero(prime)
+
+
+# cells of a `_primitive_grid` row block: a 512 kB bool sieve whose index
+# arrays stay in cache while `gibbs._site_arrays` filters them, in blocks few
+# enough rows deep that clipping each to its first row's extent keeps little
+# more than the triangle of a linear set
+_GRID_BLOCK = 1 << 19
+
+
+def _primitive_grid(n1: int, n2: int, width=None):
     """Yield the primitive vectors of the box [0, n1] x [0, n2] as int64
     (x1, x2) array pairs, a block of rows at a time, row-major in x1.
 
-    This gcd-grid scan is the package's one primitive-vector enumerator.  A
-    grid over SITE_BUDGET cells is refused with `ResourceWarning` before any
-    row is built.
+    This sieve is the package's one primitive-vector enumerator: a block
+    starts all true, and each prime p <= min(n1, n2) clears its cells with
+    p | x1 and p | x2; on the axes only (1, 0) and (0, 1) stay.  With
+    `width`, the block that starts at row x0 covers only the columns
+    x2 < width(x0), for a caller that keeps nothing past them in that row or
+    any later one.  A grid over SITE_BUDGET cells is refused with
+    `ResourceWarning` before any row is built.
     """
     cells = (n1 + 1) * (n2 + 1)
     if cells > SITE_BUDGET:
@@ -103,13 +129,26 @@ def _primitive_grid(n1: int, n2: int):
             f"a {n1 + 1}x{n2 + 1} primitive-vector grid ({cells:.2e} cells) "
             f"is over the budget {SITE_BUDGET:.2e}"
         )
-    ys = np.arange(n2 + 1, dtype=np.int64)
-    ys32 = ys.astype(np.int32)  # the budget keeps both sides below 2^31
-    block = max(1, (1 << 22) // (n2 + 1))
-    for x0 in range(0, n1 + 1, block):
-        xs = np.arange(x0, min(x0 + block, n1 + 1), dtype=np.int64)
-        bx, by = np.nonzero(np.gcd(xs.astype(np.int32)[:, None], ys32[None, :]) == 1)
-        yield xs[bx], ys[by]
+    primes = _primes(min(n1, n2)).tolist()
+    x0 = 0
+    while x0 <= n1:
+        w = n2 + 1 if width is None else min(n2 + 1, width(x0))
+        rows = min(max(1, _GRID_BLOCK // w), n1 + 1 - x0)
+        keep = np.ones((rows, w), dtype=bool)
+        for p in primes:
+            keep[-x0 % p :: p, ::p] = False
+        keep[:, 0] = False
+        if x0 <= 1 < x0 + rows:
+            keep[1 - x0, 0] = True
+        if x0 == 0:
+            keep[0, 2:] = False
+        idx = np.flatnonzero(keep)
+        del keep
+        x1, x2 = np.divmod(idx, w)
+        del idx
+        x1 += x0
+        x0 += rows
+        yield x1, x2
 
 
 def primitive_vectors_in_box(n1: int, n2: int) -> list[Vec]:
@@ -217,8 +256,9 @@ class ConvexPolyline:
 
 def _polyline(steps: np.ndarray) -> ConvexPolyline:
     """The polyline through the partial sums of `steps` from (0,0); they must fit its dtype."""
-    pts = np.cumsum(steps, axis=0)
-    return ConvexPolyline(((0, 0), *zip(pts[:, 0].tolist(), pts[:, 1].tolist())))
+    pts = np.zeros((len(steps) + 1, 2), dtype=steps.dtype)
+    np.cumsum(steps, axis=0, out=pts[1:])
+    return ConvexPolyline(pts)
 
 
 def omega_to_polyline(omega: MultiplicityDistribution) -> ConvexPolyline:

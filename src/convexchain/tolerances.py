@@ -19,14 +19,15 @@ COUNT_OP_BUDGET = 20_000_000_000
 # output takes 0.15-0.18 ms where rows are slowest (ell in [2, 3]), so the
 # same ~1 minute rule; a --format json row holds ~1.1 kB, ~0.35 GB at the cap.
 TABLE_ROW_BUDGET = 300_000
-# Primitive-vector guard, in cells of the gcd grid (n1+1)*(n2+1) that
-# `lattice._primitive_grid` scans for a box or a Gibbs site set: a site set
+# Primitive-vector guard, in cells (n1+1)*(n2+1) of the box that
+# `lattice._primitive_grid` sieves for a box or a Gibbs site set: a site set
 # holds ~0.30 primitive sites per cell for the linear energy and ~0.48 for
-# the Euclidean one, and a site set with its `moments` pass peaks at ~90
-# bytes per site (measured with ru_maxrss at 4.9M and 7.6M sites), so ~42
-# bytes per cell; the budget refuses sets predicted to need over ~2 GB.  The
-# largest current caller is the Jarnik suite's bracket at Euclidean beta
-# 0.02/3, a 6001^2 = 3.6e7-cell grid.
+# the Euclidean one, and a site set with its `moments` pass peaks at 89-93
+# bytes per site (ru_maxrss of fresh processes less their 28 MB import, at
+# 2.5M-9.9M linear and 3.9M-11.9M Euclidean sites), so ~28 and ~43 bytes
+# per cell; the budget refuses sets predicted to need over ~2 GB.  The
+# largest current caller is the Jarnik suite's root bracket at Euclidean
+# beta 0.05/3, a 2401^2 = 5.8e6-cell box.
 SITE_BUDGET = 48_000_000
 # relative rounding allowance of a Mobius-kernel log Z or moment against the
 # same sum over the sites: 64 ulps, where at most 12 were measured (linear

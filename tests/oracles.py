@@ -39,6 +39,18 @@ def check_polyline(vertices):
     return verts
 
 
+def primitive_grid_gcd(n1: int, n2: int, block_cells: int):
+    """The primitive vectors of the box [0, n1] x [0, n2] as int64 (x1, x2)
+    array pairs, row-major in x1, in blocks of max(1, block_cells // (n2+1))
+    rows: a gcd over every cell of each block."""
+    ys = np.arange(n2 + 1, dtype=np.int64)
+    block = max(1, block_cells // (n2 + 1))
+    for x0 in range(0, n1 + 1, block):
+        xs = np.arange(x0, min(x0 + block, n1 + 1), dtype=np.int64)
+        bx, by = np.nonzero(np.gcd(xs[:, None], ys[None, :]) == 1)
+        yield xs[bx], ys[by]
+
+
 def primitive_vectors_by_weight(energy, cutoff: float):
     """Yield every primitive x with energy(x) <= cutoff, exactly once.
 

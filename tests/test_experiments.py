@@ -249,9 +249,9 @@ def test_jarnik_root_builds_as_few_site_sets_as_brentq(monkeypatch):
     builds = []
     grid = gibbs._primitive_grid
 
-    def spy(n1, n2):
+    def spy(n1, n2, *clip):
         builds.append((n1, n2))
-        return grid(n1, n2)
+        return grid(n1, n2, *clip)
 
     gibbs._site_laws.cache_clear()
     gibbs._site_arrays.cache_clear()

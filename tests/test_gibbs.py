@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexchain import gibbs
+from convexchain import gibbs, lattice
 from convexchain.gibbs import (
     EnergyModel,
     GibbsParams,
@@ -113,7 +113,8 @@ def test_sub_resolution_site_energy_refused(call):
 @example("linear", 0.2, 5.0, 0.0, 12.0)
 def test_site_arrays_match_a_wider_grid(kind, b1, b2, lam_ell, T):
     # the site set is the energy filter of any grid that holds it, in
-    # row-major order; this grid is twice the box that holds E <= T on the axes
+    # row-major order; this grid is twice the box that holds E <= T on the
+    # axes.  With 16-cell blocks each row is clipped to its own extent.
     energy = {"linear": EnergyModel.linear(b1, b2),
               "euclidean": EnergyModel.euclidean(b1),
               "mixed": EnergyModel.mixed(b1, lam_ell)}[kind]
@@ -121,27 +122,13 @@ def test_site_arrays_match_a_wider_grid(kind, b1, b2, lam_ell, T):
     xs, ys = np.nonzero(np.gcd.outer(np.arange(n1 + 1), np.arange(n2 + 1)) == 1)
     en = energy(xs.astype(float), ys.astype(float))
     keep = en <= T
-    for got, want in zip(gibbs._site_arrays(energy, T), (xs[keep], ys[keep], en[keep])):
-        np.testing.assert_array_equal(got, want)
-
-
-@given(
-    st.integers(0, 50),
-    st.integers(0, 50),
-    st.sampled_from(["linear", "euclidean", "mixed-", "mixed+"]),
-)
-def test_l1_rate_bounds_envelope(a, b, kind):
-    if a == 0 and b == 0:
-        return
-    model = {
-        "linear": EnergyModel.linear(0.2, 0.9),
-        "euclidean": EnergyModel.euclidean(0.31),
-        "mixed-": EnergyModel.mixed(0.4, -0.6),
-        "mixed+": EnergyModel.mixed(0.25, 1.7),
-    }[kind]
-    lo, hi = model.l1_rate_bounds()
-    e = float(model(a, b))
-    assert lo * (a + b) - 1e-9 <= e <= hi * (a + b) + 1e-9
+    for block in (lattice._GRID_BLOCK, 16):
+        gibbs._site_arrays.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "_GRID_BLOCK", block)
+            got = gibbs._site_arrays(energy, T)
+        for g, want in zip(got, (xs[keep], ys[keep], en[keep])):
+            np.testing.assert_array_equal(g, want)
 
 
 def test_gibbs_params_validation():
@@ -191,7 +178,7 @@ def test_residue_law_three_point_convergence():
 def test_truncation_bound_controls_tail():
     # enlarging T changes log Z by less than the reported bound at the small T:
     # the linear energy's column sums (isotropic and both anisotropic ways)
-    # and the L1 bound of the other families
+    # and the shell sums of the other families
     for em in (EnergyModel.linear(0.8, 0.8), EnergyModel.linear(0.01, 0.4),
                EnergyModel.linear(0.3, 0.05), EnergyModel.euclidean(0.5),
                EnergyModel.mixed(0.4, 0.5)):
@@ -222,6 +209,30 @@ def test_linear_tail_bounds_the_omitted_sums(b1, b2, lam, T):
     # factor of about 2
     assert np.all(bound <= 4.0 * omitted)
     assert bound[0] == truncation_bound(GibbsParams(EnergyModel.linear(b1, b2), lam, T))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 1.0, 2.0])
+@pytest.mark.parametrize("em,D", [
+    # D: the most E grows across a unit square, beta*sqrt(2) for the
+    # Euclidean energy, beta*(2 + 2*max(lam_ell, 0)) for the mixed one
+    pytest.param(EnergyModel.euclidean(0.05), 0.05 * math.sqrt(2.0), id="euclidean-0.05"),
+    pytest.param(EnergyModel.euclidean(0.5), 0.5 * math.sqrt(2.0), id="euclidean-0.5"),
+    pytest.param(EnergyModel.mixed(0.03, 1.0), 0.12, id="mixed-0.03-1"),
+    pytest.param(EnergyModel.mixed(0.4, 0.5), 1.2, id="mixed-0.4-0.5"),
+    pytest.param(EnergyModel.mixed(0.3, -0.6), 0.6, id="mixed-0.3--0.6"),
+])
+@pytest.mark.parametrize("T", [5.0, 25.0])
+def test_radial_tail_bounds_the_omitted_sums(em, D, lam, T):
+    # what the sites with T < E <= T + 60 add to log Z, against the shell
+    # sum of `truncation_bound` at T
+    _, _, en = gibbs._site_arrays(em, T + 60.0)
+    rho = np.exp(-en[en > T])
+    omitted = np.sum(np.log1p(lam * rho / (1.0 - rho)))
+    bound = truncation_bound(GibbsParams(em, lam, T))
+    assert omitted <= bound
+    # and tight: the primitive share 6/pi^2 and the growth D leave a factor
+    # of about (pi^2/6)*(1 + D)
+    assert bound <= 2.0 * (1.0 + D) * omitted
 
 
 def test_linear_truncation_bound_at_an_anisotropic_calibration():

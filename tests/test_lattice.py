@@ -20,6 +20,7 @@ from convexchain.tolerances import SITE_BUDGET
 from oracles import (
     check_polyline,
     polyline_to_omega,
+    primitive_grid_gcd,
     primitive_vectors_by_weight,
     slope_sorted_exact,
 )
@@ -83,6 +84,25 @@ def test_grid_is_row_major_and_matches_gcd():
     assert [np.unique(x1).tolist() for x1, _ in rows] == [[0], [1], [2], [3]]
     assert [x2.size for _, x2 in rows] == [1, n2 + 1, n2 // 2, n2 + 1 - (n2 // 3 + 1)]
     assert all(np.all(np.diff(x2) > 0) for _, x2 in rows)
+
+
+# 64-cell blocks: 8 rows of an n2 = 7 box, 2 of n2 = 31, 1 from n2 = 32 on
+@pytest.mark.parametrize("n1, n2", [
+    (0, 9), (9, 0), (0, 0), (1, 9), (9, 1), (1, 1),  # axes and unit sides
+    (13, 17), (31, 7), (2, 3),  # prime sides
+    (6, 7), (7, 7), (8, 7), (15, 7), (16, 7),  # either side of a row block
+    (5, 30), (5, 31), (5, 32), (4, 63), (4, 64),  # either side of a one-row block
+    (2000, 7),
+])
+def test_sieve_matches_the_gcd_grid_block_by_block(monkeypatch, n1, n2):
+    monkeypatch.setattr(lattice, "_GRID_BLOCK", 64)
+    got = list(_primitive_grid(n1, n2))
+    want = list(primitive_grid_gcd(n1, n2, block_cells=64))
+    assert len(got) == len(want)
+    for (x1, x2), (w1, w2) in zip(got, want):
+        assert x1.dtype == w1.dtype == np.int64 and x2.dtype == w2.dtype == np.int64
+        np.testing.assert_array_equal(x1, w1)
+        np.testing.assert_array_equal(x2, w2)
 
 
 def test_oversized_grid_refused_up_front():
