@@ -41,11 +41,9 @@ from .calibrate import (
 from .shapes import (
     ShapeCurve,
     hausdorff_distance,
-    mixed_curve,
     mixed_length,
     normalize,
     overlay_svg,
-    parabola_point,
 )
 from .experiments import (
     SUITE_NAMES,

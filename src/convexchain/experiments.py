@@ -33,8 +33,9 @@ from .gibbs import (
     sample_omega,
 )
 from .lattice import _polyline, _slope_order, _turns, omega_to_polyline, primitive_vectors_in_box
-from .shapes import ShapeCurve, hausdorff_distance, mixed_length, normalize
+from .shapes import ShapeCurve, _check_mesh, hausdorff_distance, mixed_length, normalize
 from .specialfn import ZETA3, c_of_ell, e_of_ell
+from .tolerances import VALTR_EDGE_BUDGET
 
 __all__ = [
     "sample_valtr",
@@ -69,6 +70,8 @@ def sample_valtr(n, k, seed=0, rng=None):
         raise ValueError(f"need at least two edges, got k={k}")
     if n < k:
         raise ValueError(f"no strictly North-East line with {k} edges fits in n={n}")
+    if k > VALTR_EDGE_BUDGET:
+        raise ResourceWarning(f"a draw of {k:,} edges is over the budget {VALTR_EDGE_BUDGET:,}")
     if k**3 >= n:
         warnings.warn(
             f"k^3 = {k**3} >= n = {n}: outside the few-vertex regime; "
@@ -110,12 +113,11 @@ def _distances(lines, curve, mesh):
     A line is normalized by its own endpoint; lines that end on an axis have
     no shape and are skipped.
     """
-    curve_pts = curve.sample(mesh)
     dists = []
     for poly in lines:
         end = poly.endpoint()
         if end[0] > 0 and end[1] > 0:
-            dists.append(hausdorff_distance(normalize(poly, end), curve_pts, mesh))
+            dists.append(hausdorff_distance(normalize(poly, end), curve, mesh))
     if not dists:
         raise ValueError(f"none of the {len(lines)} sampled lines leaves both axes, so "
                          "there is no length or shape to check; lower beta")
@@ -161,6 +163,7 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+    _check_mesh(mesh, 100)
     params = GibbsParams(EnergyModel.euclidean(beta), fugacity, truncation)
     rep = moments(params)
     lines = _gibbs_lines(params, samples, seed)

@@ -8,7 +8,9 @@ those: the curve length L of the mixed family, normalization of lattice
 lines into the unit square, a symmetric Hausdorff distance between a
 polyline and a curve, and small CSV/SVG emitters for inspection.
 
-The mixed-family coordinates are quotients of trigonometric integrals; they
+Each curve has one evaluator, `_points`, behind both `ShapeCurve.point` and
+`ShapeCurve.sample`, so a point and the mesh agree to the bit.  The
+mixed-family coordinates are quotients of trigonometric integrals; they
 are evaluated with adaptive Simpson bisection to absolute tolerance
 CURVE_QUAD_TOL.  The parametrization is transcribed literally, and each
 constructed mixed curve verifies eval(1) = (1,1) numerically — if that check
@@ -22,7 +24,9 @@ s order lies in one window of that order; on a side monotone in x and y (a
 lattice chain or a catalogue curve) the window narrows to x and y within
 the same distance.  The windows are exact, not heuristic: every point that
 could be nearer is compared, with the same dx*dx + dy*dy as an all-pairs
-search, so the distance is that search's to the bit.
+search, so the distance is that search's to the bit.  A mesh over
+MESH_BUDGET and a search over PAIR_BUDGET pairs are refused with
+`ResourceWarning` before the work.
 """
 
 import math
@@ -32,13 +36,11 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import ConvexPolyline
-from .tolerances import CURVE_QUAD_TOL
+from .tolerances import CURVE_QUAD_TOL, MESH_BUDGET, PAIR_BUDGET
 
 __all__ = [
     "CURVE_QUAD_TOL",
     "ShapeCurve",
-    "parabola_point",
-    "mixed_curve",
     "mixed_length",
     "normalize",
     "hausdorff_distance",
@@ -85,26 +87,6 @@ def _simpson_split(f, a, b, fa, fm, fb, whole, tol, depth):
         _simpson_split(f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1)
 
 
-def _check_ratio(ratio):
-    if not 0.0 < ratio < math.inf:
-        raise ValueError(f"aspect ratio must be positive and finite, got {ratio!r}")
-
-
-def parabola_point(theta, ratio=1.0):
-    """Point of the limit parabola at slope parameter theta in [0, inf].
-
-    With r = ratio the point is (th(th+2r)/(th+r)^2, th^2/(th+r)^2); at r=1
-    the traced curve is sqrt(y) + sqrt(1-x) = 1.
-    """
-    _check_ratio(ratio)
-    if theta == math.inf:
-        return (1.0, 1.0)
-    if theta < 0.0:
-        raise ValueError(f"slope parameter must be nonnegative, got {theta!r}")
-    d = (theta + ratio) ** 2
-    return (theta * (theta + 2.0 * ratio) / d, theta * theta / d)
-
-
 def _check_mixed_domain(lambda_ell):
     if not _MIXED_DOMAIN_EDGE < lambda_ell < math.inf:
         raise ValueError(
@@ -138,16 +120,6 @@ def _mixed_increment(lambda_ell, lo, hi, tol=CURVE_QUAD_TOL):
             _adaptive_simpson(fy, lo, hi, tol) / s)
 
 
-def mixed_curve(lambda_ell, phi):
-    """Point of the mixed limit curve at angle phi in [0, pi/2]."""
-    _check_mixed_domain(lambda_ell)
-    if not 0.0 <= phi <= math.pi / 2.0 + 1e-12:
-        raise ValueError(f"angle must lie in [0, pi/2], got {phi!r}")
-    scale = math.sqrt(2.0) / _mixed_denominator(lambda_ell)
-    dx, dy = _mixed_increment(lambda_ell, 0.0, min(phi, math.pi / 2.0))
-    return (scale * dx, scale * dy)
-
-
 def mixed_length(lambda_ell):
     """Arc length L of the mixed limit curve, a quotient of two integrals.
 
@@ -178,7 +150,8 @@ class ShapeCurve:
 
     @classmethod
     def parabola(cls, ratio=1.0):
-        _check_ratio(ratio)
+        if not 0.0 < ratio < math.inf:
+            raise ValueError(f"aspect ratio must be positive and finite, got {ratio!r}")
         return cls(kind="parabola", ratio=float(ratio))
 
     @classmethod
@@ -199,61 +172,58 @@ class ShapeCurve:
         return curve
 
     def point(self, t):
+        """The point at parameter t in [0,1], as a tuple of floats."""
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"curve parameter must lie in [0,1], got {t!r}")
-        if self.kind == "parabola":
-            if t == 1.0:
-                return (1.0, 1.0)
-            return parabola_point(t / (1.0 - t), self.ratio)
-        if self.kind == "circle":
-            a = 0.5 * math.pi * t
-            return (math.sin(a), 1.0 - math.cos(a))
-        return mixed_curve(self.lambda_ell, 0.5 * math.pi * t)
+        return tuple(_points(self, np.array([float(t)]))[0].tolist())
 
     def sample(self, mesh):
         """Points at t = i/mesh, i = 0..mesh, as a read-only (mesh+1, 2)
         float array, computed once per (curve, mesh)."""
-        if mesh < 1:
-            raise ValueError(f"mesh must be a positive integer, got {mesh!r}")
+        _check_mesh(mesh, 1)
         return _curve_mesh(self, mesh)
+
+
+def _points(curve, t):
+    """The points of `curve` at the nondecreasing parameters t, an (n, 2) array.
+
+    Parabola: with a = t/(t + r(1-t)), the point (a(2-a), a^2); this is
+    (th(th+2r), th^2)/(th+r)^2 at slope parameter th = t/(1-t), finite for
+    every t in [0,1] and finite r > 0, and at r = 1 it traces
+    sqrt(y) + sqrt(1-x) = 1.  Mixed: one cumulative pass of short
+    quadratures from angle 0, at a tolerance shared among the steps.
+    """
+    if curve.kind == "parabola":
+        a = t / (t + curve.ratio * (1.0 - t))
+        return np.column_stack([a * (2.0 - a), a * a])
+    angles = 0.5 * math.pi * t
+    if curve.kind == "circle":
+        return np.column_stack([np.sin(angles), 1.0 - np.cos(angles)])
+    tol = max(1e-14, CURVE_QUAD_TOL / max(1, len(t) - 1))
+    a = angles.tolist()
+    steps = [_mixed_increment(curve.lambda_ell, lo, hi, tol) for lo, hi in zip([0.0, *a], a)]
+    return np.cumsum(steps, axis=0) * (_SQRT2 / _mixed_denominator(curve.lambda_ell))
 
 
 @lru_cache(maxsize=16)
 def _curve_mesh(curve, mesh):
-    t = np.linspace(0.0, 1.0, mesh + 1)
-    if curve.kind == "parabola":
-        th = np.empty_like(t)
-        th[:-1] = t[:-1] / (1.0 - t[:-1])
-        out = np.empty((mesh + 1, 2))
-        d = (th[:-1] + curve.ratio) ** 2
-        out[:-1, 0] = th[:-1] * (th[:-1] + 2.0 * curve.ratio) / d
-        out[:-1, 1] = th[:-1] ** 2 / d
-        out[-1] = (1.0, 1.0)
-    elif curve.kind == "circle":
-        a = 0.5 * math.pi * t
-        out = np.column_stack([np.sin(a), 1.0 - np.cos(a)])
-    else:
-        # mixed: one cumulative pass, one short quadrature per mesh cell
-        angles = 0.5 * math.pi * t
-        tol = max(1e-14, CURVE_QUAD_TOL / mesh)
-        out = np.zeros((mesh + 1, 2))
-        x = y = 0.0
-        for i in range(mesh):
-            dx, dy = _mixed_increment(
-                curve.lambda_ell, angles[i], angles[i + 1], tol)
-            x += dx
-            y += dy
-            out[i + 1] = (x, y)
-        out *= math.sqrt(2.0) / _mixed_denominator(curve.lambda_ell)
+    out = _points(curve, np.linspace(0.0, 1.0, mesh + 1))
     out.setflags(write=False)
     return out
+
+
+def _check_mesh(mesh, least):
+    if mesh < least:
+        raise ValueError(f"mesh must be at least {least}, got {mesh!r}")
+    if mesh > MESH_BUDGET:
+        raise ResourceWarning(f"a mesh of {mesh:,} points is over the budget {MESH_BUDGET:,}")
 
 
 def normalize(line, scale):
     """Divide a lattice line's vertices componentwise by scale = (n1, n2).
 
-    Accepts a ConvexPolyline or any (m, 2) array of points and returns a
-    read-only (m, 2) float array.  A line with the exact endpoint (n1, n2)
+    Accepts a ConvexPolyline or any finite (m, 2) array of points and returns
+    a read-only (m, 2) float array.  A line with the exact endpoint (n1, n2)
     lands on (1,1); an empty-support line collapses to the single point (0,0).
     """
     n1, n2 = float(scale[0]), float(scale[1])
@@ -261,9 +231,7 @@ def normalize(line, scale):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if isinstance(line, ConvexPolyline):
         line = line.vertices
-    pts = np.atleast_2d(np.asarray(line, dtype=float)) / np.array([n1, n2])
-    if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
-        raise ValueError("normalize needs an (m, 2) point array")
+    pts = _point_array(line, "line") / np.array([n1, n2])
     pts.setflags(write=False)
     return pts
 
@@ -313,7 +281,8 @@ def _max_nearest_sq(query, points):
     d0 is the distance from q to its neighbours in s order; the window holds
     s within sqrt(2)*d0 of s_q and, on monotone points, x and y within d0,
     each bound padded for the rounding of the sums it compares.  The
-    windows' pairs are compared _PAIR_BLOCK at a time.
+    windows' pairs are compared _PAIR_BLOCK at a time, after their count is
+    checked against PAIR_BUDGET.
     """
     qx, qy, qs, _ = query
     px, py, ps, monotone = points
@@ -331,6 +300,9 @@ def _max_nearest_sq(query, points):
                                        np.searchsorted(py, qy + r, "right")))
     size = np.maximum(hi - lo, 0)
     end = np.cumsum(size)
+    if end[-1] > PAIR_BUDGET:
+        raise ResourceWarning(f"the nearest-point search needs {end[-1]:.2e} pairs, "
+                              f"over the budget {PAIR_BUDGET:.2e}")
     for c0 in range(0, int(end[-1]), _PAIR_BLOCK):
         c1 = min(c0 + _PAIR_BLOCK, int(end[-1]))
         # the queries whose pairs meet [c0, c1), each clipped to it
@@ -360,16 +332,20 @@ def hausdorff_distance(line, curve, mesh=1000):
     arc length plus its own vertices, the curve at mesh+1 parameter values),
     so the result converges from below with discretization error on the
     order of arc-length/mesh.  The nearest points are found exactly by
-    `_max_nearest_sq`.  Either side must be a finite (m, 2) point array.
+    `_max_nearest_sq`.  Either side must be a finite (m, 2) point array, and
+    a distance that overflows is refused with ValueError.
     """
-    if mesh < 100:
-        raise ValueError(f"mesh must be at least 100, got {mesh!r}")
+    _check_mesh(mesh, 100)
     pts = _point_array(line, "polyline")
     curve_pts = curve.sample(mesh) if isinstance(curve, ShapeCurve) else \
         _point_array(curve, "curve")
     dense, sampled = _by_s(_densify(pts, mesh)), _by_s(curve_pts)
-    return float(np.sqrt(max(_max_nearest_sq(dense, sampled),
-                             _max_nearest_sq(sampled, dense))))
+    d = float(np.sqrt(np.maximum(_max_nearest_sq(dense, sampled),
+                                 _max_nearest_sq(sampled, dense))))
+    if not math.isfinite(d):
+        raise ValueError(f"the distance is not finite ({d}): the points are too far "
+                         "apart for float arithmetic")
+    return d
 
 
 def curve_csv(curve, mesh=200):
@@ -402,6 +378,4 @@ def polylines_svg(polylines):
 def overlay_svg(line, curve, mesh=400):
     """SVG of a normalized polyline (blue) overlaid on a limit curve (red)."""
     pts = np.atleast_2d(np.asarray(line, dtype=float))
-    curve_pts = curve.sample(mesh) if isinstance(curve, ShapeCurve) else \
-        np.atleast_2d(np.asarray(curve, dtype=float))
-    return polylines_svg([(curve_pts, "#d62728", "0.004"), (pts, "#1f77b4", "0.004")])
+    return polylines_svg([(curve.sample(mesh), "#d62728", "0.004"), (pts, "#1f77b4", "0.004")])

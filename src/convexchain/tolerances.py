@@ -5,6 +5,17 @@ POLYLOG_SERIES_TOL = 1e-13    # series tail bound for Li_s
 
 # quadrature for the limit-shape curve family
 CURVE_QUAD_TOL = 1e-10
+# Limit-shape guards, by the ~1 minute and ~2 GB rules below (2-core x86
+# host).  Mesh, in curve parameters or polyline points: a mixed-curve mesh
+# cell takes 10-19 us (lambda_ell -0.7 to 100), so 30-60 s at the cap; a
+# 3e6-point `curve` CSV peaks ~0.6 GB over the import.
+MESH_BUDGET = 3_000_000
+# Pairs of one `_max_nearest_sq` search, ~21 ns each: the two searches of a
+# distance take ~1 minute at the cap.  A chain near the curve needs ~4e4
+# pairs at mesh 1000; one away from it grows with mesh^2.
+PAIR_BUDGET = 1_500_000_000
+# Valtr edges k: one draw peaks at 420-440 bytes per edge, so ~1.8 GB.
+VALTR_EDGE_BUDGET = 4_000_000
 
 # Gibbs / counting
 DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets

@@ -19,6 +19,10 @@ from convexchain.gibbs import EnergyModel, GibbsParams, moments
 from convexchain.lattice import MultiplicityDistribution
 
 
+# a small convex chain that shape-distance reads from stdin ("--line -")
+_PIN_LINE = '{"vertices": [[0, 0], [5, 1], [9, 4], [11, 9], [12, 15]]}'
+
+
 def run(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
@@ -98,9 +102,16 @@ def test_maxvert(capsys):
     ["sample-gibbs", "--beta1", "1e-4", "--beta2", "1e-4"],
     # the small-k initializer's rate 1e-12 would size a 2e15-pair Mobius sum
     ["calibrate", "--n1", "1000000000000", "--n2", "1", "--k", "1", "--exact"],
+    # sizes whose arrays would not fit, refused before they are allocated
+    ["curve", "--mesh", "100000000000"],
+    ["mixed-shapes", "--mesh", "100000000000", "--format", "svg"],
+    ["shape-distance", "--line", "-", "--mesh", "100000000000"],
+    ["jarnik", "--samples", "2", "--mesh", "100000000000"],
+    ["sample-valtr", "--n", "100000000000000", "--k", "10000000000000"],
 ])
 def test_over_budget_is_resource_error(capsys, argv):
-    rc, out, err = run(capsys, argv)
+    with mock.patch.object(sys, "stdin", io.StringIO(_PIN_LINE)):
+        rc, out, err = run(capsys, argv)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "over the budget" in err
@@ -167,6 +178,8 @@ _EXACT = ["calibrate", "--n1", "300", "--n2", "300", "--k", "34", "--exact"]
      "--ell-grid '0:1e9:1e-9' has 1,000,000,000,000,000,001"),
     (["shape-distance", "--scale", "a,1"], "--scale component 'a'"),
     (["shape-distance", "--scale", "1,b"], "--scale component 'b'"),
+    # a scale that leaves the points finite but their distances not
+    (["shape-distance", "--scale", "1e-300,1"], "not finite"),
 ])
 def test_non_finite_input_is_usage_error(line_file, capsys, argv, name):
     if argv[0] == "shape-distance":
@@ -279,6 +292,49 @@ def test_any_small_argv_keeps_the_outcome_contract(command, data):
         rc = main(argv)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_HUGE = st.sampled_from([10**11, 10**15])
+# flags that only a refusal can answer: a mesh, Valtr edge count or scale
+# past what the arrays and floats can hold
+_OVERSIZE = {
+    "curve": st.tuples(st.just("--curve"), st.sampled_from(["parabola", "circle", "mixed"]),
+                       st.just("--format"), st.sampled_from(["csv", "svg"]),
+                       st.just("--mesh"), _HUGE),
+    "mixed-shapes": st.tuples(st.just("--format"), st.just("svg"), st.just("--mesh"), _HUGE),
+    "shape-distance": st.tuples(st.just("--line"), st.just("-"), st.sampled_from(
+        [("--mesh", 10**11), ("--mesh", 10**15), ("--scale", "1e-300,1"),
+         ("--scale", "1,1e-300")])).map(lambda a: (*a[:2], *a[2])),
+    "jarnik": st.tuples(st.just("--samples"), st.just(2), st.just("--mesh"), _HUGE),
+    "sample-valtr": st.tuples(st.just("--n"), st.sampled_from([10**13, 10**14]),
+                              st.just("--k"), st.just(10**13)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OVERSIZE))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_any_oversize_argv_is_refused(command, data):
+    argv = [command, *map(str, data.draw(_OVERSIZE[command]))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "stdin", io.StringIO(_PIN_LINE)):
+        rc = main(argv)
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--ratio", "1e-300"],
+    ["curve", "--ratio", "1e-300", "--format", "svg"],
+    ["curve", "--ratio", "1e300"],
+    ["shape-distance", "--line", "-", "--ratio", "1e-300"],
+])
+def test_extreme_ratio_prints_no_nan(capsys, argv):
+    with mock.patch.object(sys, "stdin", io.StringIO(_PIN_LINE)):
+        rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert "nan" not in out.lower()
 
 
 # ---------------------------------------------------------------------------
@@ -553,6 +609,41 @@ def test_mixed_shapes_svg_bytes_are_frozen(capsys):
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "ab280e6c314b1aaad98abc876d451bce43484c75b4f183bfefba96685867695b")
+
+
+# sha256 of the stdout bytes of the curve outputs, frozen before the scalar
+# and mesh evaluators of `shapes` became one; shape-distance reads _PIN_LINE.
+# The last two were frozen after it: the parabola's a-form moved them in
+# their last digits (from f85fff17... and 4415372f...)
+@pytest.mark.parametrize("argv,digest", [
+    (["curve"], "24894bd950b87542230d13ffb311c4db4730f10d9b76464749f08bf5b3cb6408"),
+    (["curve", "--format", "svg"],
+     "7fc04516c0806820a2f3acbb5de210f29a3bc29ba29e126c823f845b38776a90"),
+    (["curve", "--curve", "circle"],
+     "c79545f1ebe1542962aa873bb6bc94bfdf570d7f76a5a34f1d0c5aa4e359dab6"),
+    (["curve", "--curve", "mixed", "--lambda-ell", "0.5"],
+     "b8e5c01a81116256e2ce5f064dee515ca58fb139b88245ea422cf4207e5fd54b"),
+    (["curve", "--ratio", "2.5", "--mesh", "333"],
+     "8eaaff1b4db5692ecc85b6795ea85ff7de159eb51bc63f9e9552d9fc945ff1c1"),
+    (["mixed-shapes"], "fbd7501d6405f85abcb17238167fb9c584ea84cc788c6c58f1a3da0cca94ab94"),
+    (["mixed-shapes", "--format", "json"],
+     "2d9d050d35a6f03ab24cf243b3dc887b69d6dac8be77674fafb6cce9caab377e"),
+    (["suite", "--name", "mixed"],
+     "5005ee719adafcc38050dde55a81af7ec2f3f62663b9c63e0828e0bdaefa7993"),
+    (["shape-distance", "--line", "-", "--curve", "circle"],
+     "7ea41b60e93ce9384ccb3f24429a32b627e40a7ada98caff0e21d0a3d8b10b95"),
+    (["shape-distance", "--line", "-", "--curve", "mixed", "--lambda-ell", "0.5"],
+     "0c3eed8758f67545595c5c02b2916b0526fb94e34c094d687f53c21ec0a4a0d3"),
+    (["suite", "--name", "shapes"],
+     "0735f6009bf2a4ac8087671c6f92266d2b3f66b82c2a61d6a23d618f36611a9c"),
+    (["shape-distance", "--line", "-"],
+     "1f389303909aaf406dde1f8e486225da66778d5b675f66fdb998d1a7e51effcb"),
+])
+def test_curve_outputs_are_frozen(capsys, argv, digest):
+    with mock.patch.object(sys, "stdin", io.StringIO(_PIN_LINE)):
+        rc, out, _ = run(capsys, argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_mixed_shapes_bad_grid_is_usage_error(capsys):

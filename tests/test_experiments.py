@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from convexchain.experiments import (
     typical_vertex_count,
 )
 from convexchain.gibbs import EnergyModel, GibbsParams, _mean_euclidean_length, log_partition
+from convexchain.tolerances import VALTR_EDGE_BUDGET
 from paper import (
     enumerate_ne_lines,
     gibbs_parabola_distances,
@@ -65,6 +67,11 @@ def test_valtr_argument_errors():
         sample_valtr(3, 5)
     with pytest.warns(UserWarning, match="few-vertex"):
         sample_valtr(60, 4, seed=0)
+    # refused before any draw, and before the regime warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResourceWarning, match="over the budget"):
+            sample_valtr(10**14, VALTR_EDGE_BUDGET + 1)
 
 
 def test_valtr_budget_exhaustion(monkeypatch):

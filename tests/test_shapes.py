@@ -15,21 +15,25 @@ from convexchain.shapes import (
     ShapeCurve,
     curve_csv,
     hausdorff_distance,
-    mixed_curve,
     mixed_length,
     normalize,
     overlay_svg,
-    parabola_point,
 )
 from oracles import hausdorff_brute
 
 SQRT2 = math.sqrt(2.0)
 
 
+def _slope(theta):
+    # the curve parameter of the parabola at slope parameter theta
+    return 1.0 if theta == math.inf else theta / (1.0 + theta)
+
+
 def test_parabola_named_points():
-    assert parabola_point(0.0) == (0.0, 0.0)
-    assert parabola_point(math.inf) == (1.0, 1.0)
-    x, y = parabola_point(1.0)
+    par = ShapeCurve.parabola()
+    assert par.point(_slope(0.0)) == (0.0, 0.0)
+    assert par.point(_slope(math.inf)) == (1.0, 1.0)
+    x, y = par.point(_slope(1.0))
     assert (x, y) == pytest.approx((0.75, 0.25))
     assert math.sqrt(y) + math.sqrt(1.0 - x) == pytest.approx(1.0)
 
@@ -39,20 +43,18 @@ def test_parabola_on_curve_identity():
     rng = np.random.default_rng(0)
     thetas = rng.uniform(0.0, 50.0, 1000)
     for th in thetas:
-        x, y = parabola_point(th)
+        x, y = ShapeCurve.parabola().point(_slope(th))
         assert abs(math.sqrt(y) + math.sqrt(1.0 - x) - 1.0) <= 1e-12
 
 
 def test_parabola_rejects_bad_args():
     with pytest.raises(ValueError):
-        parabola_point(-0.5)
+        ShapeCurve.parabola().point(_slope(-0.5))
     with pytest.raises(ValueError):
-        parabola_point(1.0, ratio=0.0)
+        ShapeCurve.parabola(0.0)
     with pytest.raises(ValueError):
         ShapeCurve.parabola(-2.0)
     for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="ratio"):
-            parabola_point(1.0, ratio=bad)
         with pytest.raises(ValueError, match="ratio"):
             ShapeCurve.parabola(bad)
 
@@ -63,6 +65,28 @@ def test_parabola_curve_stays_in_unit_square(t, r):
     x, y = ShapeCurve.parabola(r).point(t)
     assert -1e-12 <= x <= 1.0 + 1e-12
     assert -1e-12 <= y <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("curve", [ShapeCurve.parabola(0.37), ShapeCurve.parabola(),
+                                   ShapeCurve.parabola(2.5), ShapeCurve.circle()])
+def test_point_is_the_sample_to_the_bit(curve):
+    # at the mesh's own parameters (np.linspace, which can differ from
+    # i/mesh in the last ulp), a point and the mesh come from one formula
+    for mesh in (7, 999, 1000):
+        pts = curve.sample(mesh)
+        for i, t in enumerate(np.linspace(0.0, 1.0, mesh + 1).tolist()):
+            assert curve.point(t) == tuple(pts[i].tolist())
+
+
+@pytest.mark.parametrize("ratio", [1e-300, 1e300])
+def test_extreme_parabolas_are_finite_unit_paths(ratio):
+    curve = ShapeCurve.parabola(ratio)
+    points = [curve.sample(1000),
+              np.array([curve.point(t) for t in np.linspace(0.0, 1.0, 51).tolist()])]
+    for pts in points:
+        assert np.isfinite(pts).all()
+        assert (pts[0] == 0.0).all() and (pts[-1] == 1.0).all()
+        assert (np.diff(pts, axis=0) >= 0.0).all()
 
 
 def test_circle_on_curve_identity():
@@ -98,10 +122,9 @@ def test_mixed_large_is_the_circle():
 def test_mixed_point_matches_sample():
     c = ShapeCurve.mixed(0.7)
     pts = c.sample(32)
+    # the angle 0.25*pi of the mesh's point 16 is the parameter 0.5
     x, y = c.point(0.5)
     assert (x, y) == pytest.approx(tuple(pts[16]), abs=1e-10)
-    assert mixed_curve(0.7, 0.25 * math.pi) == pytest.approx(tuple(pts[16]),
-                                                             abs=1e-10)
 
 
 def test_mixed_domain_edge_rejected():
@@ -136,6 +159,8 @@ def test_normalize_lattice_line():
     for bad in ((0, 8), (math.inf, 8), (6, math.nan)):
         with pytest.raises(ValueError, match="scale"):
             normalize(line, bad)
+    with pytest.raises(ValueError, match="finite"):
+        normalize([[0.0, 0.0], [math.nan, 1.0]], (1, 1))
 
 
 def test_normalize_degenerate_line():
@@ -186,6 +211,30 @@ def test_hausdorff_input_validation():
             hausdorff_distance(bad, line, mesh=500)
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
             hausdorff_distance(line, bad, mesh=500)
+
+
+def test_hausdorff_refuses_a_distance_that_overflows():
+    # the scale leaves the points finite (~1e301), their squares do not
+    line = normalize(ConvexPolyline(((0, 0), (5, 1), (9, 4), (11, 9), (12, 15))), (1e-300, 1))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="not finite"):
+        hausdorff_distance(line, ShapeCurve.parabola())
+
+
+def test_meshes_and_searches_over_budget_are_refused():
+    line = normalize(np.array([[0.0, 0.0], [1.0, 1.0]]), (1, 1))
+    for curve in (ShapeCurve.parabola(), ShapeCurve.mixed(0.5)):
+        with pytest.raises(ResourceWarning, match="over the budget"):
+            curve.sample(shapes.MESH_BUDGET + 1)
+        with pytest.raises(ResourceWarning, match="over the budget"):
+            hausdorff_distance(line, curve, mesh=shapes.MESH_BUDGET + 1)
+    # the two searches of the diagonal against the parabola compare 1.9e5
+    # and 1.4e5 pairs at mesh 1000
+    with mock.patch.object(shapes, "PAIR_BUDGET", 10**4), \
+            pytest.raises(ResourceWarning, match="pairs, over the budget"):
+        hausdorff_distance(line, ShapeCurve.parabola(), mesh=1000)
+    with mock.patch.object(shapes, "PAIR_BUDGET", 10**6):
+        assert hausdorff_distance(line, ShapeCurve.parabola(), mesh=1000) > 0.3
 
 
 _coord = st.one_of(st.integers(-3, 3).map(float),
