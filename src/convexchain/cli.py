@@ -145,7 +145,7 @@ def _cmd_sample_valtr(args):
             "seed": child,
             "n": args.n,
             "k": args.k,
-            "vertices": [[p[0], p[1]] for p in poly.vertices],
+            "vertices": poly.xy.tolist(),
         }))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -277,6 +277,9 @@ def _cmd_curve(args):
 def _cmd_suite(args):
     config = {"seed": args.seed}
     if args.samples is not None:
+        if args.name != "jarnik":
+            raise UsageError(f"--samples applies to the jarnik suite only; the {args.name} "
+                             "suite draws no samples")
         _at_least("--samples", args.samples, 1)
         config["samples"] = args.samples
     report = run_suite(args.name, config)

@@ -35,7 +35,7 @@ from .gibbs import (
 from .lattice import _polyline, _slope_order, _turns, omega_to_polyline, primitive_vectors_in_box
 from .shapes import ShapeCurve, _check_mesh, hausdorff_distance, mixed_length, normalize
 from .specialfn import ZETA3, c_of_ell, e_of_ell
-from .tolerances import VALTR_EDGE_BUDGET
+from .tolerances import VALTR_EDGE_BUDGET, VALTR_WORK_BUDGET
 
 __all__ = [
     "sample_valtr",
@@ -72,6 +72,16 @@ def sample_valtr(n, k, seed=0, rng=None):
         raise ValueError(f"no strictly North-East line with {k} edges fits in n={n}")
     if k > VALTR_EDGE_BUDGET:
         raise ResourceWarning(f"a draw of {k:,} edges is over the budget {VALTR_EDGE_BUDGET:,}")
+    # the k-1 ceiled abscissas are distinct and below n, and the floored
+    # ordinates distinct and above 0, with probability P below; parallel
+    # pairs only lower the acceptance, so a draw takes k/P edges or more
+    log_p = 2.0 * (math.lgamma(n) - math.lgamma(n - k + 1) - (k - 1) * math.log(n))
+    if math.log(k) - log_p > math.log(VALTR_WORK_BUDGET):
+        raise RuntimeError(
+            f"rejection budget: a line is accepted with probability at most "
+            f"10^{log_p / math.log(10):.1f} at n={n}, k={k}, so a draw takes 10^"
+            f"{math.log10(k) - log_p / math.log(10):.1f} edges or more, over the budget "
+            f"{VALTR_WORK_BUDGET:.1e}")
     if k**3 >= n:
         warnings.warn(
             f"k^3 = {k**3} >= n = {n}: outside the few-vertex regime; "
@@ -80,7 +90,8 @@ def sample_valtr(n, k, seed=0, rng=None):
         )
     if rng is None:
         rng = np.random.default_rng(seed)
-    for _ in range(VALTR_REJECTION_BUDGET):
+    attempts = min(VALTR_REJECTION_BUDGET, VALTR_WORK_BUDGET // k)  # bounds the edges drawn
+    for _ in range(attempts):
         u = np.ceil(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
         v = np.floor(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
         d = np.diff(np.vstack([(0, 0), np.column_stack([u, v]), (n, n)]), axis=0)
@@ -89,7 +100,7 @@ def sample_valtr(n, k, seed=0, rng=None):
             if np.all(_turns(d) > 0):  # parallel increments are slope-order neighbours
                 return _polyline(d)
     raise RuntimeError(
-        f"rejection budget ({VALTR_REJECTION_BUDGET}) exhausted at n={n}, k={k}: the "
+        f"rejection budget ({attempts}) exhausted at n={n}, k={k}: the "
         "few-vertex regime k^3 << n is strongly violated"
     )
 
@@ -168,7 +179,7 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
     rep = moments(params)
     lines = _gibbs_lines(params, samples, seed)
     dists = _distances(lines, ShapeCurve.circle(), mesh)
-    ks = np.array([len(poly.vertices) - 1 for poly in lines], dtype=float)
+    ks = np.array([len(poly.xy) - 1 for poly in lines], dtype=float)
 
     rows = []
     mean_len = float(np.mean([line_length(poly) for poly in lines]))

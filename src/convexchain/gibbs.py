@@ -536,6 +536,5 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     mult = 1 + np.floor(np.log1p(-v) / np.log(rho[site])).astype(np.int64)
     rank = np.argsort(site)  # support in row-major order
     site, mult = site[rank], mult[rank]
-    return MultiplicityDistribution(dict(zip(zip(x1[site].tolist(), x2[site].tolist()),
-                                             mult.tolist())))
+    return MultiplicityDistribution(np.column_stack([x1[site], x2[site]]), mult)
 

@@ -10,6 +10,12 @@ omega(x), and sorting directions by slope (`_slope_order`, the package's one
 exact slope order) rebuilds the line.  The number of vertices K is the
 support size, so a line with K = k has k+1 lattice points counting both
 endpoints.
+
+Both are held as read-only integer arrays, omega as its directions `xy`
+(n, 2) in row-major order with their multiplicities `mult` (n,), a line as
+its vertices `xy` (K+1, 2): int64 while every column's absolute sum is below
+2^62, Python ints (dtype object) past that.  The mapping `support` and the
+tuple `vertices` are built only when read.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import contextlib
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+import types
 from itertools import chain
 
 import numpy as np
@@ -26,7 +32,6 @@ import numpy as np
 from .tolerances import SITE_BUDGET
 
 __all__ = [
-    "is_primitive",
     "slope_sorted",
     "primitive_vectors_in_box",
     "MultiplicityDistribution",
@@ -37,26 +42,23 @@ __all__ = [
 Vec = tuple[int, int]
 
 
-def is_primitive(x1: int, x2: int) -> bool:
-    """True iff (x1,x2) is a valid primitive direction (coprime, not origin)."""
-    return x1 >= 0 and x2 >= 0 and math.gcd(x1, x2) == 1
-
-
-def _int_rows(pairs) -> np.ndarray:
-    """The integer pairs as an exact (n, 2) array: int64 while each column's
-    absolute sum is below 2^62, so that every difference and partial sum of
-    rows fits, and Python ints (dtype object) past that.  An (n, 2) int64
-    array that passes that test is returned as it is."""
-    if isinstance(pairs, np.ndarray) and pairs.dtype == np.int64 and pairs.shape[1:] == (2,):
-        if np.abs(pairs, dtype=float).sum(axis=0).max() < 2.0**62:
-            return pairs
-        return pairs.astype(object)
-    pairs = tuple(pairs)
-    with contextlib.suppress(OverflowError, ValueError):  # past int64, or not all pairs
-        xy = np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2)
-        if len(xy) == len(pairs) and np.abs(xy, dtype=float).sum(axis=0).max() < 2.0**62:
+def _int_rows(rows, width=2) -> np.ndarray:
+    """The first `width` integers of each row as an exact (n, width) array:
+    int64 while each column's absolute sum is below 2^62, so that every
+    difference and partial sum of rows fits, and Python ints (dtype object)
+    past that.  An (n, width) int64 array that passes that test is returned
+    as it is."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (width,):
+        if np.abs(rows, dtype=float).sum(axis=0).max() < 2.0**62:
+            return rows
+        return rows.astype(object)
+    rows = tuple(rows)
+    with contextlib.suppress(OverflowError, ValueError):  # past int64, or other lengths
+        xy = np.fromiter(chain.from_iterable(rows), np.int64).reshape(-1, width)
+        if len(xy) == len(rows) and np.abs(xy, dtype=float).sum(axis=0).max() < 2.0**62:
             return xy
-    return np.array([(int(p[0]), int(p[1])) for p in pairs], dtype=object).reshape(-1, 2)
+    exact = [[int(r[j]) for j in range(width)] for r in rows]
+    return np.array(exact, dtype=object).reshape(-1, width)
 
 
 def _turns(d: np.ndarray) -> np.ndarray:
@@ -161,65 +163,85 @@ def primitive_vectors_in_box(n1: int, n2: int) -> list[Vec]:
     return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
 
 
-@dataclass(frozen=True)
 class MultiplicityDistribution:
-    """Finitely supported map from primitive vectors to positive multiplicities."""
+    """Finitely supported map from primitive vectors to positive multiplicities.
 
-    support: dict[Vec, int] = field(default_factory=dict)
+    Built from a mapping {(x1, x2): m}, or from the (n, 2) directions
+    `support` in row-major (x1, x2) order and their (n,) multiplicities
+    `mult`, through one check: zero multiplicities are dropped, and the
+    first other entry in input order with m < 0, a negative coordinate or
+    gcd(x1, x2) != 1 is refused with ValueError, as are directions given
+    twice or out of order.
+    """
 
-    def __post_init__(self):
-        clean: dict[Vec, int] = {}
-        for x, m in self.support.items():
-            x = (int(x[0]), int(x[1]))
-            m = int(m)
-            if m == 0:
-                continue  # zero entries are normalized away
-            if m < 0:
-                raise ValueError(f"negative multiplicity {m} at {x}")
-            if not is_primitive(*x):
-                raise ValueError(f"{x} is not a primitive vector")
-            clean[x] = m
-        object.__setattr__(self, "support", clean)
+    def __init__(self, support=(), mult=None):
+        if mult is None:
+            rows = ((x[0], x[1], m) for x, m in support.items())
+        else:  # other dtypes as Python ints: column_stack could round them to float
+            support, mult = np.asarray(support), np.asarray(mult)
+            rows = np.column_stack([support, mult]) if support.dtype == mult.dtype == np.int64 \
+                else ((x[0], x[1], m) for x, m in zip(support.tolist(), mult.tolist()))
+        rows = _int_rows(rows, 3)
+        used = rows[:, 2] != 0
+        if not used.all():
+            rows = _int_rows(rows[used], 3)
+        prime = np.gcd(rows[:, 0], rows[:, 1]) == 1
+        if not prime.all() or rows.min(initial=0) < 0:
+            i = int(np.argmax(~prime | (rows < 0).any(axis=1)))  # the first bad entry
+            x, m = tuple(rows[i, :2].tolist()), int(rows[i, 2])
+            raise ValueError(f"negative multiplicity {m} at {x}" if m < 0
+                             else f"{x} is not a primitive vector")
+        if mult is None:  # a mapping comes in any order
+            rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+        d = np.diff(rows[:, :2], axis=0)
+        after = (d[:, 0] > 0) | (d[:, 0] == 0) & (d[:, 1] > 0)
+        if not after.all():
+            x = tuple(rows[np.argmin(after) + 1, :2].tolist())
+            raise ValueError(f"{x} is out of row-major order or given twice")
+        rows.setflags(write=False)
+        self.xy, self.mult = rows[:, :2], rows[:, 2]
+
+    @functools.cached_property
+    def support(self) -> types.MappingProxyType:
+        """The read-only mapping {(x1, x2): m}, in row-major order."""
+        return types.MappingProxyType(dict(zip(map(tuple, self.xy.tolist()), self.mult.tolist())))
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiplicityDistribution):
+            return NotImplemented
+        return np.array_equal(self.xy, other.xy) and np.array_equal(self.mult, other.mult)
 
     @property
     def vertex_count(self) -> int:
-        return len(self.support)
+        return len(self.mult)
+
+    def _steps(self) -> np.ndarray:
+        """The edges m*x as an exact (n, 2) array: int64 when a float
+        estimate puts each column's sum below 2^62, so that the products and
+        their partial sums fit, and Python ints past it."""
+        m = self.mult[:, None]
+        if self.xy.dtype != object and (self.xy * m.astype(float)).sum(axis=0).max() < 2.0**62:
+            return self.xy * m
+        return self.xy.astype(object) * m.astype(object)
 
     def endpoint(self) -> Vec:
-        e1 = sum(m * x[0] for x, m in self.support.items())
-        e2 = sum(m * x[1] for x, m in self.support.items())
-        return (e1, e2)
+        return tuple(int(v) for v in self._steps().sum(axis=0))
 
     def items_slope_sorted(self) -> list[tuple[Vec, int]]:
-        return [(x, self.support[x]) for x in slope_sorted(self.support)]
-
-    def to_json(self) -> str:
-        rows = [[x[0], x[1], m] for x, m in self.items_slope_sorted()]
-        return json.dumps({"support": rows})
-
-    @classmethod
-    def from_json(cls, text: str) -> "MultiplicityDistribution":
-        data = json.loads(text)
-        return cls({(int(r[0]), int(r[1])): int(r[2]) for r in data["support"]})
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.support.items())))
+        order = _slope_order(self.xy)
+        return list(zip(map(tuple, self.xy[order].tolist()), self.mult[order].tolist()))
 
 
-@dataclass(frozen=True)
 class ConvexPolyline:
     """Lattice path from (0,0): steps in the closed first quadrant, slopes
-    strictly increasing edge to edge."""
+    strictly increasing edge to edge.  The vertices are kept as the
+    read-only (K+1, 2) integer array `xy`."""
 
-    vertices: tuple[Vec, ...]
-
-    def __post_init__(self):
-        xy = _int_rows(self.vertices)
-        verts = tuple(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
-        object.__setattr__(self, "vertices", verts)
-        if not verts:
+    def __init__(self, vertices):
+        xy = _int_rows(vertices)
+        if not len(xy):
             raise ValueError("polyline needs at least the origin vertex")
-        if verts[0] != (0, 0):
+        if xy[0, 0] != 0 or xy[0, 1] != 0:
             raise ValueError("polyline must start at (0,0)")
         d = np.diff(xy, axis=0)
         off_quadrant = (d < 0).any(axis=1) | (d == 0).all(axis=1)
@@ -230,16 +252,26 @@ class ConvexPolyline:
                 step = tuple(d[i].tolist())
                 raise ValueError(f"edge {i} is not a nonzero quadrant step: {step}")
             raise ValueError(f"edge {i} does not increase the slope")
+        self.xy = xy.copy() if xy is vertices else xy
+        self.xy.setflags(write=False)
+
+    @functools.cached_property
+    def vertices(self) -> tuple[Vec, ...]:
+        return tuple(map(tuple, self.xy.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, ConvexPolyline):
+            return NotImplemented
+        return np.array_equal(self.xy, other.xy)
 
     def endpoint(self) -> Vec:
-        return self.vertices[-1]
+        return tuple(self.xy[-1].tolist())
 
     def edges(self) -> list[Vec]:
-        v = self.vertices
-        return [(v[i][0] - v[i - 1][0], v[i][1] - v[i - 1][1]) for i in range(1, len(v))]
+        return list(map(tuple, np.diff(self.xy, axis=0).tolist()))
 
     def to_json(self) -> str:
-        return json.dumps({"vertices": [[p[0], p[1]] for p in self.vertices]})
+        return json.dumps({"vertices": self.xy.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "ConvexPolyline":
@@ -263,5 +295,5 @@ def _polyline(steps: np.ndarray) -> ConvexPolyline:
 
 def omega_to_polyline(omega: MultiplicityDistribution) -> ConvexPolyline:
     """Partial sums of m*x in slope order; K+1 vertices, endpoint preserved."""
-    steps = _int_rows((m * a, m * b) for (a, b), m in omega.support.items())
-    return _polyline(steps[_slope_order(steps)])
+    steps = omega._steps()
+    return _polyline(steps[_slope_order(omega.xy)])

@@ -55,6 +55,8 @@ _SQRT2 = math.sqrt(2.0)
 # memory (a few MB) for any point sets
 _PAIR_BLOCK = 1 << 17
 _MIXED_DOMAIN_EDGE = -1.0 / math.sqrt(2.0)
+# coordinates below this in magnitude keep dx*dx + dy*dy finite
+_SAFE = math.sqrt(np.finfo(float).max / 8.0)
 
 
 def _adaptive_simpson(f, a, b, tol=CURVE_QUAD_TOL):
@@ -230,7 +232,7 @@ def normalize(line, scale):
     if not (0.0 < n1 < math.inf and 0.0 < n2 < math.inf):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if isinstance(line, ConvexPolyline):
-        line = line.vertices
+        line = line.xy
     pts = _point_array(line, "line") / np.array([n1, n2])
     pts.setflags(write=False)
     return pts
@@ -319,6 +321,21 @@ def _max_nearest_sq(query, points):
     return best.max()
 
 
+def _overflows(pts, curve_pts):
+    """Whether the distance search certainly meets an infinite squared
+    distance: the square of a segment of the line, or of the gap between
+    the two sides' least or greatest x or y (some point is that far or
+    farther from every point of the other side).  Below _SAFE in magnitude
+    no squared distance can overflow, so the common case costs two maxima."""
+    if max(np.abs(pts).max(), np.abs(curve_pts).max()) < _SAFE:
+        return False
+    with np.errstate(over="ignore"):  # an overflow here is what gets refused
+        seg = np.diff(pts, axis=0)
+        gap = np.array([pts.min(axis=0) - curve_pts.min(axis=0),
+                        pts.max(axis=0) - curve_pts.max(axis=0)])
+        return bool(np.isinf((seg * seg).sum(axis=1)).any() or np.isinf(gap * gap).any())
+
+
 def _sq_dist(qx, qy, px, py, j):
     dx = qx - px[j]
     dy = qy - py[j]
@@ -333,12 +350,16 @@ def hausdorff_distance(line, curve, mesh=1000):
     so the result converges from below with discretization error on the
     order of arc-length/mesh.  The nearest points are found exactly by
     `_max_nearest_sq`.  Either side must be a finite (m, 2) point array, and
-    a distance that overflows is refused with ValueError.
+    a distance that overflows is refused with ValueError, before any work
+    where `_overflows` shows it.
     """
     _check_mesh(mesh, 100)
     pts = _point_array(line, "polyline")
     curve_pts = curve.sample(mesh) if isinstance(curve, ShapeCurve) else \
         _point_array(curve, "curve")
+    if _overflows(pts, curve_pts):
+        raise ValueError("the distance is not finite: the squared distances of the points "
+                         "overflow float arithmetic")
     dense, sampled = _by_s(_densify(pts, mesh)), _by_s(curve_pts)
     d = float(np.sqrt(np.maximum(_max_nearest_sq(dense, sampled),
                                  _max_nearest_sq(sampled, dense))))

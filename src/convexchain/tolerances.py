@@ -16,6 +16,10 @@ MESH_BUDGET = 3_000_000
 PAIR_BUDGET = 1_500_000_000
 # Valtr edges k: one draw peaks at 420-440 bytes per edge, so ~1.8 GB.
 VALTR_EDGE_BUDGET = 4_000_000
+# Valtr edges drawn before an acceptance is expected, k/P with P the
+# acceptance of the positivity step: a rejected draw takes 33-72 ns per edge
+# (k = 1e4 to 1e6), so ~30-60 s at the cap.
+VALTR_WORK_BUDGET = 800_000_000
 
 # Gibbs / counting
 DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets

@@ -39,6 +39,34 @@ def check_polyline(vertices):
     return verts
 
 
+def check_support(support):
+    """`MultiplicityDistribution`'s validation one entry at a time in Python
+    ints: the support as a dict of int pairs to positive ints, or the
+    ValueError of the first bad entry.  Zero multiplicities are dropped
+    before any other check."""
+    clean = {}
+    for x, m in support.items():
+        x, m = (int(x[0]), int(x[1])), int(m)
+        if m == 0:
+            continue
+        if m < 0:
+            raise ValueError(f"negative multiplicity {m} at {x}")
+        if not (x[0] >= 0 and x[1] >= 0 and math.gcd(*x) == 1):
+            raise ValueError(f"{x} is not a primitive vector")
+        clean[x] = m
+    return clean
+
+
+def polyline_of_support(support):
+    """The vertices of omega's line in Python ints: the partial sums of the
+    steps m*x of a `check_support` dict, in exact slope order."""
+    verts = [(0, 0)]
+    for x in slope_sorted_exact(support):
+        m = support[x]
+        verts.append((verts[-1][0] + m * x[0], verts[-1][1] + m * x[1]))
+    return tuple(verts)
+
+
 def primitive_grid_gcd(n1: int, n2: int, block_cells: int):
     """The primitive vectors of the box [0, n1] x [0, n2] as int64 (x1, x2)
     array pairs, row-major in x1, in blocks of max(1, block_cells // (n2+1))

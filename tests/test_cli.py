@@ -136,7 +136,7 @@ def test_library_failure_is_one_error_line(capsys, argv):
     ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "0"],
     ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "-1"],
     ["sample-valtr", "--n", "100", "--k", "3", "--count", "0"],
-    ["suite", "--name", "shapes", "--samples", "0"],
+    ["suite", "--name", "jarnik", "--samples", "0"],
     ["suite", "--name", "jarnik", "--samples", "1"],
     ["jarnik", "--beta", "0.3", "--samples", "1"],  # no standard error
     ["jarnik", "--beta", "5", "--samples", "2"],  # every sampled line empty
@@ -144,6 +144,7 @@ def test_library_failure_is_one_error_line(capsys, argv):
     ["mixed-shapes", "--grid", "1e300"],  # overflow
     # a site energy whose exp(-E) rounds to 1
     ["sample-gibbs", "--beta1", "1e-300", "--beta2", "1", "--trunc", "1e-300"],
+    ["suite", "--name", "shapes", "--samples", "100000000"],  # a suite that draws nothing
 ])
 def test_input_contract_is_one_error_line(capsys, argv):
     rc, out, err = run(capsys, argv)
@@ -205,19 +206,19 @@ def test_unbounded_calibration_quotes_the_capacity_as_a_limit(capsys):
     assert "1.063" in message and "tends to 1.399" in message
 
 
-def _python(*args):
+def _python(*args, timeout=120):
     # a fresh interpreter on the package under test
     import convexchain
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
-def _cli_subprocess(argv):
+def _cli_subprocess(argv, timeout=120):
     # pytest captures warnings in-process, so these runs need their own
     # interpreter to show what a user sees on stderr
-    return _python("-m", "convexchain.cli", *argv)
+    return _python("-m", "convexchain.cli", *argv, timeout=timeout)
 
 
 def test_readme_quick_start_runs():
@@ -238,6 +239,15 @@ def test_library_warning_is_one_line_or_dropped():
     assert failed.returncode == 2 and failed.stdout == ""
     assert failed.stderr.startswith("error: rejection budget")
     assert len(failed.stderr.splitlines()) == 1
+
+
+def test_hopeless_valtr_draw_is_refused_at_once():
+    # its acceptance bound refuses it before the first draw, where the
+    # rejection loop would take about a minute
+    done = _cli_subprocess(["sample-valtr", "--n", "100000", "--k", "100000"], timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: rejection budget: a line is accepted")
+    assert len(done.stderr.splitlines()) == 1
 
 
 _SMALL_INT = st.integers(-2, 6)

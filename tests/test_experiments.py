@@ -82,6 +82,30 @@ def test_valtr_budget_exhaustion(monkeypatch):
     with pytest.warns(UserWarning):
         with pytest.raises(RuntimeError, match=r"budget \(100\)"):
             sample_valtr(6, 5, seed=0)
+    # the attempts are capped in edges too: 120 draws of 5 edges, above the
+    # k/P = 583.2 that the up-front check asks for
+    monkeypatch.setattr(experiments, "VALTR_REJECTION_BUDGET", 10**4)
+    monkeypatch.setattr(experiments, "VALTR_WORK_BUDGET", 600)
+    with pytest.warns(UserWarning):
+        with pytest.raises(RuntimeError, match=r"budget \(120\)"):
+            sample_valtr(6, 5, seed=0)
+
+
+def test_valtr_refuses_a_hopeless_draw_before_drawing(monkeypatch):
+    class NoDraws:
+        def uniform(self, size):
+            raise AssertionError("drew uniforms")
+
+    # P = [(n-1)!/((n-k)! n^(k-1))]^2 is e^-199986.6 = 10^-86853.1 at n = k = 1e5
+    with pytest.raises(RuntimeError, match=r"probability at most 10\^-86853\.1 "):
+        sample_valtr(10**5, 10**5, rng=NoDraws())
+    # at (6, 5), P = (5!/6^4)^2 and a draw takes k/P = 583.2 edges
+    monkeypatch.setattr(experiments, "VALTR_WORK_BUDGET", 583)
+    with pytest.raises(RuntimeError, match="10\\^2.8 edges or more, over the budget 5.8e"):
+        sample_valtr(6, 5, rng=NoDraws())
+    monkeypatch.setattr(experiments, "VALTR_WORK_BUDGET", 584)
+    with pytest.warns(UserWarning), pytest.raises(AssertionError, match="drew uniforms"):
+        sample_valtr(6, 5, rng=NoDraws())
 
 
 @pytest.mark.parametrize("n,k", [(8, 2), (8, 3), (6, 2)])

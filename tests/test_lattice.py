@@ -7,18 +7,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexchain import lattice
+from convexchain.gibbs import EnergyModel, GibbsParams, sample_omega
 from convexchain.lattice import (
     ConvexPolyline,
     MultiplicityDistribution,
     _primitive_grid,
-    is_primitive,
     omega_to_polyline,
     primitive_vectors_in_box,
     slope_sorted,
 )
+from convexchain.shapes import ShapeCurve, hausdorff_distance, normalize
 from convexchain.tolerances import SITE_BUDGET
 from oracles import (
     check_polyline,
+    check_support,
+    polyline_of_support,
     polyline_to_omega,
     primitive_grid_gcd,
     primitive_vectors_by_weight,
@@ -157,11 +160,11 @@ def test_by_weight_rejects_bad_energy():
         list(primitive_vectors_by_weight(lambda a, b: a + b, -1.0))
 
 
-def test_is_primitive_convention():
-    assert is_primitive(1, 0) and is_primitive(0, 1)
-    assert not is_primitive(0, 0)
-    assert not is_primitive(2, 4)
-    assert not is_primitive(0, 2)
+def test_primitive_convention():
+    assert MultiplicityDistribution({(1, 0): 1, (0, 1): 1}).vertex_count == 2
+    for x in [(0, 0), (2, 4), (0, 2), (-1, 0)]:
+        with pytest.raises(ValueError, match="not a primitive vector"):
+            MultiplicityDistribution({x: 1})
 
 
 def test_omega_to_polyline_examples():
@@ -263,6 +266,79 @@ def test_multiplicity_normalization_and_validation():
         MultiplicityDistribution({(1, 1): -2})
 
 
+_BIG = [2**62, 2**63, 2**64 + 1, 3**41]
+# mostly valid entries, with non-primitive, negative and past-int64 ones
+_KEYS = st.one_of(st.tuples(st.integers(0, 30), st.integers(0, 30)),
+                  st.tuples(st.sampled_from([-1, 0, 1, 2, *_BIG]),
+                            st.sampled_from([0, 1, 2, *_BIG])))
+_MULTS = st.one_of(st.integers(0, 5), st.sampled_from([-1, -(2**70), 2**63, 7**30]))
+
+
+def _array_form(support):
+    return (np.array(list(support), dtype=object).reshape(-1, 2),
+            np.array(list(support.values()), dtype=object))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.dictionaries(_KEYS, _MULTS, max_size=10))
+@example({(2, 4): 1, (1, 0): 1, (0, 1): 1})  # a bad entry first,
+@example({(1, 0): 1, (1, 1): -2, (0, 1): 1})  # in the middle
+@example({(1, 0): 1, (0, 1): 1, (3, 6): 2})  # and last
+@example({(2, 2): 1, (1, 0): -1})  # of two, the first in input order
+@example({(1, 0): -1, (2, 2): 1})
+@example({(2, 4): 0, (-1, 3): 0, (0, 0): 0, (1, 2): 1})  # zeros are dropped, not refused
+@example({(np.int64(3), np.int32(2)): np.int64(4), (np.uint64(1), np.int8(0)): np.uint8(1)})
+@example({(2**64 + 1, 2**64): 3, (1, 0): 2**63, (3**41, 2): 1})  # the object path
+@example({(2**64, 2**64): 1})
+@example({(1, 1): -(2**70)})
+@example({(1, 1): 2**62, (1, 0): 2**62})  # partial sums past int64
+@example({(1, 1): 2, (2**70, 1): 1})
+def test_validation_matches_the_per_entry_oracle(support):
+    try:
+        want = check_support(support)
+    except ValueError as exc:
+        for args in ((support,), _array_form(support)):
+            with pytest.raises(ValueError) as got:
+                MultiplicityDistribution(*args)
+            assert str(got.value) == str(exc)
+        return
+    om = MultiplicityDistribution(support)
+    assert om == MultiplicityDistribution(*_array_form(dict(sorted(want.items()))))
+    assert list(om.support.items()) == sorted(want.items())  # row-major
+    assert om.vertex_count == len(want)
+    int64 = max(sum(x[0] for x in want), sum(x[1] for x in want), sum(want.values())) < 2**62
+    assert om.xy.dtype == om.mult.dtype == (np.int64 if int64 else object)
+    assert not om.xy.flags.writeable and not om.mult.flags.writeable
+    line = omega_to_polyline(om)
+    assert line.vertices == polyline_of_support(want)
+    assert line.endpoint() == om.endpoint() == polyline_of_support(want)[-1]
+
+
+def test_the_array_form_keeps_every_integer_in_row_major_order():
+    # uint64 and int64 columns would stack as float64, which rounds 2^60 + 1
+    om = MultiplicityDistribution(np.array([[1, 0], [2**60 + 1, 1]], dtype=np.uint64),
+                                  np.array([2**62 + 1, 1]))
+    assert dict(om.support) == {(1, 0): 2**62 + 1, (2**60 + 1, 1): 1}
+    for xy in ([[1, 1], [1, 0]], [[1, 0], [1, 1], [1, 1]]):
+        with pytest.raises(ValueError, match=r"is out of row-major order or given twice"):
+            MultiplicityDistribution(np.array(xy), np.ones(len(xy), dtype=np.int64))
+
+
+def test_a_draw_travels_as_arrays(monkeypatch):
+    # the per-draw path of the limit-shape checks builds no mapping and no
+    # vertex tuples
+    def built(self):
+        raise AssertionError("built on the per-draw path")
+
+    monkeypatch.setattr(MultiplicityDistribution, "support", property(built))
+    monkeypatch.setattr(ConvexPolyline, "vertices", property(built))
+    omega = sample_omega(GibbsParams(EnergyModel.linear(0.1, 0.1)), 7)
+    line = omega_to_polyline(omega)
+    assert omega.vertex_count > 10 and len(line.xy) == omega.vertex_count + 1
+    d = hausdorff_distance(normalize(line, line.endpoint()), ShapeCurve.parabola())
+    assert 0.0 < d < 0.5
+
+
 def test_endpoint_conservation():
     om = MultiplicityDistribution({(1, 0): 3, (3, 2): 2, (1, 4): 1, (0, 1): 5})
     assert omega_to_polyline(om).endpoint() == om.endpoint()
@@ -289,9 +365,6 @@ def test_roundtrip_bijection(om):
 @given(omegas)
 @settings(max_examples=100, deadline=None)
 def test_json_roundtrips_bit_exact(om):
-    text = om.to_json()
-    assert MultiplicityDistribution.from_json(text) == om
-    assert MultiplicityDistribution.from_json(text).to_json() == text
     line = omega_to_polyline(om)
     ltext = line.to_json()
     assert ConvexPolyline.from_json(ltext) == line
@@ -300,8 +373,9 @@ def test_json_roundtrips_bit_exact(om):
 
 def test_json_shapes():
     om = MultiplicityDistribution({(1, 2): 3, (1, 0): 1})
-    # slope-sorted rows: (1,0) before (1,2)
-    assert json.loads(om.to_json()) == {"support": [[1, 0, 1], [1, 2, 3]]}
+    # `sample-gibbs` rows are slope-sorted, (1,0) before (1,2); the mapping is row-major
+    assert om.items_slope_sorted() == [((1, 0), 1), ((1, 2), 3)]
+    assert list(om.support.items()) == [((1, 0), 1), ((1, 2), 3)]
     line = ConvexPolyline(((0, 0), (1, 0), (2, 4)))
     assert json.loads(line.to_json()) == {"vertices": [[0, 0], [1, 0], [2, 4]]}
 
@@ -328,7 +402,7 @@ _NEAR_2_40 = [(2**40 + 1, 2**40 + 2), (2**40, 2**40 + 1)]  # and past 2^31
 @example([(2**70, 1), (1, 1)])
 @example(_NEAR_2_40[::-1] + [(2**70, 3)])
 def test_items_slope_sorted_matches_exact_order(pairs):
-    vecs = [tuple(x) for x in dict.fromkeys(pairs) if is_primitive(*x)]
+    vecs = [tuple(x) for x in dict.fromkeys(pairs) if math.gcd(*x) == 1]
     om = MultiplicityDistribution({x: i + 1 for i, x in enumerate(vecs)})
     items = om.items_slope_sorted()
     assert [x for x, _ in items] == slope_sorted_exact(vecs)

@@ -2,6 +2,7 @@
 curve length, normalization, and Hausdorff distance."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -214,11 +215,20 @@ def test_hausdorff_input_validation():
 
 
 def test_hausdorff_refuses_a_distance_that_overflows():
-    # the scale leaves the points finite (~1e301), their squares do not
-    line = normalize(ConvexPolyline(((0, 0), (5, 1), (9, 4), (11, 9), (12, 15))), (1e-300, 1))
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(ValueError, match="not finite"):
-        hausdorff_distance(line, ShapeCurve.parabola())
+    # the scale leaves the points finite (~1e301), their squares do not; the
+    # refusal comes before any arithmetic that would warn
+    pin = ConvexPolyline(((0, 0), (5, 1), (9, 4), (11, 9), (12, 15)))
+    far = np.array([[0.0, 0.0], [1e300, 1e300]])  # a segment whose square overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in [(1e-300, 1), (1, 1e-300)]:
+            with pytest.raises(ValueError, match="not finite"):
+                hausdorff_distance(normalize(pin, scale), ShapeCurve.parabola())
+        with pytest.raises(ValueError, match="not finite"):
+            hausdorff_distance(far, far)
+        # large coordinates whose distances stay finite are measured as before
+        assert hausdorff_distance(np.array([[5e153, 0.0]]), ShapeCurve.parabola()) == 5e153 - 1.0
+        assert hausdorff_distance(np.array([[1e200, 1e200]]), np.array([[1e200, 1e200]])) == 0.0
 
 
 def test_meshes_and_searches_over_budget_are_refused():
