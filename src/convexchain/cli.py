@@ -6,14 +6,18 @@ runner, the mixed-curve family, and the named check suites.  All state comes
 from flags or an optional ``--config`` file of ``key=value`` lines (explicit
 flags win); stochastic commands default to seed 0, never wall clock.
 
+Each ``_cmd_*`` handler returns its output text and whether its checks
+passed; ``main`` writes the text, to ``--out`` or stdout, in one place.
 Exit codes: 0 success / all checks pass, 1 check or assertion failure,
-2 usage, configuration or resource error (work over the up-front budget, or
-a parameter the numerics cannot handle).
+2 usage, configuration or resource error (work over the up-front budget, a
+parameter the numerics cannot handle, or an ``--out`` that cannot be written).
 A library warning is one ``warning:`` line on stderr, unless the command
 ends in its error message.
 """
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import sys
@@ -57,109 +61,81 @@ class UsageError(Exception):
     pass
 
 
-def _emit(text, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _at_least(flag, value, low):
     if value < low:
         raise UsageError(f"{flag} must be at least {low}, got {value}")
 
 
+def _csv(header, rows, spec=""):
+    """CSV text: the `header` line, then each row's values formatted by `spec`."""
+    lines = [header, *(",".join(format(v, spec) for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _json_lines(count, seed, draw):
+    """One JSON object per draw: draw i takes `_child_seed(seed, i)`, which
+    leads its object as "seed", and `draw(child)` gives the other fields."""
+    _at_least("--count", count, 1)
+    seeds = (_child_seed(seed, i) for i in range(count))
+    return "".join(json.dumps({"seed": s, **draw(s)}) + "\n" for s in seeds)
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (text, passed), and `main` writes the text
 
 
 def _cmd_count(args):
     table = count_lines_k(args.n1, args.n2, args.kmax)
     if args.format == "json":
-        rows = [[a, b, k, c] for a, b, k, c in table.csv_rows()]
-        text = report_json({"n1": args.n1, "n2": args.n2, "kmax": args.kmax,
-                            "rows": rows})
-    else:
-        lines = ["n1,n2,k,count"]
-        lines += [f"{a},{b},{k},{c}" for a, b, k, c in table.csv_rows()]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return report_json({"n1": args.n1, "n2": args.n2, "kmax": args.kmax,
+                            "rows": list(table.csv_rows())}), True
+    return _csv("n1,n2,k,count", table.csv_rows()), True
 
 
 def _cmd_maxvert(args):
     m = max_vertices(args.n1, args.n2)
-    _emit(report_json({"n1": args.n1, "n2": args.n2, "max_vertices": m}), args.out)
-    return 0
+    return report_json({"n1": args.n1, "n2": args.n2, "max_vertices": m}), True
 
 
 def _cmd_calibrate(args):
     target = CalibrationTarget(args.n1, args.n2, args.k)
     if args.exact:
         res = exact_calibrate(target, trunc=args.trunc)
-        payload = {
-            "mode": "exact",
-            "beta1": res.beta1,
-            "beta2": res.beta2,
-            "fugacity": res.fugacity,
-            "residuals": list(res.residuals),
-            "iterations": res.iterations,
-            "free_energy": res.free_energy,
-            "converged": res.converged,
-        }
-    else:
-        b1, b2, lam = asymptotic_params(target)
-        payload = {"mode": "asymptotic", "beta1": b1, "beta2": b2,
-                   "fugacity": lam}
-    _emit(report_json(payload), args.out)
-    return 0 if payload.get("converged", True) else 1
+        return report_json({"mode": "exact", **dataclasses.asdict(res)}), res.converged
+    b1, b2, lam = asymptotic_params(target)
+    return report_json({"mode": "asymptotic", "beta1": b1, "beta2": b2,
+                        "fugacity": lam}), True
 
 
 def _cmd_sample_gibbs(args):
-    _at_least("--count", args.count, 1)
-    params = GibbsParams(EnergyModel.linear(args.beta1, args.beta2),
-                         args.fugacity, args.trunc)
     echo = {"beta1": args.beta1, "beta2": args.beta2,
             "fugacity": args.fugacity, "truncation": args.trunc}
-    lines = []
-    for i in range(args.count):
-        child = _child_seed(args.seed, i)
-        omega = sample_omega(params, child)
-        lines.append(json.dumps({
-            "seed": child,
-            "params": echo,
-            "support": [[x[0], x[1], m] for x, m in omega.items_slope_sorted()],
-        }))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+
+    def draw(seed):
+        # built per draw, so that --count is checked first
+        params = GibbsParams(EnergyModel.linear(args.beta1, args.beta2),
+                             args.fugacity, args.trunc)
+        omega = sample_omega(params, seed)
+        return {"params": echo,
+                "support": [[x[0], x[1], m] for x, m in omega.items_slope_sorted()]}
+
+    return _json_lines(args.count, args.seed, draw), True
 
 
 def _cmd_sample_valtr(args):
-    _at_least("--count", args.count, 1)
-    lines = []
-    for i in range(args.count):
-        child = _child_seed(args.seed, i)
-        poly = sample_valtr(args.n, args.k, seed=child)
-        lines.append(json.dumps({
-            "seed": child,
-            "n": args.n,
-            "k": args.k,
-            "vertices": poly.xy.tolist(),
-        }))
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    def draw(seed):
+        poly = sample_valtr(args.n, args.k, seed=seed)
+        return {"n": args.n, "k": args.k, "vertices": poly.xy.tolist()}
+
+    return _json_lines(args.count, args.seed, draw), True
 
 
 def _load_polyline(path):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UsageError(f"cannot read line file {path!r}: {exc}") from None
+    try:
+        with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read line file {path!r}: {exc}") from None
     return ConvexPolyline.from_json(text)
 
 
@@ -183,19 +159,15 @@ def _cmd_shape_distance(args):
     else:
         scale = tuple(_numbers("--scale", args.scale, ",", "n1,n2"))
     curve = _make_curve(args)
-    d = hausdorff_distance(normalize(poly, scale), curve, args.mesh)
+    line = normalize(poly, scale)
+    d = hausdorff_distance(line, curve, args.mesh)
     payload = {"curve": args.curve, "mesh": args.mesh,
                "scale": [scale[0], scale[1]], "distance": d}
     if args.assert_below is not None:
         payload["assert_below"] = args.assert_below
         payload["pass"] = d <= args.assert_below
-    if args.format == "svg":
-        _emit(overlay_svg(normalize(poly, scale), curve, args.mesh), args.out)
-    else:
-        _emit(report_json(payload), args.out)
-    if args.assert_below is not None and d > args.assert_below:
-        return 1
-    return 0
+    text = overlay_svg(line, curve, args.mesh) if args.format == "svg" else report_json(payload)
+    return text, payload.get("pass", True)
 
 
 def _numbers(flag, spec, sep, form=None):
@@ -229,49 +201,36 @@ def _parse_grid(spec):
 def _cmd_asymptotics_table(args):
     rows = [(ell, c_of_ell(ell), e_of_ell(ell)) for ell in _parse_grid(args.ell_grid)]
     if args.format == "json":
-        text = report_json({"rows": [
-            {"ell": ell, "c": c, "e": e} for ell, c, e in rows]})
-    else:
-        lines = ["ell,c,e"]
-        lines += [f"{ell:.12g},{c:.12g},{e:.12g}" for ell, c, e in rows]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return report_json({"rows": [
+            {"ell": ell, "c": c, "e": e} for ell, c, e in rows]}), True
+    return _csv("ell,c,e", rows, ".12g"), True
 
 
 def _cmd_jarnik(args):
     report = run_jarnik(args.beta, fugacity=args.fugacity,
                         samples=args.samples, seed=args.seed,
                         truncation=args.trunc, mesh=args.mesh)
-    _emit(report_json(report), args.out)
-    return 0 if report["passed"] else 1
+    return report_json(report), report["passed"]
 
 
 def _cmd_mixed_shapes(args):
     grid = _numbers("--grid", args.grid, ",")
     if args.format == "svg":
         # all curves of the grid in one picture
-        text = polylines_svg([(ShapeCurve.mixed(ell).sample(args.mesh), "#1f77b4", "0.003")
-                              for ell in grid])
-    elif args.format == "json":
-        text = report_json({"rows": [
-            {"lambda_ell": ell, "length": mixed_length(ell)} for ell in grid]})
-    else:
-        lines = ["lambda_ell,length"]
-        lines += [f"{ell:.12g},{mixed_length(ell):.12g}" for ell in grid]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+        return polylines_svg([(ShapeCurve.mixed(ell).sample(args.mesh), "#1f77b4", "0.003")
+                              for ell in grid]), True
+    if args.format == "json":
+        return report_json({"rows": [
+            {"lambda_ell": ell, "length": mixed_length(ell)} for ell in grid]}), True
+    return _csv("lambda_ell,length", [(ell, mixed_length(ell)) for ell in grid], ".12g"), True
 
 
 def _cmd_curve(args):
     curve = _make_curve(args)
     if args.format == "svg":
         empty = normalize(np.zeros((1, 2)), (1.0, 1.0))
-        _emit(overlay_svg(empty, curve, args.mesh), args.out)
-    else:
-        _emit(curve_csv(curve, args.mesh), args.out)
-    return 0
+        return overlay_svg(empty, curve, args.mesh), True
+    return curve_csv(curve, args.mesh), True
 
 
 def _cmd_suite(args):
@@ -283,8 +242,7 @@ def _cmd_suite(args):
         _at_least("--samples", args.samples, 1)
         config["samples"] = args.samples
     report = run_suite(args.name, config)
-    _emit(report_json(report), args.out)
-    return 0 if report["passed"] else 1
+    return report_json(report), report["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +255,14 @@ def _add_out(p, formats=("json",)):
         p.add_argument("--format", choices=list(formats), default=formats[0])
 
 
+def _add_curve(p):
+    """The flags `_make_curve` reads."""
+    p.add_argument("--curve", choices=("parabola", "circle", "mixed"),
+                   default="parabola")
+    p.add_argument("--ratio", type=float, default=1.0)
+    p.add_argument("--lambda-ell", type=float, default=0.0)
+
+
 def build_parser():
     top = argparse.ArgumentParser(
         prog="convexchain",
@@ -305,9 +271,8 @@ def build_parser():
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="exact vertex-count table")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--kmax", type=int, required=True)
+    for flag in ("--n1", "--n2", "--kmax"):
+        p.add_argument(flag, type=int, required=True)
     _add_out(p, ("csv", "json"))
     p.set_defaults(func=_cmd_count)
 
@@ -318,9 +283,8 @@ def build_parser():
     p.set_defaults(func=_cmd_maxvert)
 
     p = sub.add_parser("calibrate", help="parameters matching target moments")
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    for flag in ("--n1", "--n2", "--k"):
+        p.add_argument(flag, type=int, required=True)
     p.add_argument("--exact", action="store_true",
                    help="Newton refinement instead of the asymptotic formulas")
     p.add_argument("--trunc", type=float, default=DEFAULT_TRUNCATION)
@@ -349,10 +313,7 @@ def build_parser():
                        help="Hausdorff distance from a line to a limit curve")
     p.add_argument("--line", required=True,
                    help="path of a polyline JSON file, or - for stdin")
-    p.add_argument("--curve", choices=("parabola", "circle", "mixed"),
-                   default="parabola")
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--lambda-ell", type=float, default=0.0)
+    _add_curve(p)
     p.add_argument("--scale", default="auto",
                    help="'n1,n2' or 'auto' for the line's own endpoint")
     p.add_argument("--mesh", type=int, default=1000)
@@ -385,10 +346,7 @@ def build_parser():
     p.set_defaults(func=_cmd_mixed_shapes)
 
     p = sub.add_parser("curve", help="samples of a single limit curve")
-    p.add_argument("--curve", choices=("parabola", "circle", "mixed"),
-                   default="parabola")
-    p.add_argument("--ratio", type=float, default=1.0)
-    p.add_argument("--lambda-ell", type=float, default=0.0)
+    _add_curve(p)
     p.add_argument("--mesh", type=int, default=200)
     _add_out(p, ("csv", "svg"))
     p.set_defaults(func=_cmd_curve)
@@ -433,10 +391,8 @@ def _splice_config(argv):
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        argv = _splice_config(list(argv))
+        argv = _splice_config(list(sys.argv[1:] if argv is None else argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -449,22 +405,22 @@ def main(argv=None):
     # and are dropped when it ends in its error message
     with warnings.catch_warnings(record=True) as caught:
         try:
-            code = args.func(args)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except CalibrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, KeyError, ResourceWarning, RuntimeError,
+            text, passed = args.func(args)
+            try:  # the one write of a command's output
+                with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise UsageError(f"cannot write {args.out or 'stdout'!r}: {exc}") from None
+        except (UsageError, ValueError, KeyError, ResourceWarning, RuntimeError,
                 ArithmeticError) as exc:
             # bad input, work over a budget, or numerics the input defeats
-            # (an exhausted rejection budget, a stalled quadrature, overflow)
+            # (an exhausted rejection budget, a stalled quadrature, overflow);
+            # an infeasible or unbounded calibration is a failed check
             print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return 1 if isinstance(exc, CalibrationError) else 2
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)
-    return code
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -139,14 +139,16 @@ def jarnik_greedy_vertex_count(length_budget):
     """Maximal vertex count of a line of total length <= budget, greedily.
 
     Uses each primitive direction at most once, closest first; ties broken
-    lexicographically so the count is deterministic.  The direction box stops
-    at 4096 per side, below the primitive-vector grid budget.
+    lexicographically so the count is deterministic.  Only the directions of
+    norm <= box are complete in a box, so only those are used, and the box
+    doubles when they run out; it stops at 4096 per side, below the
+    primitive-vector grid budget.
     """
     if length_budget <= 0:
         raise ValueError("length budget must be positive")
     box = 32
     while True:
-        prims = primitive_vectors_in_box(box, box)
+        prims = [(p, q) for p, q in primitive_vectors_in_box(box, box) if p * p + q * q <= box**2]
         prims.sort(key=lambda p: (p[0] * p[0] + p[1] * p[1], p))
         total = 0.0
         count = 0
@@ -246,12 +248,15 @@ def _sorted_rows(rows):
 # named suites
 
 
+_COUNTING_CAP = 8  # the counting suite checks every box up to 8x8 by brute force
+_CALIBRATION_N = 300  # the box side of the calibration suite's targets
+
+
 def _suite_counting(config):
     rows = []
-    cap = int(config.get("cap", 8))
     mismatches = 0
-    for n1 in range(1, cap + 1):
-        for n2 in range(1, cap + 1):
+    for n1 in range(1, _COUNTING_CAP + 1):
+        for n2 in range(1, _COUNTING_CAP + 1):
             counts = {}
             for omega in brute_force_enum(n1, n2):
                 counts[omega.vertex_count] = counts.get(
@@ -265,29 +270,26 @@ def _suite_counting(config):
                      0.0, mismatches == 0))
 
     table60 = count_lines_k(60, 60, kmax=3)
-    rows.append(_row("p(60,60;2) frozen", 1830.0, float(table60.p(60, 60, 2)),
-                     0.0, table60.p(60, 60, 2) == 1830))
-    rows.append(_row("p(60,60;3) frozen", 589670.0,
-                     float(table60.p(60, 60, 3)),
-                     0.0, table60.p(60, 60, 3) == 589670))
+    for k, want in ((2, 1830), (3, 589670)):
+        got = table60.p(60, 60, k)
+        rows.append(_row(f"p(60,60;{k}) frozen", want, float(got), 0.0, got == want))
     return rows
 
 
 def _suite_calibration(config):
     rows = []
+    n = _CALIBRATION_N
     fit = lru_cache(maxsize=None)(exact_calibrate)  # each target is calibrated once
     for k in (5, 34):
-        res = fit(CalibrationTarget(300, 300, k))
+        res = fit(CalibrationTarget(n, n, k))
         worst = max(abs(r) for r in res.residuals)
         rows.append(_row(f"moment residuals at k={k}", 0.0, worst, 1e-6,
                          res.converged and worst <= 1e-6))
-    res5 = fit(CalibrationTarget(300, 300, 5))
-    rows.append(_row("dilute beta1 near k/n1", 5.0 / 300.0, res5.beta1, 0.30,
-                     abs(res5.beta1 / (5.0 / 300.0) - 1.0) <= 0.30))
+    res5 = fit(CalibrationTarget(n, n, 5))
+    rows.append(_row("dilute beta1 near k/n1", 5.0 / n, res5.beta1, 0.30,
+                     abs(res5.beta1 / (5.0 / n) - 1.0) <= 0.30))
     # count-growth consistency: log-count rate e(1) at the typical density
-    n = int(config.get("n", 300))
-    k = typical_vertex_count(n)
-    t = CalibrationTarget(n, n, k)
+    t = CalibrationTarget(n, n, typical_vertex_count(n))
     pred = predicted_log_pnk(t, fit(t), with_llt=False)
     rate = pred / n ** (2.0 / 3.0)
     target = e_of_ell(1.0)

@@ -24,6 +24,7 @@ import contextlib
 import functools
 import json
 import math
+import operator
 import types
 from itertools import chain
 
@@ -47,18 +48,28 @@ def _int_rows(rows, width=2) -> np.ndarray:
     int64 while each column's absolute sum is below 2^62, so that every
     difference and partial sum of rows fits, and Python ints (dtype object)
     past that.  An (n, width) int64 array that passes that test is returned
-    as it is."""
+    as it is.  A value that `operator.index` refuses (a float, a string,
+    None) raises ValueError, the first one in input order."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (width,):
         if np.abs(rows, dtype=float).sum(axis=0).max() < 2.0**62:
             return rows
         return rows.astype(object)
     rows = tuple(rows)
-    with contextlib.suppress(OverflowError, ValueError):  # past int64, or other lengths
-        xy = np.fromiter(chain.from_iterable(rows), np.int64).reshape(-1, width)
+    # past int64, not integers, or other lengths: the exact path decides
+    with contextlib.suppress(OverflowError, TypeError, ValueError):
+        xy = np.fromiter(map(operator.index, chain.from_iterable(rows)), np.int64)
+        xy = xy.reshape(-1, width)
         if len(xy) == len(rows) and np.abs(xy, dtype=float).sum(axis=0).max() < 2.0**62:
             return xy
-    exact = [[int(r[j]) for j in range(width)] for r in rows]
+    exact = [[_index(r[j]) for j in range(width)] for r in rows]
     return np.array(exact, dtype=object).reshape(-1, width)
+
+
+def _index(v) -> int:
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{v!r} is not an integer") from None
 
 
 def _turns(d: np.ndarray) -> np.ndarray:

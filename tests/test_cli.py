@@ -155,6 +155,36 @@ def test_input_contract_is_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+# one cheap argv per subcommand, each of which gets as far as writing its output
+_CHEAP = {
+    "count": ["--n1", "2", "--n2", "2", "--kmax", "1"],
+    "maxvert": ["--n1", "6", "--n2", "6"],
+    "calibrate": ["--n1", "300", "--n2", "300", "--k", "34"],
+    "sample-gibbs": ["--beta1", "0.3", "--beta2", "0.3"],
+    "sample-valtr": ["--n", "100", "--k", "3"],
+    "shape-distance": ["--line", "-"],
+    "asymptotics-table": ["--ell-grid", "0.5:1:0.25"],
+    "jarnik": ["--beta", "0.1", "--samples", "2", "--mesh", "100"],
+    "mixed-shapes": [],
+    "curve": [],
+    "suite": ["--name", "shapes"],
+}
+
+
+@pytest.mark.parametrize("missing_dir", [True, False])
+@pytest.mark.parametrize("command", sorted(_CHEAP))
+def test_an_unwritable_out_is_one_error_line(tmp_path, capsys, command, missing_dir):
+    dest = str(tmp_path / "missing" / "x" if missing_dir else tmp_path)
+    with mock.patch.object(sys, "stdin", io.StringIO(_PIN_LINE)):
+        rc, out, err = run(capsys, [command, *_CHEAP[command], "--out", dest])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {dest!r}: ")
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 _EXACT = ["calibrate", "--n1", "300", "--n2", "300", "--k", "34", "--exact"]
 
 

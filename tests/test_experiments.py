@@ -149,6 +149,37 @@ def test_greedy_jarnik_count():
         jarnik_greedy_vertex_count(0)
 
 
+def _greedy_reference(budgets, side=300):
+    """The same greedy over every primitive direction of a side x side box,
+    by gcd, for each budget: exact while the directions it takes have
+    norm <= side."""
+    dirs = sorted((p * p + q * q, (p, q)) for p in range(side + 1) for q in range(side + 1)
+                  if math.gcd(p, q) == 1)
+    counts = []
+    for budget in budgets:
+        total, count = 0.0, 0
+        for norm_sq, (p, q) in dirs:
+            step = math.hypot(p, q)
+            if total + step > budget:
+                break
+            assert norm_sq <= side * side, "budget past the reference box"
+            total += step
+            count += 1
+        counts.append(count)
+    return counts
+
+
+def test_greedy_jarnik_count_matches_a_larger_box():
+    # a box's corner holds directions longer than some outside it, which the
+    # greedy must not take before them: 13,500 to 16,000 and 10^5 went wrong so
+    budgets = [1, 2, 50, 1000, 5000, 10**4, 10_500, 12_000, 13_000, 13_500, 14_000,
+               15_000, 16_000, 20_000, 40_000, 70_000, 100_000]
+    got = [jarnik_greedy_vertex_count(b) for b in budgets]
+    assert got == _greedy_reference(budgets)
+    assert got[budgets.index(13_500):budgets.index(16_000) + 1] == [582, 596, 624, 651]
+    assert got[budgets.index(10**4)] == 476 and got[-1] == 2208
+
+
 def test_run_jarnik_report():
     rep = run_jarnik(0.05, samples=40, seed=0)
     assert rep["passed"]

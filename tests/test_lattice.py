@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -312,6 +313,30 @@ def test_validation_matches_the_per_entry_oracle(support):
     line = omega_to_polyline(om)
     assert line.vertices == polyline_of_support(want)
     assert line.endpoint() == om.endpoint() == polyline_of_support(want)[-1]
+
+
+@pytest.mark.parametrize("build,first", [
+    (lambda: ConvexPolyline([(0, 0), (1.5, 1.9)]), "1.5"),
+    (lambda: ConvexPolyline(np.array([[0, 0], [1.5, 1.9]])), "np.float64(0.0)"),
+    (lambda: ConvexPolyline([(0, 0), (1, 2.0)]), "2.0"),
+    (lambda: ConvexPolyline([(0, 0), (1, "2")]), "'2'"),
+    (lambda: ConvexPolyline([(0, 0), (None, 2)]), "None"),
+    (lambda: ConvexPolyline([(0, 0), (2**70, 0.5)]), "0.5"),  # past int64
+    (lambda: MultiplicityDistribution({(1.5, 0.7): 2.9}), "1.5"),
+    (lambda: MultiplicityDistribution({(1, 0): 2, (1, 1): 2.0}), "2.0"),
+    (lambda: MultiplicityDistribution({(2, 4): 1, (1, 0.5): 0}), "0.5"),  # before any other check
+    (lambda: MultiplicityDistribution(np.array([[1.5, 0.7]]), np.array([2.9])), "1.5"),
+    # a float array holds floats only, 1.0 included
+    (lambda: MultiplicityDistribution(np.array([[1, 0], [1, 1]]), np.array([1, 0.5])), "1.0"),
+])
+def test_non_integer_input_is_refused(build, first):
+    with pytest.raises(ValueError, match=rf"^{re.escape(first)} is not an integer$"):
+        build()
+
+
+def test_integers_of_any_type_are_kept():
+    assert ConvexPolyline([(0, 0), (np.int32(1), np.uint64(2)), (True, 2**70)]).vertices == (
+        (0, 0), (1, 2), (1, 2**70))
 
 
 def test_the_array_form_keeps_every_integer_in_row_major_order():
