@@ -40,7 +40,7 @@ from .experiments import (
     run_suite,
     sample_valtr,
 )
-from .gibbs import DEFAULT_TRUNCATION, EnergyModel, GibbsParams, sample_omega
+from .gibbs import DEFAULT_TRUNCATION, EnergyModel, GibbsParams, _law_key, _site_laws, sample_omega
 from .lattice import ConvexPolyline
 from .shapes import (
     ShapeCurve,
@@ -52,7 +52,7 @@ from .shapes import (
     polylines_svg,
 )
 from .specialfn import c_of_ell, e_of_ell
-from .tolerances import TABLE_ROW_BUDGET
+from .tolerances import GIBBS_DRAW_ENTRIES, GIBBS_ENTRY_BUDGET, TABLE_ROW_BUDGET
 
 __all__ = ["main", "build_parser"]
 
@@ -75,7 +75,6 @@ def _csv(header, rows, spec=""):
 def _json_lines(count, seed, draw):
     """One JSON object per draw: draw i takes `_child_seed(seed, i)`, which
     leads its object as "seed", and `draw(child)` gives the other fields."""
-    _at_least("--count", count, 1)
     seeds = (_child_seed(seed, i) for i in range(count))
     return "".join(json.dumps({"seed": s, **draw(s)}) + "\n" for s in seeds)
 
@@ -108,13 +107,20 @@ def _cmd_calibrate(args):
 
 
 def _cmd_sample_gibbs(args):
+    _at_least("--count", args.count, 1)
+    params = GibbsParams(EnergyModel.linear(args.beta1, args.beta2), args.fugacity, args.trunc)
+    # E[K] is the sum of the occupation probabilities q of the site set that
+    # the draws use; the covariance sums of `moments` would cost 0.28 s more
+    # at 4.9M sites
+    ek = float(_site_laws(*_law_key(params))[3].sum())
+    entries = args.count * (ek + GIBBS_DRAW_ENTRIES)
+    if entries > GIBBS_ENTRY_BUDGET:
+        raise UsageError(f"--count {args.count} draws need ~{entries:.2e} support entries, "
+                         f"over the budget {GIBBS_ENTRY_BUDGET:.2e}")
     echo = {"beta1": args.beta1, "beta2": args.beta2,
             "fugacity": args.fugacity, "truncation": args.trunc}
 
     def draw(seed):
-        # built per draw, so that --count is checked first
-        params = GibbsParams(EnergyModel.linear(args.beta1, args.beta2),
-                             args.fugacity, args.trunc)
         omega = sample_omega(params, seed)
         return {"params": echo,
                 "support": [[x[0], x[1], m] for x, m in omega.items_slope_sorted()]}
@@ -123,6 +129,8 @@ def _cmd_sample_gibbs(args):
 
 
 def _cmd_sample_valtr(args):
+    _at_least("--count", args.count, 1)
+
     def draw(seed):
         poly = sample_valtr(args.n, args.k, seed=seed)
         return {"n": args.n, "k": args.k, "vertices": poly.xy.tolist()}

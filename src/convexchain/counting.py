@@ -18,7 +18,13 @@ vectors (`_shifts`), never in big ints:
 A rebuilt count must agree with the float pass to within its rounding bound,
 or the call raises `ArithmeticError`: a wrong count is never returned
 silently.  The DP refuses up front (never mid-run) when its estimated cell
-updates exceed COUNT_OP_BUDGET.
+updates exceed COUNT_OP_BUDGET.  A line has at most n1 + n2 vertices (each
+adds at least 1 to a + b), so no sweep holds more layers than that.
+
+`max_vertices` runs the same skeleton with (max, +1), but only over the
+vectors that a maximal line can use (`_maximal_candidates`): a line with
+many vertices can use only light vectors, the classical bound behind
+Jarnik (1926) and Acketa & Zunic (1995).
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ import numpy as np
 from .lattice import (
     ConvexPolyline,
     MultiplicityDistribution,
+    _box_rows,
+    _index,
+    _slope_order,
     primitive_vectors_in_box,
 )
 from .tolerances import COUNT_OP_BUDGET
@@ -66,11 +75,11 @@ class CountTable:
             yield a, b, k, str(c)
 
 
-def _shifts(n1: int, n2: int):
-    """The sweep skeleton: each primitive vector v = (p, q) in slope order,
-    with every multiplicity m >= 1 whose shift m*v stays in the box, as
-    (v, m, (m*p, m*q)); m = 1 opens the vector's sweep."""
-    for p, q in primitive_vectors_in_box(n1, n2):
+def _shifts(n1: int, n2: int, vectors):
+    """The sweep skeleton: each primitive vector v = (p, q) of `vectors`, in
+    their (slope) order, with every multiplicity m >= 1 whose shift m*v stays
+    in the box, as (v, m, (m*p, m*q)); m = 1 opens the vector's sweep."""
+    for p, q in vectors:
         m = 1
         while m * p <= n1 and m * q <= n2:
             yield (p, q), m, (m * p, m * q)
@@ -79,8 +88,9 @@ def _shifts(n1: int, n2: int):
 
 def _dp_cost_estimate(n1: int, n2: int, kmax: int) -> int:
     """Exact number of cell updates one sweep over kmax layers performs, in
-    closed form: the shifts m*v of `_shifts` are the nonzero points (a, b) of
-    the box, each once, and a shift updates (n1-a+1)(n2-b+1) cells a layer."""
+    closed form: the shifts m*v of `_shifts` over all the box's vectors are
+    the nonzero points (a, b) of the box, each once, and a shift updates
+    (n1-a+1)(n2-b+1) cells a layer."""
     return kmax * ((n1 + 1) * (n1 + 2) * (n2 + 1) * (n2 + 2) // 4 - (n1 + 1) * (n2 + 1))
 
 
@@ -106,7 +116,7 @@ def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.nda
     lay = np.zeros((kmax + 1, n1 + 1, n2 + 1), dtype=dtype)
     lay[0, 0, 0] = 1
     top = 1
-    for (p, q), m, (dp, dq) in _shifts(n1, n2):
+    for (p, q), m, (dp, dq) in _shifts(n1, n2, primitive_vectors_in_box(n1, n2)):
         if m == 1:
             if modulus:
                 grow = 1 + min(n1 // p if p else math.inf, n2 // q if q else math.inf)
@@ -156,7 +166,7 @@ def _rebuild(n1: int, n2: int, kmax: int, flt: np.ndarray, bound: int) -> np.nda
     for x, f in zip(exact.ravel().tolist(), flt.ravel().tolist()):
         if abs(x - int(f)) << 52 > x * adds:
             raise ArithmeticError(
-                f"count_lines_k({n1},{n2},{kmax}): rebuilt count {x} "
+                f"the ({n1},{n2}) sweep over {kmax} layers: rebuilt count {x} "
                 f"disagrees with the float pass ({f!r})"
             )
     return exact
@@ -172,17 +182,22 @@ def count_lines_k(n1: int, n2: int, kmax: int) -> CountTable:
     mod odd primes below 2^32 (`_rebuild`).  Every rebuilt count is checked
     against the float pass within its rigorous error bound and a mismatch
     raises `ArithmeticError`, so no count is ever silently wrong.  The table
-    holds exact Python ints.
+    holds exact Python ints.  Layers past n1 + n2 hold only zeros, so the
+    sweep and its budget stop there; the table keeps the requested kmax.
+    Sides and kmax go through `operator.index`: a float, a string or None
+    raises ValueError.
     """
+    n1, n2, kmax = _index(n1), _index(n2), _index(kmax)
     if n1 < 1 or n2 < 1 or kmax < 1:
         raise ValueError("n1, n2, kmax must be >= 1")
-    _check_budget(f"count_lines_k({n1},{n2},{kmax})", _dp_cost_estimate(n1, n2, kmax))
+    layers = min(kmax, n1 + n2)  # each vector adds at least 1 to a + b
+    _check_budget(f"count_lines_k({n1},{n2},{kmax})", _dp_cost_estimate(n1, n2, layers))
 
-    flt = _count_sweep(n1, n2, kmax, np.float64)
+    flt = _count_sweep(n1, n2, layers, np.float64)
     adds = (n1 + 1) * (n2 + 1) - 1  # rounded additions per cell: one per shift m*v
     fmax = int(flt.max())
     bound = fmax + (fmax * adds >> 52) + 1
-    exact = flt.astype(np.int64) if bound <= 2**53 else _rebuild(n1, n2, kmax, flt, bound)
+    exact = flt.astype(np.int64) if bound <= 2**53 else _rebuild(n1, n2, layers, flt, bound)
 
     j, a, b = np.nonzero(exact[1:])
     keys = zip(a.tolist(), b.tolist(), (j + 1).tolist())
@@ -195,6 +210,7 @@ def brute_force_enum(n1: int, n2: int) -> list[MultiplicityDistribution]:
     Independent of the DP on purpose — this is the oracle the DP is checked
     against.  Hard-capped at 12 per side.
     """
+    n1, n2 = _index(n1), _index(n2)
     if n1 < 1 or n2 < 1:
         raise ValueError("endpoint coordinates must be >= 1")
     if n1 > BRUTE_FORCE_CAP or n2 > BRUTE_FORCE_CAP:
@@ -222,23 +238,63 @@ def brute_force_enum(n1: int, n2: int) -> list[MultiplicityDistribution]:
     return out
 
 
-def max_vertices(n1: int, n2: int) -> int:
-    """Exact max of K(omega) over lines with endpoint (n1,n2).
+def _maximal_candidates(n1: int, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, lightest): the box's primitive vectors that a line to N = (n1, n2)
+    with the most vertices can use, in slope order, and the lightest ones
+    that one such line provably holds, both as (n, 2) int64 arrays.
 
-    The count sweep's skeleton with (max, +1) in place of (+, shift): the
-    state is the best support size reachable at each partial sum.  Cells start
-    at -(n1+n2+1) ("unreachable"); each shift adds 1 and moves at least 1 in
+    Weigh each vector v by lambda.v with lambda = (n2, n1), and sort by weight;
+    let U(B) be the largest j such that the j lightest weights sum to at most
+    B.  The axes (1,0) and (0,1) weigh n2 and n1, every other vector at least
+    n1 + n2, so they are the lightest two.
+
+    - Lower bound: `lightest` is the longest prefix of the sorted vectors
+      whose componentwise sum is <= N.  It holds both axes, which absorb the
+      remainder N - sum as extra multiplicity, so it is the support of a line
+      to N and M >= |lightest| >= 2.
+    - Upper bound: if w is in the support of a line with K vertices, the
+      other K - 1 vectors are distinct and sum to at most N - w, so their
+      weights sum to at most lambda.(N - w) = 2*n1*n2 - lambda.w, and no
+      K - 1 weights sum to less than the K - 1 lightest: K <= 1 + U(lambda.(N - w)).
+
+    So `kept` holds each w with 1 + U(2*n1*n2 - lambda.w) >= |lightest|:
+    every vector of every line with M vertices, since M >= |lightest|.  One
+    sort and one `searchsorted`.
+    """
+    xy = _box_rows(n1, n2)
+    weight = xy @ np.array([n2, n1], dtype=np.int64)
+    order = np.argsort(weight, kind="stable")
+    xy, weight = xy[order], weight[order]
+    fits = (np.cumsum(xy, axis=0) <= (n1, n2)).all(axis=1)  # true on a prefix
+    lightest = xy[: np.count_nonzero(fits)]
+    most = 1 + np.searchsorted(np.cumsum(weight), 2 * n1 * n2 - weight, side="right")
+    kept = xy[most >= len(lightest)]
+    return kept[_slope_order(kept)], lightest
+
+
+def max_vertices(n1: int, n2: int) -> int:
+    """Exact max M of K(omega) over lines with endpoint (n1,n2).
+
+    The count sweep's skeleton with (max, +1) in place of (+, shift), over
+    the vectors of `_maximal_candidates` only: every line with M vertices
+    uses only those, so the best line over them has exactly M.  The state is
+    the best support size reachable at each partial sum.  Cells start at
+    -(n1+n2+1) ("unreachable"); each shift adds 1 and moves at least 1 in
     a+b, so a cell (a,b) not yet reachable holds at most -(n1+n2+1) + a+b < 0
     and never wins a maximum.  Real values are at most a+b, so every value
-    fits the smallest signed dtype holding -(n1+n2+1).
+    fits the smallest signed dtype holding -(n1+n2+1).  The budget prices
+    the sweep over all the box's vectors, a loose upper bound.  Sides go
+    through `operator.index`: a float, a string or None raises ValueError.
     """
+    n1, n2 = _index(n1), _index(n2)
     if n1 < 1 or n2 < 1:
         raise ValueError("n1, n2 must be >= 1")
     _check_budget(f"max_vertices({n1},{n2})", _dp_cost_estimate(n1, n2, 1))
     floor = -(n1 + n2 + 1)
     best = np.full((n1 + 1, n2 + 1), floor, dtype=np.min_scalar_type(floor))
     best[0, 0] = 0
-    for (p, q), m, (dp, dq) in _shifts(n1, n2):
+    kept = _maximal_candidates(n1, n2)[0].tolist()
+    for (p, q), m, (dp, dq) in _shifts(n1, n2, kept):
         if m == 1:  # every shift of v reads the state from before v
             inc = best[: n1 + 1 - p, : n2 + 1 - q] + 1
         dst = best[dp:, dq:]

@@ -164,12 +164,20 @@ def _primitive_grid(n1: int, n2: int, width=None):
         yield x1, x2
 
 
+def _box_rows(n1: int, n2: int) -> np.ndarray:
+    """The primitive vectors of the box [0, n1] x [0, n2] as one (n, 2) int64
+    array, row-major in x1: the `_primitive_grid` blocks stacked."""
+    return np.concatenate([np.column_stack(r) for r in _primitive_grid(n1, n2)])
+
+
 def primitive_vectors_in_box(n1: int, n2: int) -> list[Vec]:
     """All primitive vectors with x1 <= n1, x2 <= n2, in increasing slope order:
-    the `_primitive_grid` rows put in `_slope_order`."""
+    the `_box_rows` put in `_slope_order`.  A side that `operator.index`
+    refuses raises ValueError."""
+    n1, n2 = _index(n1), _index(n2)
     if n1 < 1 or n2 < 1:
         raise ValueError("box sides must be >= 1")
-    xy = np.concatenate([np.column_stack(r) for r in _primitive_grid(n1, n2)])
+    xy = _box_rows(n1, n2)
     xy = xy[_slope_order(xy)]
     return list(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
 

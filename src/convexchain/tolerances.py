@@ -25,10 +25,20 @@ VALTR_WORK_BUDGET = 800_000_000
 DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets
 # DP resource guard, in cell updates of one sweep (`counting._dp_cost_estimate`):
 # one float64 count sweep runs ~3.4e8 cell updates/s on a 2-core x86 host, so
-# the budget refuses calls predicted to take over ~1 minute.  max_vertices'
-# int16 sweep runs ~1e9/s; counts past 2^53 add a uint64 pass, and past 2^64
-# one prime pass (about the cost of a plain pass) per 32 bits.
+# the budget refuses calls predicted to take over ~1 minute.  Counts past
+# 2^53 add a uint64 pass, and past 2^64 one prime pass (about the cost of a
+# plain pass) per 32 bits.  For max_vertices the same estimate is a loose
+# upper bound: its int16 sweep runs ~1e9/s over all the box's vectors, but
+# it sweeps only the few a maximal line can use (181 of 24,465 at 200x200).
 COUNT_OP_BUDGET = 20_000_000_000
+# `sample-gibbs` guard, in support entries: --count draws of E[K] entries
+# each, plus GIBBS_DRAW_ENTRIES for what a draw costs whatever its size (a
+# draw with its JSON line takes ~0.39 ms at E[K] = 3 and ~2.4 us per entry
+# at E[K] = 1500-6000, on a 2-core x86 host).  Whole runs of 2.4e7 entries
+# took 59 s and 88 MB (150,000 draws at E[K] = 3.2) and 77 s and 1.13 GB
+# (3,900 draws at E[K] = 6,080 over 4.9M sites), so the ~1 minute rule.
+GIBBS_ENTRY_BUDGET = 20_000_000
+GIBBS_DRAW_ENTRIES = 160
 # `asymptotics-table` guard, in --ell-grid rows: one c and one e take 0.02-0.10
 # ms on a 2-core x86 host (ell = 1e-3, 100, 2.5), and a whole row with its
 # output takes 0.15-0.18 ms where rows are slowest (ell in [2, 3]), so the

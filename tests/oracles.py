@@ -7,7 +7,7 @@ from functools import cmp_to_key
 import numpy as np
 from scipy import integrate
 
-from convexchain.lattice import ConvexPolyline, MultiplicityDistribution
+from convexchain.lattice import ConvexPolyline, MultiplicityDistribution, primitive_vectors_in_box
 
 # quadrature epsabs of the polylog integral oracle
 POLYLOG_QUAD_TOL = 1e-13
@@ -65,6 +65,24 @@ def polyline_of_support(support):
         m = support[x]
         verts.append((verts[-1][0] + m * x[0], verts[-1][1] + m * x[1]))
     return tuple(verts)
+
+
+def max_vertices_sweep(n1: int, n2: int) -> int:
+    """The max of K(omega) over lines to (n1, n2) by a (max, +1) sweep over
+    every primitive vector of the box in slope order: the state is the best
+    support size reachable at each partial sum, and every shift m*v of a
+    vector reads the state from before that vector.  Cells start at
+    -(n1+n2+1), which no chain of shifts lifts to 0 or above."""
+    best = np.full((n1 + 1, n2 + 1), -(n1 + n2 + 1), dtype=np.int64)
+    best[0, 0] = 0
+    for p, q in primitive_vectors_in_box(n1, n2):
+        inc = best[: n1 + 1 - p, : n2 + 1 - q] + 1
+        m = 1
+        while m * p <= n1 and m * q <= n2:
+            dst = best[m * p :, m * q :]
+            np.maximum(dst, inc[: n1 + 1 - m * p, : n2 + 1 - m * q], out=dst)
+            m += 1
+    return int(best[n1, n2])
 
 
 def primitive_grid_gcd(n1: int, n2: int, block_cells: int):

@@ -280,6 +280,16 @@ def test_hopeless_valtr_draw_is_refused_at_once():
     assert len(done.stderr.splitlines()) == 1
 
 
+def test_hopeless_gibbs_count_is_refused_at_once():
+    # E[K] of the draws' own site set prices the run at ~8 hours before
+    # the first draw
+    done = _cli_subprocess(["sample-gibbs", "--beta1", "0.5", "--beta2", "0.5",
+                            "--count", "100000000"], timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: --count 100000000 draws need")
+    assert "over the budget" in done.stderr and len(done.stderr.splitlines()) == 1
+
+
 _SMALL_INT = st.integers(-2, 6)
 _FLOATS = st.sampled_from(["0.3", "1", "5", "0", "-1", "-0.7071", "1e300", "nan", "inf",
                            "x"])
@@ -335,8 +345,8 @@ def test_any_small_argv_keeps_the_outcome_contract(command, data):
 
 
 _HUGE = st.sampled_from([10**11, 10**15])
-# flags that only a refusal can answer: a mesh, Valtr edge count or scale
-# past what the arrays and floats can hold
+# flags that only a refusal can answer: a mesh, Valtr edge count, scale or
+# draw count past what the arrays, floats or a minute can hold
 _OVERSIZE = {
     "curve": st.tuples(st.just("--curve"), st.sampled_from(["parabola", "circle", "mixed"]),
                        st.just("--format"), st.sampled_from(["csv", "svg"]),
@@ -348,6 +358,9 @@ _OVERSIZE = {
     "jarnik": st.tuples(st.just("--samples"), st.just(2), st.just("--mesh"), _HUGE),
     "sample-valtr": st.tuples(st.just("--n"), st.sampled_from([10**13, 10**14]),
                               st.just("--k"), st.just(10**13)),
+    # ~8 hours of draws at E[K] = 3.2, predicted before the first
+    "sample-gibbs": st.tuples(st.just("--beta1"), st.just(0.5), st.just("--beta2"), st.just(0.5),
+                              st.just("--count"), st.sampled_from([10**8, 10**15])),
 }
 
 

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,13 +13,15 @@ from convexchain import counting
 from convexchain.counting import (
     _count_sweep,
     _dp_cost_estimate,
+    _maximal_candidates,
     _rebuild,
     _shifts,
     brute_force_enum,
     count_lines_k,
     max_vertices,
 )
-from convexchain.lattice import primitive_vectors_in_box
+from convexchain.lattice import MultiplicityDistribution, primitive_vectors_in_box
+from oracles import max_vertices_sweep
 from paper import erdos_lehner_ratio
 
 LENGTH_CAP = 15.0
@@ -181,6 +185,82 @@ def test_max_vertices_matches_brute_force():
         assert max_vertices(n1, n2) == best
 
 
+@pytest.mark.parametrize("box", [(200, 200), (300, 100), (100, 300)])
+def test_max_vertices_matches_the_full_sweep(box):
+    assert max_vertices(*box) == max_vertices_sweep(*box)
+
+
+def test_max_vertices_matches_the_full_sweep_on_every_small_box():
+    for n1 in range(1, 31):
+        for n2 in range(1, 31):
+            assert max_vertices(n1, n2) == max_vertices_sweep(n1, n2), (n1, n2)
+
+
+def test_maximal_lines_use_only_kept_vectors():
+    for n1 in range(1, 9):
+        for n2 in range(1, 9):
+            kept = set(map(tuple, _maximal_candidates(n1, n2)[0].tolist()))
+            lines = brute_force_enum(n1, n2)
+            most = max(om.vertex_count for om in lines)
+            for om in lines:
+                if om.vertex_count == most:
+                    assert set(om.support) <= kept, (n1, n2, om.support)
+
+
+@pytest.mark.parametrize("box", [(1, 1), (1, 30), (30, 1), (8, 5), (20, 20), (200, 200), (300, 100)])
+def test_lightest_prefix_is_a_line(box):
+    n1, n2 = box
+    kept, lightest = _maximal_candidates(*box)
+    support = {tuple(v): 1 for v in lightest.tolist()}
+    rest = (n1, n2) - lightest.sum(axis=0)
+    support[(1, 0)] += int(rest[0])  # the axes absorb the remainder
+    support[(0, 1)] += int(rest[1])
+    om = MultiplicityDistribution(support)
+    assert om.endpoint() == box
+    assert om.vertex_count == len(lightest) <= max_vertices(*box)
+    # a line with |lightest| vertices meets the bound that keeps a vector
+    assert set(map(tuple, lightest.tolist())) <= set(map(tuple, kept.tolist()))
+
+
+def test_layers_stop_at_the_longest_line():
+    # no line to (a, b) has more than a + b vertices: a kmax far past it
+    # sweeps n1 + n2 layers, under a kilobyte of cells
+    want = count_lines_k(3, 3, 6).entries
+    tracemalloc.start()
+    try:
+        table = count_lines_k(3, 3, 2 * 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.entries == want and table.kmax == 2 * 10**8
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: count_lines_k(2.0, 2, 1), "2.0"),
+    (lambda: count_lines_k(2, "2", 1), "'2'"),
+    (lambda: count_lines_k(2, 2, 1.0), "1.0"),
+    (lambda: count_lines_k(2, 2, None), "None"),
+    (lambda: max_vertices(2.5, 2), "2.5"),
+    (lambda: max_vertices(2, np.float64(2.0)), "np.float64(2.0)"),
+    (lambda: brute_force_enum(2, 2.0), "2.0"),
+    (lambda: primitive_vectors_in_box(None, 2), "None"),
+])
+def test_non_integer_sides_are_refused(call, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(value)} is not an integer$"):
+        call()
+
+
+def test_integer_sides_of_any_type_are_kept():
+    assert max_vertices(True, 1) == max_vertices(1, 1) == 2
+    assert max_vertices(np.int64(20), np.uint16(20)) == 11
+    table = count_lines_k(np.int32(4), np.int64(3), np.uint8(5))
+    assert table.entries == count_lines_k(4, 3, 5).entries
+    assert (table.n1, table.n2, table.kmax) == (4, 3, 5)
+    assert brute_force_enum(np.int64(3), 3) == brute_force_enum(3, 3)
+    assert primitive_vectors_in_box(np.int16(5), 5) == primitive_vectors_in_box(5, 5)
+
+
 def test_resource_guard(monkeypatch):
     monkeypatch.setattr(counting, "COUNT_OP_BUDGET", 1000)
     with pytest.raises(ResourceWarning, match="budget"):
@@ -247,7 +327,7 @@ def test_count_by_length_caps():
 def test_shifts_are_the_box_points_and_price_the_sweep(n1, n2):
     # the float pass's error bound and the closed-form cost both rest on the
     # shifts m*v being the nonzero points of the box, each exactly once
-    shifts = [s for _, _, s in _shifts(n1, n2)]
+    shifts = [s for _, _, s in _shifts(n1, n2, primitive_vectors_in_box(n1, n2))]
     assert sorted(shifts) == [(a, b) for a in range(n1 + 1) for b in range(n2 + 1) if a or b]
     cells = sum((n1 - a + 1) * (n2 - b + 1) for a, b in shifts)
     assert _dp_cost_estimate(n1, n2, 3) == 3 * cells
