@@ -9,8 +9,9 @@ flags win); stochastic commands default to seed 0, never wall clock.
 Each ``_cmd_*`` handler returns its output text and whether its checks
 passed; ``main`` writes the text, to ``--out`` or stdout, in one place.
 Exit codes: 0 success / all checks pass, 1 check or assertion failure,
-2 usage, configuration or resource error (work over the up-front budget, a
-parameter the numerics cannot handle, or an ``--out`` that cannot be written).
+2 usage, configuration or resource error (work refused before any of it is
+done, a run that gave up, a parameter the numerics cannot handle, or an
+``--out`` that cannot be written).
 A library warning is one ``warning:`` line on stderr, unless the command
 ends in its error message.
 """
@@ -34,17 +35,17 @@ from .calibrate import (
 from .counting import count_lines_k, max_vertices
 from .experiments import (
     SUITE_NAMES,
+    _check_valtr,
     _child_seed,
     report_json,
     run_jarnik,
     run_suite,
     sample_valtr,
 )
-from .gibbs import DEFAULT_TRUNCATION, EnergyModel, GibbsParams, _law_key, _site_laws, sample_omega
+from .gibbs import DEFAULT_TRUNCATION, EnergyModel, GibbsParams, _check_draws, sample_omega
 from .lattice import ConvexPolyline
 from .shapes import (
     ShapeCurve,
-    curve_csv,
     hausdorff_distance,
     mixed_length,
     normalize,
@@ -52,7 +53,7 @@ from .shapes import (
     polylines_svg,
 )
 from .specialfn import c_of_ell, e_of_ell
-from .tolerances import GIBBS_DRAW_ENTRIES, GIBBS_ENTRY_BUDGET, TABLE_ROW_BUDGET
+from .tolerances import TABLE_ROW_BUDGET, check_budget
 
 __all__ = ["main", "build_parser"]
 
@@ -109,14 +110,7 @@ def _cmd_calibrate(args):
 def _cmd_sample_gibbs(args):
     _at_least("--count", args.count, 1)
     params = GibbsParams(EnergyModel.linear(args.beta1, args.beta2), args.fugacity, args.trunc)
-    # E[K] is the sum of the occupation probabilities q of the site set that
-    # the draws use; the covariance sums of `moments` would cost 0.28 s more
-    # at 4.9M sites
-    ek = float(_site_laws(*_law_key(params))[3].sum())
-    entries = args.count * (ek + GIBBS_DRAW_ENTRIES)
-    if entries > GIBBS_ENTRY_BUDGET:
-        raise UsageError(f"--count {args.count} draws need ~{entries:.2e} support entries, "
-                         f"over the budget {GIBBS_ENTRY_BUDGET:.2e}")
+    _check_draws(f"--count {args.count}", [(params, args.count)])
     echo = {"beta1": args.beta1, "beta2": args.beta2,
             "fugacity": args.fugacity, "truncation": args.trunc}
 
@@ -130,6 +124,7 @@ def _cmd_sample_gibbs(args):
 
 def _cmd_sample_valtr(args):
     _at_least("--count", args.count, 1)
+    _check_valtr(args.n, args.k, args.count)
 
     def draw(seed):
         poly = sample_valtr(args.n, args.k, seed=seed)
@@ -200,9 +195,7 @@ def _parse_grid(spec):
         raise UsageError(f"--ell-grid needs stop >= start and step > 0, got {spec!r}")
     span = (b - a) / step + 1e-9  # overflows to inf for a tiny step
     rows = math.floor(span) + 1 if math.isfinite(span) else math.inf
-    if rows > TABLE_ROW_BUDGET:  # counted before any row is built
-        raise UsageError(f"--ell-grid {spec!r} has {rows:,} rows, over the budget "
-                         f"{TABLE_ROW_BUDGET:,}")
+    check_budget(f"--ell-grid {spec!r}", rows, TABLE_ROW_BUDGET, "rows")
     return [a + i * step for i in range(rows)]
 
 
@@ -238,7 +231,9 @@ def _cmd_curve(args):
     if args.format == "svg":
         empty = normalize(np.zeros((1, 2)), (1.0, 1.0))
         return overlay_svg(empty, curve, args.mesh), True
-    return curve_csv(curve, args.mesh), True
+    pts = curve.sample(args.mesh)  # checks the mesh before the grid is built
+    t = np.linspace(0.0, 1.0, args.mesh + 1)
+    return _csv("t,x,y", np.column_stack([t, pts]), ".10g"), True
 
 
 def _cmd_suite(args):
@@ -421,9 +416,9 @@ def main(argv=None):
                 raise UsageError(f"cannot write {args.out or 'stdout'!r}: {exc}") from None
         except (UsageError, ValueError, KeyError, ResourceWarning, RuntimeError,
                 ArithmeticError) as exc:
-            # bad input, work over a budget, or numerics the input defeats
-            # (an exhausted rejection budget, a stalled quadrature, overflow);
-            # an infeasible or unbounded calibration is a failed check
+            # bad input, work refused over a budget, or numerics the input
+            # defeats (an exhausted rejection loop, a stalled quadrature,
+            # overflow); an infeasible or unbounded calibration is a failed check
             print(f"error: {exc}", file=sys.stderr)
             return 1 if isinstance(exc, CalibrationError) else 2
     for message in dict.fromkeys(str(w.message) for w in caught):

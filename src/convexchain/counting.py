@@ -42,7 +42,7 @@ from .lattice import (
     _slope_order,
     primitive_vectors_in_box,
 )
-from .tolerances import COUNT_OP_BUDGET
+from .tolerances import COUNT_OP_BUDGET, check_budget
 
 __all__ = [
     "CountTable",
@@ -92,13 +92,6 @@ def _dp_cost_estimate(n1: int, n2: int, kmax: int) -> int:
     the nonzero points (a, b) of the box, each once, and a shift updates
     (n1-a+1)(n2-b+1) cells a layer."""
     return kmax * ((n1 + 1) * (n1 + 2) * (n2 + 1) * (n2 + 2) // 4 - (n1 + 1) * (n2 + 1))
-
-
-def _check_budget(call: str, est: int) -> None:
-    if est > COUNT_OP_BUDGET:
-        raise ResourceWarning(
-            f"{call} needs ~{est:.2e} cell updates, over the budget {COUNT_OP_BUDGET:.2e}"
-        )
 
 
 def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.ndarray:
@@ -191,7 +184,8 @@ def count_lines_k(n1: int, n2: int, kmax: int) -> CountTable:
     if n1 < 1 or n2 < 1 or kmax < 1:
         raise ValueError("n1, n2, kmax must be >= 1")
     layers = min(kmax, n1 + n2)  # each vector adds at least 1 to a + b
-    _check_budget(f"count_lines_k({n1},{n2},{kmax})", _dp_cost_estimate(n1, n2, layers))
+    check_budget(f"count_lines_k({n1},{n2},{kmax})", _dp_cost_estimate(n1, n2, layers),
+                 COUNT_OP_BUDGET, "cell updates")
 
     flt = _count_sweep(n1, n2, layers, np.float64)
     adds = (n1 + 1) * (n2 + 1) - 1  # rounded additions per cell: one per shift m*v
@@ -289,7 +283,8 @@ def max_vertices(n1: int, n2: int) -> int:
     n1, n2 = _index(n1), _index(n2)
     if n1 < 1 or n2 < 1:
         raise ValueError("n1, n2 must be >= 1")
-    _check_budget(f"max_vertices({n1},{n2})", _dp_cost_estimate(n1, n2, 1))
+    check_budget(f"max_vertices({n1},{n2})", _dp_cost_estimate(n1, n2, 1),
+                 COUNT_OP_BUDGET, "cell updates")
     floor = -(n1 + n2 + 1)
     best = np.full((n1 + 1, n2 + 1), floor, dtype=np.min_scalar_type(floor))
     best[0, 0] = 0

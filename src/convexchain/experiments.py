@@ -27,6 +27,7 @@ from .gibbs import (
     DEFAULT_TRUNCATION,
     EnergyModel,
     GibbsParams,
+    _check_draws,
     _mean_euclidean_length,
     log_partition,
     moments,
@@ -35,7 +36,8 @@ from .gibbs import (
 from .lattice import _polyline, _slope_order, _turns, omega_to_polyline, primitive_vectors_in_box
 from .shapes import ShapeCurve, _check_mesh, hausdorff_distance, mixed_length, normalize
 from .specialfn import ZETA3, c_of_ell, e_of_ell
-from .tolerances import VALTR_EDGE_BUDGET, VALTR_WORK_BUDGET
+from .tolerances import (GIBBS_DRAW_ENTRIES, GIBBS_ENTRY_BUDGET, JARNIK_MESH_ENTRIES,
+                         VALTR_EDGE_BUDGET, VALTR_WORK_BUDGET, check_budget)
 
 __all__ = [
     "sample_valtr",
@@ -54,6 +56,33 @@ def _child_seed(seed, index):
     return int(np.random.SeedSequence([int(seed), int(index)]).generate_state(1)[0])
 
 
+def _check_valtr(n, k, count=1):
+    """Refuse `count` draws of `sample_valtr(n, k)` before the first: a
+    ValueError where no line exists, else `check_budget` on one draw's edges,
+    on the edges the draws take and on their lines, priced as Gibbs lines.
+
+    The k-1 ceiled abscissas are distinct and below n, and the floored
+    ordinates distinct and above 0, with probability
+    P = [(n-1)!/((n-k)! n^(k-1))]^2; parallel pairs only lower the
+    acceptance, so a draw takes k/P edges or more, a Decimal because P can
+    lie far past the float range (e^-199,986.6 at n = k = 1e5).
+    """
+    # imported here: with the package, decimal slowed the bench's `count` ~4%
+    from decimal import MAX_EMAX, Context, Decimal
+
+    if k < 2:
+        raise ValueError(f"need at least two edges, got k={k}")
+    if n < k:
+        raise ValueError(f"no strictly North-East line with {k} edges fits in n={n}")
+    what = f"sample_valtr(n={n}, k={k})"
+    check_budget(what, k, VALTR_EDGE_BUDGET, "edges")
+    log_p = 2.0 * (math.lgamma(n) - math.lgamma(n - k + 1) - (k - 1) * math.log(n))
+    edges = Decimal(math.log(k) - log_p).exp(Context(Emax=MAX_EMAX))
+    check_budget(f"{what} x {count:,}", count * edges, VALTR_WORK_BUDGET, "edges drawn")
+    check_budget(f"{what} x {count:,}", count * (k + GIBBS_DRAW_ENTRIES), GIBBS_ENTRY_BUDGET,
+                 "line entries")
+
+
 def sample_valtr(n, k, seed=0, rng=None):
     """One uniform strictly North-East convex line to (n, n) with k edges.
 
@@ -66,22 +95,7 @@ def sample_valtr(n, k, seed=0, rng=None):
     redrawn — conditioning on that event makes the reordered line exactly
     uniform on the strictly North-East k-edge lines.
     """
-    if k < 2:
-        raise ValueError(f"need at least two edges, got k={k}")
-    if n < k:
-        raise ValueError(f"no strictly North-East line with {k} edges fits in n={n}")
-    if k > VALTR_EDGE_BUDGET:
-        raise ResourceWarning(f"a draw of {k:,} edges is over the budget {VALTR_EDGE_BUDGET:,}")
-    # the k-1 ceiled abscissas are distinct and below n, and the floored
-    # ordinates distinct and above 0, with probability P below; parallel
-    # pairs only lower the acceptance, so a draw takes k/P edges or more
-    log_p = 2.0 * (math.lgamma(n) - math.lgamma(n - k + 1) - (k - 1) * math.log(n))
-    if math.log(k) - log_p > math.log(VALTR_WORK_BUDGET):
-        raise RuntimeError(
-            f"rejection budget: a line is accepted with probability at most "
-            f"10^{log_p / math.log(10):.1f} at n={n}, k={k}, so a draw takes 10^"
-            f"{math.log10(k) - log_p / math.log(10):.1f} edges or more, over the budget "
-            f"{VALTR_WORK_BUDGET:.1e}")
+    _check_valtr(n, k)
     if k**3 >= n:
         warnings.warn(
             f"k^3 = {k**3} >= n = {n}: outside the few-vertex regime; "
@@ -135,6 +149,9 @@ def _distances(lines, curve, mesh):
     return dists
 
 
+_GREEDY_BOX = 1 << 12  # the largest box side the greedy sweep enumerates
+
+
 def jarnik_greedy_vertex_count(length_budget):
     """Maximal vertex count of a line of total length <= budget, greedily.
 
@@ -142,10 +159,14 @@ def jarnik_greedy_vertex_count(length_budget):
     lexicographically so the count is deterministic.  Only the directions of
     norm <= box are complete in a box, so only those are used, and the box
     doubles when they run out; it stops at 4096 per side, below the
-    primitive-vector grid budget.
+    primitive-vector grid budget.  The directions of norm <= r have total
+    length about r^3/pi, so a budget that needs norms past that box is
+    refused up front, as is a budget that is not positive and finite.
     """
-    if length_budget <= 0:
-        raise ValueError("length budget must be positive")
+    if not 0 < length_budget < math.inf:
+        raise ValueError(f"length budget must be positive and finite, got {length_budget}")
+    check_budget(f"a greedy line of length {length_budget:.3g}",
+                 (math.pi * length_budget) ** (1.0 / 3.0), _GREEDY_BOX, "of direction norm")
     box = 32
     while True:
         prims = [(p, q) for p, q in primitive_vectors_in_box(box, box) if p * p + q * q <= box**2]
@@ -160,7 +181,7 @@ def jarnik_greedy_vertex_count(length_budget):
             count += 1
         # ran out of directions before the budget: enlarge the catalogue
         box *= 2
-        if box > 1 << 12:
+        if box > _GREEDY_BOX:
             raise RuntimeError("length budget too large for the greedy sweep")
 
 
@@ -178,6 +199,8 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
         raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
     _check_mesh(mesh, 100)
     params = GibbsParams(EnergyModel.euclidean(beta), fugacity, truncation)
+    _check_draws(f"run_jarnik({beta}, samples={samples})", [(params, samples)],
+                 JARNIK_MESH_ENTRIES * mesh)
     rep = moments(params)
     lines = _gibbs_lines(params, samples, seed)
     dists = _distances(lines, ShapeCurve.circle(), mesh)
@@ -328,13 +351,17 @@ def _suite_shapes(config):
 def _suite_jarnik(config):
     seed = int(config.get("seed", 0))
     samples = int(config.get("samples", 100))
-    rows = list(run_jarnik(0.05, samples=samples, seed=seed)["rows"])
-    # the coarse and fine runs only contribute their median circle distance
+    mesh = 1000
+    sets = {beta: GibbsParams(EnergyModel.euclidean(beta)) for beta in (0.05, 0.1, 0.02)}
+    _check_draws(f"the jarnik suite with samples={samples}",
+                 [(p, samples) for p in sets.values()], JARNIK_MESH_ENTRIES * mesh)
+    # the coarse and fine runs only contribute their median circle distance;
+    # they draw first, while the pricing's last two site sets are cached
     med_hi, med_lo = (
-        float(np.median(_distances(
-            _gibbs_lines(GibbsParams(EnergyModel.euclidean(beta)), samples, seed),
-            ShapeCurve.circle(), 1000)))
+        float(np.median(_distances(_gibbs_lines(sets[beta], samples, seed),
+                                   ShapeCurve.circle(), mesh)))
         for beta in (0.1, 0.02))
+    rows = list(run_jarnik(0.05, samples=samples, seed=seed, mesh=mesh)["rows"])
     rows.append(_row("circle distance shrinks with beta", 1.0,
                      med_lo / med_hi, 0.0, med_lo < med_hi))
     return rows

@@ -26,11 +26,12 @@ import json
 import math
 import operator
 import types
+from collections.abc import Sized
 from itertools import chain
 
 import numpy as np
 
-from .tolerances import SITE_BUDGET
+from .tolerances import SITE_BUDGET, check_budget
 
 __all__ = [
     "slope_sorted",
@@ -44,24 +45,28 @@ Vec = tuple[int, int]
 
 
 def _int_rows(rows, width=2) -> np.ndarray:
-    """The first `width` integers of each row as an exact (n, width) array:
+    """The rows, each of `width` integers, as an exact (n, width) array:
     int64 while each column's absolute sum is below 2^62, so that every
     difference and partial sum of rows fits, and Python ints (dtype object)
     past that.  An (n, width) int64 array that passes that test is returned
-    as it is.  A value that `operator.index` refuses (a float, a string,
-    None) raises ValueError, the first one in input order."""
+    as it is.  The first row in input order that is not `width` values
+    long, and then the first value that `operator.index` refuses (a float,
+    a string, None), raises ValueError."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (width,):
         if np.abs(rows, dtype=float).sum(axis=0).max() < 2.0**62:
             return rows
         return rows.astype(object)
     rows = tuple(rows)
-    # past int64, not integers, or other lengths: the exact path decides
+    for i, r in enumerate(rows):
+        if not isinstance(r, Sized) or len(r) != width:
+            raise ValueError(f"row {i} is {r!r}, not {width} values")
+    # past int64 or not integers: the exact path decides
     with contextlib.suppress(OverflowError, TypeError, ValueError):
         xy = np.fromiter(map(operator.index, chain.from_iterable(rows)), np.int64)
         xy = xy.reshape(-1, width)
-        if len(xy) == len(rows) and np.abs(xy, dtype=float).sum(axis=0).max() < 2.0**62:
+        if np.abs(xy, dtype=float).sum(axis=0).max() < 2.0**62:
             return xy
-    exact = [[_index(r[j]) for j in range(width)] for r in rows]
+    exact = [[_index(v) for v in r] for r in rows]
     return np.array(exact, dtype=object).reshape(-1, width)
 
 
@@ -133,15 +138,11 @@ def _primitive_grid(n1: int, n2: int, width=None):
     p | x1 and p | x2; on the axes only (1, 0) and (0, 1) stay.  With
     `width`, the block that starts at row x0 covers only the columns
     x2 < width(x0), for a caller that keeps nothing past them in that row or
-    any later one.  A grid over SITE_BUDGET cells is refused with
-    `ResourceWarning` before any row is built.
+    any later one.  A grid over SITE_BUDGET cells is refused by
+    `check_budget` before any row is built.
     """
-    cells = (n1 + 1) * (n2 + 1)
-    if cells > SITE_BUDGET:
-        raise ResourceWarning(
-            f"a {n1 + 1}x{n2 + 1} primitive-vector grid ({cells:.2e} cells) "
-            f"is over the budget {SITE_BUDGET:.2e}"
-        )
+    check_budget(f"a {n1 + 1}x{n2 + 1} primitive-vector grid", (n1 + 1) * (n2 + 1),
+                 SITE_BUDGET, "cells")
     primes = _primes(min(n1, n2)).tolist()
     x0 = 0
     while x0 <= n1:

@@ -6,7 +6,7 @@ to (1,1) (the length-constrained limit), and the one-parameter mixed family
 that interpolates between them when both constraints are active.  On top of
 those: the curve length L of the mixed family, normalization of lattice
 lines into the unit square, a symmetric Hausdorff distance between a
-polyline and a curve, and small CSV/SVG emitters for inspection.
+polyline and a curve, and small SVG emitters for inspection.
 
 Each curve has one evaluator, `_points`, behind both `ShapeCurve.point` and
 `ShapeCurve.sample`, so a point and the mesh agree to the bit.  The
@@ -25,8 +25,8 @@ lattice chain or a catalogue curve) the window narrows to x and y within
 the same distance.  The windows are exact, not heuristic: every point that
 could be nearer is compared, with the same dx*dx + dy*dy as an all-pairs
 search, so the distance is that search's to the bit.  A mesh over
-MESH_BUDGET and a search over PAIR_BUDGET pairs are refused with
-`ResourceWarning` before the work.
+MESH_BUDGET and a search over PAIR_BUDGET pairs are refused by
+`check_budget` before the work.
 """
 
 import math
@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import ConvexPolyline
-from .tolerances import CURVE_QUAD_TOL, MESH_BUDGET, PAIR_BUDGET
+from .tolerances import CURVE_QUAD_TOL, MESH_BUDGET, PAIR_BUDGET, check_budget
 
 __all__ = [
     "CURVE_QUAD_TOL",
@@ -44,7 +44,6 @@ __all__ = [
     "mixed_length",
     "normalize",
     "hausdorff_distance",
-    "curve_csv",
     "overlay_svg",
     "polylines_svg",
 ]
@@ -217,8 +216,7 @@ def _curve_mesh(curve, mesh):
 def _check_mesh(mesh, least):
     if mesh < least:
         raise ValueError(f"mesh must be at least {least}, got {mesh!r}")
-    if mesh > MESH_BUDGET:
-        raise ResourceWarning(f"a mesh of {mesh:,} points is over the budget {MESH_BUDGET:,}")
+    check_budget("a mesh", mesh, MESH_BUDGET, "points")
 
 
 def normalize(line, scale):
@@ -302,9 +300,7 @@ def _max_nearest_sq(query, points):
                                        np.searchsorted(py, qy + r, "right")))
     size = np.maximum(hi - lo, 0)
     end = np.cumsum(size)
-    if end[-1] > PAIR_BUDGET:
-        raise ResourceWarning(f"the nearest-point search needs {end[-1]:.2e} pairs, "
-                              f"over the budget {PAIR_BUDGET:.2e}")
+    check_budget("the nearest-point search", int(end[-1]), PAIR_BUDGET, "pairs")
     for c0 in range(0, int(end[-1]), _PAIR_BLOCK):
         c1 = min(c0 + _PAIR_BLOCK, int(end[-1]))
         # the queries whose pairs meet [c0, c1), each clipped to it
@@ -367,16 +363,6 @@ def hausdorff_distance(line, curve, mesh=1000):
         raise ValueError(f"the distance is not finite ({d}): the points are too far "
                          "apart for float arithmetic")
     return d
-
-
-def curve_csv(curve, mesh=200):
-    """CSV text of (t, x, y) samples of a curve."""
-    pts = curve.sample(mesh)
-    t = np.linspace(0.0, 1.0, mesh + 1)
-    lines = ["t,x,y"]
-    lines.extend(
-        f"{ti:.10g},{x:.10g},{y:.10g}" for ti, (x, y) in zip(t, pts))
-    return "\n".join(lines) + "\n"
 
 
 def polylines_svg(polylines):

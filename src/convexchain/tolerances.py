@@ -1,4 +1,18 @@
-"""Named numerical tolerances, in one place so tests and library agree."""
+"""Named numerical tolerances and budgets, in one place so tests and library
+agree, and `check_budget`, the one rule by which every budget refuses."""
+
+import numbers
+
+
+def check_budget(what, need, budget, unit):
+    """When `need` is over `budget`, refuse before any work with ResourceWarning
+    "<what> needs ~<need> <unit>, over the budget <budget>" (a RuntimeError
+    means a run gave up), integers exact and other numbers to 3 digits."""
+    if need > budget:
+        need, budget = (f"{x:,}" if isinstance(x, numbers.Integral) else f"{x:.3g}"
+                        for x in (need, budget))
+        raise ResourceWarning(f"{what} needs ~{need} {unit}, over the budget {budget}")
+
 
 # special functions
 POLYLOG_SERIES_TOL = 1e-13    # series tail bound for Li_s
@@ -18,7 +32,10 @@ PAIR_BUDGET = 1_500_000_000
 VALTR_EDGE_BUDGET = 4_000_000
 # Valtr edges drawn before an acceptance is expected, k/P with P the
 # acceptance of the positivity step: a rejected draw takes 33-72 ns per edge
-# (k = 1e4 to 1e6), so ~30-60 s at the cap.
+# (k = 1e4 to 1e6), so ~30-60 s at the cap.  `sample-valtr --count` prices
+# its draws' edges here and their lines in GIBBS_ENTRY_BUDGET, as Gibbs
+# lines: at that cap 111,000 draws at k = 20 took 35 s, and 99 at k = 2e5
+# took 70 s and 1.4 GB.
 VALTR_WORK_BUDGET = 800_000_000
 
 # Gibbs / counting
@@ -39,6 +56,12 @@ COUNT_OP_BUDGET = 20_000_000_000
 # (3,900 draws at E[K] = 6,080 over 4.9M sites), so the ~1 minute rule.
 GIBBS_ENTRY_BUDGET = 20_000_000
 GIBBS_DRAW_ENTRIES = 160
+# `jarnik` and `suite --name jarnik` draws, priced in the same entries, add
+# a circle distance at --mesh per draw: 0.8-1.4 ms at mesh 1000 (beta 0.05
+# to 0.1), so 0.8 entry per mesh point.  Runs at the budget took 40 s and
+# 319 MB (`jarnik`, 14,800 samples) and 33 s and 426 MB (the suite, 3,470);
+# coarse lines search wider windows, and `jarnik --beta 0.5` took 94 s.
+JARNIK_MESH_ENTRIES = 0.8
 # `asymptotics-table` guard, in --ell-grid rows: one c and one e take 0.02-0.10
 # ms on a 2-core x86 host (ell = 1e-3, 100, 2.5), and a whole row with its
 # output takes 0.15-0.18 ms where rows are slowest (ell in [2, 3]), so the

@@ -22,7 +22,11 @@ def slope_sorted_exact(vectors):
 def check_polyline(vertices):
     """`ConvexPolyline`'s validation one edge at a time in Python ints: the
     vertices as a tuple of int pairs, or the ValueError of the first bad
-    edge, its quadrant step checked before its slope."""
+    edge, its quadrant step checked before its slope; a row that is not a
+    pair is refused first."""
+    for i, p in enumerate(vertices):
+        if len(p) != 2:
+            raise ValueError(f"row {i} is {p!r}, not 2 values")
     verts = tuple((int(p[0]), int(p[1])) for p in vertices)
     if not verts:
         raise ValueError("polyline needs at least the origin vertex")

@@ -120,7 +120,7 @@ def test_over_budget_is_resource_error(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ["sample-valtr", "--n", "30", "--k", "25"],  # rejection budget exhausted
+    ["sample-valtr", "--n", "30", "--k", "25"],  # refused by its acceptance bound
     ["shape-distance", "--line", "/nonexistent/line.json"],
 ])
 def test_library_failure_is_one_error_line(capsys, argv):
@@ -204,9 +204,10 @@ _EXACT = ["calibrate", "--n1", "300", "--n2", "300", "--k", "34", "--exact"]
     (["asymptotics-table", "--ell-grid", "0.5:inf:1"], "--ell-grid"),
     # and inputs refused before any work: a grid over the row budget, counted
     # before it is built, and a scale component that is not a number
-    (["asymptotics-table", "--ell-grid", "0.5:1:1e-6"], "--ell-grid '0.5:1:1e-6' has 500,001"),
+    (["asymptotics-table", "--ell-grid", "0.5:1:1e-6"],
+     "--ell-grid '0.5:1:1e-6' needs ~500,001 rows"),
     (["asymptotics-table", "--ell-grid", "0:1e9:1e-9"],
-     "--ell-grid '0:1e9:1e-9' has 1,000,000,000,000,000,001"),
+     "--ell-grid '0:1e9:1e-9' needs ~1,000,000,000,000,000,001 rows"),
     (["shape-distance", "--scale", "a,1"], "--scale component 'a'"),
     (["shape-distance", "--scale", "1,b"], "--scale component 'b'"),
     # a scale that leaves the points finite but their distances not
@@ -265,9 +266,11 @@ def test_library_warning_is_one_line_or_dropped():
     assert ok.returncode == 0 and ok.stdout
     assert ok.stderr.startswith("warning: k^3 = 125 >= n = 100")
     assert len(ok.stderr.splitlines()) == 1
+    # refused before the regime warning, so only the error line is left
     failed = _cli_subprocess(["sample-valtr", "--n", "30", "--k", "25"])
     assert failed.returncode == 2 and failed.stdout == ""
-    assert failed.stderr.startswith("error: rejection budget")
+    assert failed.stderr.startswith("error: sample_valtr(n=30, k=25) x 1 needs ~3.67e+14 edges "
+                                    "drawn, over the budget 800,000,000")
     assert len(failed.stderr.splitlines()) == 1
 
 
@@ -276,8 +279,9 @@ def test_hopeless_valtr_draw_is_refused_at_once():
     # rejection loop would take about a minute
     done = _cli_subprocess(["sample-valtr", "--n", "100000", "--k", "100000"], timeout=20)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("error: rejection budget: a line is accepted")
-    assert len(done.stderr.splitlines()) == 1
+    # k/P = e^199,998 past the float range is printed as itself, not clamped
+    assert done.stderr == ("error: sample_valtr(n=100000, k=100000) x 1 needs ~1.25e+86858 "
+                           "edges drawn, over the budget 800,000,000\n")
 
 
 def test_hopeless_gibbs_count_is_refused_at_once():
@@ -286,8 +290,21 @@ def test_hopeless_gibbs_count_is_refused_at_once():
     done = _cli_subprocess(["sample-gibbs", "--beta1", "0.5", "--beta2", "0.5",
                             "--count", "100000000"], timeout=20)
     assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.startswith("error: --count 100000000 draws need")
-    assert "over the budget" in done.stderr and len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: --count 100000000 needs ~1.63e+10 support entries, "
+                                  "over the budget 20,000,000")
+    assert len(done.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["jarnik", "--samples", "100000000"],  # ~57 hours of draws at beta 0.05
+    ["suite", "--name", "jarnik", "--samples", "100000000"],  # three betas priced at once
+    ["sample-valtr", "--n", "10000", "--k", "20", "--count", "100000000"],  # ~5.5 hours
+])
+def test_hopeless_draw_counts_are_refused_at_once(argv):
+    done = _cli_subprocess(argv, timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and ", over the budget " in done.stderr
+    assert len(done.stderr.splitlines()) == 1
 
 
 _SMALL_INT = st.integers(-2, 6)
@@ -355,9 +372,15 @@ _OVERSIZE = {
     "shape-distance": st.tuples(st.just("--line"), st.just("-"), st.sampled_from(
         [("--mesh", 10**11), ("--mesh", 10**15), ("--scale", "1e-300,1"),
          ("--scale", "1,1e-300")])).map(lambda a: (*a[:2], *a[2])),
-    "jarnik": st.tuples(st.just("--samples"), st.just(2), st.just("--mesh"), _HUGE),
-    "sample-valtr": st.tuples(st.just("--n"), st.sampled_from([10**13, 10**14]),
-                              st.just("--k"), st.just(10**13)),
+    "jarnik": st.one_of(st.tuples(st.just("--samples"), st.just(2), st.just("--mesh"), _HUGE),
+                        st.tuples(st.just("--samples"), st.sampled_from([10**8, 10**15]))),
+    "suite": st.tuples(st.just("--name"), st.just("jarnik"), st.just("--samples"),
+                       st.sampled_from([10**8, 10**15])),
+    "sample-valtr": st.one_of(
+        st.tuples(st.just("--n"), st.sampled_from([10**13, 10**14]),
+                  st.just("--k"), st.just(10**13)),
+        st.tuples(st.just("--n"), st.just(10**4), st.just("--k"), st.just(20),
+                  st.just("--count"), st.sampled_from([10**8, 10**15]))),
     # ~8 hours of draws at E[K] = 3.2, predicted before the first
     "sample-gibbs": st.tuples(st.just("--beta1"), st.just(0.5), st.just("--beta2"), st.just(0.5),
                               st.just("--count"), st.sampled_from([10**8, 10**15])),
@@ -631,9 +654,13 @@ def test_shape_distance_malformed_line_is_usage_error(tmp_path, capsys, text):
 
 
 def test_curve_csv_and_svg(capsys):
-    rc, out, _ = run(capsys, ["curve", "--curve", "circle", "--mesh", "120"])
+    rc, out, _ = run(capsys, ["curve", "--curve", "circle", "--mesh", "10"])
     assert rc == 0
-    assert out.splitlines()[0] == "t,x,y"
+    lines = out.splitlines()
+    assert lines[0] == "t,x,y" and len(lines) == 12
+    last = lines[-1].split(",")
+    assert float(last[0]) == 1.0
+    assert float(last[1]) == pytest.approx(1.0, abs=1e-9)
     rc, out, _ = run(capsys, ["curve", "--format", "svg", "--mesh", "120"])
     assert rc == 0
     assert out.startswith("<svg")

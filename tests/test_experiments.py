@@ -96,12 +96,14 @@ def test_valtr_refuses_a_hopeless_draw_before_drawing(monkeypatch):
         def uniform(self, size):
             raise AssertionError("drew uniforms")
 
-    # P = [(n-1)!/((n-k)! n^(k-1))]^2 is e^-199986.6 = 10^-86853.1 at n = k = 1e5
-    with pytest.raises(RuntimeError, match=r"probability at most 10\^-86853\.1 "):
+    # P = [(n-1)!/((n-k)! n^(k-1))]^2 is e^-199986.6 = 10^-86853.1 at n = k = 1e5,
+    # so k/P = 10^86858.098 = 1.25e+86858, past the float range
+    with pytest.raises(ResourceWarning, match=r"needs ~1\.25e\+86858 edges drawn, over the budget"):
         sample_valtr(10**5, 10**5, rng=NoDraws())
     # at (6, 5), P = (5!/6^4)^2 and a draw takes k/P = 583.2 edges
     monkeypatch.setattr(experiments, "VALTR_WORK_BUDGET", 583)
-    with pytest.raises(RuntimeError, match="10\\^2.8 edges or more, over the budget 5.8e"):
+    with pytest.raises(ResourceWarning, match=r"^sample_valtr\(n=6, k=5\) x 1 needs ~583 edges "
+                                              r"drawn, over the budget 583$"):
         sample_valtr(6, 5, rng=NoDraws())
     monkeypatch.setattr(experiments, "VALTR_WORK_BUDGET", 584)
     with pytest.warns(UserWarning), pytest.raises(AssertionError, match="drew uniforms"):

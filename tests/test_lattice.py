@@ -232,7 +232,7 @@ def _vertex_lists(draw):
 @example([(0, 0), (2**31, 1), (2**32, 2)])  # parallel past 2^31
 @example([(0, 0), (2**64, 1), (2**64, 2**64)])
 @example([(0, 0), (3 * 2**61, 1), (-(2**62), 2)])  # a step of -5 * 2^61
-@example([(0, 0, 5), (1, 1, 9)])  # only the first two coordinates count
+@example([(0, 0, 5), (1, 1, 9)])  # a row of three values
 def test_polyline_validation_matches_the_oracle(verts):
     try:
         want = check_polyline(verts)
@@ -331,6 +331,22 @@ def test_validation_matches_the_per_entry_oracle(support):
 ])
 def test_non_integer_input_is_refused(build, first):
     with pytest.raises(ValueError, match=rf"^{re.escape(first)} is not an integer$"):
+        build()
+
+
+@pytest.mark.parametrize("build,first", [
+    # the flattened values once re-paired into the line to (5, 7)
+    (lambda: ConvexPolyline([(0, 0, 5), (7,)]), "row 0 is (0, 0, 5)"),
+    (lambda: ConvexPolyline([(0, 0), (1, 2, 3)]), "row 1 is (1, 2, 3)"),  # the 3 was dropped
+    (lambda: ConvexPolyline([(0, 0, 1, 2), (4,)]), "row 0 is (0, 0, 1, 2)"),  # an IndexError
+    (lambda: ConvexPolyline([(0, 0), (2**70, 1, 1)]), "row 1 is (1180591620717411303424, 1, 1)"),
+    (lambda: ConvexPolyline([(0, 0), 5]), "row 1 is 5"),
+    (lambda: ConvexPolyline(np.zeros((2, 3), dtype=np.int64)), "row 0 is array([0, 0, 0])"),
+    (lambda: MultiplicityDistribution(np.array([[1, 0, 1]]), np.array([1])),
+     "row 0 is array([1, 0, 1, 1])"),
+])
+def test_rows_of_another_length_are_refused(build, first):
+    with pytest.raises(ValueError, match=rf"^{re.escape(first)}, not [23] values$"):
         build()
 
 
