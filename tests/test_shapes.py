@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexchain import shapes
+from convexchain.cli import main
 from convexchain.lattice import ConvexPolyline
 from convexchain.shapes import (
     ShapeCurve,
@@ -272,6 +273,17 @@ def test_hausdorff_matches_brute_force(line, curve, chain, monotone_curve, apart
     # pair blocks of 3 split windows across blocks
     with mock.patch.object(shapes, "_PAIR_BLOCK", 3):
         assert hausdorff_distance(line, curve, mesh=100) == expect
+
+
+def test_csv_emitter_shape(capsys):
+    # the CSV of a curve's samples is emitted by the `curve` command
+    assert main(["curve", "--curve", "circle", "--mesh", "10"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "t,x,y"
+    assert len(lines) == 12
+    last = lines[-1].split(",")
+    assert float(last[0]) == 1.0
+    assert float(last[1]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_svg_emitter_deterministic():
