@@ -64,12 +64,11 @@ def _check_valtr(n, k, count=1):
     The k-1 ceiled abscissas are distinct and below n, and the floored
     ordinates distinct and above 0, with probability
     P = [(n-1)!/((n-k)! n^(k-1))]^2; parallel pairs only lower the
-    acceptance, so a draw takes k/P edges or more, a Decimal because P can
-    lie far past the float range (e^-199,986.6 at n = k = 1e5).
+    acceptance, so a draw takes k/P edges or more.  count*k/P is compared
+    in float logs, and only within a factor 2 of the budget or past it is it
+    taken as a Decimal, which keeps the refusal's number where P lies far
+    past the float range (e^-199,986.6 at n = k = 1e5).
     """
-    # imported here: with the package, decimal slowed the bench's `count` ~4%
-    from decimal import MAX_EMAX, Context, Decimal
-
     if k < 2:
         raise ValueError(f"need at least two edges, got k={k}")
     if n < k:
@@ -77,8 +76,13 @@ def _check_valtr(n, k, count=1):
     what = f"sample_valtr(n={n}, k={k})"
     check_budget(what, k, VALTR_EDGE_BUDGET, "edges")
     log_p = 2.0 * (math.lgamma(n) - math.lgamma(n - k + 1) - (k - 1) * math.log(n))
-    edges = Decimal(math.log(k) - log_p).exp(Context(Emax=MAX_EMAX))
-    check_budget(f"{what} x {count:,}", count * edges, VALTR_WORK_BUDGET, "edges drawn")
+    log_edges = math.log(k) - log_p
+    if not math.log(count) + log_edges < math.log(0.5 * VALTR_WORK_BUDGET):
+        # imported here: with the package, decimal slowed the bench's `count` ~4%
+        from decimal import MAX_EMAX, Context, Decimal
+
+        edges = Decimal(log_edges).exp(Context(Emax=MAX_EMAX))
+        check_budget(f"{what} x {count:,}", count * edges, VALTR_WORK_BUDGET, "edges drawn")
     check_budget(f"{what} x {count:,}", count * (k + GIBBS_DRAW_ENTRIES), GIBBS_ENTRY_BUDGET,
                  "line entries")
 

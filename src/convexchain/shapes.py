@@ -17,16 +17,22 @@ constructed mixed curve verifies eval(1) = (1,1) numerically — if that check
 ever fires, the formulas were transcribed inconsistently and the error is
 raised rather than patched.
 
-The Hausdorff distance needs, for every point of one side, its nearest point
-on the other.  Each side is sorted once by s = x + y, and since
-|s_p - s_q| <= sqrt(2)*|p - q|, a point nearer to q than q's neighbours in
-s order lies in one window of that order; on a side monotone in x and y (a
-lattice chain or a catalogue curve) the window narrows to x and y within
-the same distance.  The windows are exact, not heuristic: every point that
-could be nearer is compared, with the same dx*dx + dy*dy as an all-pairs
-search, so the distance is that search's to the bit.  A mesh over
-MESH_BUDGET and a search over PAIR_BUDGET pairs are refused by
-`check_budget` before the work.
+The Hausdorff distance needs the largest distance from a point of one side
+to its nearest point on the other.  Each side is sorted once by s = x + y,
+and since |s_p - s_q| <= sqrt(2)*|p - q|, a point nearer to q than a bound
+lies in one window of that order; on a side monotone in x and y (a lattice
+chain or a catalogue curve) the window narrows to x and y within the same
+distance.  The windows are exact, not heuristic: every point that could be
+nearer is compared, with the same dx*dx + dy*dy as an all-pairs search.
+Most points need no window at all (the early break of Taha and Hanbury,
+IEEE TPAMI 37(11), 2015): the distance from q to its neighbours in s order
+bounds q's nearest distance from above, the nearest distances of a few
+points bound the largest from below, and a point whose upper bound is not
+above that lower bound cannot be the largest, so it is skipped.  The
+largest is one of the computed squared distances either way, so the
+distance is the all-pairs search's to the bit.  A mesh over MESH_BUDGET
+and a search phase over PAIR_BUDGET pairs are refused by `check_budget`
+before the work.
 """
 
 import math
@@ -50,9 +56,11 @@ __all__ = [
 
 _QUARTER_PI = math.pi / 4.0
 _SQRT2 = math.sqrt(2.0)
-# pairs of points that `_max_nearest_sq` compares at once, which bounds its
+# pairs of points that `_window_min` compares at once, which bounds its
 # memory (a few MB) for any point sets
 _PAIR_BLOCK = 1 << 17
+# queries that `_max_nearest_sq` searches first, for a lower bound on the rest
+_SEED = 16
 _MIXED_DOMAIN_EDGE = -1.0 / math.sqrt(2.0)
 # coordinates below this in magnitude keep dx*dx + dy*dy finite
 _SAFE = math.sqrt(np.finfo(float).max / 8.0)
@@ -276,21 +284,51 @@ def _by_s(pts):
 def _max_nearest_sq(query, points):
     """Max over the query points of the squared distance to the nearest of
     `points` (both `_by_s` tuples), bit for bit the all-pairs value of
-    dx*dx + dy*dy, by the windows of the module docstring.
+    dx*dx + dy*dy, in three phases of `_window_min` searches.
 
-    d0 is the distance from q to its neighbours in s order; the window holds
-    s within sqrt(2)*d0 of s_q and, on monotone points, x and y within d0,
-    each bound padded for the rounding of the sums it compares.  The
-    windows' pairs are compared _PAIR_BLOCK at a time, after their count is
-    checked against PAIR_BUDGET.
+    d0, the squared distance from q to its neighbours in s order, bounds
+    q's nearest squared distance from above.  Phase 1 searches the _SEED
+    queries of largest d0 exactly, within sqrt(d0); the max cmax of their
+    nearest bounds the result from below.  A query with d0 <= cmax has a
+    point that near, so it cannot raise the max and is never searched.
+    Phase 2 searches each other query within sqrt(cmax), starting from no
+    point at all: one found at squared distance <= cmax settles the query
+    the same way.  Phase 3 searches the queries left within sqrt(d0).  Every
+    radius is padded for the rounding of the sums it is compared with.
     """
     qx, qy, qs, _ = query
-    px, py, ps, monotone = points
+    px, py, ps, _ = points
     k = np.searchsorted(ps, qs)
-    best = np.minimum(_sq_dist(qx, qy, px, py, np.maximum(k - 1, 0)),
-                      _sq_dist(qx, qy, px, py, np.minimum(k, len(ps) - 1)))
+    d0 = np.minimum(_sq_dist(qx, qy, px, py, np.maximum(k - 1, 0)),
+                    _sq_dist(qx, qy, px, py, np.minimum(k, len(ps) - 1)))
     top = max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max())
-    r = np.sqrt(best) * (1.0 + 1e-12) + 8.0 * np.finfo(float).eps * top
+    pad = 8.0 * np.finfo(float).eps * top
+
+    def within(i, bound):
+        # the least squared distance from each query i to the points within sqrt(bound)
+        r = np.sqrt(bound) * (1.0 + 1e-12) + pad
+        return _window_min(qx[i], qy[i], qs[i], points, r)
+
+    m = min(_SEED, len(d0))
+    seed = np.argpartition(d0, -m)[-m:]
+    cmax = np.minimum(d0[seed], within(seed, d0[seed])).max()
+    left = d0 > cmax
+    left[seed] = False
+    rest = np.flatnonzero(left)
+    if rest.size:
+        rest = rest[within(rest, cmax) > cmax]
+    if rest.size:
+        cmax = max(cmax, np.minimum(d0[rest], within(rest, d0[rest])).max())
+    return cmax
+
+
+def _window_min(qx, qy, qs, points, r):
+    """The least squared distance from each query (qx, qy), s = qs, to the
+    points (a `_by_s` tuple) in its window of radius r, inf where there are
+    none: s within sqrt(2)*r of qs and, on monotone points, x and y within
+    r.  The pairs are checked against PAIR_BUDGET before any is compared,
+    then compared _PAIR_BLOCK at a time."""
+    px, py, ps, monotone = points
     lo = np.searchsorted(ps, qs - _SQRT2 * r, "left")
     hi = np.searchsorted(ps, qs + _SQRT2 * r, "right")
     if monotone:
@@ -300,9 +338,11 @@ def _max_nearest_sq(query, points):
                                        np.searchsorted(py, qy + r, "right")))
     size = np.maximum(hi - lo, 0)
     end = np.cumsum(size)
-    check_budget("the nearest-point search", int(end[-1]), PAIR_BUDGET, "pairs")
-    for c0 in range(0, int(end[-1]), _PAIR_BLOCK):
-        c1 = min(c0 + _PAIR_BLOCK, int(end[-1]))
+    pairs = int(end[-1])
+    check_budget("the nearest-point search", pairs, PAIR_BUDGET, "pairs")
+    best = np.full(len(qx), np.inf)
+    for c0 in range(0, pairs, _PAIR_BLOCK):
+        c1 = min(c0 + _PAIR_BLOCK, pairs)
         # the queries whose pairs meet [c0, c1), each clipped to it
         i0 = int(np.searchsorted(end, c0, "right"))
         i1 = int(np.searchsorted(end, c1, "left")) + 1
@@ -314,7 +354,7 @@ def _max_nearest_sq(query, points):
         seg = np.minimum.reduceat(d2, (np.cumsum(n) - n)[met])
         idx = np.arange(i0, i1)[met]
         best[idx] = np.minimum(best[idx], seg)
-    return best.max()
+    return best
 
 
 def _overflows(pts, curve_pts):

@@ -24,9 +24,12 @@ CURVE_QUAD_TOL = 1e-10
 # cell takes 10-19 us (lambda_ell -0.7 to 100), so 30-60 s at the cap; a
 # 3e6-point `curve` CSV peaks ~0.6 GB over the import.
 MESH_BUDGET = 3_000_000
-# Pairs of one `_max_nearest_sq` search, ~21 ns each: the two searches of a
-# distance take ~1 minute at the cap.  A chain near the curve needs ~4e4
-# pairs at mesh 1000; one away from it grows with mesh^2.
+# Pairs of one phase of a nearest-point search (`shapes._window_min`), ~19
+# ns each, so ~30 s for a phase at the cap.  A chain near the curve needs
+# ~1,600 pairs per distance at mesh 1000 (280 linear, Euclidean, mixed and
+# Valtr lines; one window per point took ~16,000); one away from it still
+# grows about with mesh^2: a beta = 0.5 Euclidean line against the circle
+# needs ~1.2e6 pairs at mesh 1e4 and ~1.8e8 at mesh 1e5.
 PAIR_BUDGET = 1_500_000_000
 # Valtr edges k: one draw peaks at 420-440 bytes per edge, so ~1.8 GB.
 VALTR_EDGE_BUDGET = 4_000_000
@@ -57,10 +60,12 @@ COUNT_OP_BUDGET = 20_000_000_000
 GIBBS_ENTRY_BUDGET = 20_000_000
 GIBBS_DRAW_ENTRIES = 160
 # `jarnik` and `suite --name jarnik` draws, priced in the same entries, add
-# a circle distance at --mesh per draw: 0.8-1.4 ms at mesh 1000 (beta 0.05
-# to 0.1), so 0.8 entry per mesh point.  Runs at the budget took 40 s and
-# 319 MB (`jarnik`, 14,800 samples) and 33 s and 426 MB (the suite, 3,470);
-# coarse lines search wider windows, and `jarnik --beta 0.5` took 94 s.
+# a circle distance at --mesh per draw: 0.7-1.0 ms at mesh 1000 (beta 0.05
+# to 0.5), under the ~1.9 ms of 0.8 entry per mesh point.  Runs at the
+# budget took 26 s and 318 MB (`jarnik`, 14,800 samples), 20 s and 471 MB
+# (the suite, 3,470) and 29 s (`jarnik --beta 0.5`, 20,700).  A coarse
+# line's pairs grow about with mesh^2, which this linear term misses: a beta
+# = 0.5 line takes 4-5 s at mesh 1e5, priced as ~0.2 s.
 JARNIK_MESH_ENTRIES = 0.8
 # `asymptotics-table` guard, in --ell-grid rows: one c and one e take 0.02-0.10
 # ms on a 2-core x86 host (ell = 1e-3, 100, 2.5), and a whole row with its

@@ -208,3 +208,46 @@ def hausdorff_brute(a, b):
     dy = a[:, None, 1] - b[None, :, 1]
     d2 = dx * dx + dy * dy
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+
+
+def max_nearest_sq_windows(query, points, block=1 << 17):
+    """Max over the query points of the squared distance to the nearest of
+    `points` (both `shapes._by_s` tuples) by one window per query: the
+    distance d0 to q's neighbours in s = x + y order, then every point with
+    s within sqrt(2)*d0 of s_q and, on monotone points, x and y within d0,
+    each bound padded for rounding; pairs compared `block` at a time."""
+    qx, qy, qs, _ = query
+    px, py, ps, monotone = points
+
+    def sq_dist(qx, qy, j):
+        dx = qx - px[j]
+        dy = qy - py[j]
+        return dx * dx + dy * dy
+
+    k = np.searchsorted(ps, qs)
+    best = np.minimum(sq_dist(qx, qy, np.maximum(k - 1, 0)),
+                      sq_dist(qx, qy, np.minimum(k, len(ps) - 1)))
+    top = max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max())
+    r = np.sqrt(best) * (1.0 + 1e-12) + 8.0 * np.finfo(float).eps * top
+    lo = np.searchsorted(ps, qs - math.sqrt(2.0) * r, "left")
+    hi = np.searchsorted(ps, qs + math.sqrt(2.0) * r, "right")
+    if monotone:
+        lo = np.maximum(lo, np.maximum(np.searchsorted(px, qx - r, "left"),
+                                       np.searchsorted(py, qy - r, "left")))
+        hi = np.minimum(hi, np.minimum(np.searchsorted(px, qx + r, "right"),
+                                       np.searchsorted(py, qy + r, "right")))
+    size = np.maximum(hi - lo, 0)
+    end = np.cumsum(size)
+    for c0 in range(0, int(end[-1]), block):
+        c1 = min(c0 + block, int(end[-1]))
+        i0 = int(np.searchsorted(end, c0, "right"))
+        i1 = int(np.searchsorted(end, c1, "left")) + 1
+        start = end[i0:i1] - size[i0:i1]
+        n = np.minimum(end[i0:i1], c1) - np.maximum(start, c0)
+        j = np.arange(c0, c1) + np.repeat(lo[i0:i1] - start, n)
+        d2 = sq_dist(np.repeat(qx[i0:i1], n), np.repeat(qy[i0:i1], n), j)
+        met = n > 0
+        seg = np.minimum.reduceat(d2, (np.cumsum(n) - n)[met])
+        idx = np.arange(i0, i1)[met]
+        best[idx] = np.minimum(best[idx], seg)
+    return best.max()

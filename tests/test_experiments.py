@@ -110,6 +110,17 @@ def test_valtr_refuses_a_hopeless_draw_before_drawing(monkeypatch):
         sample_valtr(6, 5, rng=NoDraws())
 
 
+def test_valtr_pricing_well_inside_the_budget_builds_no_decimal(monkeypatch):
+    import decimal
+
+    # k/P = 20.8 at (1e4, 20): 10^5 draws take 2.1e6 of the 8e8 edges, and
+    # 2e7 draws take 4.2e8, within a factor 2 of it
+    monkeypatch.setattr(decimal, "Decimal", None)
+    experiments._check_valtr(10**4, 20, 10**5)
+    with pytest.raises(TypeError):
+        experiments._check_valtr(10**4, 20, 2 * 10**7)
+
+
 @pytest.mark.parametrize("n,k", [(8, 2), (8, 3), (6, 2)])
 def test_enumerator_matches_brute_force(n, k):
     expected = 0

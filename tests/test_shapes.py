@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from convexchain import shapes
 from convexchain.cli import main
-from convexchain.lattice import ConvexPolyline
+from convexchain.experiments import sample_valtr
+from convexchain.gibbs import EnergyModel, GibbsParams, sample_omega
+from convexchain.lattice import ConvexPolyline, omega_to_polyline
 from convexchain.shapes import (
     ShapeCurve,
     hausdorff_distance,
@@ -20,7 +22,7 @@ from convexchain.shapes import (
     normalize,
     overlay_svg,
 )
-from oracles import hausdorff_brute
+from oracles import hausdorff_brute, max_nearest_sq_windows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -238,9 +240,9 @@ def test_meshes_and_searches_over_budget_are_refused():
             curve.sample(shapes.MESH_BUDGET + 1)
         with pytest.raises(ResourceWarning, match="over the budget"):
             hausdorff_distance(line, curve, mesh=shapes.MESH_BUDGET + 1)
-    # the two searches of the diagonal against the parabola compare 1.9e5
-    # and 1.4e5 pairs at mesh 1000
-    with mock.patch.object(shapes, "PAIR_BUDGET", 10**4), \
+    # the two searches of the diagonal against the parabola compare 3.8e3
+    # and 3.3e3 pairs at mesh 1000, all of them in their first phase
+    with mock.patch.object(shapes, "PAIR_BUDGET", 10**3), \
             pytest.raises(ResourceWarning, match="pairs, over the budget"):
         hausdorff_distance(line, ShapeCurve.parabola(), mesh=1000)
     with mock.patch.object(shapes, "PAIR_BUDGET", 10**6):
@@ -273,6 +275,57 @@ def test_hausdorff_matches_brute_force(line, curve, chain, monotone_curve, apart
     # pair blocks of 3 split windows across blocks
     with mock.patch.object(shapes, "_PAIR_BLOCK", 3):
         assert hausdorff_distance(line, curve, mesh=100) == expect
+    # one seed query, and seeds past every side (each query searched in the
+    # first phase)
+    for seeds in (1, 10**6):
+        with mock.patch.object(shapes, "_SEED", seeds):
+            assert hausdorff_distance(line, curve, mesh=100) == expect
+
+
+def _gibbs(energy, count):
+    params = GibbsParams(energy, 1.0)
+    return [normalize(poly, poly.endpoint())
+            for poly in (omega_to_polyline(sample_omega(params, i)) for i in range(count))]
+
+
+def _valtr(n, k, count):
+    return [normalize(sample_valtr(n, k, seed=i), (n, n)) for i in range(count)]
+
+
+@pytest.mark.parametrize("lines, curve, mesh", [
+    (lambda: _gibbs(EnergyModel.euclidean(0.5), 3), ShapeCurve.circle(), 10**4),
+    (lambda: _gibbs(EnergyModel.euclidean(0.1), 3), ShapeCurve.circle(), 10**4),
+    (lambda: _gibbs(EnergyModel.linear(0.02, 0.02), 5), ShapeCurve.parabola(), 1000),
+    (lambda: _valtr(10**4, 20, 5), ShapeCurve.parabola(), 1000),
+], ids=["euclidean-0.5", "euclidean-0.1", "linear-0.02", "valtr-1e4-20"])
+def test_search_matches_one_window_per_query(lines, curve, mesh):
+    # coarse lines far from the curve and fine ones near it, both directions
+    sampled = shapes._by_s(curve.sample(mesh))
+    for line in lines():
+        dense = shapes._by_s(shapes._densify(line, mesh))
+        for query, points in ((dense, sampled), (sampled, dense)):
+            assert shapes._max_nearest_sq(query, points) == max_nearest_sq_windows(query, points)
+
+
+def test_every_query_past_the_seeds_can_reach_the_last_phase(monkeypatch):
+    # points on the anti-diagonal x + y = 0; 16 queries 0.07 off its first
+    # points are the farthest from their s-order neighbour (its last point),
+    # and set cmax = 0.005; 101 queries 0.7 off its other half have no point
+    # within sqrt(cmax), so each is searched again in its whole window
+    j = np.arange(201.0)
+    points = np.column_stack([j, -j])
+    query = np.vstack([np.column_stack([j[:16] + 0.05, -j[:16] + 0.05]),
+                       np.column_stack([j[100:] + 0.5, -j[100:] + 0.5])])
+    searched, real = [], shapes._window_min
+
+    def spy(qx, *args):
+        searched.append(len(qx))
+        return real(qx, *args)
+
+    monkeypatch.setattr(shapes, "_window_min", spy)
+    q, p = shapes._by_s(query), shapes._by_s(points)
+    assert shapes._max_nearest_sq(q, p) == max_nearest_sq_windows(q, p) == 0.5
+    assert searched == [16, 101, 101]
 
 
 def test_csv_emitter_shape(capsys):
