@@ -53,7 +53,7 @@ from .shapes import (
     polylines_svg,
 )
 from .specialfn import c_of_ell, e_of_ell
-from .tolerances import TABLE_ROW_BUDGET, check_budget
+from .tolerances import MESH_BUDGET, TABLE_ROW_BUDGET, check_budget
 
 __all__ = ["main", "build_parser"]
 
@@ -217,7 +217,9 @@ def _cmd_jarnik(args):
 def _cmd_mixed_shapes(args):
     grid = _numbers("--grid", args.grid, ",")
     if args.format == "svg":
-        # all curves of the grid in one picture
+        # all curves of the grid in one picture, their meshes priced together
+        check_budget(f"a grid of {len(grid)} curves at --mesh {args.mesh}", len(grid) * args.mesh,
+                     MESH_BUDGET, "points")
         return polylines_svg([(ShapeCurve.mixed(ell).sample(args.mesh), "#1f77b4", "0.003")
                               for ell in grid]), True
     if args.format == "json":

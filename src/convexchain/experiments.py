@@ -33,7 +33,7 @@ from .gibbs import (
     moments,
     sample_omega,
 )
-from .lattice import _polyline, _slope_order, _turns, omega_to_polyline, primitive_vectors_in_box
+from .lattice import _box_rows, _polyline, _slope_order, _turns, omega_to_polyline
 from .shapes import ShapeCurve, _check_mesh, hausdorff_distance, mixed_length, normalize
 from .specialfn import ZETA3, c_of_ell, e_of_ell
 from .tolerances import (GIBBS_DRAW_ENTRIES, GIBBS_ENTRY_BUDGET, JARNIK_MESH_ENTRIES,
@@ -59,15 +59,18 @@ def _child_seed(seed, index):
 def _check_valtr(n, k, count=1):
     """Refuse `count` draws of `sample_valtr(n, k)` before the first: a
     ValueError where no line exists, else `check_budget` on one draw's edges,
-    on the edges the draws take and on their lines, priced as Gibbs lines.
+    on the edges the draws take, on one draw's attempts against the
+    rejection loop's VALTR_REJECTION_BUDGET and on their lines, priced as
+    Gibbs lines.
 
     The k-1 ceiled abscissas are distinct and below n, and the floored
     ordinates distinct and above 0, with probability
     P = [(n-1)!/((n-k)! n^(k-1))]^2; parallel pairs only lower the
-    acceptance, so a draw takes k/P edges or more.  count*k/P is compared
-    in float logs, and only within a factor 2 of the budget or past it is it
-    taken as a Decimal, which keeps the refusal's number where P lies far
-    past the float range (e^-199,986.6 at n = k = 1e5).
+    acceptance, so a draw takes 1/P attempts and k/P edges or more.
+    count*k/P is compared in float logs, and only within a factor 2 of the
+    budget or past it is it taken as a Decimal, which keeps the refusal's
+    number where P lies far past the float range (e^-199,986.6 at n = k =
+    1e5); 1/P <= k/P is checked after it, so it is a float there.
     """
     if k < 2:
         raise ValueError(f"need at least two edges, got k={k}")
@@ -83,6 +86,7 @@ def _check_valtr(n, k, count=1):
 
         edges = Decimal(log_edges).exp(Context(Emax=MAX_EMAX))
         check_budget(f"{what} x {count:,}", count * edges, VALTR_WORK_BUDGET, "edges drawn")
+    check_budget(what, math.exp(-log_p), VALTR_REJECTION_BUDGET, "attempts")
     check_budget(f"{what} x {count:,}", count * (k + GIBBS_DRAW_ENTRIES), GIBBS_ENTRY_BUDGET,
                  "line entries")
 
@@ -154,6 +158,7 @@ def _distances(lines, curve, mesh):
 
 
 _GREEDY_BOX = 1 << 12  # the largest box side the greedy sweep enumerates
+_GREEDY_CHUNK = 1 << 20  # directions whose steps are taken at a time
 
 
 def jarnik_greedy_vertex_count(length_budget):
@@ -164,29 +169,34 @@ def jarnik_greedy_vertex_count(length_budget):
     norm <= box are complete in a box, so only those are used, and the box
     doubles when they run out; it stops at 4096 per side, below the
     primitive-vector grid budget.  The directions of norm <= r have total
-    length about r^3/pi, so a budget that needs norms past that box is
-    refused up front, as is a budget that is not positive and finite.
+    length about r^3/pi, so the box starts at the power of two that holds
+    r = (pi*budget)^(1/3) (a larger complete catalogue gives the same count),
+    and a budget that needs norms past 4096 is refused up front, as is a
+    budget that is not positive and finite.  The steps are `math.hypot`'s
+    and their running total `np.cumsum`'s, the same sums one at a time.
     """
     if not 0 < length_budget < math.inf:
         raise ValueError(f"length budget must be positive and finite, got {length_budget}")
-    check_budget(f"a greedy line of length {length_budget:.3g}",
-                 (math.pi * length_budget) ** (1.0 / 3.0), _GREEDY_BOX, "of direction norm")
-    box = 32
-    while True:
-        prims = [(p, q) for p, q in primitive_vectors_in_box(box, box) if p * p + q * q <= box**2]
-        prims.sort(key=lambda p: (p[0] * p[0] + p[1] * p[1], p))
-        total = 0.0
-        count = 0
-        for p, q in prims:
-            step = math.hypot(p, q)
-            if total + step > length_budget:
-                return count
-            total += step
-            count += 1
-        # ran out of directions before the budget: enlarge the catalogue
-        box *= 2
-        if box > _GREEDY_BOX:
-            raise RuntimeError("length budget too large for the greedy sweep")
+    norm = (math.pi * length_budget) ** (1.0 / 3.0)
+    check_budget(f"a greedy line of length {length_budget:.3g}", norm, _GREEDY_BOX,
+                 "of direction norm")
+    box = 1 << max(5, math.ceil(math.log2(norm)))
+    while box <= _GREEDY_BOX:
+        x1, x2 = _box_rows(box, box).T
+        norm2 = x1 * x1 + x2 * x2
+        keep = norm2 <= box * box
+        x1, x2, norm2 = x1[keep], x2[keep], norm2[keep]
+        order = np.lexsort((x2, x1, norm2))
+        x1, x2 = x1[order], x2[order]
+        steps = np.concatenate([  # in chunks: lists of Python ints take ~70 bytes a vector
+            np.fromiter(map(math.hypot, x1[i:i + _GREEDY_CHUNK].tolist(),
+                            x2[i:i + _GREEDY_CHUNK].tolist()), dtype=float)
+            for i in range(0, x1.size, _GREEDY_CHUNK)])
+        count = int(np.searchsorted(np.cumsum(steps), length_budget, side="right"))
+        if count < steps.size:
+            return count
+        box *= 2  # ran out of directions before the budget: enlarge the catalogue
+    raise RuntimeError("length budget too large for the greedy sweep")
 
 
 def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
@@ -359,13 +369,12 @@ def _suite_jarnik(config):
     sets = {beta: GibbsParams(EnergyModel.euclidean(beta)) for beta in (0.05, 0.1, 0.02)}
     _check_draws(f"the jarnik suite with samples={samples}",
                  [(p, samples) for p in sets.values()], JARNIK_MESH_ENTRIES * mesh)
-    # the coarse and fine runs only contribute their median circle distance;
-    # they draw first, while the pricing's last two site sets are cached
+    rows = list(run_jarnik(0.05, samples=samples, seed=seed, mesh=mesh)["rows"])
+    # the coarse and fine runs only contribute their median circle distance
     med_hi, med_lo = (
         float(np.median(_distances(_gibbs_lines(sets[beta], samples, seed),
                                    ShapeCurve.circle(), mesh)))
         for beta in (0.1, 0.02))
-    rows = list(run_jarnik(0.05, samples=samples, seed=seed, mesh=mesh)["rows"])
     rows.append(_row("circle distance shrinks with beta", 1.0,
                      med_lo / med_hi, 0.0, med_lo < med_hi))
     return rows

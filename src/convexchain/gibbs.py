@@ -128,9 +128,11 @@ class MomentReport:
     truncation_bound: float
 
 
-# Two entries: only the caller that just built a set reuses it (a sampling
-# loop, a Newton step).  16 had the same hits and kept stale sets (1.6 GB).
-@lru_cache(maxsize=2)
+# `_site_arrays`, `_site_laws` and `_sampler_index` keep one set each: only
+# the caller that just built a set reuses it.  `_site_laws` hits/misses were
+# the same with two: bench calibrate 11/11, sample 226/3, `jarnik` 103/12;
+# `suite --name jarnik` went 305/15 -> 303/17 and 336 -> 227 MB peak.
+@lru_cache(maxsize=1)
 def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
 
@@ -253,9 +255,7 @@ def truncation_bound(params: GibbsParams) -> float:
     return _radial_tail(params.energy, params.fugacity, params.truncation)
 
 
-# cached because sampling loops and Newton steps hit the same parameters
-# again and again
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _site_laws(energy: EnergyModel, g: float, truncation: float):
     """(x1, x2, rho, q, mean, var) per truncated site: the biased geometric law
     at g = -log(lam), with q = P[omega > 0].
@@ -455,7 +455,7 @@ def _uniforms(seed: int, words: np.ndarray) -> np.ndarray:
     return (_mix(z) >> _U64(11)).astype(float) * 2.0**-53
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _sampler_index(energy: EnergyModel, g: float, truncation: float):
     """The `_site_laws` sites grouped by block b = floor(-log2 q), b <= 63:
     (order, start, size, block, q_max, log(1 - q_max)) with one entry per
@@ -485,7 +485,9 @@ def _sampler_index(energy: EnergyModel, g: float, truncation: float):
 def _check_draws(what: str, draws, extra: float = 0.0) -> None:
     """Price `draws`, (params, count) pairs, before the first: E[K] +
     GIBBS_DRAW_ENTRIES + `extra` support entries each, E[K] the sum of q over
-    the site set they build anyway (`moments` adds 0.28 s at 4.9M sites)."""
+    the site set they build anyway (`moments` adds 0.28 s at 4.9M sites).
+    The caches keep one set, so a run over several sets keeps only the last
+    one priced; the draws at the others build them again."""
     need = sum(count * (float(_site_laws(*_law_key(p))[3].sum()) + GIBBS_DRAW_ENTRIES + extra)
                for p, count in draws)
     check_budget(what, need, GIBBS_ENTRY_BUDGET, "support entries")

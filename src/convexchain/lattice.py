@@ -290,9 +290,6 @@ class ConvexPolyline:
     def edges(self) -> list[Vec]:
         return list(map(tuple, np.diff(self.xy, axis=0).tolist()))
 
-    def to_json(self) -> str:
-        return json.dumps({"vertices": self.xy.tolist()})
-
     @classmethod
     def from_json(cls, text: str) -> "ConvexPolyline":
         """The line of a `{"vertices": [[x, y], ...]}` object with integer x

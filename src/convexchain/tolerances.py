@@ -79,8 +79,9 @@ TABLE_ROW_BUDGET = 300_000
 # bytes per site (ru_maxrss of fresh processes less their 28 MB import, at
 # 2.5M-9.9M linear and 3.9M-11.9M Euclidean sites), so ~28 and ~43 bytes
 # per cell; the budget refuses sets predicted to need over ~2 GB.  The
-# largest current caller is the Jarnik suite's root bracket at Euclidean
-# beta 0.05/3, a 2401^2 = 5.8e6-cell box.
+# `gibbs` caches keep one set each, so a process holds at most one cached
+# set and the one being built.  The largest current caller is the Jarnik suite's root
+# bracket at Euclidean beta 0.05/3, a 2401^2 = 5.8e6-cell box.
 SITE_BUDGET = 48_000_000
 # relative rounding allowance of a Mobius-kernel log Z or moment against the
 # same sum over the sites: 64 ulps, where at most 12 were measured (linear

@@ -1,6 +1,7 @@
 """Independent oracles shared by the test modules: slow, obviously correct
 reimplementations that the library's vectorized code is checked against."""
 
+import json
 import math
 from functools import cmp_to_key
 
@@ -251,3 +252,29 @@ def max_nearest_sq_windows(query, points, block=1 << 17):
         idx = np.arange(i0, i1)[met]
         best[idx] = np.minimum(best[idx], seg)
     return best.max()
+
+
+def greedy_vertex_count_sorted(length_budget):
+    """`experiments.jarnik_greedy_vertex_count` one direction at a time: the
+    box's primitive directions of norm <= box as tuples, sorted by (norm^2,
+    x1, x2), taken while their `math.hypot` lengths fit the budget; the box
+    starts at 32 and doubles, up to 4096, whenever they run out."""
+    box = 32
+    while box <= 4096:
+        prims = [(p, q) for p, q in primitive_vectors_in_box(box, box) if p * p + q * q <= box**2]
+        prims.sort(key=lambda p: (p[0] * p[0] + p[1] * p[1], p))
+        total = 0.0
+        count = 0
+        for p, q in prims:
+            step = math.hypot(p, q)
+            if total + step > length_budget:
+                return count
+            total += step
+            count += 1
+        box *= 2
+    raise RuntimeError("length budget too large for the greedy sweep")
+
+
+def polyline_json(line: ConvexPolyline) -> str:
+    """The `{"vertices": [[x, y], ...]}` text that `ConvexPolyline.from_json` reads."""
+    return json.dumps({"vertices": line.xy.tolist()})

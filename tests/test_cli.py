@@ -17,6 +17,7 @@ from convexchain.cli import main
 from convexchain.experiments import sample_valtr
 from convexchain.gibbs import EnergyModel, GibbsParams, moments
 from convexchain.lattice import MultiplicityDistribution
+from oracles import polyline_json
 
 
 # a small convex chain that shape-distance reads from stdin ("--line -")
@@ -105,9 +106,13 @@ def test_maxvert(capsys):
     # sizes whose arrays would not fit, refused before they are allocated
     ["curve", "--mesh", "100000000000"],
     ["mixed-shapes", "--mesh", "100000000000", "--format", "svg"],
+    # each curve fits the mesh budget, the four together do not
+    ["mixed-shapes", "--format", "svg", "--mesh", "1000000", "--grid", "0,1,2,3"],
     ["shape-distance", "--line", "-", "--mesh", "100000000000"],
     ["jarnik", "--samples", "2", "--mesh", "100000000000"],
     ["sample-valtr", "--n", "100000000000000", "--k", "10000000000000"],
+    # k/P = 4.55e8 edges fit, 1/P = 2.28e7 attempts do not
+    ["sample-valtr", "--n", "30", "--k", "20"],
 ])
 def test_over_budget_is_resource_error(capsys, argv):
     with mock.patch.object(sys, "stdin", io.StringIO(_PIN_LINE)):
@@ -597,7 +602,7 @@ def test_sample_valtr_jsonl(capsys):
 def line_file(tmp_path):
     poly = sample_valtr(2000, 12, seed=11)
     path = tmp_path / "line.json"
-    path.write_text(poly.to_json())
+    path.write_text(polyline_json(poly))
     return path
 
 

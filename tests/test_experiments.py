@@ -25,6 +25,7 @@ from convexchain.experiments import (
 )
 from convexchain.gibbs import EnergyModel, GibbsParams, _mean_euclidean_length, log_partition
 from convexchain.tolerances import VALTR_EDGE_BUDGET
+from oracles import greedy_vertex_count_sorted
 from paper import (
     enumerate_ne_lines,
     gibbs_parabola_distances,
@@ -78,9 +79,10 @@ def test_valtr_budget_exhaustion(monkeypatch):
     # five pairwise non-parallel strictly NE edges cannot sum to (6,6):
     # four unit abscissas force slopes 1..4 whose ordinates already exceed 6
     assert enumerate_ne_lines(6, 5) == []
-    monkeypatch.setattr(experiments, "VALTR_REJECTION_BUDGET", 100)
+    # 200 attempts, above the 1/P = 116.6 that the up-front check asks for
+    monkeypatch.setattr(experiments, "VALTR_REJECTION_BUDGET", 200)
     with pytest.warns(UserWarning):
-        with pytest.raises(RuntimeError, match=r"budget \(100\)"):
+        with pytest.raises(RuntimeError, match=r"budget \(200\)"):
             sample_valtr(6, 5, seed=0)
     # the attempts are capped in edges too: 120 draws of 5 edges, above the
     # k/P = 583.2 that the up-front check asks for
@@ -108,6 +110,12 @@ def test_valtr_refuses_a_hopeless_draw_before_drawing(monkeypatch):
     monkeypatch.setattr(experiments, "VALTR_WORK_BUDGET", 584)
     with pytest.warns(UserWarning), pytest.raises(AssertionError, match="drew uniforms"):
         sample_valtr(6, 5, rng=NoDraws())
+    # at (30, 20) the k/P = 4.55e8 edges fit the work budget, but the 1/P
+    # attempts are past the rejection loop's
+    monkeypatch.setattr(experiments, "VALTR_WORK_BUDGET", 8 * 10**8)
+    with pytest.raises(ResourceWarning, match=r"^sample_valtr\(n=30, k=20\) needs ~2\.28e\+07 "
+                                              r"attempts, over the budget 10,000$"):
+        sample_valtr(30, 20, rng=NoDraws())
 
 
 def test_valtr_pricing_well_inside_the_budget_builds_no_decimal(monkeypatch):
@@ -191,6 +199,23 @@ def test_greedy_jarnik_count_matches_a_larger_box():
     assert got == _greedy_reference(budgets)
     assert got[budgets.index(13_500):budgets.index(16_000) + 1] == [582, 596, 624, 651]
     assert got[budgets.index(10**4)] == 476 and got[-1] == 2208
+
+
+def test_greedy_count_matches_the_sorted_tuple_catalogue():
+    # the array catalogue against the tuple sort it replaced, whose box
+    # starts at 32 and doubles; 10^4 is the Jarnik report's row
+    budgets = [1, 10, 10**4, 10**6, 2e8, *10 ** np.random.default_rng(5).uniform(0, 6, 8)]
+    got = [jarnik_greedy_vertex_count(b) for b in budgets]
+    assert got == [greedy_vertex_count_sorted(b) for b in budgets]
+    assert got[2] == 476
+    # a budget equal to a running total takes that direction too
+    dirs = sorted((p * p + q * q, p, q) for p in range(33) for q in range(33)
+                  if math.gcd(p, q) == 1 and p * p + q * q <= 32 * 32)
+    total = 0.0
+    for _, p, q in dirs[:100]:
+        total += math.hypot(p, q)
+    assert jarnik_greedy_vertex_count(total) == 100
+    assert jarnik_greedy_vertex_count(math.nextafter(total, 0.0)) == 99
 
 
 def test_run_jarnik_report():
@@ -314,6 +339,35 @@ def test_runs_leave_scipy_unloaded(tmp_path):
     assert [name for name, _, _ in seen] == ["import"] + [argv[0] for argv in runs]
     for name, rc, modules in seen:
         assert rc == 0 and modules == [], (name, rc, modules)
+
+
+_PEAK_PROBE = """
+import contextlib, io
+from convexchain import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["suite", "--name", "jarnik", "--samples", "10"])
+with open("/proc/self/status") as fh:
+    print(rc, next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_jarnik_suite_holds_one_site_set_at_a_time():
+    # the suite's peak is the root bracket's largest set (Euclidean beta
+    # 0.05/3) while the one set in each cache is freed as the next is built:
+    # ~227 MB; a second cached set held the pricing's sets as well, ~335 MB.
+    # The child reads the peak of its own address space: its RUSAGE_SELF
+    # keeps the peak of the process it was spawned from, and the parent's
+    # RUSAGE_CHILDREN that of every child it has waited for
+    import convexchain
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(convexchain.__file__)))
+    out = subprocess.run([sys.executable, "-c", _PEAK_PROBE], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert out.returncode == 0, out.stderr
+    rc, peak_kb = out.stdout.split()
+    assert rc == "0" and int(peak_kb) / 1024 <= 260
 
 
 def test_jarnik_root_builds_as_few_site_sets_as_brentq(monkeypatch):

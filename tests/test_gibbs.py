@@ -1,5 +1,6 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ def test_site_arrays_match_a_wider_grid(kind, b1, b2, lam_ell, T):
             got = gibbs._site_arrays(energy, T)
         for g, want in zip(got, (xs[keep], ys[keep], en[keep])):
             np.testing.assert_array_equal(g, want)
+
+
+def test_site_caches_keep_only_the_last_set():
+    # each site-set cache holds one set: building another parameter set's
+    # laws and sampler index frees the first set's energies, q and order
+    first, second = (gibbs._law_key(GibbsParams(EnergyModel.euclidean(b))) for b in (0.3, 0.4))
+    held = [weakref.ref(a) for a in (gibbs._site_arrays(first[0], first[2])[2],
+                                     gibbs._site_laws(*first)[3],
+                                     gibbs._sampler_index(*first)[0])]
+    assert all(ref() is not None for ref in held)
+    gibbs._sampler_index(*second)
+    assert all(ref() is None for ref in held)
 
 
 def test_gibbs_params_validation():

@@ -49,6 +49,7 @@ _SITES = {
     "valtr edges": (lambda: experiments.sample_valtr(10**14, VALTR_EDGE_BUDGET + 1,
                                                      rng=NoDraws()), [], {}),
     "valtr acceptance": (lambda: experiments.sample_valtr(10**5, 10**5, rng=NoDraws()), [], {}),
+    "valtr attempts": (lambda: experiments.sample_valtr(30, 20, rng=NoDraws()), [], {}),
     "ell-grid rows": (lambda: cli._cmd_asymptotics_table(
         argparse.Namespace(ell_grid="0:1:1e-6", format="csv")), [(cli, "c_of_ell")], {}),
     "sample-gibbs count": (lambda: cli._cmd_sample_gibbs(argparse.Namespace(
@@ -61,7 +62,7 @@ _SITES = {
     "jarnik suite samples": (lambda: experiments.run_suite("jarnik", {"samples": 10**7}),
                              [(experiments, "run_jarnik"), (experiments, "sample_omega")], {}),
     "greedy length": (lambda: experiments.jarnik_greedy_vertex_count(3e10),
-                      [(experiments, "primitive_vectors_in_box")], {}),
+                      [(experiments, "_box_rows")], {}),
 }
 
 
@@ -103,6 +104,6 @@ def test_greedy_refuses_a_length_that_is_not_positive_and_finite(monkeypatch, ba
     def worked(*args):
         raise AssertionError("sieved")
 
-    monkeypatch.setattr(experiments, "primitive_vectors_in_box", worked)
+    monkeypatch.setattr(experiments, "_box_rows", worked)
     with pytest.raises(ValueError, match="positive and finite"):
         experiments.jarnik_greedy_vertex_count(bad)
