@@ -53,7 +53,7 @@ from .shapes import (
     polylines_svg,
 )
 from .specialfn import c_of_ell, e_of_ell
-from .tolerances import MESH_BUDGET, TABLE_ROW_BUDGET, check_budget
+from .tolerances import MESH_BUDGET, MIXED_ROW_POINTS, TABLE_ROW_BUDGET, check_budget
 
 __all__ = ["main", "build_parser"]
 
@@ -222,6 +222,8 @@ def _cmd_mixed_shapes(args):
                      MESH_BUDGET, "points")
         return polylines_svg([(ShapeCurve.mixed(ell).sample(args.mesh), "#1f77b4", "0.003")
                               for ell in grid]), True
+    check_budget(f"a grid of {len(grid)} lengths", len(grid) * MIXED_ROW_POINTS, MESH_BUDGET,
+                 "points")
     if args.format == "json":
         return report_json({"rows": [
             {"lambda_ell": ell, "length": mixed_length(ell)} for ell in grid]}), True

@@ -122,27 +122,33 @@ def _primes(n: int) -> np.ndarray:
     return np.flatnonzero(prime)
 
 
-# cells of a `_primitive_grid` row block: a 512 kB bool sieve whose index
-# arrays stay in cache while `gibbs._site_arrays` filters them, in blocks few
-# enough rows deep that clipping each to its first row's extent keeps little
-# more than the triangle of a linear set
+# cells of a `_primitive_grid` row block: a 512 kB bool sieve that stays in
+# cache while `gibbs._site_arrays` evaluates the block's energies and writes
+# its sites into place, in blocks few enough rows deep that clipping each to
+# its first row's extent keeps little more than the triangle of a linear set
 _GRID_BLOCK = 1 << 19
 
 
 def _primitive_grid(n1: int, n2: int, width=None):
-    """Yield the primitive vectors of the box [0, n1] x [0, n2] as int64
-    (x1, x2) array pairs, a block of rows at a time, row-major in x1.
+    """The primitive vectors of the box [0, n1] x [0, n2], a block of rows at
+    a time, row-major in x1: an iterator of (x0, keep), keep a (rows, w)
+    bool array that is true at the cell (x0 + i, j) when it is primitive.
 
     This sieve is the package's one primitive-vector enumerator: a block
     starts all true, and each prime p <= min(n1, n2) clears its cells with
     p | x1 and p | x2; on the axes only (1, 0) and (0, 1) stay.  With
     `width`, the block that starts at row x0 covers only the columns
     x2 < width(x0), for a caller that keeps nothing past them in that row or
-    any later one.  A grid over SITE_BUDGET cells is refused by
-    `check_budget` before any row is built.
+    any later one.  Each mask is the caller's to narrow in place.  A grid
+    over SITE_BUDGET cells is refused by `check_budget` at the call, before
+    any row is built.
     """
     check_budget(f"a {n1 + 1}x{n2 + 1} primitive-vector grid", (n1 + 1) * (n2 + 1),
                  SITE_BUDGET, "cells")
+    return _sieve_blocks(n1, n2, width)
+
+
+def _sieve_blocks(n1: int, n2: int, width):
     primes = _primes(min(n1, n2)).tolist()
     x0 = 0
     while x0 <= n1:
@@ -156,19 +162,19 @@ def _primitive_grid(n1: int, n2: int, width=None):
             keep[1 - x0, 0] = True
         if x0 == 0:
             keep[0, 2:] = False
-        idx = np.flatnonzero(keep)
-        del keep
-        x1, x2 = np.divmod(idx, w)
-        del idx
-        x1 += x0
+        yield x0, keep
         x0 += rows
-        yield x1, x2
 
 
 def _box_rows(n1: int, n2: int) -> np.ndarray:
     """The primitive vectors of the box [0, n1] x [0, n2] as one (n, 2) int64
     array, row-major in x1: the `_primitive_grid` blocks stacked."""
-    return np.concatenate([np.column_stack(r) for r in _primitive_grid(n1, n2)])
+    parts = []
+    for x0, keep in _primitive_grid(n1, n2):
+        x1, x2 = np.divmod(np.flatnonzero(keep), keep.shape[1])
+        x1 += x0
+        parts.append(np.column_stack([x1, x2]))
+    return np.concatenate(parts)
 
 
 def primitive_vectors_in_box(n1: int, n2: int) -> list[Vec]:

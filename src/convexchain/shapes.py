@@ -281,6 +281,15 @@ def _by_s(pts):
     return x, y, x + y, bool((np.diff(x) >= 0.0).all() and (np.diff(y) >= 0.0).all())
 
 
+@lru_cache(maxsize=16)
+def _curve_by_s(curve, mesh):
+    """`_by_s` of `curve.sample(mesh)`, read-only, computed once per (curve, mesh)."""
+    by_s = _by_s(curve.sample(mesh))
+    for a in by_s[:3]:
+        a.setflags(write=False)
+    return by_s
+
+
 def _max_nearest_sq(query, points):
     """Max over the query points of the squared distance to the nearest of
     `points` (both `_by_s` tuples), bit for bit the all-pairs value of
@@ -396,7 +405,8 @@ def hausdorff_distance(line, curve, mesh=1000):
     if _overflows(pts, curve_pts):
         raise ValueError("the distance is not finite: the squared distances of the points "
                          "overflow float arithmetic")
-    dense, sampled = _by_s(_densify(pts, mesh)), _by_s(curve_pts)
+    dense = _by_s(_densify(pts, mesh))
+    sampled = _curve_by_s(curve, mesh) if isinstance(curve, ShapeCurve) else _by_s(curve_pts)
     d = float(np.sqrt(np.maximum(_max_nearest_sq(dense, sampled),
                                  _max_nearest_sq(sampled, dense))))
     if not math.isfinite(d):

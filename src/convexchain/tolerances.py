@@ -24,6 +24,12 @@ CURVE_QUAD_TOL = 1e-10
 # cell takes 10-19 us (lambda_ell -0.7 to 100), so 30-60 s at the cap; a
 # 3e6-point `curve` CSV peaks ~0.6 GB over the import.
 MESH_BUDGET = 3_000_000
+# Mesh points a `mixed-shapes` csv or json row is priced at against
+# MESH_BUDGET: a row is one `shapes.mixed_length`, 7.5 ms at lambda_ell =
+# -0.7 (about 620 mesh cells at 12.4 us), 3.8 ms at -0.69 and under 0.6 ms
+# from -0.5 up, so the cap is 3,000 rows: 3,000 rows at -0.7 took 31 s
+# with their json output.
+MIXED_ROW_POINTS = 1_000
 # Pairs of one phase of a nearest-point search (`shapes._window_min`), ~19
 # ns each, so ~30 s for a phase at the cap.  A chain near the curve needs
 # ~1,600 pairs per distance at mesh 1000 (280 linear, Euclidean, mixed and
@@ -75,13 +81,15 @@ TABLE_ROW_BUDGET = 300_000
 # Primitive-vector guard, in cells (n1+1)*(n2+1) of the box that
 # `lattice._primitive_grid` sieves for a box or a Gibbs site set: a site set
 # holds ~0.30 primitive sites per cell for the linear energy and ~0.48 for
-# the Euclidean one, and a site set with its `moments` pass peaks at 89-93
-# bytes per site (ru_maxrss of fresh processes less their 28 MB import, at
-# 2.5M-9.9M linear and 3.9M-11.9M Euclidean sites), so ~28 and ~43 bytes
-# per cell; the budget refuses sets predicted to need over ~2 GB.  The
-# `gibbs` caches keep one set each, so a process holds at most one cached
-# set and the one being built.  The largest current caller is the Jarnik suite's root
-# bracket at Euclidean beta 0.05/3, a 2401^2 = 5.8e6-cell box.
+# the Euclidean one, and a site set with its `moments` pass peaks at 72-73
+# bytes per site (ru_maxrss of fresh processes less their 28-30 MB import,
+# at 2.5M-9.9M linear and 3.9M-11.9M Euclidean sites), so ~22 and ~35 bytes
+# per cell; the budget refuses sets predicted to need over ~1.7 GB.  The
+# build reserves 24 bytes of address space per cell, resident only where
+# sites are written (`gibbs._site_arrays`).  The `gibbs` caches keep one
+# set each, so a process holds at most one cached set and the one being
+# built.  The largest current caller is the Jarnik suite's root bracket at
+# Euclidean beta 0.05/3, a 2401^2 = 5.8e6-cell box.
 SITE_BUDGET = 48_000_000
 # relative rounding allowance of a Mobius-kernel log Z or moment against the
 # same sum over the sites: 64 ulps, where at most 12 were measured (linear

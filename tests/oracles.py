@@ -3,12 +3,14 @@ reimplementations that the library's vectorized code is checked against."""
 
 import json
 import math
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import numpy as np
 from scipy import integrate
 
-from convexchain.lattice import ConvexPolyline, MultiplicityDistribution, primitive_vectors_in_box
+from convexchain.lattice import (ConvexPolyline, MultiplicityDistribution, _primitive_grid,
+                                 primitive_vectors_in_box)
+from convexchain.tolerances import SITE_BUDGET
 
 # quadrature epsabs of the polylog integral oracle
 POLYLOG_QUAD_TOL = 1e-13
@@ -278,3 +280,85 @@ def greedy_vertex_count_sorted(length_budget):
 def polyline_json(line: ConvexPolyline) -> str:
     """The `{"vertices": [[x, y], ...]}` text that `ConvexPolyline.from_json` reads."""
     return json.dumps({"vertices": line.xy.tolist()})
+
+
+# -- the Gibbs site-set kernels with a fresh array for every operation --------
+# `gibbs` builds the same arrays in place; these keep each expression as one
+# numpy expression, so every element must come out with the same bits.
+
+
+@lru_cache(maxsize=1)
+def site_arrays(energy, truncation):
+    """`gibbs._site_arrays` from per-block parts: each block's primitive
+    sites as (x1, x2) rows, their energies, the rows with E <= T kept, and
+    the parts concatenated."""
+    T = float(truncation)
+    with np.errstate(divide="ignore"):
+        span = T / np.array([energy(1, 0), energy(0, 1)], dtype=float)
+    n1, n2 = np.floor(np.minimum(span, SITE_BUDGET)).astype(np.int64).tolist()
+    n1, n2 = n1 + int(energy(n1 + 1, 0) <= T), n2 + int(energy(0, n2 + 1) <= T)
+
+    def width(x0):
+        return int(np.count_nonzero(energy(float(x0), np.arange(n2 + 1.0)) <= T)) + 1
+
+    xs_parts, ys_parts, en_parts = [], [], []
+    for x0, keep in _primitive_grid(n1, n2, width):
+        x1, x2 = np.divmod(np.flatnonzero(keep), keep.shape[1])
+        x1 += x0
+        en = np.asarray(energy(x1.astype(float), x2.astype(float)), dtype=float)
+        ok = en <= T
+        xs_parts.append(x1[ok])
+        ys_parts.append(x2[ok])
+        en_parts.append(en[ok])
+    return np.concatenate(xs_parts), np.concatenate(ys_parts), np.concatenate(en_parts)
+
+
+@lru_cache(maxsize=1)
+def site_laws(energy, g, truncation):
+    """`gibbs._site_laws`: (x1, x2, rho, q, mean, var) per site."""
+    x1, x2, en = site_arrays(energy, truncation)
+    rho = np.exp(-en)
+    with np.errstate(over="ignore"):
+        q = 1.0 / (1.0 + np.exp(g + en + np.log1p(-rho)))
+    mean = q / (1.0 - rho)
+    var = q * (1.0 + rho) / (1.0 - rho) ** 2 - mean**2
+    return x1, x2, rho, q, mean, var
+
+
+def log_z(energy, g, truncation):
+    """`gibbs._log_z`: the sum of log(1 + e^-a) over the sites."""
+    en = site_arrays(energy, truncation)[2]
+    return float(np.sum(np.logaddexp(0.0, -(g + en + np.log1p(-np.exp(-en))))))
+
+
+def site_sums(energy, g, truncation):
+    """`gibbs._site_sums`: the means and covariance of (X1, X2, K)."""
+    x1, x2, _, q, mean, var = site_laws(energy, g, truncation)
+    x1, x2 = x1.astype(float), x2.astype(float)
+    means = np.array([np.sum(x1 * mean), np.sum(x2 * mean), np.sum(q)])
+    ck = mean * (1.0 - q)
+    cov = np.empty((3, 3))
+    cov[0, 0] = np.sum(x1 * x1 * var)
+    cov[1, 1] = np.sum(x2 * x2 * var)
+    cov[0, 1] = cov[1, 0] = np.sum(x1 * x2 * var)
+    cov[2, 2] = np.sum(q * (1.0 - q))
+    cov[0, 2] = cov[2, 0] = np.sum(x1 * ck)
+    cov[1, 2] = cov[2, 1] = np.sum(x2 * ck)
+    return means, cov
+
+
+@lru_cache(maxsize=1)
+def sampler_index(energy, g, truncation):
+    """`gibbs._sampler_index`: the sites grouped by block floor(-log2 q)."""
+    q = site_laws(energy, g, truncation)[3]
+    with np.errstate(divide="ignore"):
+        label = np.minimum(np.floor(-np.log2(q)), 63).astype(np.int8)
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label, minlength=64)
+    block = np.flatnonzero(size)
+    start = (np.cumsum(size) - size)[block]
+    q_max = np.maximum.reduceat(q[order], start)
+    keep = q_max > 0.0
+    with np.errstate(divide="ignore"):
+        log_miss = np.log1p(-q_max[keep])
+    return order, start[keep], size[block][keep], block[keep], q_max[keep], log_miss

@@ -108,6 +108,8 @@ def test_maxvert(capsys):
     ["mixed-shapes", "--mesh", "100000000000", "--format", "svg"],
     # each curve fits the mesh budget, the four together do not
     ["mixed-shapes", "--format", "svg", "--mesh", "1000000", "--grid", "0,1,2,3"],
+    # each csv or json row is one mixed_length, priced as 1,000 mesh points
+    ["mixed-shapes", "--grid", ",".join(["0"] * 3001)],
     ["shape-distance", "--line", "-", "--mesh", "100000000000"],
     ["jarnik", "--samples", "2", "--mesh", "100000000000"],
     ["sample-valtr", "--n", "100000000000000", "--k", "10000000000000"],

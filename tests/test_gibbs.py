@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 import weakref
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from convexchain import gibbs, lattice
 from convexchain.gibbs import (
     EnergyModel,
@@ -142,6 +144,75 @@ def test_site_caches_keep_only_the_last_set():
     assert all(ref() is not None for ref in held)
     gibbs._sampler_index(*second)
     assert all(ref() is None for ref in held)
+
+
+def _clear_site_caches():
+    for cached in (gibbs._site_arrays, gibbs._site_laws, gibbs._sampler_index):
+        cached.cache_clear()
+
+
+_ORACLE_SETS = [
+    *(GibbsParams(EnergyModel.linear(b1, b2), fugacity=lam) for b1, b2, lam in [
+        (0.02, 0.02, 1), (0.02, 0.03, 1), (0.03, 0.05, 0.5), (0.05, 0.02, 2),
+        (0.1, 0.07, 7.3), (0.4, 0.9, 1e-6), (0.3, 0.3, 1e6), (1, 2, 1), (25, 30, 1)]),
+    *(GibbsParams(EnergyModel.euclidean(b), fugacity=lam) for b, lam in [(0.05, 1), (0.5, 3)]),
+    *(GibbsParams(EnergyModel.mixed(b, le), fugacity=lam)
+      for b, le, lam in [(0.03, 1.0, 1), (0.1, -0.6, 0.2)]),
+]
+
+
+@pytest.mark.parametrize("params", _ORACLE_SETS, ids=lambda p: "-".join(
+    map(str, (p.energy.kind, *p.energy.params, p.fugacity))))
+def test_site_kernels_match_the_fresh_array_oracle(monkeypatch, params):
+    # the in-place kernels against the same expressions with a fresh array
+    # per operation: every array with its dtype, the sums and the draws
+    key = gibbs._law_key(params)
+
+    def outputs():
+        _clear_site_caches()  # the oracles' own caches while they are patched in
+        arrays = (*gibbs._site_arrays(key[0], key[2]), *gibbs._site_laws(*key)[2:],
+                  *gibbs._sampler_index(*key))
+        report = moments(params)
+        draws = [sample_omega(params, seed) for seed in range(5)]
+        return (arrays, (report.EX1, report.EX2, report.EK, report.covariance,
+                         log_partition(params)), draws)
+
+    got = outputs()
+    with monkeypatch.context() as mp:
+        for name in ("site_arrays", "site_laws", "log_z", "site_sums", "sampler_index"):
+            mp.setattr(gibbs, f"_{name}", getattr(oracles, name))
+        want = outputs()
+        _clear_site_caches()
+    for g, w in zip(got[0], want[0]):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    assert got[1][:3] == want[1][:3] and got[1][4] == want[1][4]
+    assert np.array_equal(got[1][3], want[1][3])
+    for g, w in zip(got[2], want[2]):
+        assert np.array_equal(g.xy, w.xy) and np.array_equal(g.mult, w.mult)
+
+
+def test_site_set_builds_without_full_size_temporaries():
+    # numpy reports its buffers to tracemalloc.  A fresh set of 810,598
+    # sites keeps 24 B/site and no spare capacity; `moments` on it adds
+    # the four laws and, above what it leaves, at most a laws scratch or
+    # the two arrays of the sums, 16 B/site
+    params = GibbsParams(EnergyModel.linear(0.02, 0.03))
+    key = gibbs._law_key(params)
+    _clear_site_caches()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        n = gibbs._site_arrays(key[0], key[2])[2].size
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        moments(params)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 810_598
+    assert held <= 24 * n + 65_536
+    assert peak - left <= 20 * n
 
 
 def test_gibbs_params_validation():

@@ -31,8 +31,17 @@ from oracles import (
 )
 
 
+def _grid_rows(n1, n2):
+    """Each `_primitive_grid` block as the int64 (x1, x2) arrays of its
+    mask's true cells, row-major."""
+    for x0, keep in _primitive_grid(n1, n2):
+        assert keep.dtype == bool and keep.ndim == 2
+        x1, x2 = np.divmod(np.flatnonzero(keep), keep.shape[1])
+        yield x1 + x0, x2
+
+
 def _grid_count(n1, n2):
-    return sum(x1.size for x1, _ in _primitive_grid(n1, n2))
+    return sum(int(np.count_nonzero(keep)) for _, keep in _primitive_grid(n1, n2))
 
 
 def test_box_small_examples():
@@ -77,7 +86,7 @@ def test_float_slope_key_orders_exactly(n1, n2):
 
 
 def test_grid_is_row_major_and_matches_gcd():
-    rows = list(_primitive_grid(37, 11))
+    rows = list(_grid_rows(37, 11))
     x1 = np.concatenate([r[0] for r in rows])
     x2 = np.concatenate([r[1] for r in rows])
     expected = [(a, b) for a in range(38) for b in range(12) if math.gcd(a, b) == 1]
@@ -85,7 +94,7 @@ def test_grid_is_row_major_and_matches_gcd():
     # a tall box comes one row per block: rows 0..3 hold 1, all, the odd and
     # the non-multiples of 3 among 0..n2
     n2 = 2_100_000
-    rows = [(x1, x2) for x1, x2 in _primitive_grid(3, n2)]
+    rows = list(_grid_rows(3, n2))
     assert [np.unique(x1).tolist() for x1, _ in rows] == [[0], [1], [2], [3]]
     assert [x2.size for _, x2 in rows] == [1, n2 + 1, n2 // 2, n2 + 1 - (n2 // 3 + 1)]
     assert all(np.all(np.diff(x2) > 0) for _, x2 in rows)
@@ -101,7 +110,7 @@ def test_grid_is_row_major_and_matches_gcd():
 ])
 def test_sieve_matches_the_gcd_grid_block_by_block(monkeypatch, n1, n2):
     monkeypatch.setattr(lattice, "_GRID_BLOCK", 64)
-    got = list(_primitive_grid(n1, n2))
+    got = list(_grid_rows(n1, n2))
     want = list(primitive_grid_gcd(n1, n2, block_cells=64))
     assert len(got) == len(want)
     for (x1, x2), (w1, w2) in zip(got, want):

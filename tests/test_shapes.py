@@ -357,3 +357,16 @@ def test_sample_is_cached_read_only_and_exact(curve):
     assert pts.tobytes() == shapes._curve_mesh.__wrapped__(curve, 300).tobytes()
     with pytest.raises(ValueError):
         pts[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("curve", [ShapeCurve.parabola(2.0), ShapeCurve.circle(),
+                                   ShapeCurve.mixed(1.0)])
+def test_sorted_mesh_is_cached_read_only_and_exact(curve):
+    # the distance searches reuse one s-sorted mesh per (curve, mesh)
+    by_s = shapes._curve_by_s(curve, 300)
+    assert shapes._curve_by_s(curve, 300) is by_s
+    want = shapes._by_s(curve.sample(300))
+    assert by_s[3] == want[3]
+    for got, w in zip(by_s[:3], want[:3]):
+        assert not got.flags.writeable
+        assert got.tobytes() == w.tobytes()
