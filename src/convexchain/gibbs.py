@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import MultiplicityDistribution, _primes, _primitive_grid
+from .lattice import MultiplicityDistribution, _mask_rows, _primes, _primitive_grid
 from .tolerances import (DEFAULT_TRUNCATION, GIBBS_DRAW_ENTRIES, GIBBS_ENTRY_BUDGET,
                          KERNEL_ROUNDING, SITE_BUDGET, check_budget)
 
@@ -149,6 +149,10 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     Each block's sites are written once, into the next slice of three
     buffers sized for every cell of the box, whose pages are touched only
     where written; the buffers then shrink in place to the site count.
+    `ndarray.resize` refuses while anything else holds a buffer, as the
+    `frame.f_locals` snapshot of a tracer or debugger does before Python
+    3.13; the filled prefixes are copied then, which costs about a third
+    more time.
     """
     T = float(truncation)
     with np.errstate(divide="ignore"):  # E(e_i) = 0 is an unbounded side
@@ -172,18 +176,17 @@ def _site_arrays(energy: EnergyModel, truncation: float):
         # (x1, x2) pair alone
         grid = energy(np.arange(x0, x0 + rows, dtype=float)[:, None], np.arange(w, dtype=float))
         keep &= grid <= T
-        idx = np.flatnonzero(keep)
-        end = n + idx.size
-        row = np.floor_divide(idx, w, out=x1[n:end])
-        np.subtract(idx, np.multiply(row, w, out=x2[n:end]), out=x2[n:end])
-        row += x0
+        end = n + int(np.count_nonzero(keep))
+        idx = _mask_rows(x0, keep, out=(x1[n:end], x2[n:end]))[2]
         # every index is in range; the default mode="raise" writes `out` via a copy
         np.take(grid.ravel(), idx, out=en[n:end], mode="clip")
         n = end
-    del row  # the last view of a buffer: `resize` refuses to move a viewed one
-    x1.resize(n)
-    x2.resize(n)
-    en.resize(n)
+    try:  # no view of a buffer is left, so only a second holder stops this
+        x1.resize(n)
+        x2.resize(n)
+        en.resize(n)
+    except ValueError:  # a tracer that reads frame.f_locals holds them (Python < 3.13)
+        x1, x2, en = x1[:n].copy(), x2[:n].copy(), en[:n].copy()
     i = int(np.argmin(en)) if en.size else None
     if i is not None and np.exp(-en[i]) == 1.0:
         raise ValueError(f"site energy {en[i]:.3g} at ({x1[i]}, {x2[i]}) is below double "

@@ -281,7 +281,11 @@ def _by_s(pts):
     return x, y, x + y, bool((np.diff(x) >= 0.0).all() and (np.diff(y) >= 0.0).all())
 
 
-@lru_cache(maxsize=16)
+# one entry: the distance loops each reuse one (curve, mesh).  Hits/misses
+# with 1 and 16 entries: bench sample 276/4 and 277/3, `jarnik` 99/1 and
+# 99/1, `suite --name jarnik` 299/1 and 299/1; calibrate, count and the other
+# suites never call it
+@lru_cache(maxsize=1)
 def _curve_by_s(curve, mesh):
     """`_by_s` of `curve.sample(mesh)`, read-only, computed once per (curve, mesh)."""
     by_s = _by_s(curve.sample(mesh))

@@ -8,8 +8,8 @@ from functools import cmp_to_key, lru_cache
 import numpy as np
 from scipy import integrate
 
-from convexchain.lattice import (ConvexPolyline, MultiplicityDistribution, _primitive_grid,
-                                 primitive_vectors_in_box)
+from convexchain.lattice import (ConvexPolyline, MultiplicityDistribution, _mask_rows,
+                                 _primitive_grid, primitive_vectors_in_box)
 from convexchain.tolerances import SITE_BUDGET
 
 # quadrature epsabs of the polylog integral oracle
@@ -303,8 +303,7 @@ def site_arrays(energy, truncation):
 
     xs_parts, ys_parts, en_parts = [], [], []
     for x0, keep in _primitive_grid(n1, n2, width):
-        x1, x2 = np.divmod(np.flatnonzero(keep), keep.shape[1])
-        x1 += x0
+        x1, x2, _ = _mask_rows(x0, keep)
         en = np.asarray(energy(x1.astype(float), x2.astype(float)), dtype=float)
         ok = en <= T
         xs_parts.append(x1[ok])

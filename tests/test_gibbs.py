@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -213,6 +214,30 @@ def test_site_set_builds_without_full_size_temporaries():
     assert n == 810_598
     assert held <= 24 * n + 65_536
     assert peak - left <= 20 * n
+
+
+def test_site_set_builds_under_a_tracer_that_reads_f_locals():
+    # before Python 3.13 such a tracer's frame.f_locals snapshot holds the
+    # capacity buffers, and `ndarray.resize` refuses to shrink them in place
+    key = gibbs._law_key(GibbsParams(EnergyModel.linear(0.1, 0.07)))
+    _clear_site_caches()
+    want = gibbs._site_arrays(*key[::2])
+    _clear_site_caches()
+
+    def tracer(frame, event, arg):
+        frame.f_locals
+        return tracer
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = gibbs._site_arrays(*key[::2])
+    finally:
+        sys.settrace(old)
+    _clear_site_caches()
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert g.base is None and g.nbytes == w.nbytes and not g.flags.writeable
 
 
 def test_gibbs_params_validation():

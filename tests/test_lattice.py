@@ -12,6 +12,7 @@ from convexchain.gibbs import EnergyModel, GibbsParams, sample_omega
 from convexchain.lattice import (
     ConvexPolyline,
     MultiplicityDistribution,
+    _mask_rows,
     _primitive_grid,
     omega_to_polyline,
     primitive_vectors_in_box,
@@ -36,8 +37,7 @@ def _grid_rows(n1, n2):
     mask's true cells, row-major."""
     for x0, keep in _primitive_grid(n1, n2):
         assert keep.dtype == bool and keep.ndim == 2
-        x1, x2 = np.divmod(np.flatnonzero(keep), keep.shape[1])
-        yield x1 + x0, x2
+        yield _mask_rows(x0, keep)[:2]
 
 
 def _grid_count(n1, n2):
