@@ -151,8 +151,8 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     where written; the buffers then shrink in place to the site count.
     `ndarray.resize` refuses while anything else holds a buffer, as the
     `frame.f_locals` snapshot of a tracer or debugger does before Python
-    3.13; the filled prefixes are copied then, which costs about a third
-    more time.
+    3.13; the filled prefixes are then copied instead, at about a third
+    more build time.
     """
     T = float(truncation)
     with np.errstate(divide="ignore"):  # E(e_i) = 0 is an unbounded side
