@@ -9,11 +9,14 @@ whose normalizer is Z_x = 1 + lam*rho/(1-rho).  Expected endpoint, vertex
 count, the 3x3 covariance of (X1, X2, K) and seeded sampling live here.
 Two kernels compute log Z and the moments:
 
-- the per-site law kernel `_site_laws` serves `moments`, `log_partition`
-  and the sampler.  It works in a = g + E + log(1-rho), g = -log(lam), where
-  log Z_x = log(1 + e^-a) and P[omega(x) > 0] = 1/(1 + e^a) stay finite at
-  any fugacity (a -> -inf just saturates the occupation at 1, and an e^a
-  that overflows leaves it 0);
+- the per-site law kernel: `_site_laws` holds rho and q = P[omega > 0] per
+  site for `moments` and the sampler, and `_log_z` repeats its expressions
+  for `log_partition`.  It works in a = g + E + log(1-rho), g = -log(lam),
+  where log Z_x = log(1 + e^-a) and P[omega(x) > 0] = 1/(1 + e^a) stay
+  finite at any fugacity (a -> -inf just saturates the occupation at 1, and
+  an e^a that overflows leaves it 0).  The per-site terms of the sums are
+  formed leaf by leaf and added up in np.sum's own pairwise order
+  (`_pairwise_sums`), so no sum holds a full-size temporary;
 - the Mobius kernel `_mobius_log_z`, linear energy only, gives log Z with
   its gradient and Hessian as an O(N log N) sum over n <= N ~ 45/min(beta),
   without enumerating sites (past SITE_BUDGET index pairs it is refused).
@@ -128,10 +131,11 @@ class MomentReport:
     truncation_bound: float
 
 
-# `_site_arrays`, `_site_laws` and `_sampler_index` keep one set each: only
-# the caller that just built a set reuses it.  `_site_laws` hits/misses were
-# the same with two: bench calibrate 11/11, sample 226/3, `jarnik` 103/12;
-# `suite --name jarnik` went 305/15 -> 303/17 and 336 -> 227 MB peak.
+# `_site_arrays` (x1, x2, E: 24 B/site), `_site_laws` (rho, q: 16 B/site) and
+# `_sampler_index` keep one set each: only the caller that just built a set
+# reuses it.  `_site_laws` hits/misses are bench calibrate 11/11, sample
+# 226/3, `jarnik` 103/12 and `suite --name jarnik` 303/17; a second entry
+# would save only the suite's two rebuilds (305/15) and keep a second set.
 @lru_cache(maxsize=1)
 def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
@@ -274,72 +278,109 @@ def truncation_bound(params: GibbsParams) -> float:
     return _radial_tail(params.energy, params.fugacity, params.truncation)
 
 
+# sites per leaf of `_pairwise_sums`, and per slice of the laws' and the
+# sampler labels' scratch: 128 KiB of float64
+_LEAF = 1 << 14
+
+
 @lru_cache(maxsize=1)
 def _site_laws(energy: EnergyModel, g: float, truncation: float):
-    """(x1, x2, rho, q, mean, var) per truncated site: the biased geometric law
-    at g = -log(lam), with q = P[omega > 0].
+    """(x1, x2, rho, q) per truncated site: the biased geometric law at
+    g = -log(lam), with q = P[omega > 0].  The moments' per-site mean and
+    variance are formed leaf by leaf where they are summed (`_site_sums`).
 
     The operation order of a = g + E + log(1-rho) keeps calibration iterates
     reproducible; `_log_z` repeats it.  Each expression is evaluated in that
-    order with `out=`, into the four laws and one scratch array.
+    order with `out=`, into the two laws and a leaf-sized scratch for g + E.
     """
     x1, x2, en = _site_arrays(energy, truncation)
     rho = np.negative(en)
     np.exp(rho, out=rho)
-    s = np.negative(rho)  # scratch, first log(1 - rho)
-    np.log1p(s, out=s)
-    q = np.add(g, en)
-    np.add(q, s, out=q)
+    q = np.negative(rho)
+    np.log1p(q, out=q)  # log(1 - rho)
+    s = np.empty(min(q.size, _LEAF))
+    for lo in range(0, q.size, _LEAF):
+        part = q[lo:lo + _LEAF]
+        np.add(np.add(g, en[lo:lo + _LEAF], out=s[:part.size]), part, out=part)
     with np.errstate(over="ignore"):
         np.exp(q, out=q)
     np.divide(1.0, np.add(1.0, q, out=q), out=q)
-    mean = np.divide(q, np.subtract(1.0, rho, out=s))
-    var = np.add(1.0, rho)  # q (1 + rho) / (1 - rho)^2 - mean^2
-    np.multiply(q, var, out=var)
-    np.divide(var, np.square(s, out=s), out=var)
-    np.subtract(var, np.square(mean, out=s), out=var)
-    for arr in (rho, q, mean, var):
+    for arr in (rho, q):
         arr.setflags(write=False)
-    return x1, x2, rho, q, mean, var
+    return x1, x2, rho, q
+
+
+def _pairwise_sums(terms, lo: int, hi: int) -> np.ndarray:
+    """Sums over the sites [lo, hi) of per-site terms, each with the bits of
+    `np.sum` over its whole term array when [lo, hi) is all of it.
+
+    numpy sums a contiguous float64 array pairwise: it halves [0, n), rounds
+    the first half down to a multiple of 8 and recurses.  This walks the
+    same tree down to nodes of at most _LEAF sites, where `terms(lo, hi)`
+    yields the node's term arrays in a fixed order; `np.sum` of each is the
+    subtree numpy would form, and the node sums add up along the tree.  A
+    term may reuse the scratch of the one before, which is summed first.
+    """
+    if hi - lo <= _LEAF:
+        return np.array([np.sum(t) for t in terms(lo, hi)])
+    half = (hi - lo) // 2
+    mid = lo + half - half % 8
+    return _pairwise_sums(terms, lo, mid) + _pairwise_sums(terms, mid, hi)
 
 
 def _log_z(energy: EnergyModel, g: float, truncation: float) -> float:
-    """Sum over truncated sites of log Z_x = log(1 + e^-a), in one array and
-    one scratch."""
+    """Sum over truncated sites of log Z_x = log(1 + e^-a), leaf by leaf in
+    two scratch arrays."""
     en = _site_arrays(energy, truncation)[2]
-    s = np.negative(en)
-    np.exp(s, out=s)
-    np.log1p(np.negative(s, out=s), out=s)  # log(1 - rho)
-    a = np.add(g, en)
-    np.negative(np.add(a, s, out=a), out=a)
-    return float(np.sum(np.logaddexp(0.0, a, out=a)))
+    a, s = np.empty((2, min(en.size, _LEAF)))
+
+    def terms(lo, hi):
+        e, t, b = en[lo:hi], s[:hi - lo], a[:hi - lo]
+        np.exp(np.negative(e, out=t), out=t)
+        np.log1p(np.negative(t, out=t), out=t)  # log(1 - rho)
+        np.add(g, e, out=b)
+        np.negative(np.add(b, t, out=b), out=b)
+        yield np.logaddexp(0.0, b, out=b)
+
+    return float(_pairwise_sums(terms, 0, en.size)[0])
 
 
 def _site_sums(energy: EnergyModel, g: float, truncation: float):
     """(E[X1], E[X2], E[K]) and the covariance of (X1, X2, K) over the
-    truncated sites.  Each product goes into one scratch array before its
-    sum; the int64 coordinates are cast to float inside the first product,
-    exactly."""
-    x1, x2, _, q, mean, var = _site_laws(energy, g, truncation)
-    s = np.empty_like(q)
+    truncated sites.  Per leaf, E[omega] and Var(omega) go into scratch
+    arrays and each product into one more before its sum; the int64
+    coordinates are cast to float inside the first product, exactly."""
+    x1, x2, rho, q = _site_laws(energy, g, truncation)
+    mean, var, ck, s = np.empty((4, min(q.size, _LEAF)))
 
-    def total(a, b, c=None):
-        np.multiply(a, b, out=s, dtype=float)
-        if c is not None:
-            np.multiply(s, c, out=s)
-        return np.sum(s)
+    def terms(lo, hi):
+        a1, a2, r, qs = x1[lo:hi], x2[lo:hi], rho[lo:hi], q[lo:hi]
+        mu, v, k, t = mean[:hi - lo], var[:hi - lo], ck[:hi - lo], s[:hi - lo]
 
-    means = np.array([total(x1, mean), total(x2, mean), np.sum(q)])
-    ck = np.subtract(1.0, q)
-    cov = np.empty((3, 3))
-    cov[0, 0] = total(x1, x1, var)
-    cov[1, 1] = total(x2, x2, var)
-    cov[0, 1] = cov[1, 0] = total(x1, x2, var)
-    cov[2, 2] = total(q, ck)
-    ck *= mean  # Cov(omega, 1{omega>0}) = mean (1 - q) per site
-    cov[0, 2] = cov[2, 0] = total(x1, ck)
-    cov[1, 2] = cov[2, 1] = total(x2, ck)
-    return means, cov
+        def prod(a, b, c=None):
+            np.multiply(a, b, out=t, dtype=float)
+            return t if c is None else np.multiply(t, c, out=t)
+
+        np.divide(qs, np.subtract(1.0, r, out=t), out=mu)
+        np.add(1.0, r, out=v)  # q (1 + rho) / (1 - rho)^2 - mean^2
+        np.multiply(qs, v, out=v)
+        np.divide(v, np.square(t, out=t), out=v)
+        np.subtract(v, np.square(mu, out=t), out=v)
+        yield prod(a1, mu)
+        yield prod(a2, mu)
+        yield qs
+        yield prod(a1, a1, v)
+        yield prod(a2, a2, v)
+        yield prod(a1, a2, v)
+        np.subtract(1.0, qs, out=k)
+        yield prod(qs, k)
+        k *= mu  # Cov(omega, 1{omega>0}) = mean (1 - q) per site
+        yield prod(a1, k)
+        yield prod(a2, k)
+
+    ex1, ex2, ek, v11, v22, v12, vkk, v1k, v2k = _pairwise_sums(terms, 0, q.size)
+    return (np.array([ex1, ex2, ek]),
+            np.array([[v11, v12, v1k], [v12, v22, v2k], [v1k, v2k, vkk]]))
 
 
 # -- closed-form kernel for the linear energy, no site enumeration ------------
@@ -457,8 +498,15 @@ def log_partition(params: GibbsParams) -> float:
 
 def _mean_euclidean_length(params: GibbsParams) -> float:
     """E[L] = sum over truncated sites of |x|_2 * E[omega(x)] (-d log Z/d beta)."""
-    x1, x2, _, _, mean, _ = _site_laws(*_law_key(params))
-    return float(np.sum(np.hypot(x1, x2) * mean))
+    x1, x2, rho, q = _site_laws(*_law_key(params))
+    h, s = np.empty((2, min(q.size, _LEAF)))
+
+    def terms(lo, hi):
+        t = s[:hi - lo]
+        np.divide(q[lo:hi], np.subtract(1.0, rho[lo:hi], out=t), out=t)  # E[omega]
+        yield np.multiply(np.hypot(x1[lo:hi], x2[lo:hi], out=h[:hi - lo]), t, out=t)
+
+    return float(_pairwise_sums(terms, 0, q.size)[0])
 
 
 def moments(params: GibbsParams) -> MomentReport:
@@ -511,20 +559,26 @@ def _sampler_index(energy: EnergyModel, g: float, truncation: float):
     the sums of `moments` and `log_partition` do not move.
     """
     q = _site_laws(energy, g, truncation)[3]
-    with np.errstate(divide="ignore"):  # q = 0 goes to the last block
-        label = np.log2(q)
-    np.negative(label, out=label)
-    np.minimum(np.floor(label, out=label), _LAST_BLOCK, out=label)
-    label = label.astype(np.int8)
+    label = np.empty(q.size, dtype=np.int8)
+    s = np.empty(min(q.size, _LEAF))
+    for lo in range(0, q.size, _LEAF):
+        part = q[lo:lo + _LEAF]
+        t = s[:part.size]
+        with np.errstate(divide="ignore"):  # q = 0 goes to the last block
+            np.log2(part, out=t)
+        np.negative(t, out=t)
+        label[lo:lo + part.size] = np.minimum(np.floor(t, out=t), _LAST_BLOCK, out=t)
     order = np.argsort(label, kind="stable")
-    size = np.bincount(label, minlength=_LAST_BLOCK + 1)
+    # bounds[b] is where block b starts in `order`, bounds[64] the site count
+    bounds = np.searchsorted(label[order], np.arange(_LAST_BLOCK + 2, dtype=np.int8))
+    size = np.diff(bounds)
     block = np.flatnonzero(size)
-    start = (np.cumsum(size) - size)[block]
-    q_max = np.maximum.reduceat(q[order], start)
+    start, size = bounds[block], size[block]
+    q_max = np.array([q[order[a:a + m]].max() for a, m in zip(start, size)])
     keep = q_max > 0.0
     with np.errstate(divide="ignore"):  # q_max = 1: log 0 = -inf, every gap is 0
         log_miss = np.log1p(-q_max[keep])
-    index = (order, start[keep], size[block][keep], block[keep], q_max[keep], log_miss)
+    index = (order, start[keep], size[keep], block[keep], q_max[keep], log_miss)
     for arr in index:
         arr.setflags(write=False)
     return index
@@ -533,7 +587,7 @@ def _sampler_index(energy: EnergyModel, g: float, truncation: float):
 def _check_draws(what: str, draws, extra: float = 0.0) -> None:
     """Price `draws`, (params, count) pairs, before the first: E[K] +
     GIBBS_DRAW_ENTRIES + `extra` support entries each, E[K] the sum of q over
-    the site set they build anyway (`moments` adds 0.3 s at 4.9M sites).
+    the site set they build anyway (`moments` adds 0.15-0.2 s at 4.9M sites).
     The caches keep one set, so a run over several sets keeps only the last
     one priced; the draws at the others build them again."""
     need = sum(count * (float(_site_laws(*_law_key(p))[3].sum()) + GIBBS_DRAW_ENTRIES + extra)
@@ -552,7 +606,7 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     multiplicity draw.
     """
     key = _law_key(params)
-    x1, x2, rho, q, _, _ = _site_laws(*key)
+    x1, x2, rho, q = _site_laws(*key)
     order, start, size, block, q_max, log_miss = _sampler_index(*key)
     if not block.size:
         return MultiplicityDistribution({})

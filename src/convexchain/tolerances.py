@@ -81,15 +81,16 @@ TABLE_ROW_BUDGET = 300_000
 # Primitive-vector guard, in cells (n1+1)*(n2+1) of the box that
 # `lattice._primitive_grid` sieves for a box or a Gibbs site set: a site set
 # holds ~0.30 primitive sites per cell for the linear energy and ~0.48 for
-# the Euclidean one, and a site set with its `moments` pass peaks at 72-73
-# bytes per site (ru_maxrss of fresh processes less their 28-30 MB import,
-# at 2.5M-9.9M linear and 3.9M-11.9M Euclidean sites), so ~22 and ~35 bytes
-# per cell; the budget refuses sets predicted to need over ~1.7 GB.  The
-# build reserves 24 bytes of address space per cell, resident only where
-# sites are written (`gibbs._site_arrays`).  The `gibbs` caches keep one
-# set each, so a process holds at most one cached set and the one being
-# built.  The largest current caller is the Jarnik suite's root bracket at
-# Euclidean beta 0.05/3, a 2401^2 = 5.8e6-cell box.
+# the Euclidean one, and a site set with its `moments` pass peaks at 40-42
+# bytes per site (ru_maxrss of fresh processes less their 28 MB import, at
+# 2.5M-9.9M linear and 3.9M-11.9M Euclidean sites): the 24 of the set and
+# the 16 of its laws.  That is ~12-13 and ~19 bytes per cell, so the budget
+# refuses sets predicted to need over ~0.9 GB.  The build reserves 24 bytes
+# of address space per cell, resident only where sites are written
+# (`gibbs._site_arrays`).  The `gibbs` caches keep one set each, so a
+# process holds at most one cached set and the one being built.  The
+# largest current caller is the Jarnik suite's root bracket at Euclidean
+# beta 0.05/3, a 2401^2 = 5.8e6-cell box.
 SITE_BUDGET = 48_000_000
 # relative rounding allowance of a Mobius-kernel log Z or moment against the
 # same sum over the sites: 64 ulps, where at most 12 were measured (linear

@@ -314,14 +314,19 @@ def site_arrays(energy, truncation):
 
 @lru_cache(maxsize=1)
 def site_laws(energy, g, truncation):
-    """`gibbs._site_laws`: (x1, x2, rho, q, mean, var) per site."""
+    """`gibbs._site_laws`: (x1, x2, rho, q) per site."""
     x1, x2, en = site_arrays(energy, truncation)
     rho = np.exp(-en)
     with np.errstate(over="ignore"):
         q = 1.0 / (1.0 + np.exp(g + en + np.log1p(-rho)))
+    return x1, x2, rho, q
+
+
+def site_moments(rho, q):
+    """(E[omega], Var(omega)) per site of the biased geometric law."""
     mean = q / (1.0 - rho)
     var = q * (1.0 + rho) / (1.0 - rho) ** 2 - mean**2
-    return x1, x2, rho, q, mean, var
+    return mean, var
 
 
 def log_z(energy, g, truncation):
@@ -332,7 +337,8 @@ def log_z(energy, g, truncation):
 
 def site_sums(energy, g, truncation):
     """`gibbs._site_sums`: the means and covariance of (X1, X2, K)."""
-    x1, x2, _, q, mean, var = site_laws(energy, g, truncation)
+    x1, x2, rho, q = site_laws(energy, g, truncation)
+    mean, var = site_moments(rho, q)
     x1, x2 = x1.astype(float), x2.astype(float)
     means = np.array([np.sum(x1 * mean), np.sum(x2 * mean), np.sum(q)])
     ck = mean * (1.0 - q)

@@ -195,9 +195,8 @@ def test_site_kernels_match_the_fresh_array_oracle(monkeypatch, params):
 
 def test_site_set_builds_without_full_size_temporaries():
     # numpy reports its buffers to tracemalloc.  A fresh set of 810,598
-    # sites keeps 24 B/site and no spare capacity; `moments` on it adds
-    # the four laws and, above what it leaves, at most a laws scratch or
-    # the two arrays of the sums, 16 B/site
+    # sites keeps 24 B/site and no spare capacity, and `moments` on it
+    # makes no full-size temporary (the next test bounds its leaf scratch)
     params = GibbsParams(EnergyModel.linear(0.02, 0.03))
     key = gibbs._law_key(params)
     _clear_site_caches()
@@ -214,6 +213,40 @@ def test_site_set_builds_without_full_size_temporaries():
     assert n == 810_598
     assert held <= 24 * n + 65_536
     assert peak - left <= 20 * n
+
+
+def test_moments_keeps_two_laws_and_sums_in_leaf_scratch():
+    # on a built set of 810,598 sites, `moments` keeps rho and q, 16 B/site,
+    # and peaks above that by its leaf scratch alone, which does not grow
+    # with the site count
+    params = GibbsParams(EnergyModel.linear(0.02, 0.03))
+    key = gibbs._law_key(params)
+    _clear_site_caches()
+    n = gibbs._site_arrays(key[0], key[2])[2].size
+    tracemalloc.start()
+    try:
+        moments(params)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 810_598
+    assert 16 * n <= left <= 16 * n + 65_536
+    assert peak - left <= 1 << 20
+
+
+_LEAF = gibbs._LEAF
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 127, 128, 129, _LEAF - 1, _LEAF, _LEAF + 1,
+                               2 * _LEAF + 8, 1_216_569])
+def test_pairwise_sums_have_the_bits_of_np_sum(n):
+    # heavy-tailed terms of both signs, whose last bits move under any other
+    # summation order: a numpy that reorders its pairwise reduction fails here
+    rng = np.random.default_rng(n)
+    a = rng.standard_cauchy(n) * np.exp(rng.normal(0.0, 5.0, n))
+    b = np.abs(a)
+    got = gibbs._pairwise_sums(lambda lo, hi: iter((a[lo:hi], b[lo:hi])), 0, n)
+    assert [x.hex() for x in got.tolist()] == [float(np.sum(t)).hex() for t in (a, b)]
 
 
 def test_site_set_builds_under_a_tracer_that_reads_f_locals():
@@ -582,7 +615,8 @@ def test_sampler_occupation_and_multiplicity_match_the_laws():
     # exact laws: each chi^2/dof must lie within five standard deviations of
     # 1, with the exact Var(Z^2) = 2 + kappa_4/(n sigma^4) of each site
     p = GibbsParams(EnergyModel.linear(0.3, 0.5), 2.5)
-    x1, x2, rho, q, mean, var = gibbs._site_laws(*gibbs._law_key(p))
+    x1, x2, rho, q = gibbs._site_laws(*gibbs._law_key(p))
+    mean, var = oracles.site_moments(rho, q)
     assert rho.max() ** 400 < 1e-50  # the pmf sum below is complete
     rank = {xy: i for i, xy in enumerate(zip(x1.tolist(), x2.tolist()))}
     n = 10_000
@@ -610,7 +644,7 @@ def test_sampler_occupation_and_multiplicity_match_the_laws():
 
 def test_sampler_blocks_keep_row_major_order():
     p = GibbsParams(EnergyModel.euclidean(0.4), 2.0)
-    x1, x2, _, q, _, _ = gibbs._site_laws(*gibbs._law_key(p))
+    x1, x2, _, q = gibbs._site_laws(*gibbs._law_key(p))
     order, start, size, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(p))
     assert sorted(order.tolist()) == list(range(q.size))
     for a, m, b, top in zip(start, size, block, q_max):
@@ -630,7 +664,7 @@ def test_sampler_blocks_keep_row_major_order():
 def test_sampler_edge_laws_raise_no_warnings(params, occupied):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x1, x2, _, q, _, _ = gibbs._site_laws(*gibbs._law_key(params))
+        x1, x2, _, q = gibbs._site_laws(*gibbs._law_key(params))
         draws = [sample_omega(params, s) for s in range(5)]
     _, _, _, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(params))
     if occupied == "all":
