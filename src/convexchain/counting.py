@@ -21,10 +21,18 @@ silently.  The DP refuses up front (never mid-run) when its estimated cell
 updates exceed COUNT_OP_BUDGET.  A line has at most n1 + n2 vertices (each
 adds at least 1 to a + b), so no sweep holds more layers than that.
 
+Both sweeps touch only the cells a line can reach (`_live_rect`): before a
+vector v = (p, q) in slope order, every reachable cell but the origin is a
+sum of vectors of smaller slope, so it lies in the cone b*p < a*q.  The
+count sweep holds its layers interleaved along each row, so that each
+shift adds contiguous row segments (`_count_sweep`).  A cell the cone
+leaves out would only have received += 0, so every count keeps its bits.
+
 `max_vertices` runs the same skeleton with (max, +1), but only over the
 vectors that a maximal line can use (`_maximal_candidates`): a line with
 many vertices can use only light vectors, the classical bound behind
-Jarnik (1926) and Acketa & Zunic (1995).
+Jarnik (1926) and Acketa & Zunic (1995).  It also skips the rows from
+which the vectors still to come cannot reach (n1, n2).
 """
 
 from __future__ import annotations
@@ -87,27 +95,69 @@ def _shifts(n1: int, n2: int, vectors):
 
 
 def _dp_cost_estimate(n1: int, n2: int, kmax: int) -> int:
-    """Exact number of cell updates one sweep over kmax layers performs, in
-    closed form: the shifts m*v of `_shifts` over all the box's vectors are
-    the nonzero points (a, b) of the box, each once, and a shift updates
-    (n1-a+1)(n2-b+1) cells a layer."""
+    """Cell updates of one unbounded sweep over kmax layers, in closed form:
+    the shifts m*v of `_shifts` over all the box's vectors are the nonzero
+    points (a, b) of the box, each once, and an unbounded shift updates
+    (n1-a+1)(n2-b+1) cells a layer.  The sweeps update only the rectangles
+    of `_live_rect`, each inside its unbounded shift's, so this is an upper
+    bound on their work: the budget prices the unbounded sweep."""
     return kmax * ((n1 + 1) * (n1 + 2) * (n2 + 1) * (n2 + 2) // 4 - (n1 + 1) * (n2 + 1))
+
+
+def _live_rect(n1: int, n2: int, v, strip: bool = False) -> tuple[int, int]:
+    """(first, cols): rows first..n1-p and columns 0..cols-1 of the box hold
+    every cell that a shift of v = (p, q) must read, in a sweep over the
+    box's vectors in slope order; a shift by (dp, dq) updates the rectangle
+    of rows first+dp..n1 and columns dq..dq+min(cols, n2+1-dq)-1.
+
+    - Cone: before v, every reachable cell but the origin is a sum of
+      vectors of smaller slope, so b*p < a*q there.  A shift of v reads rows
+      a <= n1 - p only, so columns b < ceil((n1-p)*q/p), and column 0 for
+      the origin, hold them all.  For v = (0, 1) that is every column.
+    - Strip (with `strip`): from a cell that vectors of slope >= q/p can
+      still take to N = (n1, n2), N - (a, b) is a sum of such vectors, so
+      a*q - b*p >= n1*q - n2*p.  For a steep v (n1*q > n2*p) no row
+      a < ceil((n1*q - n2*p)/q) holds one.
+    """
+    p, q = v
+    cols = n2 + 1 - q
+    if p:
+        cols = min(cols, max(1, -(-(n1 - p) * q // p)))
+    first = max(0, -(-(n1 * q - n2 * p) // q)) if strip and q else 0
+    return first, cols
 
 
 def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.ndarray:
     """layer[j, a, b] = number of lines to (a, b) with j vertices, in dtype
-    arithmetic (residues mod `modulus` when it is nonzero).
+    arithmetic (residues mod `modulus` when it is nonzero), as one
+    (kmax+1, n1+1, n2+1) array.
 
-    Each vector v adds, for every multiplicity m, the shift by m*v of a
-    snapshot of layers 0..kmax-1 taken before v, so v fills one support slot.
-    With a modulus, every value stays at most `top`: the M_v additions of
-    vector v (one per multiplicity that fits the box) multiply that bound by
-    at most 1 + M_v, and the layers are reduced only when the next vector
-    could pass 2^64; with a modulus under 2^32 that leaves room for all of
-    one vector's additions.
+    The sweep holds the table layer-interleaved, as one (n1+1, (n2+1)(kmax+1))
+    array: row a holds its columns b one after another, each column its
+    layers 0..kmax side by side.  A shift by (dp, dq) plus one layer is then
+    one flat offset dq*(kmax+1) + 1 along a row, and each addition runs over
+    contiguous row segments.  Each vector v adds, for every multiplicity m,
+    the shift by m*v of a snapshot of the table taken before v, so v fills
+    one support slot.  The top layer of column b lands in layer 0 of column
+    b + dq + 1: layer 0 holds only the origin, so its slots take that spill,
+    and each snapshot (and the result) clears them and restores the origin.
+
+    Snapshots and additions cover only the cone rectangle of `_live_rect`.
+    Every snapshot cell outside it is zero in every layer, so each addition
+    the unbounded sweep makes from such a cell is += 0, and x + 0 == x in
+    float64, uint64 and residues alike; every other addition comes in the
+    same order.  Every value therefore keeps its bits, past 2^53 and past
+    2^64 too.
+
+    With a modulus, every value but the spill stays at most `top`: the M_v
+    additions of vector v (one per multiplicity that fits the box) multiply
+    that bound by at most 1 + M_v, and the table is reduced only when the
+    next vector could pass 2^64; with a modulus under 2^32 that leaves room
+    for all of one vector's additions.
     """
-    lay = np.zeros((kmax + 1, n1 + 1, n2 + 1), dtype=dtype)
-    lay[0, 0, 0] = 1
+    k = kmax + 1
+    table = np.zeros((n1 + 1, (n2 + 1) * k), dtype=dtype)
+    table[0, 0] = 1
     top = 1
     for (p, q), m, (dp, dq) in _shifts(n1, n2, primitive_vectors_in_box(n1, n2)):
         if m == 1:
@@ -115,13 +165,20 @@ def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.nda
                 grow = 1 + min(n1 // p if p else math.inf, n2 // q if q else math.inf)
                 top *= grow
                 if top >= 2**64:
-                    np.remainder(lay[1:], modulus, out=lay[1:])
+                    np.remainder(table, modulus, out=table)
                     top = (modulus - 1) * grow
-            snap = lay[:-1, : n1 + 1 - p, : n2 + 1 - q].copy()
-        lay[1:, dp:, dq:] += snap[:, : n1 + 1 - dp, : n2 + 1 - dq]
+            cols = _live_rect(n1, n2, (p, q))[1]
+            snap = table[: n1 + 1 - p, : cols * k].copy()
+            snap[:, ::k] = 0  # layer 0: the spill slots and the origin
+            snap[0, 0] = 1
+        span = min(cols * k, (n2 + 1 - dq) * k - 1)
+        table[dp:, dq * k + 1 : dq * k + 1 + span] += snap[: n1 + 1 - dp, :span]
     if modulus:
-        np.remainder(lay[1:], modulus, out=lay[1:])
-    return lay
+        np.remainder(table, modulus, out=table)
+    table[:, ::k] = 0
+    table[0, 0] = 1
+    del snap  # so that the layer-major copy is the only other table held
+    return np.ascontiguousarray(table.reshape(n1 + 1, n2 + 1, k).transpose(2, 0, 1))
 
 
 def _odd_primes_below_2_32():
@@ -274,11 +331,19 @@ def max_vertices(n1: int, n2: int) -> int:
     uses only those, so the best line over them has exactly M.  The state is
     the best support size reachable at each partial sum.  Cells start at
     -(n1+n2+1) ("unreachable"); each shift adds 1 and moves at least 1 in
-    a+b, so a cell (a,b) not yet reachable holds at most -(n1+n2+1) + a+b < 0
-    and never wins a maximum.  Real values are at most a+b, so every value
-    fits the smallest signed dtype holding -(n1+n2+1).  The budget prices
-    the sweep over all the box's vectors, a loose upper bound.  Sides go
-    through `operator.index`: a float, a string or None raises ValueError.
+    a+b, so a value that does not come from the origin is at most
+    -(n1+n2+1) + a+b < 0 and never wins a maximum.  Real values are at most
+    a+b, so every value fits the smallest signed dtype holding -(n1+n2+1).
+
+    Each vector reads and updates only the rectangle of `_live_rect` with
+    both bounds: the cone holds every cell a line reaches before v, and the
+    strip every cell from which v and the vectors after it can still reach
+    N = (n1, n2).  Every line to N passes only through cells in both, so
+    best[N] keeps every line's chain of updates, and a skipped update could
+    only have changed a cell that never feeds best[N].  The budget prices
+    the unbounded sweep over all the box's vectors, a loose upper bound.
+    Sides go through `operator.index`: a float, a string or None raises
+    ValueError.
     """
     n1, n2 = _index(n1), _index(n2)
     if n1 < 1 or n2 < 1:
@@ -291,9 +356,10 @@ def max_vertices(n1: int, n2: int) -> int:
     kept = _maximal_candidates(n1, n2)[0].tolist()
     for (p, q), m, (dp, dq) in _shifts(n1, n2, kept):
         if m == 1:  # every shift of v reads the state from before v
-            inc = best[: n1 + 1 - p, : n2 + 1 - q] + 1
-        dst = best[dp:, dq:]
-        np.maximum(dst, inc[: n1 + 1 - dp, : n2 + 1 - dq], out=dst)
+            first, cols = _live_rect(n1, n2, (p, q), strip=True)
+            inc = best[first : n1 + 1 - p, :cols] + 1
+        dst = best[first + dp :, dq : dq + cols]
+        np.maximum(dst, inc[: n1 + 1 - first - dp, : n2 + 1 - dq], out=dst)
     return int(best[n1, n2])
 
 

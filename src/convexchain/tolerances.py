@@ -49,13 +49,16 @@ VALTR_WORK_BUDGET = 800_000_000
 
 # Gibbs / counting
 DEFAULT_TRUNCATION = 40.0     # default energy cutoff T for Gibbs site sets
-# DP resource guard, in cell updates of one sweep (`counting._dp_cost_estimate`):
-# one float64 count sweep runs ~3.4e8 cell updates/s on a 2-core x86 host, so
-# the budget refuses calls predicted to take over ~1 minute.  Counts past
-# 2^53 add a uint64 pass, and past 2^64 one prime pass (about the cost of a
-# plain pass) per 32 bits.  For max_vertices the same estimate is a loose
-# upper bound: its int16 sweep runs ~1e9/s over all the box's vectors, but
-# it sweeps only the few a maximal line can use (181 of 24,465 at 200x200).
+# DP resource guard, in cell updates of one unbounded sweep
+# (`counting._dp_cost_estimate`).  The count sweep updates only its cone
+# rectangles, about 70% of those, and one float64 count sweep runs ~5.5e8
+# priced updates/s on a 2-core x86 host (100x100 and 150x150, 10 layers), so
+# the budget refuses calls predicted to take over ~40 s.  Counts past 2^53
+# add a uint64 pass, and past 2^64 one prime pass (about the cost of a plain
+# pass) per 32 bits.  For max_vertices the same estimate is a looser upper
+# bound still: it sweeps only the few vectors a maximal line can use (181 of
+# 24,465 at 200x200), each over its cone and strip, 2.7e7 of the 4.1e8
+# priced updates, at ~7e8 updates/s.
 COUNT_OP_BUDGET = 20_000_000_000
 # `sample-gibbs` guard, in support entries: --count draws of E[K] entries
 # each, plus GIBBS_DRAW_ENTRIES for what a draw costs whatever its size (a

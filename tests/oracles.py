@@ -92,6 +92,35 @@ def max_vertices_sweep(n1: int, n2: int) -> int:
     return int(best[n1, n2])
 
 
+def count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.ndarray:
+    """layer[j, a, b] = number of lines to (a, b) with j vertices, by the
+    unbounded layered sweep in dtype arithmetic (residues mod `modulus` when
+    it is nonzero): one (kmax+1, n1+1, n2+1) table, and every vector v of
+    the box in slope order adds, for every multiplicity m, the shift by m*v
+    of a snapshot of layers 0..kmax-1 taken before v, over the whole box.
+    Its additions per cell come in the same order as the library's sweep, so
+    the two agree bit for bit.  With a modulus, the layers are reduced just
+    before a vector whose M_v shifts could lift a value past 2^64."""
+    lay = np.zeros((kmax + 1, n1 + 1, n2 + 1), dtype=dtype)
+    lay[0, 0, 0] = 1
+    top = 1
+    for p, q in primitive_vectors_in_box(n1, n2):
+        if modulus:
+            grow = 1 + min(n1 // p if p else math.inf, n2 // q if q else math.inf)
+            top *= grow
+            if top >= 2**64:
+                np.remainder(lay[1:], modulus, out=lay[1:])
+                top = (modulus - 1) * grow
+        snap = lay[:-1, : n1 + 1 - p, : n2 + 1 - q].copy()
+        m = 1
+        while m * p <= n1 and m * q <= n2:
+            lay[1:, m * p :, m * q :] += snap[:, : n1 + 1 - m * p, : n2 + 1 - m * q]
+            m += 1
+    if modulus:
+        np.remainder(lay[1:], modulus, out=lay[1:])
+    return lay
+
+
 def primitive_grid_gcd(n1: int, n2: int, block_cells: int):
     """The primitive vectors of the box [0, n1] x [0, n2] as int64 (x1, x2)
     array pairs, row-major in x1, in blocks of max(1, block_cells // (n2+1))

@@ -13,6 +13,7 @@ from convexchain import counting
 from convexchain.counting import (
     _count_sweep,
     _dp_cost_estimate,
+    _live_rect,
     _maximal_candidates,
     _rebuild,
     _shifts,
@@ -21,7 +22,7 @@ from convexchain.counting import (
     max_vertices,
 )
 from convexchain.lattice import MultiplicityDistribution, primitive_vectors_in_box
-from oracles import max_vertices_sweep
+from oracles import count_sweep, max_vertices_sweep
 from paper import erdos_lehner_ratio
 
 LENGTH_CAP = 15.0
@@ -185,7 +186,9 @@ def test_max_vertices_matches_brute_force():
         assert max_vertices(n1, n2) == best
 
 
-@pytest.mark.parametrize("box", [(200, 200), (300, 100), (100, 300)])
+# the skinny boxes are where both the cone and the strip bound bite
+@pytest.mark.parametrize("box", [(200, 200), (300, 100), (100, 300), (400, 40), (40, 400),
+                                 (1, 300), (300, 1)])
 def test_max_vertices_matches_the_full_sweep(box):
     assert max_vertices(*box) == max_vertices_sweep(*box)
 
@@ -333,6 +336,22 @@ def test_shifts_are_the_box_points_and_price_the_sweep(n1, n2):
     assert _dp_cost_estimate(n1, n2, 3) == 3 * cells
 
 
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 40), (40, 1), (17, 45), (30, 30)])
+def test_bounded_sweeps_update_no_more_cells_than_the_price(n1, n2):
+    # each sweep updates, per shift, the rectangle `_live_rect` gives it; the
+    # budget's closed form prices the unbounded sweep, so it bounds them all
+    def cells(vectors, strip):
+        total = 0
+        for v, _, (dp, dq) in _shifts(n1, n2, vectors):
+            first, cols = _live_rect(n1, n2, v, strip)
+            assert first + dp <= n1 and cols >= 1
+            total += (n1 + 1 - first - dp) * min(cols, n2 + 1 - dq)
+        return total
+
+    assert 3 * cells(primitive_vectors_in_box(n1, n2), False) <= _dp_cost_estimate(n1, n2, 3)
+    assert cells(_maximal_candidates(n1, n2)[0].tolist(), True) <= _dp_cost_estimate(n1, n2, 1)
+
+
 # One table per box shape covers every sub-box: square, both skinny
 # orientations and the one-row / one-column edge cases.
 ORACLE_BOXES = [(30, 30, 12), (45, 17, 8), (17, 45, 8), (1, 40, 3), (40, 1, 3)]
@@ -363,6 +382,25 @@ def test_prime_residue_sweep_matches_oracle(box, modulus):
     residues = _count_sweep(*box, np.uint64, modulus)
     assert residues.max() < modulus
     assert (residues.astype(object) == _oracle_array(*box) % modulus).all()
+
+
+# The unbounded sweep of `oracles.count_sweep` makes the same additions in
+# the same order plus only += 0, so the bounded, interleaved sweep keeps its
+# bits: the square and both skinny boxes, one row and one column, more
+# layers than any line has, and (70, 70, 16), whose float pass is inexact.
+BIT_BOXES = ORACLE_BOXES + [(6, 4, 14), (70, 70, 16)]
+
+
+@pytest.mark.parametrize("box", BIT_BOXES)
+def test_sweep_keeps_the_unbounded_sweeps_bits(box):
+    flt, want = _count_sweep(*box, np.float64), count_sweep(*box, np.float64)
+    assert flt.shape == want.shape == (box[2] + 1, box[0] + 1, box[1] + 1)
+    assert (flt.view(np.uint64) == want.view(np.uint64)).all()
+    for modulus in (0, 4294967291):
+        got = _count_sweep(*box, np.uint64, modulus)
+        assert (got == count_sweep(*box, np.uint64, modulus)).all(), modulus
+    if box == (70, 70, 16):
+        assert flt.max() > 2**53
 
 
 def test_rebuild_past_64_bits_matches_oracle():
