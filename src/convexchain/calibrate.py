@@ -12,17 +12,12 @@ and applies the closed-form rate relations; a small-k closed form covers
 densities below the bracket.
 
 log Z and its derivatives come from `gibbs._linear_log_z`, which chooses the
-kernel (no site enumeration while lambda <= 2); the Newton loop makes one
-call per point and keeps f, the gradient and the Hessian of the accepted
-iterate.  A step may at most halve a rate, and once f can no longer resolve
-the predicted decrease the full Newton step is taken.  The report reuses the
-final iterate's call when the fugacity round trip e^-g gives back the same
-g, and otherwise makes its own.  Each residual is the moment mismatch plus
-that call's gap to the truncated site sums: for lambda <= 2 a bound on the
-omitted tail and on rounding, above it zero (the sums are those of
-`moments`).  So a reported residual bounds that of the truncated measure
-`CalibrationResult.params` describes, and no site set is built for
-lambda <= 2.
+kernel (no site enumeration while lambda <= 2); `exact_calibrate` runs the
+Newton loop.  Each reported residual is the moment mismatch plus the
+kernel's gap to the truncated site sums (`_result_at`): for lambda <= 2 a
+bound on the omitted tail and on rounding, above it zero (the sums are
+those of `moments`).  So a reported residual bounds that of the truncated
+measure `CalibrationResult.params` describes.
 """
 
 from __future__ import annotations
@@ -203,10 +198,7 @@ def _result_at(target: CalibrationTarget, v: np.ndarray, iterations: int,
 
 
 def _unbounded(target: CalibrationTarget) -> CalibrationError:
-    # f is sinking along a recession direction: the moment system has no
-    # solution.  This happens when k exceeds what lines with endpoint near
-    # (n1,n2) can carry; that capacity's density k/(n1*n2)^(1/3) only tends
-    # to 3*pi^(-2/3) as n grows, and small boxes fail below it.
+    # f is sinking along a recession direction: the moment system has no solution
     return CalibrationError(
         f"free energy unbounded below for {target}: lines ending near "
         f"({target.n1}, {target.n2}) cannot carry k = {target.k} vertices "
@@ -234,9 +226,8 @@ def exact_calibrate(target: CalibrationTarget,
     scale = np.array([target.n1, target.n2, target.k], dtype=float)
 
     def evaluate(v):
-        """f(v) = b1*n1 + b2*n2 + g*k + log Z, its gradient (the moment
-        mismatch), its Hessian (the covariance of (X1, X2, K)) and the
-        `_linear_log_z` tuple they come from."""
+        """f, its gradient and its Hessian at v, and the `_linear_log_z`
+        tuple they come from."""
         kernel = _linear_log_z(*v, trunc)
         logz, grad, hess, _ = kernel
         fval = v[0] * target.n1 + v[1] * target.n2 + v[2] * target.k + logz

@@ -2,7 +2,7 @@
 
 Every count is integer-exact: the number p(n1,n2;k) of lines with endpoint
 (n1,n2) and k vertices grows like exp(c * n^(2/3)), so tables hold exact
-Python ints.  The counting DP runs as a numpy sweep over the primitive
+integers.  The counting DP runs as a numpy sweep over the primitive
 vectors (`_shifts`), never in big ints:
 
 - a float64 pass bounds every value: counts are nonnegative and only grow,
@@ -21,24 +21,18 @@ silently.  The DP refuses up front (never mid-run) when its estimated cell
 updates exceed COUNT_OP_BUDGET.  A line has at most n1 + n2 vertices (each
 adds at least 1 to a + b), so no sweep holds more layers than that.
 
-Both sweeps touch only the cells a line can reach (`_live_rect`): before a
-vector v = (p, q) in slope order, every reachable cell but the origin is a
-sum of vectors of smaller slope, so it lies in the cone b*p < a*q.  The
-count sweep holds its layers interleaved along each row, so that each
-shift adds contiguous row segments (`_count_sweep`).  A cell the cone
-leaves out would only have received += 0, so every count keeps its bits.
-
-`max_vertices` runs the same skeleton with (max, +1), but only over the
-vectors that a maximal line can use (`_maximal_candidates`): a line with
-many vertices can use only light vectors, the classical bound behind
-Jarnik (1926) and Acketa & Zunic (1995).  It also skips the rows from
-which the vectors still to come cannot reach (n1, n2).
+Both sweeps update only the cells of `_live_rect`, which a line can reach
+(and, in `max_vertices`, from which it can still reach (n1, n2)), and every
+count keeps its bits (`_count_sweep`).  `max_vertices` runs the skeleton
+with (max, +1) over the light vectors a maximal line can use
+(`_maximal_candidates`), after Jarnik (1926) and Acketa & Zunic (1995).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,25 +56,34 @@ __all__ = [
 BRUTE_FORCE_CAP = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
     """p(a,b;j) for every endpoint (a,b) inside the computed box and j <= kmax.
 
-    entries maps (a, b, j) -> exact count; zero counts are stored implicitly
-    (lookups return 0).
+    layers[j, a, b] is the exact count for j <= min(kmax, n1 + n2), read-only:
+    int64 where the float pass is exact, Python ints (object) past it.
+    Lookups outside the layers, and at j = 0, return 0.
     """
 
     n1: int
     n2: int
     kmax: int
-    entries: dict[tuple[int, int, int], int]
+    layers: np.ndarray
 
     def p(self, a: int, b: int, k: int) -> int:
-        return self.entries.get((a, b, k), 0)
+        if 0 < k < len(self.layers) and 0 <= a <= self.n1 and 0 <= b <= self.n2:
+            return int(self.layers[k, a, b])
+        return 0
 
     def csv_rows(self):
-        for (a, b, k), c in sorted(self.entries.items()):
-            yield a, b, k, str(c)
+        abj = self.layers[1:].transpose(1, 2, 0)  # nonzero() walks CSV order
+        a, b, j = np.nonzero(abj)
+        return zip(a.tolist(), b.tolist(), (j + 1).tolist(), map(str, abj[a, b, j].tolist()))
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int, int], int]:
+        """(a, b, j) -> nonzero count, derived on first read."""
+        return {(a, b, k): int(c) for a, b, k, c in self.csv_rows()}
 
 
 def _shifts(n1: int, n2: int, vectors):
@@ -202,10 +205,8 @@ def _garner(residues: list[np.ndarray], moduli: list[int]) -> np.ndarray:
 
 
 def _rebuild(n1: int, n2: int, kmax: int, flt: np.ndarray, bound: int) -> np.ndarray:
-    """Exact counts below `bound` from residues mod 2^64 and mod as many odd
-    primes below 2^32 as push the moduli's product past `bound` (Garner's
-    CRT), each checked against the float pass `flt`, whose relative error is
-    at most 2^-52 per rounded addition."""
+    """Exact counts below `bound`, rebuilt from residue passes and checked
+    against the float pass `flt` as the module docstring states."""
     moduli, residues = [2**64], [_count_sweep(n1, n2, kmax, np.uint64)]
     primes = _odd_primes_below_2_32()
     while math.prod(moduli) <= bound:
@@ -225,17 +226,10 @@ def _rebuild(n1: int, n2: int, kmax: int, flt: np.ndarray, bound: int) -> np.nda
 def count_lines_k(n1: int, n2: int, kmax: int) -> CountTable:
     """Exact p(a,b;j) for all a <= n1, b <= n2, j <= kmax.
 
-    Layered DP over primitive vectors in slope order (`_count_sweep`), run
-    first as a float64 pass that bounds every count.  When that bound is at
-    most 2^53 the float pass is exact and is the table; otherwise the counts
-    are rebuilt from residues mod 2^64 (uint64 wraparound) and, past 64 bits,
-    mod odd primes below 2^32 (`_rebuild`).  Every rebuilt count is checked
-    against the float pass within its rigorous error bound and a mismatch
-    raises `ArithmeticError`, so no count is ever silently wrong.  The table
-    holds exact Python ints.  Layers past n1 + n2 hold only zeros, so the
-    sweep and its budget stop there; the table keeps the requested kmax.
-    Sides and kmax go through `operator.index`: a float, a string or None
-    raises ValueError.
+    The float64 pass of `_count_sweep` while it is exact, else `_rebuild`,
+    as the module docstring states, over at most n1 + n2 layers; the table
+    keeps the requested kmax.  Sides and kmax go through `operator.index`:
+    a float, a string or None raises ValueError.
     """
     n1, n2, kmax = _index(n1), _index(n2), _index(kmax)
     if n1 < 1 or n2 < 1 or kmax < 1:
@@ -249,10 +243,8 @@ def count_lines_k(n1: int, n2: int, kmax: int) -> CountTable:
     fmax = int(flt.max())
     bound = fmax + (fmax * adds >> 52) + 1
     exact = flt.astype(np.int64) if bound <= 2**53 else _rebuild(n1, n2, layers, flt, bound)
-
-    j, a, b = np.nonzero(exact[1:])
-    keys = zip(a.tolist(), b.tolist(), (j + 1).tolist())
-    return CountTable(n1, n2, kmax, dict(zip(keys, exact[1:][j, a, b].tolist())))
+    exact.setflags(write=False)
+    return CountTable(n1, n2, kmax, exact)
 
 
 def brute_force_enum(n1: int, n2: int) -> list[MultiplicityDistribution]:
@@ -336,12 +328,9 @@ def max_vertices(n1: int, n2: int) -> int:
     a+b, so every value fits the smallest signed dtype holding -(n1+n2+1).
 
     Each vector reads and updates only the rectangle of `_live_rect` with
-    both bounds: the cone holds every cell a line reaches before v, and the
-    strip every cell from which v and the vectors after it can still reach
-    N = (n1, n2).  Every line to N passes only through cells in both, so
-    best[N] keeps every line's chain of updates, and a skipped update could
-    only have changed a cell that never feeds best[N].  The budget prices
-    the unbounded sweep over all the box's vectors, a loose upper bound.
+    both bounds.  Every line to N = (n1, n2) passes only through cells in
+    both, so a skipped update could only have changed a cell that never
+    feeds best[N].
     Sides go through `operator.index`: a float, a string or None raises
     ValueError.
     """

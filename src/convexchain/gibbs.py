@@ -7,32 +7,14 @@ occupancies are independent; each follows the biased geometric law
 
 whose normalizer is Z_x = 1 + lam*rho/(1-rho).  Expected endpoint, vertex
 count, the 3x3 covariance of (X1, X2, K) and seeded sampling live here.
-Two kernels compute log Z and the moments:
+Two kernels compute log Z and the moments: the per-site law kernel
+(`_site_laws`, summed in np.sum's own pairwise order by `_pairwise_sums`)
+and, for the linear energy, the Mobius kernel (`_mobius_log_z`), an
+O(N log N) sum over n <= N ~ 45/min(beta) that enumerates no site.
+`_linear_log_z` is the one place that chooses between them.
 
-- the per-site law kernel: `_site_laws` holds rho and q = P[omega > 0] per
-  site for `moments` and the sampler, and `_log_z` repeats its expressions
-  for `log_partition`.  It works in a = g + E + log(1-rho), g = -log(lam),
-  where log Z_x = log(1 + e^-a) and P[omega(x) > 0] = 1/(1 + e^a) stay
-  finite at any fugacity (a -> -inf just saturates the occupation at 1, and
-  an e^a that overflows leaves it 0).  The per-site terms of the sums are
-  formed leaf by leaf and added up in np.sum's own pairwise order
-  (`_pairwise_sums`), so no sum holds a full-size temporary;
-- the Mobius kernel `_mobius_log_z`, linear energy only, gives log Z with
-  its gradient and Hessian as an O(N log N) sum over n <= N ~ 45/min(beta),
-  without enumerating sites (past SITE_BUDGET index pairs it is refused).
-  It sums over all primitive sites; what the truncation omits from its
-  log Z and moments is bounded by the column sums of `_linear_tail`, which
-  `truncation_bound` returns for linear energies.  Its series converges
-  for lam <= 2 only.
-
-`_linear_log_z` is the one place that chooses between them: the calibration
-free energy and its report take the Mobius kernel for lam <= 2, with that
-tail bound as their gap to the truncated sums, and the per-site kernel on
-the truncated site set above.
-
-Energies come in three flavors:
-linear beta.x, Euclidean beta*|x|_2, and the mixed norm
-beta*(|x|_1 + lam_ell*sqrt(2)*|x|_2).
+Energies come in three flavors: linear beta.x, Euclidean beta*|x|_2, and
+the mixed norm beta*(|x|_1 + lam_ell*sqrt(2)*|x|_2).
 
 Determinism contract: the sampler groups the sites of a parameter set into
 blocks b = floor(-log2 q), q = P[omega(x) > 0], with b capped at 63; within
@@ -133,9 +115,7 @@ class MomentReport:
 
 # `_site_arrays` (x1, x2, E: 24 B/site), `_site_laws` (rho, q: 16 B/site) and
 # `_sampler_index` keep one set each: only the caller that just built a set
-# reuses it.  `_site_laws` hits/misses are bench calibrate 11/11, sample
-# 226/3, `jarnik` 103/12 and `suite --name jarnik` 303/17; a second entry
-# would save only the suite's two rebuilds (305/15) and keep a second set.
+# reuses it, and a process holds at most one cached set.
 @lru_cache(maxsize=1)
 def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
@@ -146,17 +126,15 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     order within a sampler block).  Every family has E(v, 0) = v*E(1, 0),
     E(0, v) = v*E(0, 1) and grows along each axis, so side i of the box is
     floor(T/E(e_i)), plus one when that quotient rounded down past an axis
-    point with E <= T.  A box over SITE_BUDGET cells is refused with
-    `ResourceWarning` before any of it is built; a site whose exp(-E) rounds
-    to 1 has no geometric law, and its set is refused with `ValueError`.
+    point with E <= T.  A site whose exp(-E) rounds to 1 has no geometric
+    law, and its set is refused with `ValueError`.
 
     Each block's sites are written once, into the next slice of three
     buffers sized for every cell of the box, whose pages are touched only
     where written; the buffers then shrink in place to the site count.
     `ndarray.resize` refuses while anything else holds a buffer, as the
     `frame.f_locals` snapshot of a tracer or debugger does before Python
-    3.13; the filled prefixes are then copied instead, at about a third
-    more build time.
+    3.13; the filled prefixes are then copied instead.
     """
     T = float(truncation)
     with np.errstate(divide="ignore"):  # E(e_i) = 0 is an unbounded side
@@ -289,9 +267,11 @@ def _site_laws(energy: EnergyModel, g: float, truncation: float):
     g = -log(lam), with q = P[omega > 0].  The moments' per-site mean and
     variance are formed leaf by leaf where they are summed (`_site_sums`).
 
-    The operation order of a = g + E + log(1-rho) keeps calibration iterates
-    reproducible; `_log_z` repeats it.  Each expression is evaluated in that
-    order with `out=`, into the two laws and a leaf-sized scratch for g + E.
+    It works in a = g + E + log(1-rho), where log Z_x = log(1 + e^-a) and
+    q = 1/(1 + e^a) stay finite at any fugacity (a -> -inf just saturates
+    the occupation at 1, and an e^a that overflows leaves it 0).  The
+    operation order of a keeps calibration iterates reproducible; `_log_z`
+    repeats it.
     """
     x1, x2, en = _site_arrays(energy, truncation)
     rho = np.negative(en)
@@ -422,8 +402,7 @@ def _mobius_log_z(beta1: float, beta2: float, g: float):
     log Z = sum_n a_n G(n), a_n = sum_{jd=n} c_j mu(d), with
     G(n) = 1/((1-u1)(1-u2)) - 1 = s1 + s2 + s1*s2, u_i = e^{-n*beta_i},
     s_i = u_i/(1-u_i).  The beta-derivatives come from ds/dbeta = -n s(1+s),
-    the g-derivatives from dc_j/dg = -lam (1-lam)^(j-1).  The gradient is
-    -(E[X1], E[X2], E[K]) and the Hessian the covariance of (X1, X2, K).
+    the g-derivatives from dc_j/dg = -lam (1-lam)^(j-1).
     """
     n_max = 1 << max(0, math.ceil(math.log2(_MOBIUS_TAIL / min(beta1, beta2))))
     pairs = n_max * (1.0 + math.log(n_max))  # >= the (j, d) pairs, each about a site's cost
@@ -587,9 +566,9 @@ def _sampler_index(energy: EnergyModel, g: float, truncation: float):
 def _check_draws(what: str, draws, extra: float = 0.0) -> None:
     """Price `draws`, (params, count) pairs, before the first: E[K] +
     GIBBS_DRAW_ENTRIES + `extra` support entries each, E[K] the sum of q over
-    the site set they build anyway (`moments` adds 0.15-0.2 s at 4.9M sites).
-    The caches keep one set, so a run over several sets keeps only the last
-    one priced; the draws at the others build them again."""
+    the site set they build anyway.  The caches keep one set, so a run over
+    several sets keeps only the last one priced; the draws at the others
+    build them again."""
     need = sum(count * (float(_site_laws(*_law_key(p))[3].sum()) + GIBBS_DRAW_ENTRIES + extra)
                for p, count in draws)
     check_budget(what, need, GIBBS_ENTRY_BUDGET, "support entries")

@@ -24,13 +24,9 @@ lies in one window of that order; on a side monotone in x and y (a lattice
 chain or a catalogue curve) the window narrows to x and y within the same
 distance.  The windows are exact, not heuristic: every point that could be
 nearer is compared, with the same dx*dx + dy*dy as an all-pairs search.
-Most points need no window at all (the early break of Taha and Hanbury,
-IEEE TPAMI 37(11), 2015): the distance from q to its neighbours in s order
-bounds q's nearest distance from above, the nearest distances of a few
-points bound the largest from below, and a point whose upper bound is not
-above that lower bound cannot be the largest, so it is skipped.  The
-largest is one of the computed squared distances either way, so the
-distance is the all-pairs search's to the bit.  A mesh over MESH_BUDGET
+Most points need no window at all: `_max_nearest_sq` skips each point
+that a bound shows cannot be the largest (the early break of Taha and
+Hanbury, IEEE TPAMI 37(11), 2015).  A mesh over MESH_BUDGET
 and a search phase over PAIR_BUDGET pairs are refused by `check_budget`
 before the work.
 """
@@ -281,10 +277,7 @@ def _by_s(pts):
     return x, y, x + y, bool((np.diff(x) >= 0.0).all() and (np.diff(y) >= 0.0).all())
 
 
-# one entry: the distance loops each reuse one (curve, mesh).  Hits/misses
-# with 1 and 16 entries: bench sample 276/4 and 277/3, `jarnik` 99/1 and
-# 99/1, `suite --name jarnik` 299/1 and 299/1; calibrate, count and the other
-# suites never call it
+# one entry: the distance loops each reuse one (curve, mesh)
 @lru_cache(maxsize=1)
 def _curve_by_s(curve, mesh):
     """`_by_s` of `curve.sample(mesh)`, read-only, computed once per (curve, mesh)."""
@@ -307,7 +300,8 @@ def _max_nearest_sq(query, points):
     Phase 2 searches each other query within sqrt(cmax), starting from no
     point at all: one found at squared distance <= cmax settles the query
     the same way.  Phase 3 searches the queries left within sqrt(d0).  Every
-    radius is padded for the rounding of the sums it is compared with.
+    radius is padded for the rounding of the sums it is compared with, and
+    the max is one of the computed squared distances either way.
     """
     qx, qy, qs, _ = query
     px, py, ps, _ = points

@@ -26,10 +26,6 @@ Functions, 1981):
 Each route ends in the series or the log series, so no quadrature is left;
 other orders outside the disk are refused.  The tests check the routes
 against the integral representation, an independent oracle.
-
-The observables that only the tests build on these functions (zeta'(2),
-the parallel constant, the trilogarithm residue of log Z) live in
-`tests/paper.py`.
 """
 
 from __future__ import annotations

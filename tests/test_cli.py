@@ -482,6 +482,15 @@ def test_calibrate_infeasible_exits_one(capsys):
      "fc26c62f452e4acd27c4948c32e617d1d263e34ea73e7add9f51ffdf7b572cb1"),
     (["sample-valtr", "--n", "100", "--k", "4", "--count", "200", "--seed", "1"],
      "829b37a451aef9a8247e3b332017474cdc96f046e08ddde2881c7f82593046a9"),
+    # the count path: the table's rows, the vertex maximum and the suite
+    (["count", "--n1", "100", "--n2", "100", "--kmax", "10"],
+     "47aab52f2b5176ea51ac292969f669ad4ad19abe53410be3a497ca9f3ab1361e"),
+    (["count", "--n1", "100", "--n2", "100", "--kmax", "10", "--format", "json"],
+     "68081dfeb116a6576eaf006a42fd78f953c8df58afe6cc5b68313c87ef4bd2e5"),
+    (["suite", "--name", "counting"],
+     "7dc7f5133813d0703d127a249ce0d9d31fe03df297c8cd7f917efad3bcf89e7f"),
+    (["maxvert", "--n1", "300", "--n2", "300"],
+     "0667a6d6be5d59c34a4f0b4a87b4aaa6638015c0214c2f183e66469ec742e9f4"),
 ])
 def test_kernel_outputs_are_frozen(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)

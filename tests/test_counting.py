@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from convexchain import counting
 from convexchain.counting import (
+    CountTable,
     _count_sweep,
     _dp_cost_estimate,
     _live_rect,
@@ -417,6 +418,35 @@ def test_rebuild_refuses_a_disagreeing_float_pass():
     flt[5, 17, 45] += 1
     with pytest.raises(ArithmeticError, match="disagrees"):
         _rebuild(*box, flt, 2**70)
+
+
+# (6, 4, 14) has int64 layers and kmax past n1 + n2; the counts of
+# (70, 70, 16) reach 56 bits, past the float pass, so its layers hold Python
+# ints.  An index past either end of the box, k = 0, or k past n1 + n2 or
+# kmax reads 0 and never a wrapped cell.
+@pytest.mark.parametrize("box, dtype", [((6, 4, 14), np.int64), ((70, 70, 16), object)])
+def test_table_reads_its_layers_behind_a_bounds_check(box, dtype):
+    n1, n2, kmax = box
+    table = count_lines_k(*box)
+    assert "entries" not in vars(table)  # derived on first read only
+    assert table.layers.dtype == dtype and not table.layers.flags.writeable
+    assert table.layers.shape == (min(kmax, n1 + n2) + 1, n1 + 1, n2 + 1)
+    assert table.p(n1, n2, 2) > 0
+    for a, b, k in [(-1, n2, 2), (n1, -1, 2), (n1 + 1, n2, 2), (n1, n2 + 1, 2),
+                    (0, 0, 0), (n1, n2, 0), (n1, n2, -1), (n1, n2, n1 + n2 + 1),
+                    (n1, n2, kmax + 1)]:
+        assert table.p(a, b, k) == 0, (a, b, k)
+
+
+@pytest.mark.parametrize("box", [(6, 4, 14), (30, 30, 12)])
+def test_csv_rows_are_the_oracles_sorted_counts(box):
+    want = bigint_count_entries(*box)
+    rows = [(a, b, k, str(c)) for (a, b, k), c in sorted(want.items())]
+    # the same layers as Python ints, as `_rebuild` gives them past 2^53
+    rebuilt = CountTable(*box, _rebuild(*box, _count_sweep(*box, np.float64), 2**130))
+    for table in (count_lines_k(*box), rebuilt):
+        assert list(table.csv_rows()) == rows
+        assert table.entries == want
 
 
 # sha256 of csv_rows() of the big-int oracle's table for (100, 100, 14),
