@@ -37,7 +37,6 @@ from .experiments import (
     SUITE_NAMES,
     _check_valtr,
     _child_seed,
-    report_json,
     run_jarnik,
     run_suite,
     sample_valtr,
@@ -67,10 +66,14 @@ def _at_least(flag, value, low):
         raise UsageError(f"{flag} must be at least {low}, got {value}")
 
 
-def _csv(header, rows, spec=""):
-    """CSV text: the `header` line, then each row's values formatted by `spec`."""
-    lines = [header, *(",".join(format(v, spec) for v in row) for row in rows)]
-    return "\n".join(lines) + "\n"
+def _csv(header, rows, fmt):
+    """CSV text: the `header` line, then each row %-formatted by `fmt`, newline included."""
+    return "".join([header + "\n", *(fmt % tuple(row) for row in rows)])
+
+
+def report_json(report):
+    """Canonical JSON text for a report; the CLI writes all its JSON with it."""
+    return json.dumps(report, indent=2, sort_keys=False) + "\n"
 
 
 def _json_lines(count, seed, draw):
@@ -89,7 +92,7 @@ def _cmd_count(args):
     if args.format == "json":
         return report_json({"n1": args.n1, "n2": args.n2, "kmax": args.kmax,
                             "rows": list(table.csv_rows())}), True
-    return _csv("n1,n2,k,count", table.csv_rows()), True
+    return _csv("n1,n2,k,count", table.csv_rows(), "%d,%d,%d,%s\n"), True
 
 
 def _cmd_maxvert(args):
@@ -134,12 +137,19 @@ def _cmd_sample_valtr(args):
 
 
 def _load_polyline(path):
+    """The line of a `{"vertices": [[x, y], ...]}` file, x and y integers; else ValueError."""
     try:
         with contextlib.nullcontext(sys.stdin) if path == "-" else open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read line file {path!r}: {exc}") from None
-    return ConvexPolyline.from_json(text)
+    data = json.loads(text)
+    rows = data.get("vertices") if isinstance(data, dict) else None
+    if not (isinstance(rows, list) and all(
+            isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)
+            for r in rows)):
+        raise ValueError('a line must be {"vertices": [[x, y], ...]} with integer x and y')
+    return ConvexPolyline(tuple((r[0], r[1]) for r in rows))
 
 
 def _make_curve(args):
@@ -204,7 +214,7 @@ def _cmd_asymptotics_table(args):
     if args.format == "json":
         return report_json({"rows": [
             {"ell": ell, "c": c, "e": e} for ell, c, e in rows]}), True
-    return _csv("ell,c,e", rows, ".12g"), True
+    return _csv("ell,c,e", rows, "%.12g,%.12g,%.12g\n"), True
 
 
 def _cmd_jarnik(args):
@@ -227,7 +237,8 @@ def _cmd_mixed_shapes(args):
     if args.format == "json":
         return report_json({"rows": [
             {"lambda_ell": ell, "length": mixed_length(ell)} for ell in grid]}), True
-    return _csv("lambda_ell,length", [(ell, mixed_length(ell)) for ell in grid], ".12g"), True
+    return _csv("lambda_ell,length", [(ell, mixed_length(ell)) for ell in grid],
+                "%.12g,%.12g\n"), True
 
 
 def _cmd_curve(args):
@@ -237,7 +248,7 @@ def _cmd_curve(args):
         return overlay_svg(empty, curve, args.mesh), True
     pts = curve.sample(args.mesh)  # checks the mesh before the grid is built
     t = np.linspace(0.0, 1.0, args.mesh + 1)
-    return _csv("t,x,y", np.column_stack([t, pts]), ".10g"), True
+    return _csv("t,x,y", np.column_stack([t, pts]), "%.10g,%.10g,%.10g\n"), True
 
 
 def _cmd_suite(args):

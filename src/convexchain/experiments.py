@@ -14,7 +14,6 @@ and measured), the Jarnik suite takes only a median from its two extra
 betas, and E[L] is the exact per-site moment.
 """
 
-import json
 import math
 import warnings
 from functools import lru_cache
@@ -158,22 +157,23 @@ def _distances(lines, curve, mesh):
 
 
 _GREEDY_BOX = 1 << 12  # the largest box side the greedy sweep enumerates
-_GREEDY_CHUNK = 1 << 20  # directions whose steps are taken at a time
 
 
 def jarnik_greedy_vertex_count(length_budget):
     """Maximal vertex count of a line of total length <= budget, greedily.
 
-    Uses each primitive direction at most once, closest first; ties broken
-    lexicographically so the count is deterministic.  Only the directions of
-    norm <= box are complete in a box, so only those are used, and the box
-    doubles when they run out; it stops at 4096 per side, below the
-    primitive-vector grid budget.  The directions of norm <= r have total
-    length about r^3/pi, so the box starts at the power of two that holds
-    r = (pi*budget)^(1/3) (a larger complete catalogue gives the same count),
-    and a budget that needs norms past 4096 is refused up front, as is a
-    budget that is not positive and finite.  The steps are `math.hypot`'s
-    and their running total `np.cumsum`'s, the same sums one at a time.
+    Uses each primitive direction at most once, closest first; tied
+    directions have equal lengths, so the count does not depend on their
+    order.  Only the directions of norm <= box are complete in a box, so
+    only those are used, and the box doubles when they run out; it stops at
+    4096 per side, below the primitive-vector grid budget.  The directions
+    of norm <= r have total length about r^3/pi, so the box starts at the
+    power of two that holds r = (pi*budget)^(1/3) (a larger complete
+    catalogue gives the same count), and a budget that needs norms past 4096
+    is refused up front, as is a budget that is not positive and finite.
+    Each step is `np.sqrt` of the exact int64 x1^2 + x2^2, which equals
+    `math.hypot(x1, x2)` bit for bit on the whole 4096 box, and their
+    running total is `np.cumsum`'s, the same sums one at a time.
     """
     if not 0 < length_budget < math.inf:
         raise ValueError(f"length budget must be positive and finite, got {length_budget}")
@@ -184,14 +184,7 @@ def jarnik_greedy_vertex_count(length_budget):
     while box <= _GREEDY_BOX:
         x1, x2 = _box_rows(box, box).T
         norm2 = x1 * x1 + x2 * x2
-        keep = norm2 <= box * box
-        x1, x2, norm2 = x1[keep], x2[keep], norm2[keep]
-        order = np.lexsort((x2, x1, norm2))
-        x1, x2 = x1[order], x2[order]
-        steps = np.concatenate([  # in chunks: lists of Python ints take ~70 bytes a vector
-            np.fromiter(map(math.hypot, x1[i:i + _GREEDY_CHUNK].tolist(),
-                            x2[i:i + _GREEDY_CHUNK].tolist()), dtype=float)
-            for i in range(0, x1.size, _GREEDY_CHUNK)])
+        steps = np.sqrt(np.sort(norm2[norm2 <= box * box]))
         count = int(np.searchsorted(np.cumsum(steps), length_budget, side="right"))
         if count < steps.size:
             return count
@@ -292,6 +285,8 @@ _CALIBRATION_N = 300  # the box side of the calibration suite's targets
 def _suite_counting(config):
     rows = []
     mismatches = 0
+    # one table holds every smaller box, and no line in it has more than n1 + n2 vertices
+    table = count_lines_k(_COUNTING_CAP, _COUNTING_CAP, kmax=2 * _COUNTING_CAP)
     for n1 in range(1, _COUNTING_CAP + 1):
         for n2 in range(1, _COUNTING_CAP + 1):
             counts = {}
@@ -299,7 +294,6 @@ def _suite_counting(config):
                 counts[omega.vertex_count] = counts.get(
                     omega.vertex_count, 0) + 1
             kmax = max(counts) if counts else 1
-            table = count_lines_k(n1, n2, kmax=kmax)
             for k in range(1, kmax + 1):
                 if table.p(n1, n2, k) != counts.get(k, 0):
                     mismatches += 1
@@ -423,8 +417,3 @@ def run_suite(name, config=None):
         "rows": rows,
         "passed": all(r["pass"] for r in rows),
     }
-
-
-def report_json(report):
-    """Canonical JSON text for a report; the CLI writes all its JSON with it."""
-    return json.dumps(report, indent=2, sort_keys=False) + "\n"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import math
 import operator
 import types
@@ -305,18 +304,6 @@ class ConvexPolyline:
 
     def edges(self) -> list[Vec]:
         return list(map(tuple, np.diff(self.xy, axis=0).tolist()))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ConvexPolyline":
-        """The line of a `{"vertices": [[x, y], ...]}` object with integer x
-        and y; anything else raises ValueError."""
-        data = json.loads(text)
-        rows = data.get("vertices") if isinstance(data, dict) else None
-        if not (isinstance(rows, list) and all(
-                isinstance(r, list) and len(r) == 2 and all(type(v) is int for v in r)
-                for r in rows)):
-            raise ValueError('a line must be {"vertices": [[x, y], ...]} with integer x and y')
-        return cls(tuple((r[0], r[1]) for r in rows))
 
 
 def _polyline(steps: np.ndarray) -> ConvexPolyline:

@@ -307,7 +307,8 @@ def greedy_vertex_count_sorted(length_budget):
 
 
 def polyline_json(line: ConvexPolyline) -> str:
-    """The `{"vertices": [[x, y], ...]}` text that `ConvexPolyline.from_json` reads."""
+    """The `{"vertices": [[x, y], ...]}` text that `shape-distance --line`
+    reads (`cli._load_polyline`)."""
     return json.dumps({"vertices": line.xy.tolist()})
 
 

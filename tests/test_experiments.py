@@ -13,17 +13,18 @@ import numpy as np
 import pytest
 
 from convexchain import experiments
+from convexchain.cli import report_json
 from convexchain.counting import brute_force_enum, line_length
 from convexchain.experiments import (
     SUITE_NAMES,
     jarnik_greedy_vertex_count,
-    report_json,
     run_jarnik,
     run_suite,
     sample_valtr,
     typical_vertex_count,
 )
 from convexchain.gibbs import EnergyModel, GibbsParams, _mean_euclidean_length, log_partition
+from convexchain.lattice import _box_rows
 from convexchain.tolerances import VALTR_EDGE_BUDGET
 from oracles import greedy_vertex_count_sorted
 from paper import (
@@ -203,11 +204,16 @@ def test_greedy_jarnik_count_matches_a_larger_box():
 
 def test_greedy_count_matches_the_sorted_tuple_catalogue():
     # the array catalogue against the tuple sort it replaced, whose box
-    # starts at 32 and doubles; 10^4 is the Jarnik report's row
-    budgets = [1, 10, 10**4, 10**6, 2e8, *10 ** np.random.default_rng(5).uniform(0, 6, 8)]
+    # starts at 32 and doubles; 10^4 is the Jarnik report's row.  The 32
+    # box's 491 directions total 10,456.033, so the sort doubles at
+    # 10,456.533; the 128 box's 7,821 total 667,149.12 below its start limit
+    # 128^3/pi, so 667,300 doubles the array catalogue from 128 to 256 and
+    # takes one direction more than the 128 box holds
+    budgets = [1, 10, 10**4, 10**6, 2e8, 200, 400, 1e3, 2e5, 3e5, 10_456.533, 667_300,
+               *10 ** np.random.default_rng(5).uniform(0, 6, 8)]
     got = [jarnik_greedy_vertex_count(b) for b in budgets]
     assert got == [greedy_vertex_count_sorted(b) for b in budgets]
-    assert got[2] == 476
+    assert got[2] == 476 and got[10] == 491 and got[11] == 7822
     # a budget equal to a running total takes that direction too
     dirs = sorted((p * p + q * q, p, q) for p in range(33) for q in range(33)
                   if math.gcd(p, q) == 1 and p * p + q * q <= 32 * 32)
@@ -216,6 +222,26 @@ def test_greedy_count_matches_the_sorted_tuple_catalogue():
         total += math.hypot(p, q)
     assert jarnik_greedy_vertex_count(total) == 100
     assert jarnik_greedy_vertex_count(math.nextafter(total, 0.0)) == 99
+
+
+def _sqrt_is_hypot(x1, x2):
+    return np.array_equal(np.sqrt(x1 * x1 + x2 * x2),
+                          np.fromiter(map(math.hypot, x1.tolist(), x2.tolist()), dtype=float))
+
+
+def test_greedy_steps_are_hypot_on_the_primitive_directions():
+    # the greedy count's steps, np.sqrt of the exact int64 norm^2, against
+    # math.hypot on every primitive direction of norm <= 1024
+    x1, x2 = _box_rows(1024, 1024).T
+    keep = x1 * x1 + x2 * x2 <= 1024 * 1024
+    assert _sqrt_is_hypot(x1[keep], x2[keep])
+
+
+@pytest.mark.slow
+def test_greedy_steps_are_hypot_on_the_whole_box():
+    # every integer pair of the largest greedy box, a row at a time
+    x2 = np.arange(4097, dtype=np.int64)
+    assert all(_sqrt_is_hypot(np.full_like(x2, x1), x2) for x1 in range(4097))
 
 
 def test_run_jarnik_report():

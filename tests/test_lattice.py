@@ -1,13 +1,16 @@
+import io
 import json
 import math
 import re
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexchain import lattice
+from convexchain import cli, lattice
 from convexchain.gibbs import EnergyModel, GibbsParams, sample_omega
 from convexchain.lattice import (
     ConvexPolyline,
@@ -30,6 +33,12 @@ from oracles import (
     primitive_vectors_by_weight,
     slope_sorted_exact,
 )
+
+
+def _read_line(text):
+    """The line that `shape-distance --line -` reads from `text` on stdin."""
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        return cli._load_polyline("-")
 
 
 def _grid_rows(n1, n2):
@@ -254,7 +263,7 @@ def test_polyline_validation_matches_the_oracle(verts):
         line = ConvexPolyline(verts)
         assert line.vertices == want
         assert all(type(c) is int for p in line.vertices for c in p)
-        assert ConvexPolyline.from_json(polyline_json(line)) == line
+        assert _read_line(polyline_json(line)) == line
 
 
 def test_polyline_validation_names_bad_edge():
@@ -418,8 +427,8 @@ def test_roundtrip_bijection(om):
 def test_json_roundtrips_bit_exact(om):
     line = omega_to_polyline(om)
     ltext = polyline_json(line)
-    assert ConvexPolyline.from_json(ltext) == line
-    assert polyline_json(ConvexPolyline.from_json(ltext)) == ltext
+    assert _read_line(ltext) == line
+    assert polyline_json(_read_line(ltext)) == ltext
 
 
 def test_json_shapes():
