@@ -63,8 +63,8 @@ class CalibrationTarget:
     k: int
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1 or self.k < 1:
-            raise ValueError(f"target must be positive, got {self}")
+        if not all(1 <= x < math.inf for x in (self.n1, self.n2, self.k)):
+            raise ValueError(f"target must be positive and finite, got {self}")
 
     def vertex_density(self) -> float:
         """k / (n1*n2)^(1/3), the quantity the curve c parametrizes."""

@@ -88,18 +88,15 @@ class CountTable:
 
 def _shifts(n1: int, n2: int, vectors):
     """The sweep skeleton: each primitive vector v = (p, q) of `vectors`, in
-    their (slope) order, with every multiplicity m >= 1 whose shift m*v stays
-    in the box, as (v, m, (m*p, m*q)); m = 1 opens the vector's sweep."""
+    their (slope) order, as (p, q, M): its multiples in the box are m*v for
+    m = 1..M, M = min(n1 // p, n2 // q), where a zero component sets no limit."""
     for p, q in vectors:
-        m = 1
-        while m * p <= n1 and m * q <= n2:
-            yield (p, q), m, (m * p, m * q)
-            m += 1
+        yield p, q, min(n1 // p if p else n2, n2 // q if q else n1)
 
 
 def _dp_cost_estimate(n1: int, n2: int, kmax: int) -> int:
     """Cell updates of one unbounded sweep over kmax layers, in closed form:
-    the shifts m*v of `_shifts` over all the box's vectors are the nonzero
+    the multiples m*v of `_shifts` over all the box's vectors are the nonzero
     points (a, b) of the box, each once, and an unbounded shift updates
     (n1-a+1)(n2-b+1) cells a layer.  The sweeps update only the rectangles
     of `_live_rect`, each inside its unbounded shift's, so this is an upper
@@ -141,9 +138,9 @@ def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.nda
     one flat offset dq*(kmax+1) + 1 along a row, and each addition runs over
     contiguous row segments.  Each vector v adds, for every multiplicity m,
     the shift by m*v of a snapshot of the table taken before v, so v fills
-    one support slot.  The top layer of column b lands in layer 0 of column
-    b + dq + 1: layer 0 holds only the origin, so its slots take that spill,
-    and each snapshot (and the result) clears them and restores the origin.
+    one support slot.  Each snapshot zeroes its top layer, which would land
+    in the next column's layer 0, since a line with kmax vertices takes no
+    more; so layer 0 only ever holds the origin.
 
     Snapshots and additions cover only the cone rectangle of `_live_rect`.
     Every snapshot cell outside it is zero in every layer, so each addition
@@ -152,34 +149,31 @@ def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.nda
     same order.  Every value therefore keeps its bits, past 2^53 and past
     2^64 too.
 
-    With a modulus, every value but the spill stays at most `top`: the M_v
-    additions of vector v (one per multiplicity that fits the box) multiply
-    that bound by at most 1 + M_v, and the table is reduced only when the
-    next vector could pass 2^64; with a modulus under 2^32 that leaves room
-    for all of one vector's additions.
+    With a modulus, every value stays at most `top`: the M additions of
+    vector v (one per multiplicity that fits the box) multiply that bound
+    by at most 1 + M, and the table is reduced only when the next vector
+    could pass 2^64; with a modulus under 2^32 that leaves room for all of
+    one vector's additions.
     """
     k = kmax + 1
     table = np.zeros((n1 + 1, (n2 + 1) * k), dtype=dtype)
     table[0, 0] = 1
     top = 1
-    for (p, q), m, (dp, dq) in _shifts(n1, n2, primitive_vectors_in_box(n1, n2)):
-        if m == 1:
-            if modulus:
-                grow = 1 + min(n1 // p if p else math.inf, n2 // q if q else math.inf)
-                top *= grow
-                if top >= 2**64:
-                    np.remainder(table, modulus, out=table)
-                    top = (modulus - 1) * grow
-            cols = _live_rect(n1, n2, (p, q))[1]
-            snap = table[: n1 + 1 - p, : cols * k].copy()
-            snap[:, ::k] = 0  # layer 0: the spill slots and the origin
-            snap[0, 0] = 1
-        span = min(cols * k, (n2 + 1 - dq) * k - 1)
-        table[dp:, dq * k + 1 : dq * k + 1 + span] += snap[: n1 + 1 - dp, :span]
+    for p, q, M in _shifts(n1, n2, primitive_vectors_in_box(n1, n2)):
+        if modulus:
+            top *= 1 + M
+            if top >= 2**64:
+                np.remainder(table, modulus, out=table)
+                top = (modulus - 1) * (1 + M)
+        cols = _live_rect(n1, n2, (p, q))[1]
+        snap = table[: n1 + 1 - p, : cols * k].copy()
+        snap[:, kmax::k] = 0
+        for m in range(1, M + 1):
+            dp, dq = m * p, m * q
+            span = min(cols * k, (n2 + 1 - dq) * k - 1)
+            table[dp:, dq * k + 1 : dq * k + 1 + span] += snap[: n1 + 1 - dp, :span]
     if modulus:
         np.remainder(table, modulus, out=table)
-    table[:, ::k] = 0
-    table[0, 0] = 1
     del snap  # so that the layer-major copy is the only other table held
     return np.ascontiguousarray(table.reshape(n1 + 1, n2 + 1, k).transpose(2, 0, 1))
 
@@ -343,12 +337,13 @@ def max_vertices(n1: int, n2: int) -> int:
     best = np.full((n1 + 1, n2 + 1), floor, dtype=np.min_scalar_type(floor))
     best[0, 0] = 0
     kept = _maximal_candidates(n1, n2)[0].tolist()
-    for (p, q), m, (dp, dq) in _shifts(n1, n2, kept):
-        if m == 1:  # every shift of v reads the state from before v
-            first, cols = _live_rect(n1, n2, (p, q), strip=True)
-            inc = best[first : n1 + 1 - p, :cols] + 1
-        dst = best[first + dp :, dq : dq + cols]
-        np.maximum(dst, inc[: n1 + 1 - first - dp, : n2 + 1 - dq], out=dst)
+    for p, q, M in _shifts(n1, n2, kept):
+        first, cols = _live_rect(n1, n2, (p, q), strip=True)
+        inc = best[first : n1 + 1 - p, :cols] + 1  # the state from before v
+        for m in range(1, M + 1):
+            dp, dq = m * p, m * q
+            dst = best[first + dp :, dq : dq + cols]
+            np.maximum(dst, inc[: n1 + 1 - first - dp, : n2 + 1 - dq], out=dst)
     return int(best[n1, n2])
 
 

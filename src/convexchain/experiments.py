@@ -16,6 +16,7 @@ betas, and E[L] is the exact per-site moment.
 
 import math
 import warnings
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -192,6 +193,12 @@ def jarnik_greedy_vertex_count(length_budget):
     raise RuntimeError("length budget too large for the greedy sweep")
 
 
+def _check_samples(samples):
+    """Refuse fewer than the two draws a standard error needs, before any pricing."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+
+
 def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
                truncation=DEFAULT_TRUNCATION, mesh=1000):
     """Sample the Euclidean-length Gibbs model and check its asymptotics.
@@ -202,8 +209,7 @@ def run_jarnik(beta, fugacity=1.0, samples=100, seed=0,
     exact truncated moments, the median distance to the circle, and the
     greedy maximal-vertex count against (3/2) L^(2/3)/pi^(1/3).
     """
-    if samples < 2:
-        raise ValueError(f"need at least 2 samples for a standard error, got {samples}")
+    _check_samples(samples)
     _check_mesh(mesh, 100)
     params = GibbsParams(EnergyModel.euclidean(beta), fugacity, truncation)
     _check_draws(f"run_jarnik({beta}, samples={samples})", [(params, samples)],
@@ -289,14 +295,8 @@ def _suite_counting(config):
     table = count_lines_k(_COUNTING_CAP, _COUNTING_CAP, kmax=2 * _COUNTING_CAP)
     for n1 in range(1, _COUNTING_CAP + 1):
         for n2 in range(1, _COUNTING_CAP + 1):
-            counts = {}
-            for omega in brute_force_enum(n1, n2):
-                counts[omega.vertex_count] = counts.get(
-                    omega.vertex_count, 0) + 1
-            kmax = max(counts) if counts else 1
-            for k in range(1, kmax + 1):
-                if table.p(n1, n2, k) != counts.get(k, 0):
-                    mismatches += 1
+            counts = Counter(omega.vertex_count for omega in brute_force_enum(n1, n2))
+            mismatches += sum(table.p(n1, n2, k) != counts[k] for k in range(1, n1 + n2 + 1))
     rows.append(_row("dp equals brute force below cap", 0.0, float(mismatches),
                      0.0, mismatches == 0))
 
@@ -359,6 +359,7 @@ def _suite_shapes(config):
 def _suite_jarnik(config):
     seed = int(config.get("seed", 0))
     samples = int(config.get("samples", 100))
+    _check_samples(samples)
     mesh = 1000
     sets = {beta: GibbsParams(EnergyModel.euclidean(beta)) for beta in (0.05, 0.1, 0.02)}
     _check_draws(f"the jarnik suite with samples={samples}",

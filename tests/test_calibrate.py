@@ -53,6 +53,16 @@ def test_target_validation():
         CalibrationTarget(300, -1, 5)
     t = CalibrationTarget(300, 300, 34)
     assert t.vertex_density() == pytest.approx(34 / (300 * 300) ** (1 / 3))
+    assert exact_calibrate(CalibrationTarget(300.5, 300, 5)).converged  # finite non-integers still calibrate
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", range(3))
+def test_target_refuses_non_finite_fields(field, bad):
+    fields = [300, 300, 5]
+    fields[field] = bad
+    with pytest.raises(ValueError, match="must be positive"):
+        CalibrationTarget(*fields)
 
 
 def test_asymptotic_small_k_is_closed_form():

@@ -491,6 +491,12 @@ def test_calibrate_infeasible_exits_one(capsys):
      "7dc7f5133813d0703d127a249ce0d9d31fe03df297c8cd7f917efad3bcf89e7f"),
     (["maxvert", "--n1", "300", "--n2", "300"],
      "0667a6d6be5d59c34a4f0b4a87b4aaa6638015c0214c2f183e66469ec742e9f4"),
+    # the two outputs no other test runs: the calibration suite's report and
+    # the JSON table
+    (["suite", "--name", "calibration"],
+     "527e9a76472a278f7625512e4969d594a71942a287ba50bb686ac9678032e03f"),
+    (["asymptotics-table", "--ell-grid", "0.25:4:0.25", "--format", "json"],
+     "0a64b48bec12ee7f747d10703f4698a6c0035029b95635410a6ac2056e059e30"),
 ])
 def test_kernel_outputs_are_frozen(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)

@@ -331,7 +331,8 @@ def test_count_by_length_caps():
 def test_shifts_are_the_box_points_and_price_the_sweep(n1, n2):
     # the float pass's error bound and the closed-form cost both rest on the
     # shifts m*v being the nonzero points of the box, each exactly once
-    shifts = [s for _, _, s in _shifts(n1, n2, primitive_vectors_in_box(n1, n2))]
+    shifts = [(m * p, m * q) for p, q, M in _shifts(n1, n2, primitive_vectors_in_box(n1, n2))
+              for m in range(1, M + 1)]
     assert sorted(shifts) == [(a, b) for a in range(n1 + 1) for b in range(n2 + 1) if a or b]
     cells = sum((n1 - a + 1) * (n2 - b + 1) for a, b in shifts)
     assert _dp_cost_estimate(n1, n2, 3) == 3 * cells
@@ -343,10 +344,12 @@ def test_bounded_sweeps_update_no_more_cells_than_the_price(n1, n2):
     # budget's closed form prices the unbounded sweep, so it bounds them all
     def cells(vectors, strip):
         total = 0
-        for v, _, (dp, dq) in _shifts(n1, n2, vectors):
-            first, cols = _live_rect(n1, n2, v, strip)
-            assert first + dp <= n1 and cols >= 1
-            total += (n1 + 1 - first - dp) * min(cols, n2 + 1 - dq)
+        for p, q, M in _shifts(n1, n2, vectors):
+            first, cols = _live_rect(n1, n2, (p, q), strip)
+            for m in range(1, M + 1):
+                dp, dq = m * p, m * q
+                assert first + dp <= n1 and cols >= 1
+                total += (n1 + 1 - first - dp) * min(cols, n2 + 1 - dq)
         return total
 
     assert 3 * cells(primitive_vectors_in_box(n1, n2), False) <= _dp_cost_estimate(n1, n2, 3)

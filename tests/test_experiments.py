@@ -14,7 +14,7 @@ import pytest
 
 from convexchain import experiments
 from convexchain.cli import report_json
-from convexchain.counting import brute_force_enum, line_length
+from convexchain.counting import CountTable, brute_force_enum, count_lines_k, line_length
 from convexchain.experiments import (
     SUITE_NAMES,
     jarnik_greedy_vertex_count,
@@ -396,10 +396,10 @@ def test_jarnik_suite_holds_one_site_set_at_a_time():
     assert rc == "0" and int(peak_kb) / 1024 <= 260
 
 
-def test_jarnik_root_builds_as_few_site_sets_as_brentq(monkeypatch):
-    # a spy on the site-set builder: one set for the sampled beta, then one
-    # per root evaluation of E[L] = mean length, which for beta = 0.05 is
-    # 11, as many as scipy's brentq took on the same bracket and xtol
+@pytest.fixture
+def site_set_builds(monkeypatch):
+    """The (n1, n2) of every Gibbs site set built from cold caches, by a spy
+    on `gibbs._primitive_grid`."""
     from convexchain import gibbs
     builds = []
     grid = gibbs._primitive_grid
@@ -411,5 +411,39 @@ def test_jarnik_root_builds_as_few_site_sets_as_brentq(monkeypatch):
     gibbs._site_laws.cache_clear()
     gibbs._site_arrays.cache_clear()
     monkeypatch.setattr(gibbs, "_primitive_grid", spy)
+    return builds
+
+
+def test_jarnik_root_builds_as_few_site_sets_as_brentq(site_set_builds):
+    # one set for the sampled beta, then one per root evaluation of
+    # E[L] = mean length, which for beta = 0.05 is 11, as many as scipy's
+    # brentq took on the same bracket and xtol
     run_jarnik(0.05, samples=2, seed=0)
-    assert len(builds) == 1 + 11
+    assert len(site_set_builds) == 1 + 11
+
+
+@pytest.mark.parametrize("run", [lambda: run_suite("jarnik", {"samples": 1}),
+                                 lambda: run_jarnik(0.05, samples=1)],
+                         ids=["suite", "run_jarnik"])
+def test_jarnik_refuses_one_sample_before_building_a_site_set(site_set_builds, run):
+    with pytest.raises(ValueError, match="need at least 2 samples"):
+        run()
+    assert site_set_builds == []
+
+
+def test_counting_suite_compares_every_layer_a_box_can_hold(monkeypatch):
+    # no line to (2, 2) has 4 vertices ((1,0) + (1,1) + (0,1) is the most),
+    # so a spurious p(2, 2; 4) lies above the brute force's largest k but
+    # within n1 + n2, and the suite must count it
+    def spurious(n1, n2, kmax):
+        table = count_lines_k(n1, n2, kmax)
+        if (n1, n2) != (8, 8):
+            return table
+        layers = table.layers.copy()
+        layers[4, 2, 2] = 1
+        return CountTable(n1, n2, kmax, layers)
+
+    monkeypatch.setattr(experiments, "count_lines_k", spurious)
+    rows = {r["check"]: r for r in run_suite("counting")["rows"]}
+    row = rows["dp equals brute force below cap"]
+    assert row["observed"] == 1.0 and not row["pass"]

@@ -1,19 +1,26 @@
-"""The library statements that no real traffic reaches: a hand-run script.
+"""The library statements that no real traffic reaches, or no test.
 
     python tests/traffic_trace.py
+    PYTHONPATH=tests python -m pytest -p traffic_trace
 
-Runs the three benchmark workloads of `bench/workloads.py` (imported, not
-edited) through a stub round that only calls and checks, then every CLI
-subcommand and every suite through `cli.main`, all under one `sys.settrace`
-line tracer that is set before `convexchain` is imported.  It prints each
-statement of `src/convexchain` with an executable line that nothing reached,
-as `module.py:line: text`, then the workloads' failed checks and each
-command's exit code.  pytest does not collect it: the name does not start
-with `test_`.
+Run as a script, it runs the three benchmark workloads of
+`bench/workloads.py` (imported, not edited) through a stub round that only
+calls and checks, then every CLI subcommand and every suite through
+`cli.main`, all under one `sys.settrace` line tracer that is set before
+`convexchain` is imported.  It prints each statement of `src/convexchain`
+with an executable line that nothing reached, as `module.py:line: text`,
+then the workloads' failed checks and each command's exit code.  pytest
+does not collect it: the name does not start with `test_`.
+
+Loaded as a pytest plugin (opt-in, and minutes rather than seconds), it
+sets the same tracer for the whole run, on every thread, before the
+conftests load, and prints at the end the statements that no test reached
+in-process (a test's subprocesses are not traced).
 
 A Python-level tracer makes the interpreter snapshot `frame.f_locals`
 before Python 3.13, so what it reaches can differ from an untraced run on
-paths that depend on reference counts (`gibbs._site_arrays`' copy).
+paths that depend on reference counts: like any `f_locals` tracer, it sends
+`gibbs._site_arrays` down its copy path.
 """
 
 import ast
@@ -22,6 +29,7 @@ import io
 import os
 import sys
 import tempfile
+import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PKG = os.path.join(ROOT, "src", "convexchain")
@@ -117,6 +125,26 @@ def unreached(path):
                    for line in missed if line in owner})
 
 
+def _unreached_lines():
+    for name in sorted(os.listdir(PKG)):
+        if name.endswith(".py"):
+            for line, text in unreached(os.path.join(PKG, name)):
+                yield f"{name}:{line}: {text}"
+
+
+def pytest_load_initial_conftests(early_config, parser, args):
+    threading.settrace(_call_tracer)
+    sys.settrace(_call_tracer)
+
+
+def pytest_terminal_summary(terminalreporter):
+    sys.settrace(None)
+    threading.settrace(None)
+    terminalreporter.section("library statements no test reached")
+    for line in _unreached_lines():
+        terminalreporter.write_line(line)
+
+
 def main():
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
     sys.settrace(_call_tracer)
@@ -139,10 +167,8 @@ def main():
                     codes.append(cli.main(command.format(line=line).split()))
     finally:
         sys.settrace(None)
-    for name in sorted(os.listdir(PKG)):
-        if name.endswith(".py"):
-            for line, text in unreached(os.path.join(PKG, name)):
-                print(f"{name}:{line}: {text}")
+    for line in _unreached_lines():
+        print(line)
     print(f"\nworkload checks failed: {len(rnd.failures)}", *rnd.failures, sep="\n")
     for command, code in zip(COMMANDS, codes):
         print(f"exit {code}: {command.format(line='LINE')}")
