@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_CAP = 12
+_SWEEP_BUFSIZE = 16  # ufunc buffer elements in a count sweep; 16 to 256 time alike
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +143,12 @@ def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.nda
     in the next column's layer 0, since a line with kmax vertices takes no
     more; so layer 0 only ever holds the origin.
 
+    The vector loop runs under a ufunc buffer of `_SWEEP_BUFSIZE` elements
+    and gives the caller's size back on every exit, because numpy copies a
+    2-D view whose rows are shorter than its buffer through that buffer: the
+    float64 (100,100,10) sweep takes 0.19 s with it against 0.38 s under the
+    default 8192 elements (numpy 2.4, 2-core x86).
+
     Snapshots and additions cover only the cone rectangle of `_live_rect`.
     Every snapshot cell outside it is zero in every layer, so each addition
     the unbounded sweep makes from such a cell is += 0, and x + 0 == x in
@@ -159,19 +166,23 @@ def _count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.nda
     table = np.zeros((n1 + 1, (n2 + 1) * k), dtype=dtype)
     table[0, 0] = 1
     top = 1
-    for p, q, M in _shifts(n1, n2, primitive_vectors_in_box(n1, n2)):
-        if modulus:
-            top *= 1 + M
-            if top >= 2**64:
-                np.remainder(table, modulus, out=table)
-                top = (modulus - 1) * (1 + M)
-        cols = _live_rect(n1, n2, (p, q))[1]
-        snap = table[: n1 + 1 - p, : cols * k].copy()
-        snap[:, kmax::k] = 0
-        for m in range(1, M + 1):
-            dp, dq = m * p, m * q
-            span = min(cols * k, (n2 + 1 - dq) * k - 1)
-            table[dp:, dq * k + 1 : dq * k + 1 + span] += snap[: n1 + 1 - dp, :span]
+    old = np.setbufsize(_SWEEP_BUFSIZE)
+    try:
+        for p, q, M in _shifts(n1, n2, primitive_vectors_in_box(n1, n2)):
+            if modulus:
+                top *= 1 + M
+                if top >= 2**64:
+                    np.remainder(table, modulus, out=table)
+                    top = (modulus - 1) * (1 + M)
+            cols = _live_rect(n1, n2, (p, q))[1]
+            snap = table[: n1 + 1 - p, : cols * k].copy()
+            snap[:, kmax::k] = 0
+            for m in range(1, M + 1):
+                dp, dq = m * p, m * q
+                span = min(cols * k, (n2 + 1 - dq) * k - 1)
+                table[dp:, dq * k + 1 : dq * k + 1 + span] += snap[: n1 + 1 - dp, :span]
+    finally:
+        np.setbufsize(old)
     if modulus:
         np.remainder(table, modulus, out=table)
     del snap  # so that the layer-major copy is the only other table held
@@ -207,14 +218,32 @@ def _rebuild(n1: int, n2: int, kmax: int, flt: np.ndarray, bound: int) -> np.nda
         moduli.append(next(primes))
         residues.append(_count_sweep(n1, n2, kmax, np.uint64, moduli[-1]))
     exact = _garner(residues, moduli)
+    _check_rebuilt(n1, n2, kmax, exact, flt)
+    return exact
+
+
+def _check_rebuilt(n1: int, n2: int, kmax: int, exact: np.ndarray, flt: np.ndarray) -> None:
+    """Raise ArithmeticError at the first cell, in ravel order, where the
+    rebuilt count x and the float pass's f break |x - f| * 2^52 <= x * adds,
+    adds = (n1+1)(n2+1) - 1 being the module docstring's rounding depth.
+
+    A float64 test flags every cell that can break it, and only flagged
+    cells are decided in Python ints.  X = float(x), d = |X - f| and
+    R = X * t, t = adds * 2^-52, are each rounded once, by at most u = 2^-53
+    relatively.  A breaking cell has |x - f| > t*x with t >= 6u (adds >= 3),
+    so d >= (1-u)(|x - f| - u*x) > (1-u)(t - u)x >= (1+u)^2 t*x / 2 >= R/2:
+    every cell with d > R/2 (or NaN) is flagged.
+    """
     adds = (n1 + 1) * (n2 + 1) - 1
-    for x, f in zip(exact.ravel().tolist(), flt.ravel().tolist()):
+    xf = exact.astype(np.float64)
+    flagged = ~(np.abs(xf - flt) <= xf * (adds * 2.0**-52) / 2)
+    for i in np.flatnonzero(flagged).tolist():
+        x, f = int(exact.flat[i]), float(flt.flat[i])
         if abs(x - int(f)) << 52 > x * adds:
             raise ArithmeticError(
                 f"the ({n1},{n2}) sweep over {kmax} layers: rebuilt count {x} "
                 f"disagrees with the float pass ({f!r})"
             )
-    return exact
 
 
 def count_lines_k(n1: int, n2: int, kmax: int) -> CountTable:

@@ -121,6 +121,19 @@ def count_sweep(n1: int, n2: int, kmax: int, dtype, modulus: int = 0) -> np.ndar
     return lay
 
 
+def rebuild_check(n1: int, n2: int, kmax: int, exact, flt) -> None:
+    """The rebuilt counts' check cell by cell in Python ints: raise
+    ArithmeticError at the first cell, in ravel order, whose rebuilt count x
+    and float-pass value f have |x - f| * 2^52 > x * ((n1+1)(n2+1) - 1)."""
+    adds = (n1 + 1) * (n2 + 1) - 1
+    for x, f in zip(exact.ravel().tolist(), flt.ravel().tolist()):
+        if abs(x - int(f)) << 52 > x * adds:
+            raise ArithmeticError(
+                f"the ({n1},{n2}) sweep over {kmax} layers: rebuilt count {x} "
+                f"disagrees with the float pass ({f!r})"
+            )
+
+
 def primitive_grid_gcd(n1: int, n2: int, block_cells: int):
     """The primitive vectors of the box [0, n1] x [0, n2] as int64 (x1, x2)
     array pairs, row-major in x1, in blocks of max(1, block_cells // (n2+1))

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import re
@@ -12,8 +13,10 @@ from hypothesis import strategies as st
 from convexchain import counting
 from convexchain.counting import (
     CountTable,
+    _check_rebuilt,
     _count_sweep,
     _dp_cost_estimate,
+    _garner,
     _live_rect,
     _maximal_candidates,
     _rebuild,
@@ -23,7 +26,7 @@ from convexchain.counting import (
     max_vertices,
 )
 from convexchain.lattice import MultiplicityDistribution, primitive_vectors_in_box
-from oracles import count_sweep, max_vertices_sweep
+from oracles import count_sweep, max_vertices_sweep, rebuild_check
 from paper import erdos_lehner_ratio
 
 LENGTH_CAP = 15.0
@@ -407,6 +410,60 @@ def test_sweep_keeps_the_unbounded_sweeps_bits(box):
         assert flt.max() > 2**53
 
 
+@contextlib.contextmanager
+def _bufsize(size):
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+# the caller's own ufunc buffer size: numpy's default, or one it set itself
+CALLER_BUFSIZES = [np.getbufsize(), 4096]
+
+
+@pytest.mark.parametrize("caller", CALLER_BUFSIZES)
+def test_sweeps_run_under_their_buffer_and_give_the_callers_back(monkeypatch, caller):
+    seen, live_rect = [], counting._live_rect
+
+    def spy(*args, **kwargs):
+        seen.append(np.getbufsize())
+        return live_rect(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "_live_rect", spy)
+    with _bufsize(caller):
+        # (70, 70, 16) needs the float and uint64 passes; (30, 30, 12) at a
+        # bound of 2^130 the prime passes as well
+        count_lines_k(70, 70, 16)
+        assert np.getbufsize() == caller
+        _rebuild(30, 30, 12, _count_sweep(30, 30, 12, np.float64), 2**130)
+        assert np.getbufsize() == caller
+        assert seen and set(seen) == {counting._SWEEP_BUFSIZE}
+        seen.clear()
+        max_vertices(60, 60)  # runs under the caller's buffer
+        assert seen and set(seen) == {caller}
+
+
+@pytest.mark.parametrize("caller", CALLER_BUFSIZES)
+@pytest.mark.parametrize("calls", [1, 20])
+def test_a_sweep_that_raises_gives_the_callers_buffer_back(monkeypatch, caller, calls):
+    live_rect = counting._live_rect
+
+    def fail_on_nth(*args, **kwargs):
+        fail_on_nth.calls += 1
+        if fail_on_nth.calls == calls:
+            raise RuntimeError("stopped")
+        return live_rect(*args, **kwargs)
+
+    fail_on_nth.calls = 0
+    monkeypatch.setattr(counting, "_live_rect", fail_on_nth)
+    with _bufsize(caller):
+        with pytest.raises(RuntimeError, match="stopped"):
+            count_lines_k(30, 30, 12)
+        assert np.getbufsize() == caller
+
+
 def test_rebuild_past_64_bits_matches_oracle():
     # a bound of 2^130 forces the residues mod 2^64 and three primes through
     # Garner's CRT on a box small enough for the oracle
@@ -421,6 +478,76 @@ def test_rebuild_refuses_a_disagreeing_float_pass():
     flt[5, 17, 45] += 1
     with pytest.raises(ArithmeticError, match="disagrees"):
         _rebuild(*box, flt, 2**70)
+
+
+def _verdict(check, *args):
+    """None if the check passes, else its ArithmeticError's message."""
+    try:
+        check(*args)
+    except ArithmeticError as err:
+        return str(err)
+    return None
+
+
+def test_rebuilt_check_matches_the_loop_on_62_bit_counts():
+    box, adds = (100, 100, 10), 101 * 101 - 1
+    flt = _count_sweep(*box, np.float64)
+    exact = _garner([_count_sweep(*box, np.uint64)], [2**64])
+    assert max(exact.flat).bit_length() == 62
+    assert _verdict(_check_rebuilt, *box, exact, flt) is None
+    assert _verdict(rebuild_check, *box, exact, flt) is None
+    # floats 1024 short of a cell's bound, then 1024 past it at two cells
+    # (58 to 61 bits, so ulps of 32 to 256): the first failing cell is named
+    for cell, by in [((9, 100, 98), -1024), ((9, 100, 99), 1024), ((10, 99, 100), 1024)]:
+        x = exact[cell]
+        flt[cell] = float(x + (x * adds >> 52) + by)
+    got = _verdict(_check_rebuilt, *box, exact, flt)
+    assert got == _verdict(rebuild_check, *box, exact, flt)
+    assert f"rebuilt count {exact[9, 100, 99]} " in got
+
+
+def test_rebuilt_check_matches_the_loop_past_64_bits():
+    box = (30, 30, 12)
+    flt = _count_sweep(*box, np.float64)
+    exact = _rebuild(*box, flt, 2**130)  # residues mod 2^64 and three primes
+    assert _verdict(rebuild_check, *box, exact, flt) is None
+    # the same layers scaled past 2^64, against a float pass off by one part
+    # in 2^40: every nonzero cell fails, and the first one, the origin, is named
+    big, off = exact << 70, (flt * 2.0**70) * (1 + 2.0**-40)
+    got = _verdict(_check_rebuilt, *box, big, off)
+    assert got == _verdict(rebuild_check, *box, big, off)
+    assert f"rebuilt count {2**70} " in got
+
+
+# (x, f, passes) for box (1, 1), whose adds is 3: |x - f| * 2^52 == x * adds
+# passes and one unit more fails, below and above x, below 2^53 and past 2^64
+BOUNDARY = [(2**52, 2**52 - 3, True), (2**52, 2**52 - 4, False),
+            (2**52, 2**52 + 3, True), (2**52, 2**52 + 4, False),
+            (2**70, 2**70 + 3 * 2**18, True), (2**70 - 1, 2**70 + 3 * 2**18, False),
+            (2**70, 2**70 - 3 * 2**18, True), (2**70 + 1, 2**70 - 3 * 2**18, False),
+            (0, 0, True), (0, 1, False)]
+
+
+@pytest.mark.parametrize("x, f, passes", BOUNDARY)
+def test_rebuilt_check_decides_the_boundary_as_the_loop(x, f, passes):
+    # a passing cell before, a failing one (9 against 1.0) after
+    exact = np.array([[5, x], [9, 7]], dtype=object)
+    flt = np.array([[5.0, f], [1.0, 7.0]], dtype=np.float64)
+    assert flt[0, 1] == f
+    got = _verdict(_check_rebuilt, 1, 1, 1, exact, flt)
+    assert got == _verdict(rebuild_check, 1, 1, 1, exact, flt)
+    assert ("rebuilt count 9 " in got) == passes
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 400), st.integers(0, 2**90), st.integers(-4, 4),
+       st.booleans())
+def test_rebuilt_check_decides_near_the_bound_as_the_loop(n1, n2, x, by, below):
+    adds = (n1 + 1) * (n2 + 1) - 1
+    f = float(x + (-1) ** below * ((x * adds >> 52) + by))
+    exact, flt = np.array([x], dtype=object), np.array([f])
+    assert _verdict(_check_rebuilt, n1, n2, 1, exact, flt) == \
+        _verdict(rebuild_check, n1, n2, 1, exact, flt)
 
 
 # (6, 4, 14) has int64 layers and kmax past n1 + n2; the counts of
