@@ -8,10 +8,12 @@ occupancies are independent; each follows the biased geometric law
 whose normalizer is Z_x = 1 + lam*rho/(1-rho).  Expected endpoint, vertex
 count, the 3x3 covariance of (X1, X2, K) and seeded sampling live here.
 Two kernels compute log Z and the moments: the per-site law kernel
-(`_site_laws`, summed in np.sum's own pairwise order by `_pairwise_sums`)
-and, for the linear energy, the Mobius kernel (`_mobius_log_z`), an
-O(N log N) sum over n <= N ~ 45/min(beta) that enumerates no site.
-`_linear_log_z` is the one place that chooses between them.
+(`_leaf_laws`, which forms the laws of one leaf of sites in scratch where
+`_pairwise_sums` sums them in np.sum's own pairwise order, and fills the
+sampler's whole-set laws in `_site_laws`) and, for the linear energy, the
+Mobius kernel (`_mobius_log_z`), an O(N log N) sum over n <= N ~
+45/min(beta) that enumerates no site.  `_linear_log_z` is the one place
+that chooses between them.
 
 Energies come in three flavors: linear beta.x, Euclidean beta*|x|_2, and
 the mixed norm beta*(|x|_1 + lam_ell*sqrt(2)*|x|_2).
@@ -113,12 +115,15 @@ class MomentReport:
     truncation_bound: float
 
 
-# `_site_arrays` (x1, x2, E: 24 B/site), `_site_laws` (rho, q: 16 B/site) and
-# `_sampler_index` keep one set each: only the caller that just built a set
-# reuses it, and a process holds at most one cached set.
+# `_site_arrays` (int32 x1 and x2, float64 E: 16 B/site), the sampler's
+# `_site_laws` (rho, q: 16 B/site more) and `_sampler_index` keep one set
+# each: only the caller that just built a set reuses it, and a process holds
+# at most one cached set.  The sums over sites keep no per-site law.
 @lru_cache(maxsize=1)
 def _site_arrays(energy: EnergyModel, truncation: float):
-    """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in x1.
+    """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in
+    x1: int32 coordinates, exact in every float cast (SITE_BUDGET keeps each
+    side below 2^31), and float64 energies.
 
     The `lattice._primitive_grid` rows of the box that holds E <= T, each
     block clipped to the columns its first row holds, filtered by energy;
@@ -130,8 +135,9 @@ def _site_arrays(energy: EnergyModel, truncation: float):
     law, and its set is refused with `ValueError`.
 
     Each block's sites are written once, into the next slice of three
-    buffers sized for every cell of the box, whose pages are touched only
-    where written; the buffers then shrink in place to the site count.
+    buffers (4, 4 and 8 B per cell) sized for every cell of the box, whose
+    pages are touched only where written; the buffers then shrink in place
+    to the site count.
     `ndarray.resize` refuses while anything else holds a buffer, as the
     `frame.f_locals` snapshot of a tracer or debugger does before Python
     3.13; the filled prefixes are then copied instead.
@@ -150,7 +156,7 @@ def _site_arrays(energy: EnergyModel, truncation: float):
 
     blocks = _primitive_grid(n1, n2, width)  # refuses an oversized box
     cells = (n1 + 1) * (n2 + 1)
-    x1, x2, en = (np.empty(cells, dtype=t) for t in (np.int64, np.int64, float))
+    x1, x2, en = (np.empty(cells, dtype=t) for t in (np.int32, np.int32, float))
     n = 0
     for x0, keep in blocks:
         rows, w = keep.shape
@@ -249,11 +255,24 @@ def _radial_tail(energy: EnergyModel, lam: float, truncation: float) -> float:
 def truncation_bound(params: GibbsParams) -> float:
     """Rigorous upper bound on the log-partition mass lost to truncation:
     the column sum of `_linear_tail` for the linear energy, the shell sum of
-    `_radial_tail` for the Euclidean and mixed ones."""
-    if params.energy.kind == "linear":
-        return float(_linear_tail(*params.energy.params, params.fugacity,
-                                  params.truncation)[0])
-    return _radial_tail(params.energy, params.fugacity, params.truncation)
+    `_radial_tail` for the Euclidean and mixed ones.  Both divide by squared
+    rates: at a tiny rate the bound overflows, or the square underflows to 0
+    (below a rate of about 1.5e-162), and a bound that is not finite is
+    refused with a ValueError that names the rate."""
+    energy = params.energy
+    try:
+        if energy.kind == "linear":
+            bound = float(_linear_tail(*energy.params, params.fugacity, params.truncation)[0])
+        else:
+            bound = _radial_tail(energy, params.fugacity, params.truncation)
+    except ZeroDivisionError:  # a squared rate that underflows to 0
+        bound = math.inf
+    if not math.isfinite(bound):
+        rate = (f"rates ({energy.params[0]:g}, {energy.params[1]:g})" if energy.kind == "linear"
+                else f"rate {energy.params[0]:g}")
+        raise ValueError(f"the {energy.kind} truncation bound at {rate} is not finite: "
+                         "it leaves double range; raise the rates")
+    return bound
 
 
 # sites per leaf of `_pairwise_sums`, and per slice of the laws' and the
@@ -261,30 +280,37 @@ def truncation_bound(params: GibbsParams) -> float:
 _LEAF = 1 << 14
 
 
+def _leaf_laws(e, g: float, rho, a, t, occupation: bool = True):
+    """The biased geometric law at g = -log(lam) of the sites with energies
+    `e`, a leaf at a time into scratch of their size: rho = e^-E into `rho`,
+    then a = g + E + log(1-rho) into `a` by way of `t`, which is left
+    holding log(1-rho); with `occupation`, a is then turned in place into
+    q = P[omega > 0] = 1/(1 + e^a).
+
+    In a, log Z_x = log(1 + e^-a) and q stay finite at any fugacity (a ->
+    -inf just saturates the occupation at 1, and an e^a that overflows
+    leaves it 0).  The operation order of a keeps calibration iterates
+    reproducible.
+    """
+    np.exp(np.negative(e, out=rho), out=rho)
+    np.log1p(np.negative(rho, out=t), out=t)  # log(1 - rho)
+    np.add(np.add(g, e, out=a), t, out=a)
+    if occupation:
+        with np.errstate(over="ignore"):
+            np.exp(a, out=a)
+        np.divide(1.0, np.add(1.0, a, out=a), out=a)
+
+
 @lru_cache(maxsize=1)
 def _site_laws(energy: EnergyModel, g: float, truncation: float):
-    """(x1, x2, rho, q) per truncated site: the biased geometric law at
-    g = -log(lam), with q = P[omega > 0].  The moments' per-site mean and
-    variance are formed leaf by leaf where they are summed (`_site_sums`).
-
-    It works in a = g + E + log(1-rho), where log Z_x = log(1 + e^-a) and
-    q = 1/(1 + e^a) stay finite at any fugacity (a -> -inf just saturates
-    the occupation at 1, and an e^a that overflows leaves it 0).  The
-    operation order of a keeps calibration iterates reproducible; `_log_z`
-    repeats it.
-    """
+    """(x1, x2, rho, q) per truncated site, for the sampler: the
+    `_leaf_laws` of each leaf of sites written into whole-set arrays."""
     x1, x2, en = _site_arrays(energy, truncation)
-    rho = np.negative(en)
-    np.exp(rho, out=rho)
-    q = np.negative(rho)
-    np.log1p(q, out=q)  # log(1 - rho)
-    s = np.empty(min(q.size, _LEAF))
-    for lo in range(0, q.size, _LEAF):
-        part = q[lo:lo + _LEAF]
-        np.add(np.add(g, en[lo:lo + _LEAF], out=s[:part.size]), part, out=part)
-    with np.errstate(over="ignore"):
-        np.exp(q, out=q)
-    np.divide(1.0, np.add(1.0, q, out=q), out=q)
+    rho, q = np.empty(en.size), np.empty(en.size)
+    t = np.empty(min(en.size, _LEAF))
+    for lo in range(0, en.size, _LEAF):
+        hi = min(lo + _LEAF, en.size)
+        _leaf_laws(en[lo:hi], g, rho[lo:hi], q[lo:hi], t[:hi - lo])
     for arr in (rho, q):
         arr.setflags(write=False)
     return x1, x2, rho, q
@@ -309,33 +335,32 @@ def _pairwise_sums(terms, lo: int, hi: int) -> np.ndarray:
 
 
 def _log_z(energy: EnergyModel, g: float, truncation: float) -> float:
-    """Sum over truncated sites of log Z_x = log(1 + e^-a), leaf by leaf in
-    two scratch arrays."""
+    """Sum over truncated sites of log Z_x = log(1 + e^-a), the a of
+    `_leaf_laws` formed leaf by leaf in three scratch arrays."""
     en = _site_arrays(energy, truncation)[2]
-    a, s = np.empty((2, min(en.size, _LEAF)))
+    rho, a, s = np.empty((3, min(en.size, _LEAF)))
 
     def terms(lo, hi):
-        e, t, b = en[lo:hi], s[:hi - lo], a[:hi - lo]
-        np.exp(np.negative(e, out=t), out=t)
-        np.log1p(np.negative(t, out=t), out=t)  # log(1 - rho)
-        np.add(g, e, out=b)
-        np.negative(np.add(b, t, out=b), out=b)
-        yield np.logaddexp(0.0, b, out=b)
+        b = a[:hi - lo]
+        _leaf_laws(en[lo:hi], g, rho[:hi - lo], b, s[:hi - lo], occupation=False)
+        yield np.logaddexp(0.0, np.negative(b, out=b), out=b)
 
     return float(_pairwise_sums(terms, 0, en.size)[0])
 
 
 def _site_sums(energy: EnergyModel, g: float, truncation: float):
     """(E[X1], E[X2], E[K]) and the covariance of (X1, X2, K) over the
-    truncated sites.  Per leaf, E[omega] and Var(omega) go into scratch
-    arrays and each product into one more before its sum; the int64
-    coordinates are cast to float inside the first product, exactly."""
-    x1, x2, rho, q = _site_laws(energy, g, truncation)
-    mean, var, ck, s = np.empty((4, min(q.size, _LEAF)))
+    truncated sites.  Per leaf, `_leaf_laws` forms rho and q, E[omega] and
+    Var(omega) go into scratch arrays and each product into one more before
+    its sum; the int32 coordinates are cast to float inside the first
+    product, exactly."""
+    x1, x2, en = _site_arrays(energy, truncation)
+    rho, occ, mean, var, ck, s = np.empty((6, min(en.size, _LEAF)))
 
     def terms(lo, hi):
-        a1, a2, r, qs = x1[lo:hi], x2[lo:hi], rho[lo:hi], q[lo:hi]
-        mu, v, k, t = mean[:hi - lo], var[:hi - lo], ck[:hi - lo], s[:hi - lo]
+        a1, a2 = x1[lo:hi], x2[lo:hi]
+        r, qs, mu, v, k, t = (b[:hi - lo] for b in (rho, occ, mean, var, ck, s))
+        _leaf_laws(en[lo:hi], g, r, qs, t)
 
         def prod(a, b, c=None):
             np.multiply(a, b, out=t, dtype=float)
@@ -358,7 +383,7 @@ def _site_sums(energy: EnergyModel, g: float, truncation: float):
         yield prod(a1, k)
         yield prod(a2, k)
 
-    ex1, ex2, ek, v11, v22, v12, vkk, v1k, v2k = _pairwise_sums(terms, 0, q.size)
+    ex1, ex2, ek, v11, v22, v12, vkk, v1k, v2k = _pairwise_sums(terms, 0, en.size)
     return (np.array([ex1, ex2, ek]),
             np.array([[v11, v12, v1k], [v12, v22, v2k], [v1k, v2k, vkk]]))
 
@@ -476,16 +501,19 @@ def log_partition(params: GibbsParams) -> float:
 
 
 def _mean_euclidean_length(params: GibbsParams) -> float:
-    """E[L] = sum over truncated sites of |x|_2 * E[omega(x)] (-d log Z/d beta)."""
-    x1, x2, rho, q = _site_laws(*_law_key(params))
-    h, s = np.empty((2, min(q.size, _LEAF)))
+    """E[L] = sum over truncated sites of |x|_2 * E[omega(x)] (-d log Z/d beta),
+    the laws formed leaf by leaf by `_leaf_laws`."""
+    energy, g, truncation = _law_key(params)
+    x1, x2, en = _site_arrays(energy, truncation)
+    rho, occ, h, s = np.empty((4, min(en.size, _LEAF)))
 
     def terms(lo, hi):
-        t = s[:hi - lo]
-        np.divide(q[lo:hi], np.subtract(1.0, rho[lo:hi], out=t), out=t)  # E[omega]
+        r, qs, t = (b[:hi - lo] for b in (rho, occ, s))
+        _leaf_laws(en[lo:hi], g, r, qs, t)
+        np.divide(qs, np.subtract(1.0, r, out=t), out=t)  # E[omega]
         yield np.multiply(np.hypot(x1[lo:hi], x2[lo:hi], out=h[:hi - lo]), t, out=t)
 
-    return float(_pairwise_sums(terms, 0, q.size)[0])
+    return float(_pairwise_sums(terms, 0, en.size)[0])
 
 
 def moments(params: GibbsParams) -> MomentReport:
@@ -498,7 +526,7 @@ def moments(params: GibbsParams) -> MomentReport:
         EX2=float(means[1]),
         EK=float(means[2]),
         covariance=gamma,
-        site_count=int(_site_laws(*key)[0].size),
+        site_count=int(_site_arrays(key[0], key[2])[2].size),
         truncation_bound=truncation_bound(params),
     )
 
@@ -627,5 +655,6 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     mult = 1 + np.floor(np.log1p(-v) / np.log(rho[site])).astype(np.int64)
     rank = np.argsort(site)  # support in row-major order
     site, mult = site[rank], mult[rank]
-    return MultiplicityDistribution(np.column_stack([x1[site], x2[site]]), mult)
+    xy = np.column_stack([x1[site], x2[site]]).astype(np.int64)  # the constructor's array path
+    return MultiplicityDistribution(xy, mult)
 

@@ -166,10 +166,11 @@ def _sieve_blocks(n1: int, n2: int, width):
 
 
 def _mask_rows(x0: int, keep: np.ndarray, out=None):
-    """The int64 (x1, x2) of the true cells of the `_primitive_grid` block
-    (x0, keep), row-major, and their flat indices in `keep`; `out`, two
-    int64 arrays of the true-cell count, receives (x1, x2).  x2 is the flat
-    index less x1 times the width, which is faster than `np.divmod`."""
+    """The (x1, x2) of the true cells of the `_primitive_grid` block
+    (x0, keep), row-major, and their flat indices in `keep`: int64, or
+    written into `out`, two integer arrays of the true-cell count that hold
+    every coordinate (the Gibbs site set's are int32).  x2 is the flat index
+    less x1 times the width, which is faster than `np.divmod`."""
     idx = np.flatnonzero(keep)
     w = keep.shape[1]
     x1, x2 = (None, None) if out is None else out

@@ -334,7 +334,7 @@ def polyline_json(line: ConvexPolyline) -> str:
 def site_arrays(energy, truncation):
     """`gibbs._site_arrays` from per-block parts: each block's primitive
     sites as (x1, x2) rows, their energies, the rows with E <= T kept, and
-    the parts concatenated."""
+    the parts concatenated, with the coordinates as int32."""
     T = float(truncation)
     with np.errstate(divide="ignore"):
         span = T / np.array([energy(1, 0), energy(0, 1)], dtype=float)
@@ -352,7 +352,8 @@ def site_arrays(energy, truncation):
         xs_parts.append(x1[ok])
         ys_parts.append(x2[ok])
         en_parts.append(en[ok])
-    return np.concatenate(xs_parts), np.concatenate(ys_parts), np.concatenate(en_parts)
+    return (np.concatenate(xs_parts).astype(np.int32),
+            np.concatenate(ys_parts).astype(np.int32), np.concatenate(en_parts))
 
 
 @lru_cache(maxsize=1)

@@ -139,6 +139,15 @@ def test_library_failure_is_one_error_line(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_truncation_bound_outside_double_range_is_one_error_line(capsys):
+    # the tail bound divides by beta^2 = 1e-400, which underflows to 0
+    rc, out, err = run(capsys, ["jarnik", "--beta", "1e-200", "--trunc", "1e-210",
+                                "--samples", "2"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the euclidean truncation bound at rate 1e-200 is not finite")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "0"],
     ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "-1"],
@@ -497,6 +506,9 @@ def test_calibrate_infeasible_exits_one(capsys):
      "527e9a76472a278f7625512e4969d594a71942a287ba50bb686ac9678032e03f"),
     (["asymptotics-table", "--ell-grid", "0.25:4:0.25", "--format", "json"],
      "0a64b48bec12ee7f747d10703f4698a6c0035029b95635410a6ac2056e059e30"),
+    # an empty site set (E(1, 0) = 1 > T): the sampler's empty draws
+    (["sample-gibbs", "--beta1", "1", "--beta2", "1", "--trunc", "0.5", "--count", "2"],
+     "85aff4b3a592e90efa398a46758f44c3a2ecabfb85a35ad7f2325ad219df1069"),
 ])
 def test_kernel_outputs_are_frozen(capsys, argv, digest):
     rc, out, _ = run(capsys, argv)

@@ -105,6 +105,33 @@ def test_sub_resolution_site_energy_refused(call):
         call(params)
 
 
+@pytest.mark.parametrize("energy", [EnergyModel.euclidean(1e-300), EnergyModel.mixed(1e-300, 0.0)],
+                         ids=["euclidean", "mixed"])
+@pytest.mark.parametrize("call", [log_partition, moments, lambda p: sample_omega(p, 0)],
+                         ids=["log_partition", "moments", "sample_omega"])
+def test_sub_resolution_refusal_names_the_first_site(energy, call):
+    # E(0, 1) = E(1, 0) = 1e-300, whose exp(-E) rounds to 1: the refusal
+    # names (0, 1), the first of the two in row-major order
+    params = GibbsParams(energy, truncation=1e-300)
+    with pytest.raises(ValueError, match=r"site energy 1e-300 at \(0, 1\) is below double"):
+        call(params)
+
+
+@pytest.mark.parametrize("rate", [1e-200, 1e-160])
+@pytest.mark.parametrize("family", ["linear", "euclidean", "mixed"])
+def test_tail_bound_outside_double_range_is_refused(family, rate):
+    # the tail bounds divide by squared rates: 1e-400 underflows to 0, and
+    # 1e-320 is subnormal and overflows the bound.  At T = 1e-210 the site
+    # set is empty, so `moments` reaches the bound with nothing summed
+    energy = {"linear": EnergyModel.linear(rate, rate), "euclidean": EnergyModel.euclidean(rate),
+              "mixed": EnergyModel.mixed(rate, 0.5)}[family]
+    named = rf"rates \({rate:g}, {rate:g}\)" if family == "linear" else f"rate {rate:g}"
+    params = GibbsParams(energy, truncation=1e-210)
+    for call in (truncation_bound, moments):
+        with pytest.raises(ValueError, match=f"{family} truncation bound at {named} is not finite"):
+            call(params)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["linear", "euclidean", "mixed"]),
@@ -195,8 +222,9 @@ def test_site_kernels_match_the_fresh_array_oracle(monkeypatch, params):
 
 def test_site_set_builds_without_full_size_temporaries():
     # numpy reports its buffers to tracemalloc.  A fresh set of 810,598
-    # sites keeps 24 B/site and no spare capacity, and `moments` on it
-    # makes no full-size temporary (the next test bounds its leaf scratch)
+    # sites keeps 16 B/site (int32 x1 and x2, float64 E) and no spare
+    # capacity, and `moments` on it makes no full-size temporary (the next
+    # test bounds its leaf scratch)
     params = GibbsParams(EnergyModel.linear(0.02, 0.03))
     key = gibbs._law_key(params)
     _clear_site_caches()
@@ -211,14 +239,14 @@ def test_site_set_builds_without_full_size_temporaries():
     finally:
         tracemalloc.stop()
     assert n == 810_598
-    assert held <= 24 * n + 65_536
+    assert held <= 16 * n + 65_536
     assert peak - left <= 20 * n
 
 
-def test_moments_keeps_two_laws_and_sums_in_leaf_scratch():
-    # on a built set of 810,598 sites, `moments` keeps rho and q, 16 B/site,
-    # and peaks above that by its leaf scratch alone, which does not grow
-    # with the site count
+def test_moments_keeps_no_laws_and_sums_in_leaf_scratch():
+    # on a built set of 810,598 sites, `moments` forms each leaf's laws in
+    # scratch and keeps none of them: neither what it leaves behind nor its
+    # peak above that grows with the site count
     params = GibbsParams(EnergyModel.linear(0.02, 0.03))
     key = gibbs._law_key(params)
     _clear_site_caches()
@@ -230,8 +258,32 @@ def test_moments_keeps_two_laws_and_sums_in_leaf_scratch():
     finally:
         tracemalloc.stop()
     assert n == 810_598
-    assert 16 * n <= left <= 16 * n + 65_536
+    assert left <= 65_536
     assert peak - left <= 1 << 20
+
+
+@pytest.mark.parametrize("call", [moments, log_partition, gibbs._mean_euclidean_length],
+                         ids=["moments", "log_partition", "mean_euclidean_length"])
+def test_site_sums_build_no_site_laws(call):
+    # only the sampler keeps whole-set laws; the sums form theirs per leaf
+    _clear_site_caches()
+    call(GibbsParams(EnergyModel.euclidean(0.3), 1.5))
+    assert gibbs._site_arrays.cache_info().currsize == 1
+    assert gibbs._site_laws.cache_info().misses == 0
+
+
+_EMPTY = GibbsParams(EnergyModel.linear(1, 1), truncation=0.5)  # E(1, 0) = 1 > T: no site
+
+
+def test_empty_site_set_gives_empty_draws_and_zero_sums():
+    _clear_site_caches()
+    assert gibbs._site_arrays(_EMPTY.energy, _EMPTY.truncation)[2].size == 0
+    assert not sample_omega(_EMPTY, 0).support
+    rep = moments(_EMPTY)
+    assert rep.site_count == 0 and (rep.EX1, rep.EX2, rep.EK) == (0.0, 0.0, 0.0)
+    assert not rep.covariance.any()
+    assert log_partition(_EMPTY) == 0.0
+    assert gibbs._mean_euclidean_length(_EMPTY) == 0.0
 
 
 _LEAF = gibbs._LEAF

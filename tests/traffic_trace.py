@@ -42,6 +42,7 @@ COMMANDS = [
     "calibrate --n1 300 --n2 300 --k 34",
     "calibrate --n1 300 --n2 300 --k 34 --exact",
     "sample-gibbs --beta1 0.1 --beta2 0.1 --count 3",
+    "sample-gibbs --beta1 1 --beta2 1 --trunc 0.5 --count 2",  # an empty site set
     "sample-valtr --n 1000 --k 8 --count 3",
     "shape-distance --line {line}",
     "shape-distance --line {line} --curve circle --format svg",
