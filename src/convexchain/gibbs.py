@@ -9,11 +9,12 @@ whose normalizer is Z_x = 1 + lam*rho/(1-rho).  Expected endpoint, vertex
 count, the 3x3 covariance of (X1, X2, K) and seeded sampling live here.
 Two kernels compute log Z and the moments: the per-site law kernel
 (`_leaf_laws`, which forms the laws of one leaf of sites in scratch where
-`_pairwise_sums` sums them in np.sum's own pairwise order, and fills the
-sampler's whole-set laws in `_site_laws`) and, for the linear energy, the
-Mobius kernel (`_mobius_log_z`), an O(N log N) sum over n <= N ~
-45/min(beta) that enumerates no site.  `_linear_log_z` is the one place
-that chooses between them.
+`_pairwise_sums` sums them in np.sum's own pairwise order; the sampler forms
+them the same way for its index and for the candidates of each draw, and no
+whole-set law is kept) and, for the linear energy, the Mobius kernel
+(`_mobius_log_z`), an O(N log N) sum over n <= N ~ 45/min(beta) that
+enumerates no site.  `_linear_log_z` is the one place that chooses between
+them.
 
 Energies come in three flavors: linear beta.x, Euclidean beta*|x|_2, and
 the mixed norm beta*(|x|_1 + lam_ell*sqrt(2)*|x|_2).
@@ -115,10 +116,10 @@ class MomentReport:
     truncation_bound: float
 
 
-# `_site_arrays` (int32 x1 and x2, float64 E: 16 B/site), the sampler's
-# `_site_laws` (rho, q: 16 B/site more) and `_sampler_index` keep one set
-# each: only the caller that just built a set reuses it, and a process holds
-# at most one cached set.  The sums over sites keep no per-site law.
+# `_site_arrays` (int32 x1 and x2, float64 E: 16 B/site) and the sampler's
+# `_sampler_index` (an int32 order: 4 B/site more) keep one set each: only
+# the caller that just built a set reuses it, and a process holds at most one
+# cached set.  Neither the sums over sites nor the sampler keeps a per-site law.
 @lru_cache(maxsize=1)
 def _site_arrays(energy: EnergyModel, truncation: float):
     """Primitive sites with E <= T as (x1, x2, energy) arrays, row-major in
@@ -257,21 +258,25 @@ def truncation_bound(params: GibbsParams) -> float:
     the column sum of `_linear_tail` for the linear energy, the shell sum of
     `_radial_tail` for the Euclidean and mixed ones.  Both divide by squared
     rates: at a tiny rate the bound overflows, or the square underflows to 0
-    (below a rate of about 1.5e-162), and a bound that is not finite is
-    refused with a ValueError that names the rate."""
+    (below a rate of about 1.5e-162), and the mixed one squares a growth
+    that a huge lam_ell takes past double range.  A bound that is not
+    finite is refused with a ValueError that names the rates, and lam_ell
+    for the mixed energy."""
     energy = params.energy
     try:
         if energy.kind == "linear":
             bound = float(_linear_tail(*energy.params, params.fugacity, params.truncation)[0])
         else:
             bound = _radial_tail(energy, params.fugacity, params.truncation)
-    except ZeroDivisionError:  # a squared rate that underflows to 0
+    except (ZeroDivisionError, OverflowError):  # a square that underflows to 0 or overflows
         bound = math.inf
     if not math.isfinite(bound):
-        rate = (f"rates ({energy.params[0]:g}, {energy.params[1]:g})" if energy.kind == "linear"
-                else f"rate {energy.params[0]:g}")
-        raise ValueError(f"the {energy.kind} truncation bound at {rate} is not finite: "
-                         "it leaves double range; raise the rates")
+        p = energy.params
+        at = f"rates ({p[0]:g}, {p[1]:g})" if energy.kind == "linear" else f"rate {p[0]:g}"
+        ell, fix = ((f" with lam_ell {p[1]:g}", "raise the rate or lower lam_ell")
+                    if energy.kind == "mixed" else ("", "raise the rates"))
+        raise ValueError(f"the {energy.kind} truncation bound at {at} is not finite{ell}: "
+                         f"it leaves double range; {fix}")
     return bound
 
 
@@ -299,21 +304,6 @@ def _leaf_laws(e, g: float, rho, a, t, occupation: bool = True):
         with np.errstate(over="ignore"):
             np.exp(a, out=a)
         np.divide(1.0, np.add(1.0, a, out=a), out=a)
-
-
-@lru_cache(maxsize=1)
-def _site_laws(energy: EnergyModel, g: float, truncation: float):
-    """(x1, x2, rho, q) per truncated site, for the sampler: the
-    `_leaf_laws` of each leaf of sites written into whole-set arrays."""
-    x1, x2, en = _site_arrays(energy, truncation)
-    rho, q = np.empty(en.size), np.empty(en.size)
-    t = np.empty(min(en.size, _LEAF))
-    for lo in range(0, en.size, _LEAF):
-        hi = min(lo + _LEAF, en.size)
-        _leaf_laws(en[lo:hi], g, rho[lo:hi], q[lo:hi], t[:hi - lo])
-    for arr in (rho, q):
-        arr.setflags(write=False)
-    return x1, x2, rho, q
 
 
 def _pairwise_sums(terms, lo: int, hi: int) -> np.ndarray:
@@ -555,49 +545,76 @@ def _uniforms(seed: int, words: np.ndarray) -> np.ndarray:
     return (_mix(z) >> _U64(11)).astype(float) * 2.0**-53
 
 
+# leaves of `_pairwise_sums` per chunk of the counting sort in `_sampler_index`
+_SORT_LEAVES = 4
+
+
 @lru_cache(maxsize=1)
 def _sampler_index(energy: EnergyModel, g: float, truncation: float):
-    """The `_site_laws` sites grouped by block b = floor(-log2 q), b <= 63:
+    """The `_site_arrays` sites grouped by block b = floor(-log2 q), b <= 63:
     (order, start, size, block, q_max, log(1 - q_max)) with one entry per
-    block that can be occupied.
+    block that can be occupied, then E[K], the sum of q over the sites.
 
+    One `_pairwise_sums` pass forms each leaf's laws in scratch, writes its
+    int8 block labels, keeps the largest q of each block and counts the
+    leaf's labels; the q it sums give E[K] the bits of `np.sum` over all q.
+    `order` (int32: SITE_BUDGET keeps every site index below 2^31) is then
+    a counting sort of the labels: each chunk of `_SORT_LEAVES` leaves is
+    sorted stably and each of its block runs written to its place, so
     `order[start:start+size]` are the block's site indices in `_site_arrays`
-    order, row-major in (x1, x2).  The laws themselves keep that order, so
-    the sums of `moments` and `log_partition` do not move.
+    order, row-major in (x1, x2).
     """
-    q = _site_laws(energy, g, truncation)[3]
-    label = np.empty(q.size, dtype=np.int8)
-    s = np.empty(min(q.size, _LEAF))
-    for lo in range(0, q.size, _LEAF):
-        part = q[lo:lo + _LEAF]
-        t = s[:part.size]
+    en = _site_arrays(energy, truncation)[2]
+    label = np.empty(en.size, dtype=np.int8)
+    rho, q, t = np.empty((3, min(en.size, _LEAF)))
+    q_max = np.zeros(_LAST_BLOCK + 1)
+    leaf_lo, counts = [], []  # where each leaf starts, and its label counts
+
+    def terms(lo, hi):
+        r, qs, s = (b[:hi - lo] for b in (rho, q, t))
+        _leaf_laws(en[lo:hi], g, r, qs, s)
         with np.errstate(divide="ignore"):  # q = 0 goes to the last block
-            np.log2(part, out=t)
-        np.negative(t, out=t)
-        label[lo:lo + part.size] = np.minimum(np.floor(t, out=t), _LAST_BLOCK, out=t)
-    order = np.argsort(label, kind="stable")
-    # bounds[b] is where block b starts in `order`, bounds[64] the site count
-    bounds = np.searchsorted(label[order], np.arange(_LAST_BLOCK + 2, dtype=np.int8))
-    size = np.diff(bounds)
+            np.log2(qs, out=s)
+        lab = label[lo:hi]
+        lab[:] = np.minimum(np.floor(np.negative(s, out=s), out=s), _LAST_BLOCK, out=s)
+        np.maximum.at(q_max, lab, qs)  # a max is exact: the bits of any gather
+        leaf_lo.append(lo)
+        counts.append(np.bincount(lab, minlength=_LAST_BLOCK + 1))
+        yield qs
+
+    mean_k = _pairwise_sums(terms, 0, en.size)[0]
+    cuts = [*leaf_lo[::_SORT_LEAVES], en.size]
+    counts = np.add.reduceat(counts, np.arange(0, len(counts), _SORT_LEAVES), axis=0)
+    size = counts.sum(axis=0)
+    start = np.cumsum(size) - size
+    place = start.copy()  # where each block's next run goes
+    order = np.empty(en.size, dtype=np.int32)
+    for lo, hi, n in zip(cuts, cuts[1:], counts):
+        run = np.argsort(label[lo:hi], kind="stable")  # the chunk's runs, block by block
+        run += lo
+        k = 0
+        for b in np.flatnonzero(n).tolist():
+            order[place[b]:place[b] + n[b]] = run[k:k + n[b]]
+            k += n[b]
+        place += n
     block = np.flatnonzero(size)
-    start, size = bounds[block], size[block]
-    q_max = np.array([q[order[a:a + m]].max() for a, m in zip(start, size)])
+    start, size, q_max = start[block], size[block], q_max[block]
     keep = q_max > 0.0
     with np.errstate(divide="ignore"):  # q_max = 1: log 0 = -inf, every gap is 0
         log_miss = np.log1p(-q_max[keep])
     index = (order, start[keep], size[keep], block[keep], q_max[keep], log_miss)
     for arr in index:
         arr.setflags(write=False)
-    return index
+    return (*index, mean_k)
 
 
 def _check_draws(what: str, draws, extra: float = 0.0) -> None:
     """Price `draws`, (params, count) pairs, before the first: E[K] +
-    GIBBS_DRAW_ENTRIES + `extra` support entries each, E[K] the sum of q over
-    the site set they build anyway.  The caches keep one set, so a run over
-    several sets keeps only the last one priced; the draws at the others
-    build them again."""
-    need = sum(count * (float(_site_laws(*_law_key(p))[3].sum()) + GIBBS_DRAW_ENTRIES + extra)
+    GIBBS_DRAW_ENTRIES + `extra` support entries each, E[K] the sum of q
+    that the sampler index of each set forms as it builds.  The caches keep
+    one set, so a run over several sets keeps only the last one priced; the
+    draws at the others build them again."""
+    need = sum(count * (float(_sampler_index(*_law_key(p))[6]) + GIBBS_DRAW_ENTRIES + extra)
                for p, count in draws)
     check_budget(what, need, GIBBS_ENTRY_BUDGET, "support entries")
 
@@ -613,8 +630,7 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     multiplicity draw.
     """
     key = _law_key(params)
-    x1, x2, rho, q = _site_laws(*key)
-    order, start, size, block, q_max, log_miss = _sampler_index(*key)
+    order, start, size, block, q_max, log_miss, _ = _sampler_index(*key)
     if not block.size:
         return MultiplicityDistribution({})
     # gaps in batches of about 4 standard deviations over the mean candidate
@@ -646,15 +662,17 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
         live = live[pos[live] < size[live] - 1]
         batch *= 2
     b, p, j = (np.concatenate(parts) for parts in (hit_block, hit_pos, hit_index))
+    x1, x2, en = _site_arrays(key[0], key[2])
     site = order[start[b] + p]
-    ratio = q[site] / q_max[b]
+    rho, ratio, t = np.empty((3, site.size))
+    _leaf_laws(en[site], key[1], rho, ratio, t)  # the candidates' laws: q into `ratio`
+    ratio /= q_max[b]
     u = _uniforms(seed, (block[b] << _BLOCK_SHIFT) | (2 * j + 1))
     acc = u < ratio
     site = site[acc]
     v = np.minimum(u[acc] / ratio[acc], 1.0 - 1e-16)  # conditional uniform
-    mult = 1 + np.floor(np.log1p(-v) / np.log(rho[site])).astype(np.int64)
+    mult = 1 + np.floor(np.log1p(-v) / np.log(rho[acc])).astype(np.int64)
     rank = np.argsort(site)  # support in row-major order
     site, mult = site[rank], mult[rank]
     xy = np.column_stack([x1[site], x2[site]]).astype(np.int64)  # the constructor's array path
     return MultiplicityDistribution(xy, mult)
-

@@ -55,8 +55,10 @@ JARNIK_MESH_ENTRIES = 0.8
 # slowest, and a --format json row holds ~1.1 kB.
 TABLE_ROW_BUDGET = 300_000
 # Cells (n1+1)*(n2+1) of the box that `lattice._primitive_grid` sieves for a
-# box or a Gibbs site set: a site set with its `moments` pass peaks at 40-42
-# bytes per site, up to ~19 bytes per cell, so ~0.9 GB at the cap.
+# box or a Gibbs site set: a site set with its `moments` pass or its sampler
+# index peaks at 23-29 bytes per site over import, the peak of the set's
+# build, and a set holds at most pi/4 * 6/pi^2 = 0.48 sites per cell, so up
+# to ~14 bytes per cell and ~0.7 GB at the cap.
 SITE_BUDGET = 48_000_000
 # relative rounding allowance of a Mobius-kernel log Z or moment against the
 # same sum over the sites: 64 ulps, where at most 12 were measured

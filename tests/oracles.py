@@ -356,9 +356,20 @@ def site_arrays(energy, truncation):
             np.concatenate(ys_parts).astype(np.int32), np.concatenate(en_parts))
 
 
+def leaf_laws(e, g, rho, a, t, occupation=True):
+    """`gibbs._leaf_laws`: each law of the sites with energies `e` as one
+    expression, copied into the out arrays, rho, a or q, and log(1 - rho)."""
+    r = np.exp(-e)
+    log_miss = np.log1p(-r)
+    with np.errstate(over="ignore"):
+        law = 1.0 / (1.0 + np.exp(g + e + log_miss)) if occupation else g + e + log_miss
+    rho[...], a[...], t[...] = r, law, log_miss
+
+
 @lru_cache(maxsize=1)
 def site_laws(energy, g, truncation):
-    """`gibbs._site_laws`: (x1, x2, rho, q) per site."""
+    """The laws of the whole site set, which `gibbs` forms a leaf or a
+    draw's candidates at a time: (x1, x2, rho, q) per site."""
     x1, x2, en = site_arrays(energy, truncation)
     rho = np.exp(-en)
     with np.errstate(over="ignore"):
@@ -398,11 +409,12 @@ def site_sums(energy, g, truncation):
 
 @lru_cache(maxsize=1)
 def sampler_index(energy, g, truncation):
-    """`gibbs._sampler_index`: the sites grouped by block floor(-log2 q)."""
+    """`gibbs._sampler_index`: the sites grouped by block floor(-log2 q),
+    with an int32 order, then E[K], the sum of q."""
     q = site_laws(energy, g, truncation)[3]
     with np.errstate(divide="ignore"):
         label = np.minimum(np.floor(-np.log2(q)), 63).astype(np.int8)
-    order = np.argsort(label, kind="stable")
+    order = np.argsort(label, kind="stable").astype(np.int32)
     size = np.bincount(label, minlength=64)
     block = np.flatnonzero(size)
     start = (np.cumsum(size) - size)[block]
@@ -410,4 +422,5 @@ def sampler_index(energy, g, truncation):
     keep = q_max > 0.0
     with np.errstate(divide="ignore"):
         log_miss = np.log1p(-q_max[keep])
-    return order, start[keep], size[block][keep], block[keep], q_max[keep], log_miss
+    return (order, start[keep], size[block][keep], block[keep], q_max[keep], log_miss,
+            np.sum(q))

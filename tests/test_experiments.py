@@ -408,7 +408,7 @@ def site_set_builds(monkeypatch):
         builds.append((n1, n2))
         return grid(n1, n2, *clip)
 
-    gibbs._site_laws.cache_clear()
+    gibbs._sampler_index.cache_clear()
     gibbs._site_arrays.cache_clear()
     monkeypatch.setattr(gibbs, "_primitive_grid", spy)
     return builds

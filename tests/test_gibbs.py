@@ -20,6 +20,7 @@ from convexchain.gibbs import (
     truncation_bound,
 )
 from convexchain.specialfn import ZETA2, ZETA3
+from convexchain.tolerances import GIBBS_DRAW_ENTRIES
 from oracles import primitive_vectors_by_weight
 from paper import parallel_probability, residue_logZ
 
@@ -132,6 +133,21 @@ def test_tail_bound_outside_double_range_is_refused(family, rate):
             call(params)
 
 
+def test_tail_bound_past_double_range_names_lam_ell():
+    # at lam_ell = 1e200 the growth D ~ 1e199 of `_radial_tail` squares past
+    # double range (the site set is empty), and at a linear rate of 1e-310
+    # the column count T/beta1 does; both are refused by name.  At
+    # lam_ell = 1e100 the bound keeps its bits
+    params = GibbsParams(EnergyModel.mixed(0.05, 1e200))
+    for call in (truncation_bound, moments):
+        with pytest.raises(ValueError, match=r"mixed truncation bound at rate 0\.05 is not "
+                                             r"finite with lam_ell 1e\+200: .*lower lam_ell"):
+            call(params)
+    with pytest.raises(ValueError, match=r"linear truncation bound at rates \(1e-310, 1\) is not"):
+        truncation_bound(GibbsParams(EnergyModel.linear(1e-310, 1.0)))
+    assert truncation_bound(GibbsParams(EnergyModel.mixed(0.05, 1e100))) == 6.673299259135496e-18
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(["linear", "euclidean", "mixed"]),
@@ -164,10 +180,9 @@ def test_site_arrays_match_a_wider_grid(kind, b1, b2, lam_ell, T):
 
 def test_site_caches_keep_only_the_last_set():
     # each site-set cache holds one set: building another parameter set's
-    # laws and sampler index frees the first set's energies, q and order
+    # sampler index frees the first set's energies and order
     first, second = (gibbs._law_key(GibbsParams(EnergyModel.euclidean(b))) for b in (0.3, 0.4))
     held = [weakref.ref(a) for a in (gibbs._site_arrays(first[0], first[2])[2],
-                                     gibbs._site_laws(*first)[3],
                                      gibbs._sampler_index(*first)[0])]
     assert all(ref() is not None for ref in held)
     gibbs._sampler_index(*second)
@@ -175,7 +190,7 @@ def test_site_caches_keep_only_the_last_set():
 
 
 def _clear_site_caches():
-    for cached in (gibbs._site_arrays, gibbs._site_laws, gibbs._sampler_index):
+    for cached in (gibbs._site_arrays, gibbs._sampler_index, oracles.site_laws):
         cached.cache_clear()
 
 
@@ -189,17 +204,20 @@ _ORACLE_SETS = [
 ]
 
 
-@pytest.mark.parametrize("params", _ORACLE_SETS, ids=lambda p: "-".join(
-    map(str, (p.energy.kind, *p.energy.params, p.fugacity))))
+def _set_id(params):
+    return "-".join(map(str, (params.energy.kind, *params.energy.params, params.fugacity)))
+
+
+@pytest.mark.parametrize("params", _ORACLE_SETS, ids=_set_id)
 def test_site_kernels_match_the_fresh_array_oracle(monkeypatch, params):
     # the in-place kernels against the same expressions with a fresh array
-    # per operation: every array with its dtype, the sums and the draws
+    # per operation: every array with its dtype, E[K], the sums and the
+    # draws, whose candidates' laws come from the oracle's `leaf_laws`
     key = gibbs._law_key(params)
 
     def outputs():
         _clear_site_caches()  # the oracles' own caches while they are patched in
-        arrays = (*gibbs._site_arrays(key[0], key[2]), *gibbs._site_laws(*key)[2:],
-                  *gibbs._sampler_index(*key))
+        arrays = (*gibbs._site_arrays(key[0], key[2]), *gibbs._sampler_index(*key))
         report = moments(params)
         draws = [sample_omega(params, seed) for seed in range(5)]
         return (arrays, (report.EX1, report.EX2, report.EK, report.covariance,
@@ -207,7 +225,7 @@ def test_site_kernels_match_the_fresh_array_oracle(monkeypatch, params):
 
     got = outputs()
     with monkeypatch.context() as mp:
-        for name in ("site_arrays", "site_laws", "log_z", "site_sums", "sampler_index"):
+        for name in ("site_arrays", "leaf_laws", "log_z", "site_sums", "sampler_index"):
             mp.setattr(gibbs, f"_{name}", getattr(oracles, name))
         want = outputs()
         _clear_site_caches()
@@ -262,14 +280,45 @@ def test_moments_keeps_no_laws_and_sums_in_leaf_scratch():
     assert peak - left <= 1 << 20
 
 
+def test_sampler_keeps_an_int32_order_and_no_laws():
+    # on a built set of 810,598 sites, the first draw builds the sampler
+    # index and keeps its int32 order, 4 B/site, and no per-site law; the
+    # build's int8 labels and chunk sorts are all it adds at its peak
+    params = GibbsParams(EnergyModel.linear(0.02, 0.03))
+    key = gibbs._law_key(params)
+    _clear_site_caches()
+    n = gibbs._site_arrays(key[0], key[2])[2].size
+    tracemalloc.start()
+    try:
+        sample_omega(params, 0)
+        left, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n == 810_598
+    assert left <= 4 * n + 65_536
+    assert peak - left <= 8 * n
+
+
+@pytest.mark.parametrize("params", _ORACLE_SETS, ids=_set_id)
+def test_check_draws_prices_the_sum_of_q(monkeypatch, params):
+    # the E[K] that prices a run of draws is the sum of q with np.sum's bits
+    key = gibbs._law_key(params)
+    priced = []
+    monkeypatch.setattr(gibbs, "check_budget", lambda what, need, *_: priced.append(need))
+    gibbs._check_draws("the draws", [(params, 3)], 0.5)
+    ek = np.sum(oracles.site_laws(*key)[3])
+    assert gibbs._sampler_index(*key)[6] == ek
+    assert priced == [3 * (float(ek) + GIBBS_DRAW_ENTRIES + 0.5)]
+
+
 @pytest.mark.parametrize("call", [moments, log_partition, gibbs._mean_euclidean_length],
                          ids=["moments", "log_partition", "mean_euclidean_length"])
 def test_site_sums_build_no_site_laws(call):
-    # only the sampler keeps whole-set laws; the sums form theirs per leaf
+    # the sums form their laws per leaf and build no sampler index
     _clear_site_caches()
     call(GibbsParams(EnergyModel.euclidean(0.3), 1.5))
     assert gibbs._site_arrays.cache_info().currsize == 1
-    assert gibbs._site_laws.cache_info().misses == 0
+    assert gibbs._sampler_index.cache_info().misses == 0
 
 
 _EMPTY = GibbsParams(EnergyModel.linear(1, 1), truncation=0.5)  # E(1, 0) = 1 > T: no site
@@ -648,7 +697,7 @@ def test_sample_omega_seed_stability(seed):
 
 def _candidates_and_blocks(params):
     """Expected candidates per draw, sum of size*q_max, and the block count."""
-    _, _, size, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(params))
+    _, _, size, block, q_max, _, _ = gibbs._sampler_index(*gibbs._law_key(params))
     return float(np.sum(size * q_max)), block.size
 
 
@@ -667,7 +716,7 @@ def test_sampler_occupation_and_multiplicity_match_the_laws():
     # exact laws: each chi^2/dof must lie within five standard deviations of
     # 1, with the exact Var(Z^2) = 2 + kappa_4/(n sigma^4) of each site
     p = GibbsParams(EnergyModel.linear(0.3, 0.5), 2.5)
-    x1, x2, rho, q = gibbs._site_laws(*gibbs._law_key(p))
+    x1, x2, rho, q = oracles.site_laws(*gibbs._law_key(p))
     mean, var = oracles.site_moments(rho, q)
     assert rho.max() ** 400 < 1e-50  # the pmf sum below is complete
     rank = {xy: i for i, xy in enumerate(zip(x1.tolist(), x2.tolist()))}
@@ -696,8 +745,8 @@ def test_sampler_occupation_and_multiplicity_match_the_laws():
 
 def test_sampler_blocks_keep_row_major_order():
     p = GibbsParams(EnergyModel.euclidean(0.4), 2.0)
-    x1, x2, _, q = gibbs._site_laws(*gibbs._law_key(p))
-    order, start, size, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(p))
+    x1, x2, _, q = oracles.site_laws(*gibbs._law_key(p))
+    order, start, size, block, q_max, _, _ = gibbs._sampler_index(*gibbs._law_key(p))
     assert sorted(order.tolist()) == list(range(q.size))
     for a, m, b, top in zip(start, size, block, q_max):
         sites = order[a:a + m]
@@ -714,11 +763,12 @@ def test_sampler_blocks_keep_row_major_order():
     (GibbsParams(EnergyModel.linear(0.02, 0.02), 1.0), "some"),
 ])
 def test_sampler_edge_laws_raise_no_warnings(params, occupied):
+    _clear_site_caches()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x1, x2, _, q = gibbs._site_laws(*gibbs._law_key(params))
-        draws = [sample_omega(params, s) for s in range(5)]
-    _, _, _, block, q_max, _ = gibbs._sampler_index(*gibbs._law_key(params))
+        draws = [sample_omega(params, s) for s in range(5)]  # the index is built here
+    x1, x2, _, q = oracles.site_laws(*gibbs._law_key(params))
+    _, _, _, block, q_max, _, _ = gibbs._sampler_index(*gibbs._law_key(params))
     if occupied == "all":
         assert np.all(q == 1.0)
         everywhere = set(zip(x1.tolist(), x2.tolist()))
