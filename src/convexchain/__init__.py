@@ -20,7 +20,6 @@ from .specialfn import (
     c_of_ell,
     e_of_ell,
     polylog,
-    zeta,
 )
 from .gibbs import (
     EnergyModel,

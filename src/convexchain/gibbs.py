@@ -247,7 +247,10 @@ def _radial_tail(energy: EnergyModel, lam: float, truncation: float) -> float:
         c1, c2 = 1.0, _SQRT2 * le
     h = math.pi / 4.0 / _RADIAL_PANELS
     phi = h * np.arange(1, _RADIAL_PANELS + 1)
-    a = h * float(np.sum((_SQRT2 * c1 * np.cos(phi) + c2) ** -2.0)) / (b * b)
+    area = float(np.sum((_SQRT2 * c1 * np.cos(phi) + c2) ** -2.0))
+    a = h * area / (b * b)
+    if area < np.finfo(float).tiny or a == 0.0:  # lost its bits, or bounds nothing
+        return math.inf
     D = b * (2.0 * c1 + _SQRT2 * max(c2, 0.0))
     shells = a * math.exp(-T) * (2.0 * T * (D + 1.0) + (D + 1.0) ** 2 + 1.0)
     return lam * shells / -math.expm1(-T)
@@ -258,10 +261,10 @@ def truncation_bound(params: GibbsParams) -> float:
     the column sum of `_linear_tail` for the linear energy, the shell sum of
     `_radial_tail` for the Euclidean and mixed ones.  Both divide by squared
     rates: at a tiny rate the bound overflows, or the square underflows to 0
-    (below a rate of about 1.5e-162), and the mixed one squares a growth
-    that a huge lam_ell takes past double range.  A bound that is not
-    finite is refused with a ValueError that names the rates, and lam_ell
-    for the mixed energy."""
+    (below a rate of about 1.5e-162); past lam_ell ~ 1e154 the mixed one
+    squares a growth out of double range or loses its area to underflow.  A
+    bound that is not finite is refused with a ValueError that names the
+    rates, and lam_ell for the mixed energy."""
     energy = params.energy
     try:
         if energy.kind == "linear":

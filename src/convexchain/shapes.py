@@ -100,45 +100,38 @@ def _check_mixed_domain(lambda_ell):
         )
 
 
+def _mixed_weight(lambda_ell, shift=0.0):
+    """u -> ((lambda+1)/(lambda+cos(u-shift)))^3, the weight of each mixed-family
+    integrand: the family's scale (lambda+1)^-3 cancels in every quotient, and
+    the weight is finite for every finite lambda > -1/sqrt(2)."""
+    return lambda u: ((lambda_ell + 1.0) / (lambda_ell + math.cos(u - shift))) ** 3
+
+
 @lru_cache(maxsize=64)
 def _mixed_denominator(lambda_ell):
-    # integral of cos(u)/(lambda+cos(u))^3 over [-pi/4, pi/4]; even integrand.
-    # The whole family scales like (lambda+1)^-3, so that factor is pulled
-    # out before quadrature to keep the tolerance meaningful at large lambda.
-    s = (lambda_ell + 1.0) ** 3
-    return 2.0 / s * _adaptive_simpson(
-        lambda u: s * math.cos(u) / (lambda_ell + math.cos(u)) ** 3,
-        0.0, _QUARTER_PI, 0.5 * CURVE_QUAD_TOL)
+    # J, the weighted integral of cos(u) over [-pi/4, pi/4]; even integrand
+    w = _mixed_weight(lambda_ell)
+    return 2.0 * _adaptive_simpson(lambda u: math.cos(u) * w(u), 0.0, _QUARTER_PI,
+                                   0.5 * CURVE_QUAD_TOL)
 
 
 def _mixed_increment(lambda_ell, lo, hi, tol=CURVE_QUAD_TOL):
     """Unnormalized (dx, dy) of the mixed curve over angles [lo, hi]."""
-    s = (lambda_ell + 1.0) ** 3
-
-    def fx(u):
-        return s * math.cos(u) / (lambda_ell + math.cos(u - _QUARTER_PI)) ** 3
-
-    def fy(u):
-        return s * math.sin(u) / (lambda_ell + math.cos(u - _QUARTER_PI)) ** 3
-
-    return (_adaptive_simpson(fx, lo, hi, tol) / s,
-            _adaptive_simpson(fy, lo, hi, tol) / s)
+    w = _mixed_weight(lambda_ell, _QUARTER_PI)
+    return (_adaptive_simpson(lambda u: math.cos(u) * w(u), lo, hi, tol),
+            _adaptive_simpson(lambda u: math.sin(u) * w(u), lo, hi, tol))
 
 
 def mixed_length(lambda_ell):
-    """Arc length L of the mixed limit curve, a quotient of two integrals.
+    """Arc length sqrt(2)*N/J of the mixed limit curve, N the weighted integral of 1.
 
     L(0) = 1 + ln(1+sqrt(2))/sqrt(2) and L tends to pi/2 as lambda_ell
     grows (the circle); always strictly between sqrt(2) and 2.
     """
     _check_mixed_domain(lambda_ell)
-    s = (lambda_ell + 1.0) ** 3
-    num = _adaptive_simpson(
-        lambda u: s / (lambda_ell + math.cos(u)) ** 3, 0.0, _QUARTER_PI)
-    den = _adaptive_simpson(
-        lambda u: s * math.cos(u) / (lambda_ell + math.cos(u)) ** 3,
-        0.0, _QUARTER_PI)
-    return math.sqrt(2.0) * num / den
+    num = 2.0 * _adaptive_simpson(_mixed_weight(lambda_ell), 0.0, _QUARTER_PI,
+                                  0.5 * CURVE_QUAD_TOL)
+    return _SQRT2 * num / _mixed_denominator(lambda_ell)
 
 
 @dataclass(frozen=True)
@@ -389,12 +382,13 @@ def hausdorff_distance(line, curve, mesh=1000):
     """Symmetric Hausdorff distance between a polyline and a curve.
 
     Both objects are discretized with ~mesh points (the polyline evenly in
-    arc length plus its own vertices, the curve at mesh+1 parameter values),
-    so the result converges from below with discretization error on the
-    order of arc-length/mesh.  The nearest points are found exactly by
-    `_max_nearest_sq`.  Either side must be a finite (m, 2) point array, and
-    a distance that overflows is refused with ValueError, before any work
-    where `_overflows` shows it.
+    arc length plus its own vertices, the curve at mesh+1 parameter values).
+    Each side lies within half the largest arc length g between neighbours
+    of its discrete set, so by the triangle inequality the result is within
+    (g_line + g_curve)/2 of the continuous distance, rounding aside.  The
+    nearest points are found exactly by `_max_nearest_sq`.  Either side
+    must be a finite (m, 2) point array, and a distance that overflows is
+    refused with ValueError, before any work where `_overflows` shows it.
     """
     _check_mesh(mesh, 100)
     pts = _point_array(line, "polyline")

@@ -1,4 +1,5 @@
-"""Zeta / polylogarithm kernel and the asymptotic coefficient functions.
+"""Polylogarithm kernel, correctly rounded zeta(2) and zeta(3), and the
+asymptotic coefficient functions.
 
 Two functions of the fugacity-like parameter ell drive every asymptotic
 statement downstream:
@@ -7,8 +8,10 @@ statement downstream:
     e(ell) = 3*((zeta(3) - Li3(1-ell))/zeta(2))^(1/3) - log(ell)*c(ell)
 
 The 0/0 shape of c at ell = 1 is removed by evaluating ell * (Li2(w)/w) with
-w = 1 - ell through the ratio series sum w^(j-1)/j^2, which is
-cancellation-free for every ell > 0, so no switchover branch is needed.
+w = 1 - ell through the ratio series sum w^(j-1)/j^2.  Below ell = 0.02
+both c and e take Li2(1-ell) and zeta(3) - Li3(1-ell) from the log series
+below at mu = log1p(-ell), the latter without its zeta(3) term: the
+subtraction would cancel, and w would round to 1 below ell ~ 1.1e-16.
 
 Li_s(z) for real z < 1 is computed by the defining series where it converges
 comfortably (|z| <= 0.98).  Outside that disk c and e need only Li2 and Li3,
@@ -37,7 +40,6 @@ import numpy as np
 from .tolerances import POLYLOG_SERIES_TOL
 
 __all__ = [
-    "zeta",
     "polylog",
     "ratio_li2",
     "c_of_ell",
@@ -46,37 +48,13 @@ __all__ = [
     "ZETA3",
 ]
 
-# Bernoulli numbers B_2, B_4, B_6, B_8 for the Euler-Maclaurin tail
+# zeta(2) = pi^2/6 and zeta(3), each the correctly rounded double
+ZETA2 = 1.6449340668482264
+ZETA3 = 1.2020569031595942
+# Bernoulli numbers B_2, B_4, B_6, B_8 of the log series' zeta(1-2j)
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30)
-
-
-def zeta(s: float) -> float:
-    """Riemann zeta for real finite s > 1, Euler-Maclaurin accelerated.
-
-    With N = 50 terms and four Bernoulli corrections the truncation error is
-    below 1e-12 for every s > 1 (the first dropped term is of order
-    |B_10|/10! * s..(s+8) * N^(-s-9) < 1e-17 already at s -> 1+).
-    """
-    if not 1 < s < math.inf:
-        raise ValueError(f"zeta requires finite s > 1, got {s}")
-    N = 50
-    n = np.arange(1, N, dtype=float)
-    total = float(np.sum(n**-s))
-    # tail integral, midpoint correction, then Bernoulli terms
-    total += N ** (1.0 - s) / (s - 1.0) + 0.5 * N**-s
-    poch = s  # s*(s+1)*...*(s+2j-2), built incrementally
-    fact = 1.0
-    power = float(N) ** (-s - 1.0)
-    for j, b in enumerate(_BERNOULLI, start=1):
-        fact *= (2 * j - 1) * (2 * j)
-        total += b / fact * poch * power
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        power /= N * N
-    return total
-
-
-ZETA2 = zeta(2.0)
-ZETA3 = zeta(3.0)
+# c and e take the log series at mu = log1p(-ell) below this ell
+_SMALL_ELL = 0.02
 
 
 def _series_terms(az: float, s: float, tol: float) -> np.ndarray:
@@ -84,28 +62,21 @@ def _series_terms(az: float, s: float, tol: float) -> np.ndarray:
     bound sum_{j>N} az^j / j^s <= az^(N+1) / ((N+1)^s (1-az)) is below tol."""
     N = 16
     while az ** (N + 1) / ((N + 1) ** s * (1 - az)) > tol:
-        N *= 2
-        if N > 1_000_000:  # unreachable for az <= 0.98
-            raise RuntimeError("series will not meet its tail bound")
+        N *= 2  # az^(N+1) reaches 0 for every az <= 0.98, so this ends
     return np.arange(1, N + 1, dtype=float)
 
 
 def _polylog_series(s: float, z: float) -> float:
-    if abs(z) >= 1:
-        raise ValueError("series route needs |z| < 1")
-    if z == 0.0:
-        return 0.0
     j = _series_terms(abs(z), s, POLYLOG_SERIES_TOL)
     return float(np.sum(z**j / j**s))
 
 
-def _log_series(s: int, z: float) -> float:
-    """Li_s(z) for s = 2 or 3 and 0.98 < z <= 1, by the log series in
-    mu = log z.  |mu| < 0.0203, so the first term left out,
+def _log_terms(s: int, mu: float) -> list[float]:
+    """The terms of the log series of Li_s(e^mu) for s = 2 or 3 and
+    -0.0203 < mu <= 0, zeta(s) first.  The first term left out,
     zeta(-9) mu^(s+9)/(s+9)!, is below 1e-26."""
-    mu = math.log(z)
     if mu == 0.0:
-        return ZETA2 if s == 2 else ZETA3
+        return [ZETA2 if s == 2 else ZETA3]
     # zeta(s-k) for k = 0..s+8, with the log term's H_(s-1) - log(-mu) in
     # the k = s-1 slot; then zeta(0) = -1/2 and zeta(1-2j) = -B_2j/(2j),
     # zeta(-2j) = 0
@@ -117,7 +88,7 @@ def _log_series(s: int, z: float) -> float:
     for k, c in enumerate(coef):
         terms.append(c * power)
         power *= mu / (k + 1)
-    return math.fsum(terms)
+    return terms
 
 
 def _li23(s: int, z: float) -> float:
@@ -126,7 +97,7 @@ def _li23(s: int, z: float) -> float:
     if abs(z) <= 0.98:
         return _polylog_series(s, z)
     if z > 0.0:
-        return _log_series(s, z)
+        return math.fsum(_log_terms(s, math.log(z)))
     if z >= -1.0:
         return 2.0 ** (1 - s) * _li23(s, z * z) - _li23(s, -z)
     L = math.log(-z)
@@ -154,8 +125,6 @@ def polylog(s: float, z: float) -> float:
 
 def ratio_li2(w: float) -> float:
     """Li2(w)/w extended continuously by 1 at w = 0 (series sum w^(j-1)/j^2)."""
-    if w == 0.0:
-        return 1.0
     if abs(w) <= 0.98:
         # the tail is bounded relative to |w|, the size of Li2(w)
         j = _series_terms(abs(w), 2.0, POLYLOG_SERIES_TOL * abs(w))
@@ -165,7 +134,9 @@ def ratio_li2(w: float) -> float:
 
 def _residue_core(lam: float) -> float:
     """zeta(3) - Li3(1-lam), the residue core of log Z; exact at lam = 1,
-    where Li3(0) = 0."""
+    where Li3(0) = 0, and below _SMALL_ELL the log series past its zeta(3)."""
+    if lam < _SMALL_ELL:
+        return -math.fsum(_log_terms(3, math.log1p(-lam))[1:])
     return ZETA3 - polylog(3.0, 1.0 - lam)
 
 
@@ -175,7 +146,10 @@ def c_of_ell(ell: float) -> float:
     if not 0 < ell < math.inf:
         raise ValueError(f"c_of_ell requires finite ell > 0, got {ell}")
     # ell/(1-ell)*Li2(1-ell) == ell * ratio_li2(1-ell): smooth through ell = 1
-    numerator = ell * ratio_li2(1.0 - ell)
+    if ell < _SMALL_ELL:
+        numerator = ell * math.fsum(_log_terms(2, math.log1p(-ell))) / (1.0 - ell)
+    else:
+        numerator = ell * ratio_li2(1.0 - ell)
     return numerator / (ZETA2 ** (1.0 / 3) * _residue_core(ell) ** (2.0 / 3))
 
 

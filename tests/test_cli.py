@@ -157,7 +157,7 @@ def test_truncation_bound_outside_double_range_is_one_error_line(capsys):
     ["jarnik", "--beta", "0.3", "--samples", "1"],  # no standard error
     ["jarnik", "--beta", "5", "--samples", "2"],  # every sampled line empty
     ["curve", "--curve", "mixed", "--lambda-ell", "inf"],  # non-finite lambda_ell
-    ["mixed-shapes", "--grid", "1e300"],  # overflow
+    ["mixed-shapes", "--grid", "1e309"],  # a grid value past double range
     # a site energy whose exp(-E) rounds to 1
     ["sample-gibbs", "--beta1", "1e-300", "--beta2", "1", "--trunc", "1e-300"],
     ["suite", "--name", "shapes", "--samples", "100000000"],  # a suite that draws nothing
@@ -473,12 +473,14 @@ def test_calibrate_infeasible_exits_one(capsys):
 # The first two moved in their last digits when scipy left the library:
 # (306, 306, 39) with the initializer's root (the Illinois root and the
 # closed-form Li3 inside c), (40, 40, 14) with the numpy logistic of the
-# per-site kernel it ends on
+# per-site kernel it ends on.  Those two and the JSON table moved again when
+# ZETA2 and ZETA3 became the correctly rounded doubles, one ulp below the
+# old ones (from 0df74e7e..., e577ee86... and 0a64b48b...)
 @pytest.mark.parametrize("argv,digest", [
     (["calibrate", "--n1", "306", "--n2", "306", "--k", "39", "--exact"],
-     "0df74e7e16b97f5e347f1ae0251fa64185335ab1fa4ccc0292bac8c8464660ff"),
+     "49878d1706d71b5201d3d8b96c1c33cb6d2c7bae7892cfb4ebb1784fa949917b"),
     (["calibrate", "--n1", "40", "--n2", "40", "--k", "14", "--exact"],
-     "e577ee86d9574278189815cf42f6dd00ab3d2f1dc0b5eaa25550bd52423bd9e0"),
+     "6892e4aca830148daec783438e8132914458325373423a20bb236815bb734b79"),
     (["calibrate", "--n1", "300", "--n2", "300", "--k", "5", "--exact"],
      "fd9edd1ebca9632aaac8d40eef4fd9b8f709f336e66e9e6ff6efdeb51586afa7"),
     (["sample-gibbs", "--beta1", "0.1", "--beta2", "0.2", "--fugacity", "3",
@@ -505,7 +507,7 @@ def test_calibrate_infeasible_exits_one(capsys):
     (["suite", "--name", "calibration"],
      "527e9a76472a278f7625512e4969d594a71942a287ba50bb686ac9678032e03f"),
     (["asymptotics-table", "--ell-grid", "0.25:4:0.25", "--format", "json"],
-     "0a64b48bec12ee7f747d10703f4698a6c0035029b95635410a6ac2056e059e30"),
+     "8f03be98f3af70291a932c51282ec1495a40f14e2bb4a4da3e8fb06678ba9678"),
     # an empty site set (E(1, 0) = 1 > T): the sampler's empty draws
     (["sample-gibbs", "--beta1", "1", "--beta2", "1", "--trunc", "0.5", "--count", "2"],
      "85aff4b3a592e90efa398a46758f44c3a2ecabfb85a35ad7f2325ad219df1069"),
@@ -521,10 +523,12 @@ def test_kernel_outputs_are_frozen(capsys, argv, digest):
 # the residuals and the free energy.  The (306, 306, 39) values were frozen
 # again with its digest; from the new initializer Newton ends one ulp apart
 # in beta1 and beta2 (the parent's 0x1.46dca185ca256p-3 for both, and
-# 0x1.e6cc3823609e5p+0 for the fugacity, all within 2e-15)
+# 0x1.e6cc3823609e5p+0 for the fugacity, all within 2e-15), and again with the
+# correctly rounded zeta constants (from 0x1.46dca185ca25ap-3,
+# 0x1.46dca185ca259p-3 and 0x1.e6cc3823609f2p+0, all within 2e-15)
 # `beta` is the hex of beta1 == beta2, or the pair (beta1, beta2)
 @pytest.mark.parametrize("n,k,beta,fugacity", [
-    (306, 39, ("0x1.46dca185ca25ap-3", "0x1.46dca185ca259p-3"), "0x1.e6cc3823609f2p+0"),
+    (306, 39, ("0x1.46dca185ca25dp-3", "0x1.46dca185ca25bp-3"), "0x1.e6cc382360a02p+0"),
     (300, 5, "0x1.0f7a3e3f394b1p-6", "0x1.63c48d0305a55p-10"),
 ])
 def test_kernel_report_keeps_the_parameters(capsys, n, k, beta, fugacity):
@@ -724,7 +728,10 @@ def test_mixed_shapes_svg_bytes_are_frozen(capsys):
 # sha256 of the stdout bytes of the curve outputs, frozen before the scalar
 # and mesh evaluators of `shapes` became one; shape-distance reads _PIN_LINE.
 # The last two were frozen after it: the parabola's a-form moved them in
-# their last digits (from f85fff17... and 4415372f...)
+# their last digits (from f85fff17... and 4415372f...).  The four mixed
+# outputs of full precision moved in their last digits when the family's
+# integrands dropped the (lambda+1)^3 they divided out again (from
+# 2d9d050d..., 5005ee71..., 0c3eed87... and 0735f600...)
 @pytest.mark.parametrize("argv,digest", [
     (["curve"], "24894bd950b87542230d13ffb311c4db4730f10d9b76464749f08bf5b3cb6408"),
     (["curve", "--format", "svg"],
@@ -737,15 +744,15 @@ def test_mixed_shapes_svg_bytes_are_frozen(capsys):
      "8eaaff1b4db5692ecc85b6795ea85ff7de159eb51bc63f9e9552d9fc945ff1c1"),
     (["mixed-shapes"], "fbd7501d6405f85abcb17238167fb9c584ea84cc788c6c58f1a3da0cca94ab94"),
     (["mixed-shapes", "--format", "json"],
-     "2d9d050d35a6f03ab24cf243b3dc887b69d6dac8be77674fafb6cce9caab377e"),
+     "9b6e0f50f285d7a1ac60bb548ea92b92779dd7733f68f70c3506eb7ccfc30dd5"),
     (["suite", "--name", "mixed"],
-     "5005ee719adafcc38050dde55a81af7ec2f3f62663b9c63e0828e0bdaefa7993"),
+     "43c913a21a707a7a0630506ddcef1073c906bb8f711e18f7df6fa6477c309cef"),
     (["shape-distance", "--line", "-", "--curve", "circle"],
      "7ea41b60e93ce9384ccb3f24429a32b627e40a7ada98caff0e21d0a3d8b10b95"),
     (["shape-distance", "--line", "-", "--curve", "mixed", "--lambda-ell", "0.5"],
-     "0c3eed8758f67545595c5c02b2916b0526fb94e34c094d687f53c21ec0a4a0d3"),
+     "b5fa1fc16adaa4207e8d9c82180cd19ea99316f6b66b6beaf57364922955016e"),
     (["suite", "--name", "shapes"],
-     "0735f6009bf2a4ac8087671c6f92266d2b3f66b82c2a61d6a23d618f36611a9c"),
+     "e6cb65cbdb2ba4b2ec4783811bac974c48d60ced6992257795f1a39a2ae95e95"),
     (["shape-distance", "--line", "-"],
      "1f389303909aaf406dde1f8e486225da66778d5b675f66fdb998d1a7e51effcb"),
 ])

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -146,6 +147,19 @@ def test_tail_bound_past_double_range_names_lam_ell():
     with pytest.raises(ValueError, match=r"linear truncation bound at rates \(1e-310, 1\) is not"):
         truncation_bound(GibbsParams(EnergyModel.linear(1e-310, 1.0)))
     assert truncation_bound(GibbsParams(EnergyModel.mixed(0.05, 1e100))) == 6.673299259135496e-18
+
+
+def test_tail_bound_with_an_underflowed_area_is_refused():
+    # at lam_ell = 1e162 the area sum of `_radial_tail` underflows to 0, and
+    # at 1.77e161 it is subnormal and rounds the bound down to 5.3e-18, below
+    # the 6.67e-18 of every lam_ell above ~1e100 at this rate; both are
+    # refused by name, not returned as a bound below the omitted mass
+    for lam_ell in (1e162, 1.77e161):
+        named = re.escape(f"rate 1e-10 is not finite with lam_ell {lam_ell:g}")
+        with pytest.raises(ValueError, match=f"mixed truncation bound at {named}"):
+            truncation_bound(GibbsParams(EnergyModel.mixed(1e-10, lam_ell)))
+    assert truncation_bound(GibbsParams(EnergyModel.mixed(1e-10, 1e150))) == pytest.approx(
+        6.673299259135496e-18, rel=1e-14)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 """Tests for the limit-curve geometry: parabola/circle/mixed family,
 curve length, normalization, and Hausdorff distance."""
 
+import json
 import math
 import warnings
 from unittest import mock
@@ -142,6 +143,20 @@ def test_mixed_length_special_values():
     assert mixed_length(0.0) == pytest.approx(
         1.0 + math.log(1.0 + SQRT2) / SQRT2, abs=1e-9)
     assert mixed_length(1e3) == pytest.approx(math.pi / 2.0, abs=1e-2)
+
+
+def test_mixed_curve_past_the_cube_overflow_is_the_circle(capsys):
+    # (lambda+1)^3 overflows past lambda_ell ~ 5.6e102; the weight
+    # ((lambda+1)/(lambda+cos))^3 stays finite, and the family is the circle
+    assert mixed_length(1e200) == pytest.approx(math.pi / 2.0, abs=1e-12)
+    assert mixed_length(1e308) == pytest.approx(math.pi / 2.0, abs=1e-12)
+    # the CSV row keeps 12 digits, the JSON one all of them
+    assert main(["mixed-shapes", "--grid", "1e300"]) == 0
+    assert capsys.readouterr().out == "lambda_ell,length\n1e+300,1.57079632679\n"
+    assert main(["mixed-shapes", "--grid", "1e300", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["length"] == pytest.approx(math.pi / 2.0, abs=1e-12)
+    assert ShapeCurve.mixed(1e200).point(1.0) == pytest.approx((1.0, 1.0), abs=1e-8)
 
 
 def test_mixed_length_decreases_toward_circle():

@@ -1,11 +1,13 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from convexchain import specialfn as sf
-from convexchain.specialfn import c_of_ell, e_of_ell, polylog, ratio_li2, zeta
-from oracles import polylog_integral
+from convexchain.cli import main
+from convexchain.specialfn import c_of_ell, e_of_ell, polylog, ratio_li2
+from oracles import polylog_integral, zeta
 from paper import EULER_GAMMA, parallel_constant, residue_logZ, zeta_prime
 
 # Reference decimals frozen from a 25-digit mpmath session (test-side oracle).
@@ -25,6 +27,17 @@ def test_zeta_classical_values():
     assert abs(zeta(2.0) - math.pi**2 / 6) <= 1e-12
     assert abs(zeta(4.0) - math.pi**4 / 90) <= 1e-12
     assert abs(zeta(3.0) - MPMATH_REFERENCE[("zeta", 3.0)]) <= 1e-12
+
+
+def test_constants_are_correctly_rounded():
+    # exact rational partial sums of zeta(2) = 3*sum 1/(k^2 C(2k,k)) and of
+    # Apery's zeta(3) = (5/2)*sum (-1)^(k+1)/(k^3 C(2k,k)); the 60-term tails
+    # are below 4^-60, and float() of a Fraction rounds correctly
+    ks = range(1, 61)
+    z2 = 3 * sum(Fraction(1, k**2 * math.comb(2 * k, k)) for k in ks)
+    z3 = Fraction(5, 2) * sum(Fraction((-1) ** (k + 1), k**3 * math.comb(2 * k, k)) for k in ks)
+    assert sf.ZETA2 == float(z2) == math.pi**2 / 6
+    assert sf.ZETA3 == float(z3)
 
 
 def test_zeta_near_pole_and_domain():
@@ -139,6 +152,20 @@ def test_c_limits():
     # c(ell) ~ ell^(1/3) as ell -> 0
     assert c_of_ell(1e-6) < 0.011
     assert abs(c_of_ell(1e-8) / 1e-8 ** (1.0 / 3) - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("ell", [1e-300, 1e-20, 1e-16, 5e-17])
+def test_c_and_e_at_small_ell_follow_their_leading_forms(ell):
+    # c ~ ell^(1/3) and e ~ ell^(1/3)*(3 - log ell), the next order O(ell log ell);
+    # 1 - ell rounds to 1 at the last two, where a route through w = 1 - ell fails
+    lead = ell ** (1.0 / 3)
+    assert c_of_ell(ell) == pytest.approx(lead, rel=1e-12)
+    assert e_of_ell(ell) == pytest.approx(lead * (3.0 - math.log(ell)), rel=1e-12)
+
+
+def test_asymptotics_table_at_tiny_ell_exits_zero(capsys):
+    assert main(["asymptotics-table", "--ell-grid", "1e-300:1e-299:1e-300"]) == 0
+    assert capsys.readouterr().out
 
 
 def test_e_maximal_at_one_and_decay():
