@@ -233,7 +233,8 @@ def _radial_tail(energy: EnergyModel, lam: float, truncation: float) -> float:
     a*R^2 <= C(R) <= a*(R + D)^2, a the quadrant area of {E <= 1}.  The sum
     of e^-E over the points with E > T, int_T^inf e^-R (C(R) - C(T)) dR, is
     then at most a*e^-T*(2T(D+1) + (D+1)^2 + 1), and log Z_x is at most
-    lam*rho/(1-e^-T) at each of them.  In polar coordinates about the
+    lam*rho/(1-e^-max(T, E(1,0))) at each of them, as every site has
+    E >= E(1,0) = beta*(c1 + c2) > 0.  In polar coordinates about the
     diagonal, a = beta^-2 * int_0^{pi/4} (sqrt(2)*c1*cos(phi) + c2)^-2 dphi,
     whose integrand increases with phi: a right-endpoint sum bounds it.
     """
@@ -253,7 +254,7 @@ def _radial_tail(energy: EnergyModel, lam: float, truncation: float) -> float:
         return math.inf
     D = b * (2.0 * c1 + _SQRT2 * max(c2, 0.0))
     shells = a * math.exp(-T) * (2.0 * T * (D + 1.0) + (D + 1.0) ** 2 + 1.0)
-    return lam * shells / -math.expm1(-T)
+    return lam * shells / -math.expm1(-max(T, b * (c1 + c2)))
 
 
 def truncation_bound(params: GibbsParams) -> float:
@@ -634,37 +635,31 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     """
     key = _law_key(params)
     order, start, size, block, q_max, log_miss, _ = _sampler_index(*key)
-    if not block.size:
-        return MultiplicityDistribution({})
     # gaps in batches of about 4 standard deviations over the mean candidate
-    # count; a block still short of its end gets a doubled batch
+    # count; a block short of its end is drawn again with a doubled batch,
+    # and meets the same gaps, as uniforms are a function of their word
     expected = size * q_max
     batch = np.ceil(expected + 4.0 * np.sqrt(expected) + 4.0).astype(np.int64)
-    pos = np.full(block.size, -1, dtype=np.int64)  # last position reached
-    used = np.zeros(block.size, dtype=np.int64)  # gap uniforms drawn so far
     live = np.arange(block.size)
-    hit_block, hit_pos, hit_index = [], [], []
+    hits = [np.empty((3, 0), dtype=np.int64)]  # (block, position, gap index)
     while live.size:
-        n = np.minimum(batch[live], size[live] - 1 - pos[live])
+        n = np.minimum(batch[live], size[live])
         ends = np.cumsum(n)
         first = ends - n
         b = np.repeat(live, n)
-        j = np.arange(ends[-1]) - np.repeat(first - used[live], n)  # gap index
+        j = np.arange(ends[-1]) - np.repeat(first, n)  # gap index
         u = _uniforms(seed, (block[b] << _BLOCK_SHIFT) | (2 * j))
         with np.errstate(over="ignore"):  # log_miss -> 0 overflows to inf
             gap = np.floor(np.log1p(-u) / log_miss[b])
         step = np.minimum(gap, size[b]).astype(np.int64) + 1  # clamped: no cast overflow
         c = np.cumsum(step)
-        p = c - np.repeat(c[first] - step[first] - pos[live], n)  # position in block
-        hit = p < size[b]
-        hit_block.append(b[hit])
-        hit_pos.append(p[hit])
-        hit_index.append(j[hit])
-        pos[live] = p[ends - 1]
-        used[live] += n
-        live = live[pos[live] < size[live] - 1]
+        p = c - np.repeat(c[first] - step[first] + 1, n)  # position in block
+        done = p[ends - 1] >= size[live] - 1
+        hit = np.repeat(done, n) & (p < size[b])
+        hits.append(np.stack([b[hit], p[hit], j[hit]]))
+        live = live[~done]
         batch *= 2
-    b, p, j = (np.concatenate(parts) for parts in (hit_block, hit_pos, hit_index))
+    b, p, j = np.concatenate(hits, axis=1)
     x1, x2, en = _site_arrays(key[0], key[2])
     site = order[start[b] + p]
     rho, ratio, t = np.empty((3, site.size))

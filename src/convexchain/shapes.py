@@ -27,7 +27,7 @@ nearer is compared, with the same dx*dx + dy*dy as an all-pairs search.
 Most points need no window at all: `_max_nearest_sq` skips each point
 that a bound shows cannot be the largest (the early break of Taha and
 Hanbury, IEEE TPAMI 37(11), 2015).  A mesh over MESH_BUDGET
-and a search phase over PAIR_BUDGET pairs are refused by `check_budget`
+and a search over PAIR_BUDGET pairs are refused by `check_budget`
 before the work.
 """
 
@@ -222,13 +222,17 @@ def normalize(line, scale):
     Accepts a ConvexPolyline or any finite (m, 2) array of points and returns
     a read-only (m, 2) float array.  A line with the exact endpoint (n1, n2)
     lands on (1,1); an empty-support line collapses to the single point (0,0).
+    A scale that takes a point out of double range is refused.
     """
     n1, n2 = float(scale[0]), float(scale[1])
     if not (0.0 < n1 < math.inf and 0.0 < n2 < math.inf):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     if isinstance(line, ConvexPolyline):
         line = line.xy
-    pts = _point_array(line, "line") / np.array([n1, n2])
+    with np.errstate(over="ignore"):  # an overflow here is what gets refused
+        pts = _point_array(line, "line") / np.array([n1, n2])
+    if not np.isfinite(pts).all():
+        raise ValueError(f"scale {scale!r} takes the line's points out of double range")
     pts.setflags(write=False)
     return pts
 
@@ -283,18 +287,16 @@ def _curve_by_s(curve, mesh):
 def _max_nearest_sq(query, points):
     """Max over the query points of the squared distance to the nearest of
     `points` (both `_by_s` tuples), bit for bit the all-pairs value of
-    dx*dx + dy*dy, in three phases of `_window_min` searches.
+    dx*dx + dy*dy, in two `_window_min` searches.
 
     d0, the squared distance from q to its neighbours in s order, bounds
-    q's nearest squared distance from above.  Phase 1 searches the _SEED
-    queries of largest d0 exactly, within sqrt(d0); the max cmax of their
+    q's nearest squared distance from above.  The first search takes the
+    _SEED queries of largest d0, each within sqrt(d0); the max cmax of their
     nearest bounds the result from below.  A query with d0 <= cmax has a
-    point that near, so it cannot raise the max and is never searched.
-    Phase 2 searches each other query within sqrt(cmax), starting from no
-    point at all: one found at squared distance <= cmax settles the query
-    the same way.  Phase 3 searches the queries left within sqrt(d0).  Every
-    radius is padded for the rounding of the sums it is compared with, and
-    the max is one of the computed squared distances either way.
+    point that near, so it cannot raise the max and is never searched.  The
+    second search takes every other query, each within its own sqrt(d0).
+    Every radius is padded for the rounding of the sums it is compared
+    with, and the max is one of the computed squared distances either way.
     """
     qx, qy, qs, _ = query
     px, py, ps, _ = points
@@ -304,21 +306,19 @@ def _max_nearest_sq(query, points):
     top = max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max())
     pad = 8.0 * np.finfo(float).eps * top
 
-    def within(i, bound):
-        # the least squared distance from each query i to the points within sqrt(bound)
-        r = np.sqrt(bound) * (1.0 + 1e-12) + pad
-        return _window_min(qx[i], qy[i], qs[i], points, r)
+    def nearest(i):
+        # the nearest squared distance from each query i, within sqrt(d0)
+        r = np.sqrt(d0[i]) * (1.0 + 1e-12) + pad
+        return np.minimum(d0[i], _window_min(qx[i], qy[i], qs[i], points, r))
 
     m = min(_SEED, len(d0))
     seed = np.argpartition(d0, -m)[-m:]
-    cmax = np.minimum(d0[seed], within(seed, d0[seed])).max()
+    cmax = nearest(seed).max()
     left = d0 > cmax
     left[seed] = False
     rest = np.flatnonzero(left)
     if rest.size:
-        rest = rest[within(rest, cmax) > cmax]
-    if rest.size:
-        cmax = max(cmax, np.minimum(d0[rest], within(rest, d0[rest])).max())
+        cmax = max(cmax, nearest(rest).max())
     return cmax
 
 

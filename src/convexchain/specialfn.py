@@ -8,10 +8,11 @@ statement downstream:
     e(ell) = 3*((zeta(3) - Li3(1-ell))/zeta(2))^(1/3) - log(ell)*c(ell)
 
 The 0/0 shape of c at ell = 1 is removed by evaluating ell * (Li2(w)/w) with
-w = 1 - ell through the ratio series sum w^(j-1)/j^2.  Below ell = 0.02
+w = 1 - ell through the ratio series sum w^(j-1)/j^2.  Below ell = 0.2
 both c and e take Li2(1-ell) and zeta(3) - Li3(1-ell) from the log series
 below at mu = log1p(-ell), the latter without its zeta(3) term: the
-subtraction would cancel, and w would round to 1 below ell ~ 1.1e-16.
+subtraction would cancel, the defining series' absolute tail bound is large
+beside that small difference, and w would round to 1 below ell ~ 1.1e-16.
 
 Li_s(z) for real z < 1 is computed by the defining series where it converges
 comfortably (|z| <= 0.98).  Outside that disk c and e need only Li2 and Li3,
@@ -54,27 +55,30 @@ ZETA3 = 1.2020569031595942
 # Bernoulli numbers B_2, B_4, B_6, B_8 of the log series' zeta(1-2j)
 _BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30)
 # c and e take the log series at mu = log1p(-ell) below this ell
-_SMALL_ELL = 0.02
+_SMALL_ELL = 0.2
 
 
 def _series_terms(az: float, s: float, tol: float) -> np.ndarray:
     """j = 1..N for a series in az^j / j^s, N doubled from 16 until the tail
-    bound sum_{j>N} az^j / j^s <= az^(N+1) / ((N+1)^s (1-az)) is below tol."""
+    bound sum_{j>N} az^j / j^s <= az^(N+1) / ((N+1)^s (1-az)) is below tol;
+    a power (N+1)^s past double range is inf, and its tail 0."""
     N = 16
-    while az ** (N + 1) / ((N + 1) ** s * (1 - az)) > tol:
-        N *= 2  # az^(N+1) reaches 0 for every az <= 0.98, so this ends
+    with np.errstate(over="ignore"):
+        while az ** (N + 1) / (np.float64(N + 1) ** s * (1 - az)) > tol:
+            N *= 2  # az^(N+1) reaches 0 for every az <= 0.98, so this ends
     return np.arange(1, N + 1, dtype=float)
 
 
 def _polylog_series(s: float, z: float) -> float:
     j = _series_terms(abs(z), s, POLYLOG_SERIES_TOL)
-    return float(np.sum(z**j / j**s))
+    with np.errstate(over="ignore"):  # a term whose j^s is inf is 0
+        return float(np.sum(z**j / j**s))
 
 
 def _log_terms(s: int, mu: float) -> list[float]:
     """The terms of the log series of Li_s(e^mu) for s = 2 or 3 and
-    -0.0203 < mu <= 0, zeta(s) first.  The first term left out,
-    zeta(-9) mu^(s+9)/(s+9)!, is below 1e-26."""
+    log(0.8) < mu <= 0, zeta(s) first.  The first term left out,
+    zeta(-9) mu^(s+9)/(s+9)!, is below 1.3e-17."""
     if mu == 0.0:
         return [ZETA2 if s == 2 else ZETA3]
     # zeta(s-k) for k = 0..s+8, with the log term's H_(s-1) - log(-mu) in

@@ -28,8 +28,8 @@ MESH_BUDGET = 3_000_000
 # Mesh points a `mixed-shapes` row (one `shapes.mixed_length`) is priced at
 # against MESH_BUDGET: a row takes at most 7.5 ms (lambda_ell = -0.7).
 MIXED_ROW_POINTS = 1_000
-# Pairs of one phase of a nearest-point search (`shapes._window_min`), ~19
-# ns each, so ~30 s for a phase at the cap.
+# Pairs of one `shapes._window_min` search (a distance takes two per
+# direction), ~19 ns each, so ~30 s for a search at the cap.
 PAIR_BUDGET = 1_500_000_000
 # Valtr edges k: one draw peaks at 420-440 bytes per edge, so ~1.8 GB.
 VALTR_EDGE_BUDGET = 4_000_000

@@ -3,9 +3,12 @@ reimplementations that the library's vectorized code is checked against."""
 
 import json
 import math
+import sys
+from decimal import Decimal, localcontext
 from functools import cmp_to_key, lru_cache
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy import integrate
 
 from convexchain.lattice import (ConvexPolyline, MultiplicityDistribution, _mask_rows,
@@ -15,6 +18,11 @@ from convexchain.tolerances import SITE_BUDGET
 
 # quadrature epsabs of the polylog integral oracle
 POLYLOG_QUAD_TOL = 1e-13
+# the positive doubles, and the neighbours of their ends: 0 and inf lie outside
+POSITIVE_DOUBLES = st.one_of(
+    st.floats(5e-324, sys.float_info.max),
+    st.sampled_from([0.0, math.nextafter(5e-324, 1.0),
+                     math.nextafter(sys.float_info.max, 0.0), math.inf]))
 
 
 def slope_sorted_exact(vectors):
@@ -223,6 +231,35 @@ def zeta(s: float) -> float:
         poch *= (s + 2 * j - 1) * (s + 2 * j)
         power /= N * N
     return total
+
+
+def c_and_e_decimal(ell: float, digits: int = 40) -> tuple[float, float]:
+    """c(ell) and e(ell) of `specialfn` for 0 < ell < 1 in `digits`-digit
+    decimal arithmetic: Li2 and Li3 at w = 1 - ell by their defining series,
+    summed until a term is below 10^-(digits+5), and zeta(2) and zeta(3) by
+    the central binomial series 3*sum 1/(k^2 C(2k,k)) and Apery's
+    (5/2)*sum (-1)^(k+1)/(k^3 C(2k,k)), whose terms fall like 4^-k."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 10
+        small = Decimal(10) ** -(digits + 5)
+        ell = Decimal(ell)  # the float's exact value
+        w = 1 - ell
+        li2 = li3 = Decimal(0)
+        j, power = 1, w
+        while power > small:
+            li2 += power / j**2
+            li3 += power / j**3
+            j, power = j + 1, power * w
+        z2 = z3 = Decimal(0)
+        for k in range(1, 4 * digits):
+            central = math.comb(2 * k, k)
+            z2 += Decimal(3) / (k**2 * central)
+            z3 += Decimal(5 * (-1) ** (k + 1)) / (2 * k**3 * central)
+        core = z3 - li3
+        third = Decimal(1) / 3
+        c = ell / w * li2 / (z2**third * core ** (2 * third))
+        e = 3 * (core / z2) ** third - ell.ln() * c
+        return float(c), float(e)
 
 
 def polylog_integral(s: float, z: float) -> float:

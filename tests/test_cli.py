@@ -148,6 +148,15 @@ def test_truncation_bound_outside_double_range_is_one_error_line(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_truncation_below_every_site_energy_reaches_the_draws(capsys):
+    # at T = 5e-324 the site set is empty and the tail bound finite, so the
+    # run fails on its empty draws, not on the bound
+    rc, out, err = run(capsys, ["jarnik", "--beta", "1", "--trunc", "5e-324", "--samples", "3"])
+    assert rc == 2 and out == ""
+    assert err == ("error: none of the 3 sampled lines leaves both axes, so there is no length "
+                   "or shape to check; lower beta\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "0"],
     ["sample-gibbs", "--beta1", "0.3", "--beta2", "0.3", "--count", "-1"],
@@ -226,8 +235,10 @@ _EXACT = ["calibrate", "--n1", "300", "--n2", "300", "--k", "34", "--exact"]
      "--ell-grid '0:1e9:1e-9' needs ~1,000,000,000,000,000,001 rows"),
     (["shape-distance", "--scale", "a,1"], "--scale component 'a'"),
     (["shape-distance", "--scale", "1,b"], "--scale component 'b'"),
-    # a scale that leaves the points finite but their distances not
+    # a scale that leaves the points finite but their distances not, and
+    # one that takes the points out of double range
     (["shape-distance", "--scale", "1e-300,1"], "not finite"),
+    (["shape-distance", "--scale", "1e-320,1"], "scale (1e-320, 1.0) takes the line's points"),
 ])
 def test_non_finite_input_is_usage_error(line_file, capsys, argv, name):
     if argv[0] == "shape-distance":

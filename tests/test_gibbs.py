@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -22,7 +23,7 @@ from convexchain.gibbs import (
 )
 from convexchain.specialfn import ZETA2, ZETA3
 from convexchain.tolerances import GIBBS_DRAW_ENTRIES
-from oracles import primitive_vectors_by_weight
+from oracles import POSITIVE_DOUBLES, primitive_vectors_by_weight
 from paper import parallel_probability, residue_logZ
 
 
@@ -160,6 +161,37 @@ def test_tail_bound_with_an_underflowed_area_is_refused():
             truncation_bound(GibbsParams(EnergyModel.mixed(1e-10, lam_ell)))
     assert truncation_bound(GibbsParams(EnergyModel.mixed(1e-10, 1e150))) == pytest.approx(
         6.673299259135496e-18, rel=1e-14)
+
+
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+@pytest.mark.parametrize("energy", [EnergyModel.euclidean(1.0), EnergyModel.euclidean(0.3),
+                                    EnergyModel.mixed(1.0, -0.7), EnergyModel.mixed(0.5, 2.0)],
+                         ids=["euclidean-1", "euclidean-0.3", "mixed-1--0.7", "mixed-0.5-2"])
+def test_tail_bound_below_the_least_site_energy_is_finite(energy, lam):
+    # below E(1, 0) every site is omitted, and each has rho <= e^-E(1, 0):
+    # the bound stays finite and bounds the whole log Z, which the sum at
+    # T = 40 approaches from below
+    whole = log_partition(GibbsParams(energy, lam, 40.0))
+    for T in (5e-324, 1e-300):
+        bound = truncation_bound(GibbsParams(energy, lam, T))
+        assert math.isfinite(bound) and bound >= whole
+    # at T >= E(1, 0) the bound keeps its bits
+    assert truncation_bound(GibbsParams(EnergyModel.euclidean(0.05), 1.0, 40.0)).hex() == \
+        "0x1.07e1ff92f5ce2p-43"
+
+
+@settings(max_examples=40, deadline=None)
+@given(T=POSITIVE_DOUBLES)
+@pytest.mark.parametrize("energy", [EnergyModel.linear(0.5, 0.7), EnergyModel.euclidean(0.5),
+                                    EnergyModel.mixed(0.5, -0.6), EnergyModel.mixed(0.5, 3.0)],
+                         ids=["linear", "euclidean", "mixed--0.6", "mixed-3"])
+def test_tail_bound_is_finite_at_every_truncation(energy, T):
+    try:
+        params = GibbsParams(energy, 1.0, T)
+    except ValueError as refused:
+        assert T in (0.0, math.inf) and "truncation must be positive" in str(refused)
+    else:
+        assert math.isfinite(truncation_bound(params))
 
 
 @settings(max_examples=60, deadline=None)
@@ -627,6 +659,30 @@ def test_sample_omega_deterministic():
 def test_sample_omega_empty_at_tiny_fugacity():
     p = GibbsParams(EnergyModel.linear(0.3, 0.3), 1e-12)
     assert all(not sample_omega(p, s).support for s in range(20))
+
+
+@pytest.mark.parametrize("params", [GibbsParams(EnergyModel.linear(0.1, 0.1)),
+                                    GibbsParams(EnergyModel.euclidean(0.3)),
+                                    GibbsParams(EnergyModel.mixed(0.2, 0.5), 2.0), _EMPTY],
+                         ids=_set_id)
+def test_sampler_rounds_of_one_gap_draw_what_one_round_draws(monkeypatch, params):
+    # with every first batch one gap, each block is drawn again with doubled
+    # batches until a round reaches its end; a gap's uniform is a function
+    # of its word, so each draw keeps its bits
+    plain = [sample_omega(params, s) for s in range(5)]
+    calls = []
+
+    def counted(seed, words):
+        calls.append(seed)
+        return real(seed, words)
+
+    real, one_gap = gibbs._uniforms, types.SimpleNamespace(**vars(np))
+    one_gap.ceil = np.ones_like
+    monkeypatch.setattr(gibbs, "np", one_gap)
+    monkeypatch.setattr(gibbs, "_uniforms", counted)
+    assert [sample_omega(params, s) for s in range(5)] == plain
+    # a call per round of gaps, and one for the candidates' acceptance
+    assert len(calls) >= 5 * 3 or not plain[0].support
 
 
 def test_sample_omega_is_valid_distribution():

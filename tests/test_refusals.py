@@ -15,7 +15,7 @@ from convexchain.tolerances import MESH_BUDGET, SITE_BUDGET, VALTR_EDGE_BUDGET, 
 _SHAPE = re.compile(r"^\S.* needs ~[0-9][0-9.,e+]* [a-z ]+, over the budget [0-9][0-9.,e+]*$")
 _LINE = shapes.normalize(np.array([[0.0, 0.0], [1.0, 1.0]]), (1, 1))
 # 16 seed queries near the anti-diagonal's first points, and 101 that only
-# the last phase of the nearest-point search settles
+# the second window search of the nearest-point search settles
 _J = np.arange(201.0)
 _LATE = (shapes._by_s(np.vstack([np.column_stack([_J[:16] + 0.05, -_J[:16] + 0.05]),
                                  np.column_stack([_J[100:] + 0.5, -_J[100:] + 0.5])])),
@@ -42,8 +42,8 @@ _SITES = {
     # the two probes of each query's neighbours in s order come first
     "window pairs": (lambda: shapes.hausdorff_distance(_LINE, shapes.ShapeCurve.parabola()),
                      [(shapes, "_sq_dist", 2)], {(shapes, "PAIR_BUDGET"): 10**3}),
-    # the seeds' 3,216 pairs fit in one block, the last phase's 20,301 do not
-    # fit the budget (see test_shapes.py for the construction)
+    # the seeds' 3,216 pairs fit in one block, the second search's 20,301 do
+    # not fit the budget (see test_shapes.py for the construction)
     "last-phase window pairs": (lambda: shapes._max_nearest_sq(*_LATE),
                                 [(shapes, "_sq_dist", 3)], {(shapes, "PAIR_BUDGET"): 10**4}),
     "valtr edges": (lambda: experiments.sample_valtr(10**14, VALTR_EDGE_BUDGET + 1,

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from convexchain import specialfn as sf
 from convexchain.cli import main
 from convexchain.specialfn import c_of_ell, e_of_ell, polylog, ratio_li2
-from oracles import polylog_integral, zeta
+from oracles import POSITIVE_DOUBLES, c_and_e_decimal, polylog_integral, zeta
 from paper import EULER_GAMMA, parallel_constant, residue_logZ, zeta_prime
 
 # Reference decimals frozen from a 25-digit mpmath session (test-side oracle).
@@ -109,6 +110,21 @@ def test_polylog_domain():
             polylog(s, z)
 
 
+@settings(max_examples=60, deadline=None)
+@given(s=POSITIVE_DOUBLES)
+@pytest.mark.parametrize("z", [0.5, -0.9, 0.98, -0.98])
+def test_polylog_is_finite_at_every_order(z, s):
+    # Li_s(z) -> z as s grows: a power j^s past double range gives a term 0
+    try:
+        value = polylog(s, z)
+    except ValueError as refused:
+        assert s == 0.0 and "s > 0" in str(refused)
+    else:
+        assert math.isfinite(value)
+        if s >= 1100.0:
+            assert value == z
+
+
 def test_ratio_li2():
     assert ratio_li2(0.0) == 1.0
     for w in (-0.5, -1e-9, 1e-9, 0.3, 0.9):
@@ -161,6 +177,15 @@ def test_c_and_e_at_small_ell_follow_their_leading_forms(ell):
     lead = ell ** (1.0 / 3)
     assert c_of_ell(ell) == pytest.approx(lead, rel=1e-12)
     assert e_of_ell(ell) == pytest.approx(lead * (3.0 - math.log(ell)), rel=1e-12)
+
+
+@pytest.mark.parametrize("ell", [0.03, 0.065, 0.13, 0.19])
+def test_c_and_e_below_the_log_series_switch_match_a_decimal_oracle(ell):
+    # here zeta(3) - Li3(1-ell) is small beside the defining series' absolute
+    # tail bound, so c and e take the log series
+    c, e = c_and_e_decimal(ell)
+    assert c_of_ell(ell) == pytest.approx(c, rel=1e-15, abs=0)
+    assert e_of_ell(ell) == pytest.approx(e, rel=1e-15, abs=0)
 
 
 def test_asymptotics_table_at_tiny_ell_exits_zero(capsys):
