@@ -113,12 +113,15 @@ def sample_valtr(n, k, seed=0, rng=None):
     if rng is None:
         rng = np.random.default_rng(seed)
     attempts = min(VALTR_REJECTION_BUDGET, VALTR_WORK_BUDGET // k)  # bounds the edges drawn
+    u, v = np.zeros((2, k + 1), dtype=np.int64)
+    u[-1] = v[-1] = n
     for _ in range(attempts):
-        u = np.ceil(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
-        v = np.floor(n * np.sort(rng.uniform(size=k - 1))).astype(np.int64)
-        d = np.diff(np.vstack([(0, 0), np.column_stack([u, v]), (n, n)]), axis=0)
-        if (d > 0).all():
-            d = d[_slope_order(d)]
+        u[1:-1] = np.ceil(n * np.sort(rng.uniform(size=k - 1)))
+        v[1:-1] = np.floor(n * np.sort(rng.uniform(size=k - 1)))
+        du, dv = u[1:] - u[:-1], v[1:] - v[:-1]
+        if du.min() > 0 and dv.min() > 0:
+            d = np.column_stack([du, dv])
+            d = np.take(d, _slope_order(d), axis=0)
             if np.all(_turns(d) > 0):  # parallel increments are slope-order neighbours
                 return _polyline(d)
     raise RuntimeError(

@@ -672,5 +672,6 @@ def sample_omega(params: GibbsParams, seed: int) -> MultiplicityDistribution:
     mult = 1 + np.floor(np.log1p(-v) / np.log(rho[acc])).astype(np.int64)
     rank = np.argsort(site)  # support in row-major order
     site, mult = site[rank], mult[rank]
-    xy = np.column_stack([x1[site], x2[site]]).astype(np.int64)  # the constructor's array path
+    xy = np.empty((site.size, 2), dtype=np.int64)  # the constructor's array path
+    xy[:, 0], xy[:, 1] = x1.take(site), x2.take(site)
     return MultiplicityDistribution(xy, mult)

@@ -47,12 +47,14 @@ def _int_rows(rows, width=2) -> np.ndarray:
     """The rows, each of `width` integers, as an exact (n, width) array:
     int64 while each column's absolute sum is below 2^62, so that every
     difference and partial sum of rows fits, and Python ints (dtype object)
-    past that.  An (n, width) int64 array that passes that test is returned
-    as it is.  The first row in input order that is not `width` values
-    long, and then the first value that `operator.index` refuses (a float,
-    a string, None), raises ValueError."""
+    past that.  Each column's sum is a float estimate over that column
+    alone (`_columns_fit`), with no reduction across the short axis.  An
+    (n, width) int64 array that passes that test is returned as it is.  The
+    first row in input order that is not `width` values long, and then the
+    first value that `operator.index` refuses (a float, a string, None),
+    raises ValueError."""
     if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[1:] == (width,):
-        if np.abs(rows, dtype=float).sum(axis=0).max() < 2.0**62:
+        if _columns_fit(np.abs(rows.T, dtype=float, order="C")):
             return rows
         return rows.astype(object)
     rows = tuple(rows)
@@ -63,10 +65,17 @@ def _int_rows(rows, width=2) -> np.ndarray:
     with contextlib.suppress(OverflowError, TypeError, ValueError):
         xy = np.fromiter(map(operator.index, chain.from_iterable(rows)), np.int64)
         xy = xy.reshape(-1, width)
-        if np.abs(xy, dtype=float).sum(axis=0).max() < 2.0**62:
+        if _columns_fit(np.abs(xy.T, dtype=float, order="C")):
             return xy
     exact = [[_index(v) for v in r] for r in rows]
     return np.array(exact, dtype=object).reshape(-1, width)
+
+
+def _columns_fit(cols: np.ndarray) -> bool:
+    """Whether each row of `cols`, a (width, n) C-ordered float array that
+    holds one column of integers per row, sums below 2^62: a float
+    estimate, one contiguous sum per column."""
+    return bool(cols.sum(axis=1).max() < 2.0**62)
 
 
 def _index(v) -> int:
@@ -97,7 +106,7 @@ def _slope_order(xy: np.ndarray) -> np.ndarray:
     if xy.dtype != object:
         with np.errstate(divide="ignore", invalid="ignore"):  # (0, 1) gets slope inf
             order = np.argsort(xy[:, 1] / xy[:, 0], kind="stable")
-        if np.all(_turns(xy[order]) >= 0):
+        if np.all(_turns(np.take(xy, order, axis=0)) >= 0):
             return order
     rows = xy.tolist()
     return np.array(sorted(range(len(rows)), key=functools.cmp_to_key(
@@ -229,8 +238,8 @@ class MultiplicityDistribution:
                              else f"{x} is not a primitive vector")
         if mult is None:  # a mapping comes in any order
             rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
-        d = np.diff(rows[:, :2], axis=0)
-        after = (d[:, 0] > 0) | (d[:, 0] == 0) & (d[:, 1] > 0)
+        x1, x2 = rows[:, 0], rows[:, 1]
+        after = (x1[1:] > x1[:-1]) | (x1[1:] == x1[:-1]) & (x2[1:] > x2[:-1])
         if not after.all():
             x = tuple(rows[np.argmin(after) + 1, :2].tolist())
             raise ValueError(f"{x} is out of row-major order or given twice")
@@ -253,12 +262,14 @@ class MultiplicityDistribution:
 
     def _steps(self) -> np.ndarray:
         """The edges m*x as an exact (n, 2) array: int64 when a float
-        estimate puts each column's sum below 2^62, so that the products and
-        their partial sums fit, and Python ints past it."""
-        m = self.mult[:, None]
-        if self.xy.dtype != object and (self.xy * m.astype(float)).sum(axis=0).max() < 2.0**62:
-            return self.xy * m
-        return self.xy.astype(object) * m.astype(object)
+        estimate puts each column's sum below 2^62 (`_columns_fit`, the same
+        rule as `_int_rows`), so that the products and their partial sums
+        fit, and Python ints past it.  The int64 edges are the transpose of
+        a (2, n) array, so each column is contiguous."""
+        if self.xy.dtype != object and _columns_fit(
+                np.multiply(self.xy.T, self.mult, dtype=float, order="C")):
+            return np.multiply(self.xy.T, self.mult, order="C").T
+        return self.xy.astype(object) * self.mult.astype(object)[:, None]
 
     def endpoint(self) -> Vec:
         return tuple(int(v) for v in self._steps().sum(axis=0))
@@ -280,10 +291,14 @@ class ConvexPolyline:
         if xy[0, 0] != 0 or xy[0, 1] != 0:
             raise ValueError("polyline must start at (0,0)")
         d = np.diff(xy, axis=0)
-        off_quadrant = (d < 0).any(axis=1) | (d == 0).all(axis=1)
-        bad = off_quadrant | np.append(False, _turns(d) <= 0)
-        if bad.any():  # the first bad edge, its quadrant step checked first
-            i = int(np.argmax(bad))
+        turns = _turns(d)
+        # every edge in the quadrant, the first nonzero and each turning on
+        # from the one before (so nonzero too); else the first bad edge, its
+        # quadrant step checked first
+        if len(d) and not (d.min() >= 0 and d[0].any() and (turns > 0).all()):
+            dx, dy = d[:, 0], d[:, 1]
+            off_quadrant = (dx < 0) | (dy < 0) | (dx == 0) & (dy == 0)
+            i = int(np.argmax(off_quadrant | np.append(False, turns <= 0)))
             if off_quadrant[i]:
                 step = tuple(d[i].tolist())
                 raise ValueError(f"edge {i} is not a nonzero quadrant step: {step}")
@@ -316,5 +331,4 @@ def _polyline(steps: np.ndarray) -> ConvexPolyline:
 
 def omega_to_polyline(omega: MultiplicityDistribution) -> ConvexPolyline:
     """Partial sums of m*x in slope order; K+1 vertices, endpoint preserved."""
-    steps = omega._steps()
-    return _polyline(steps[_slope_order(omega.xy)])
+    return _polyline(np.take(omega._steps(), _slope_order(omega.xy), axis=0))

@@ -18,17 +18,21 @@ ever fires, the formulas were transcribed inconsistently and the error is
 raised rather than patched.
 
 The Hausdorff distance needs the largest distance from a point of one side
-to its nearest point on the other.  Each side is sorted once by s = x + y,
-and since |s_p - s_q| <= sqrt(2)*|p - q|, a point nearer to q than a bound
-lies in one window of that order; on a side monotone in x and y (a lattice
-chain or a catalogue curve) the window narrows to x and y within the same
-distance.  The windows are exact, not heuristic: every point that could be
-nearer is compared, with the same dx*dx + dy*dy as an all-pairs search.
-Most points need no window at all: `_max_nearest_sq` skips each point
-that a bound shows cannot be the largest (the early break of Taha and
-Hanbury, IEEE TPAMI 37(11), 2015).  A mesh over MESH_BUDGET
-and a search over PAIR_BUDGET pairs are refused by `check_budget`
-before the work.
+to its nearest point on the other, in both directions.  Each side is sorted
+once by s = x + y, and one stable merge of the two orders (`_s_ranks`) puts
+every point between its neighbours in the other side's order, for both
+directions.  Since |s_p - s_q| <= sqrt(2)*|p - q|, a point nearer to q than
+a bound lies in one window of that order; on a side monotone in x and y (a
+lattice chain or a catalogue curve) the window narrows to x and y within
+the same distance.  The windows are exact, not heuristic: every point that
+could be nearer is compared, with the same dx*dx + dy*dy as an all-pairs
+search.  Most points need no window at all: `_max_nearest_sq` skips each
+point that a bound shows cannot be the largest (the early break of Taha and
+Hanbury, IEEE TPAMI 37(11), 2015), and the break runs across the two
+directions: the second starts from the first one's result, so it searches
+only the points whose neighbours in s order are farther than that.  A mesh
+over MESH_BUDGET and a search over PAIR_BUDGET pairs are refused by
+`check_budget` before the work.
 """
 
 import math
@@ -241,16 +245,18 @@ def _densify(pts, mesh):
     """Polyline vertices plus mesh points spread evenly in arc length."""
     if pts.shape[0] == 1:
         return pts
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    x, y = pts[:, 0], pts[:, 1]
+    dx, dy = x[1:] - x[:-1], y[1:] - y[:-1]
+    s = np.zeros(len(x))
+    np.cumsum(np.sqrt(dx * dx + dy * dy), out=s[1:])
     if s[-1] == 0.0:
         return pts[:1]
     grid = np.linspace(0.0, s[-1], mesh + 1)
-    dense = np.column_stack([
-        np.interp(grid, s, pts[:, 0]),
-        np.interp(grid, s, pts[:, 1]),
-    ])
-    return np.vstack([pts, dense])
+    dense = np.empty((len(x) + mesh + 1, 2))
+    dense[:len(x)] = pts
+    dense[len(x):, 0] = np.interp(grid, s, x)
+    dense[len(x):, 1] = np.interp(grid, s, y)
+    return dense
 
 
 def _point_array(points, what):
@@ -269,9 +275,10 @@ def _by_s(pts):
     """The points sorted by s = x + y, as (x, y, s, monotone) with x and y
     separate columns; monotone says whether x and y are nondecreasing in
     that order too (a chain, or a curve of the catalogue)."""
-    order = np.argsort(pts[:, 0] + pts[:, 1], kind="stable")
-    x, y = pts[order, 0], pts[order, 1]
-    return x, y, x + y, bool((np.diff(x) >= 0.0).all() and (np.diff(y) >= 0.0).all())
+    x, y = pts[:, 0], pts[:, 1]
+    order = np.argsort(x + y, kind="stable")
+    x, y = x.take(order), y.take(order)
+    return x, y, x + y, bool((x[1:] >= x[:-1]).all() and (y[1:] >= y[:-1]).all())
 
 
 # one entry: the distance loops each reuse one (curve, mesh)
@@ -284,42 +291,67 @@ def _curve_by_s(curve, mesh):
     return by_s
 
 
-def _max_nearest_sq(query, points):
+def _s_ranks(qs, ps):
+    """Where each of two ascending s arrays falls in the other, from one
+    stable merge of the two: np.searchsorted(ps, qs, "left") and
+    np.searchsorted(qs, ps, "right") (qs comes first, so it wins ties)."""
+    order = np.argsort(np.concatenate([qs, ps]), kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rank[:len(qs)] -= np.arange(len(qs))
+    rank[len(qs):] -= np.arange(len(ps))
+    return rank[:len(qs)], rank[len(qs):]
+
+
+def _max_nearest_sq(query, points, floor=None, k=None, pad=None):
     """Max over the query points of the squared distance to the nearest of
     `points` (both `_by_s` tuples), bit for bit the all-pairs value of
-    dx*dx + dy*dy, in two `_window_min` searches.
+    dx*dx + dy*dy, or `floor` where that is larger.
 
-    d0, the squared distance from q to its neighbours in s order, bounds
-    q's nearest squared distance from above.  The first search takes the
-    _SEED queries of largest d0, each within sqrt(d0); the max cmax of their
-    nearest bounds the result from below.  A query with d0 <= cmax has a
-    point that near, so it cannot raise the max and is never searched.  The
-    second search takes every other query, each within its own sqrt(d0).
-    Every radius is padded for the rounding of the sums it is compared
-    with, and the max is one of the computed squared distances either way.
+    d0, the squared distance from q to its neighbours in s order (at the
+    query's insertion index `k` in the points' s values, np.searchsorted's
+    when None), bounds q's nearest squared distance from above.  A query
+    with d0 <= floor has a point that near, so it cannot raise the max and
+    is never searched; every other query is searched in one `_window_min`
+    call, each within its own sqrt(d0).  With no floor, a first search
+    takes the _SEED queries of largest d0, each within sqrt(d0), and the
+    max of their nearest is the floor of the rest.  Every radius is padded
+    by `pad`, for the rounding of the sums it is compared with (from the
+    largest coordinate of both sides when None), and the max is one of the
+    computed squared distances or the floor either way.
     """
     qx, qy, qs, _ = query
     px, py, ps, _ = points
-    k = np.searchsorted(ps, qs)
+    if k is None:
+        k = np.searchsorted(ps, qs)
+    if pad is None:
+        pad = _pad(max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max()))
     d0 = np.minimum(_sq_dist(qx, qy, px, py, np.maximum(k - 1, 0)),
                     _sq_dist(qx, qy, px, py, np.minimum(k, len(ps) - 1)))
-    top = max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max())
-    pad = 8.0 * np.finfo(float).eps * top
 
     def nearest(i):
         # the nearest squared distance from each query i, within sqrt(d0)
         r = np.sqrt(d0[i]) * (1.0 + 1e-12) + pad
         return np.minimum(d0[i], _window_min(qx[i], qy[i], qs[i], points, r))
 
-    m = min(_SEED, len(d0))
-    seed = np.argpartition(d0, -m)[-m:]
-    cmax = nearest(seed).max()
-    left = d0 > cmax
-    left[seed] = False
+    if floor is None:
+        m = min(_SEED, len(d0))
+        seed = np.argpartition(d0, -m)[-m:]
+        floor = nearest(seed).max()
+        left = d0 > floor
+        left[seed] = False
+    else:
+        left = d0 > floor
     rest = np.flatnonzero(left)
     if rest.size:
-        cmax = max(cmax, nearest(rest).max())
-    return cmax
+        floor = max(floor, nearest(rest).max())
+    return floor
+
+
+def _pad(top):
+    """The window padding for points at most `top` in magnitude: a bound on
+    the rounding of their squared distances, as a distance."""
+    return 8.0 * np.finfo(float).eps * top
 
 
 def _window_min(qx, qy, qs, points, r):
@@ -386,7 +418,10 @@ def hausdorff_distance(line, curve, mesh=1000):
     Each side lies within half the largest arc length g between neighbours
     of its discrete set, so by the triangle inequality the result is within
     (g_line + g_curve)/2 of the continuous distance, rounding aside.  The
-    nearest points are found exactly by `_max_nearest_sq`.  Either side
+    nearest points are found exactly by `_max_nearest_sq`, from the line's
+    points first and then from the curve's, with the first direction's
+    result as the floor of the second; both share one s-merge and one
+    window padding.  Either side
     must be a finite (m, 2) point array, and a distance that overflows is
     refused with ValueError, before any work where `_overflows` shows it.
     """
@@ -397,10 +432,13 @@ def hausdorff_distance(line, curve, mesh=1000):
     if _overflows(pts, curve_pts):
         raise ValueError("the distance is not finite: the squared distances of the points "
                          "overflow float arithmetic")
-    dense = _by_s(_densify(pts, mesh))
+    dense_pts = _densify(pts, mesh)
+    pad = _pad(max(np.abs(dense_pts).max(), np.abs(curve_pts).max()))
+    dense = _by_s(dense_pts)
     sampled = _curve_by_s(curve, mesh) if isinstance(curve, ShapeCurve) else _by_s(curve_pts)
-    d = float(np.sqrt(np.maximum(_max_nearest_sq(dense, sampled),
-                                 _max_nearest_sq(sampled, dense))))
+    k_dense, k_sampled = _s_ranks(dense[2], sampled[2])
+    d = _max_nearest_sq(dense, sampled, k=k_dense, pad=pad)
+    d = float(np.sqrt(_max_nearest_sq(sampled, dense, floor=d, k=k_sampled, pad=pad)))
     if not math.isfinite(d):
         raise ValueError(f"the distance is not finite ({d}): the points are too far "
                          "apart for float arithmetic")

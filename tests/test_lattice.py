@@ -384,6 +384,69 @@ def test_the_array_form_keeps_every_integer_in_row_major_order():
             MultiplicityDistribution(np.array(xy), np.ones(len(xy), dtype=np.int64))
 
 
+def _first_out_of_row_major_order(xy):
+    # the row-major rule one pair at a time, in Python ints
+    return next((b for a, b in zip(xy, xy[1:]) if not tuple(a) < tuple(b)), None)
+
+
+def _inject(fault, xy, mult, i):
+    # one bad entry at position i (and i + 1 for the pair faults)
+    if fault == "non-primitive":
+        xy[i] = [2 * xy[i][0], 2 * xy[i][1]]
+    elif fault == "negative multiplicity":
+        mult[i] = -mult[i]
+    elif fault == "negative coordinate":
+        xy[i] = [-xy[i][0], -xy[i][1]]
+    elif fault == "out of order":
+        xy[i], xy[i + 1], mult[i], mult[i + 1] = xy[i + 1], xy[i], mult[i + 1], mult[i]
+    else:  # given twice
+        xy[i + 1] = xy[i]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fault", ["non-primitive", "negative multiplicity",
+                                   "negative coordinate", "out of order", "given twice"])
+def test_gibbs_size_entries_are_checked_like_the_oracle(fault, seed):
+    # the column-wise checks at the size of a real draw, a bad entry at a
+    # random position: the message of the per-entry oracle, or of the
+    # per-pair row-major rule
+    om = sample_omega(GibbsParams(EnergyModel.linear(0.02, 0.02), 1.0), seed)
+    xy, mult = om.xy.tolist(), om.mult.tolist()
+    assert len(mult) > 1000
+    _inject(fault, xy, mult, int(np.random.default_rng(seed).integers(len(mult) - 1)))
+    if fault in ("out of order", "given twice"):
+        x = tuple(_first_out_of_row_major_order(xy))
+        want = f"{x} is out of row-major order or given twice"
+    else:
+        with pytest.raises(ValueError) as oracle:
+            check_support(dict(zip(map(tuple, xy), mult)))
+        want = str(oracle.value)
+    with pytest.raises(ValueError) as got:
+        MultiplicityDistribution(np.array(xy), np.array(mult))
+    assert str(got.value) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("fault", ["off-quadrant", "zero edge", "not turning"])
+def test_gibbs_size_edges_are_checked_like_the_oracle(fault, seed):
+    # a real draw's line with one bad vertex j at a random position: the
+    # message of the first bad edge, one edge at a time in Python ints
+    line = omega_to_polyline(sample_omega(GibbsParams(EnergyModel.linear(0.02, 0.02), 1.0),
+                                          seed))
+    verts = line.xy.tolist()
+    assert len(verts) > 1000
+    j = int(np.random.default_rng(seed).integers(1, len(verts) - 1))
+    (a, b), (c, d), (e, f) = verts[j - 1:j + 2]
+    verts[j] = {"off-quadrant": [a - 1, d], "zero edge": [a, b],
+                "not turning": [a + e - c, b + f - d]}[fault]  # edges j-1 and j swapped
+    with pytest.raises(ValueError) as oracle:
+        check_polyline(verts)
+    for form in (verts, np.array(verts)):
+        with pytest.raises(ValueError) as got:
+            ConvexPolyline(form)
+        assert str(got.value) == str(oracle.value)
+
+
 def test_a_draw_travels_as_arrays(monkeypatch):
     # the per-draw path of the limit-shape checks builds no mapping and no
     # vertex tuples

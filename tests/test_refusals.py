@@ -39,7 +39,8 @@ _SITES = {
                      [(gibbs, "_mobius_pairs")], {}),
     "mesh": (lambda: shapes.ShapeCurve.parabola().sample(MESH_BUDGET + 1),
              [(shapes, "_curve_mesh")], {}),
-    # the two probes of each query's neighbours in s order come first
+    # the first direction's two probes of each query's neighbours in s
+    # order (found by one s-merge of both sides) come first
     "window pairs": (lambda: shapes.hausdorff_distance(_LINE, shapes.ShapeCurve.parabola()),
                      [(shapes, "_sq_dist", 2)], {(shapes, "PAIR_BUDGET"): 10**3}),
     # the seeds' 3,216 pairs fit in one block, the second search's 20,301 do

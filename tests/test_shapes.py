@@ -271,8 +271,9 @@ def test_meshes_and_searches_over_budget_are_refused():
             curve.sample(shapes.MESH_BUDGET + 1)
         with pytest.raises(ResourceWarning, match="over the budget"):
             hausdorff_distance(line, curve, mesh=shapes.MESH_BUDGET + 1)
-    # the two searches of the diagonal against the parabola compare 3.8e3
-    # and 3.3e3 pairs at mesh 1000, all of them in their first phase
+    # the diagonal against the parabola at mesh 1000 takes one window
+    # search of 3.8e3 pairs, the first direction's seeds': their max bounds
+    # every other query of both directions
     with mock.patch.object(shapes, "PAIR_BUDGET", 10**3), \
             pytest.raises(ResourceWarning, match="pairs, over the budget"):
         hausdorff_distance(line, ShapeCurve.parabola(), mesh=1000)
@@ -357,6 +358,68 @@ def test_every_query_past_the_seeds_can_reach_the_last_phase(monkeypatch):
     q, p = shapes._by_s(query), shapes._by_s(points)
     assert shapes._max_nearest_sq(q, p) == max_nearest_sq_windows(q, p) == 0.5
     assert searched == [16, 101]
+
+
+def _searches(monkeypatch):
+    # (queries, points) of each `_window_min` call
+    searched, real = [], shapes._window_min
+
+    def spy(qx, qy, qs, points, r):
+        searched.append((len(qx), len(points[0])))
+        return real(qx, qy, qs, points, r)
+
+    monkeypatch.setattr(shapes, "_window_min", spy)
+    return searched
+
+
+# the segment (0,0)-(1,0), densified at mesh 100 into 103 points, against
+# three points 0.1 above it: from the segment the farthest is (0.25, 0),
+# 0.0725 squared from its nearest, and each of the three is at most 0.02
+# squared from its neighbour in s order on the segment
+_SEGMENT = np.array([[0.0, 0.0], [1.0, 0.0]])
+_ABOVE = np.array([[0.0, 0.1], [0.5, 0.1], [1.0, 0.1]])
+
+
+def test_the_second_direction_floor_can_skip_every_query(monkeypatch):
+    searched = _searches(monkeypatch)
+    d = hausdorff_distance(_SEGMENT, _ABOVE, mesh=100)
+    assert d == hausdorff_brute(shapes._densify(_SEGMENT, 100), _ABOVE)
+    assert d == pytest.approx(math.sqrt(0.0725))
+    # the first direction's searches only: each query of the second has
+    # d0 at or below the first direction's max
+    assert searched and all(points == 3 for _, points in searched)
+
+
+def test_the_second_direction_can_hold_the_larger_distance(monkeypatch):
+    # a fourth point 2 above the segment: the largest distance is from the
+    # curve's side, and the second direction searches that one query, in
+    # one search with no seed search first
+    curve = np.vstack([_ABOVE, [[0.5, 2.0]]])
+    dense = shapes._densify(_SEGMENT, 100)
+    searched = _searches(monkeypatch)
+    d = hausdorff_distance(_SEGMENT, curve, mesh=100)
+    assert d == hausdorff_brute(dense, curve) == 2.0
+    assert [s for s in searched if s[1] == len(dense)] == [(1, len(dense))]
+    # with no floor, the same direction seeds with every one of its 4 queries
+    searched.clear()
+    q, p = shapes._by_s(curve), shapes._by_s(dense)
+    assert shapes._max_nearest_sq(q, p) == 4.0
+    assert searched == [(4, len(dense))]
+    # a floor above the d0 of every query: no search, the floor comes back
+    searched.clear()
+    assert shapes._max_nearest_sq(q, p, floor=5.0) == 5.0
+    assert searched == []
+
+
+def test_the_s_merge_is_both_searchsorted_sides():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        # few distinct values, so that ties across and within sides are common
+        qs = np.sort(rng.integers(0, 6, rng.integers(1, 12)).astype(float))
+        ps = np.sort(rng.integers(0, 6, rng.integers(1, 12)).astype(float))
+        kq, kp = shapes._s_ranks(qs, ps)
+        assert kq.tolist() == np.searchsorted(ps, qs, "left").tolist()
+        assert kp.tolist() == np.searchsorted(qs, ps, "right").tolist()
 
 
 def test_csv_emitter_shape(capsys):
