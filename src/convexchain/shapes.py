@@ -303,55 +303,47 @@ def _s_ranks(qs, ps):
     return rank[:len(qs)], rank[len(qs):]
 
 
-def _max_nearest_sq(query, points, floor=None, k=None, pad=None):
+def _max_nearest_sq(query, points, floor=0.0, k=None):
     """Max over the query points of the squared distance to the nearest of
     `points` (both `_by_s` tuples), bit for bit the all-pairs value of
-    dx*dx + dy*dy, or `floor` where that is larger.
+    dx*dx + dy*dy, or `floor` where that is larger, in at most two
+    `_window_min` searches.
 
     d0, the squared distance from q to its neighbours in s order (at the
     query's insertion index `k` in the points' s values, np.searchsorted's
     when None), bounds q's nearest squared distance from above.  A query
     with d0 <= floor has a point that near, so it cannot raise the max and
-    is never searched; every other query is searched in one `_window_min`
-    call, each within its own sqrt(d0).  With no floor, a first search
-    takes the _SEED queries of largest d0, each within sqrt(d0), and the
-    max of their nearest is the floor of the rest.  Every radius is padded
-    by `pad`, for the rounding of the sums it is compared with (from the
-    largest coordinate of both sides when None), and the max is one of the
-    computed squared distances or the floor either way.
+    is never searched.  Of the others, the first search takes the _SEED of
+    largest d0, each within sqrt(d0), and the max of their nearest raises
+    the floor; the second search takes every query still above it, each
+    within its own sqrt(d0).  Every radius is padded for the rounding of
+    the sums it is compared with, and the max is one of the computed
+    squared distances or the floor either way.
     """
     qx, qy, qs, _ = query
     px, py, ps, _ = points
     if k is None:
         k = np.searchsorted(ps, qs)
-    if pad is None:
-        pad = _pad(max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max()))
     d0 = np.minimum(_sq_dist(qx, qy, px, py, np.maximum(k - 1, 0)),
                     _sq_dist(qx, qy, px, py, np.minimum(k, len(ps) - 1)))
+    top = max(np.abs(px).max(), np.abs(py).max(), np.abs(qx).max(), np.abs(qy).max())
+    pad = 8.0 * np.finfo(float).eps * top
 
     def nearest(i):
         # the nearest squared distance from each query i, within sqrt(d0)
         r = np.sqrt(d0[i]) * (1.0 + 1e-12) + pad
         return np.minimum(d0[i], _window_min(qx[i], qy[i], qs[i], points, r))
 
-    if floor is None:
-        m = min(_SEED, len(d0))
-        seed = np.argpartition(d0, -m)[-m:]
-        floor = nearest(seed).max()
-        left = d0 > floor
-        left[seed] = False
-    else:
-        left = d0 > floor
-    rest = np.flatnonzero(left)
-    if rest.size:
-        floor = max(floor, nearest(rest).max())
+    left = np.flatnonzero(d0 > floor)
+    if left.size:
+        m = min(_SEED, left.size)
+        seed = np.argpartition(d0[left], -m)[-m:]
+        floor = max(floor, nearest(left[seed]).max())
+        left = np.delete(left, seed)
+        left = left[d0[left] > floor]
+    if left.size:
+        floor = max(floor, nearest(left).max())
     return floor
-
-
-def _pad(top):
-    """The window padding for points at most `top` in magnitude: a bound on
-    the rounding of their squared distances, as a distance."""
-    return 8.0 * np.finfo(float).eps * top
 
 
 def _window_min(qx, qy, qs, points, r):
@@ -420,8 +412,7 @@ def hausdorff_distance(line, curve, mesh=1000):
     (g_line + g_curve)/2 of the continuous distance, rounding aside.  The
     nearest points are found exactly by `_max_nearest_sq`, from the line's
     points first and then from the curve's, with the first direction's
-    result as the floor of the second; both share one s-merge and one
-    window padding.  Either side
+    result as the floor of the second; both share one s-merge.  Either side
     must be a finite (m, 2) point array, and a distance that overflows is
     refused with ValueError, before any work where `_overflows` shows it.
     """
@@ -432,13 +423,11 @@ def hausdorff_distance(line, curve, mesh=1000):
     if _overflows(pts, curve_pts):
         raise ValueError("the distance is not finite: the squared distances of the points "
                          "overflow float arithmetic")
-    dense_pts = _densify(pts, mesh)
-    pad = _pad(max(np.abs(dense_pts).max(), np.abs(curve_pts).max()))
-    dense = _by_s(dense_pts)
+    dense = _by_s(_densify(pts, mesh))
     sampled = _curve_by_s(curve, mesh) if isinstance(curve, ShapeCurve) else _by_s(curve_pts)
     k_dense, k_sampled = _s_ranks(dense[2], sampled[2])
-    d = _max_nearest_sq(dense, sampled, k=k_dense, pad=pad)
-    d = float(np.sqrt(_max_nearest_sq(sampled, dense, floor=d, k=k_sampled, pad=pad)))
+    d = _max_nearest_sq(dense, sampled, k=k_dense)
+    d = float(np.sqrt(_max_nearest_sq(sampled, dense, floor=d, k=k_sampled)))
     if not math.isfinite(d):
         raise ValueError(f"the distance is not finite ({d}): the points are too far "
                          "apart for float arithmetic")

@@ -392,8 +392,8 @@ def test_the_second_direction_floor_can_skip_every_query(monkeypatch):
 
 def test_the_second_direction_can_hold_the_larger_distance(monkeypatch):
     # a fourth point 2 above the segment: the largest distance is from the
-    # curve's side, and the second direction searches that one query, in
-    # one search with no seed search first
+    # curve's side, and the second direction searches only that one query,
+    # the one above the first direction's result, in one search
     curve = np.vstack([_ABOVE, [[0.5, 2.0]]])
     dense = shapes._densify(_SEGMENT, 100)
     searched = _searches(monkeypatch)
@@ -409,6 +409,24 @@ def test_the_second_direction_can_hold_the_larger_distance(monkeypatch):
     searched.clear()
     assert shapes._max_nearest_sq(q, p, floor=5.0) == 5.0
     assert searched == []
+
+
+def test_the_second_direction_searches_no_more_pairs_than_without_a_floor(monkeypatch):
+    # a tiny line in the circle's first corner: the second direction, from
+    # the curve, holds the larger distance, and nearly every curve point is
+    # above the first direction's result; its seeds raise the floor to about
+    # the result, so it compares no more pairs than the same direction with
+    # no floor (about _SEED times the line's points, not the square)
+    line, curve, mesh = np.array([[0.0, 0.0], [0.01, 0.01]]), ShapeCurve.circle(), 10**4
+    pairs = []
+    monkeypatch.setattr(shapes, "check_budget", lambda what, need, *_: pairs.append(need)
+                        if what == "the nearest-point search" else None)
+    d = hausdorff_distance(line, curve, mesh=mesh)
+    floored, pairs[:] = sum(pairs), []
+    dense, sampled = shapes._by_s(shapes._densify(line, mesh)), shapes._by_s(curve.sample(mesh))
+    unfloored = max(shapes._max_nearest_sq(dense, sampled), shapes._max_nearest_sq(sampled, dense))
+    assert d == math.sqrt(unfloored)
+    assert 0 < floored <= sum(pairs) < 50 * shapes._SEED * len(dense[0])
 
 
 def test_the_s_merge_is_both_searchsorted_sides():
